@@ -2,10 +2,13 @@
 //! CQ-Sep on the same instances.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use engine::Engine;
 use std::hint::black_box;
 use workloads::random_digraph_train;
 
 fn bench(c: &mut Criterion) {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     let mut g = c.benchmark_group("E8_fo");
     g.sample_size(10);
     for n in [8usize, 12, 16] {
@@ -14,7 +17,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(cqsep::fo::fo_separable(t)))
         });
         g.bench_with_input(BenchmarkId::new("cq", n), &t, |b, t| {
-            b.iter(|| black_box(cqsep::sep_cq::cq_separable(t)))
+            b.iter(|| black_box(cqsep::sep_cq::cq_separable_in(&ctx, t).unwrap()))
         });
     }
     g.finish();

@@ -6,10 +6,13 @@
 
 use covergame::{CoverPreorder, GameCache};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use engine::Engine;
 use std::hint::black_box;
 use workloads::cycle_with_chords;
 
 fn bench(c: &mut Criterion) {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     let mut g = c.benchmark_group("E11_game_engine");
     g.sample_size(10);
     for n in [8usize, 12, 16] {
@@ -32,7 +35,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| black_box(CoverPreorder::compute_with(&t.db, &elems, 1, &cache)))
         });
         g.bench_with_input(BenchmarkId::new("pipeline", n), &t, |b, t| {
-            b.iter(|| black_box(cqsep::sep_ghw::ghw_separable(t, 1)))
+            b.iter(|| black_box(cqsep::sep_ghw::ghw_separable_in(&ctx, t, 1).unwrap()))
         });
     }
     g.finish();

@@ -5,11 +5,14 @@
 //! `repro e10` prints the corresponding speedup table with counters.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use relational::{exists_cached, homomorphism_exists, HomCache};
+use engine::Engine;
+use relational::{homomorphism_exists, HomCache};
 use std::hint::black_box;
 use workloads::cycle_with_chords;
 
 fn bench(c: &mut Criterion) {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     let mut g = c.benchmark_group("E10_hom_engine");
     g.sample_size(10);
     for n in [16usize, 32, 48] {
@@ -33,18 +36,18 @@ fn bench(c: &mut Criterion) {
             })
         });
         g.bench_with_input(BenchmarkId::new("cached_warm", n), &t, |b, t| {
-            // Warm the global cache once; iterations then measure pure
+            // Warm the engine's cache once; iterations then measure pure
             // memo-table lookups.
-            black_box(cqsep::sep_cq::cq_separable(t));
+            black_box(cqsep::sep_cq::cq_separable_in(&ctx, t).unwrap());
             b.iter(|| {
                 black_box(pairs.iter().all(|&(p, q)| {
-                    !(exists_cached(&t.db, &t.db, &[(p, q)])
-                        && exists_cached(&t.db, &t.db, &[(q, p)]))
+                    !(ctx.hom_exists(&t.db, &t.db, &[(p, q)]).unwrap()
+                        && ctx.hom_exists(&t.db, &t.db, &[(q, p)]).unwrap())
                 }))
             })
         });
         g.bench_with_input(BenchmarkId::new("pipeline", n), &t, |b, t| {
-            b.iter(|| black_box(cqsep::sep_cq::cq_separable(t)))
+            b.iter(|| black_box(cqsep::sep_cq::cq_separable_in(&ctx, t).unwrap()))
         });
     }
     g.finish();

@@ -11,14 +11,17 @@
 //!   small subset separates (the sweep's worst case).
 
 use bench::{lp_batch, search_workload};
-use cqsep::sep_dim::{search_columns, search_columns_seq};
+use cqsep::sep_dim::{search_columns_in, search_columns_seq_in};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use engine::Engine;
 use linsep::{solve_lp, solve_lp_big};
 use numeric::BigRational;
 
 type BigLp = (Vec<Vec<BigRational>>, Vec<BigRational>, Vec<BigRational>);
 
 fn bench(c: &mut Criterion) {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     let mut g = c.benchmark_group("E12_lp_engine");
     g.sample_size(10);
 
@@ -63,10 +66,10 @@ fn bench(c: &mut Criterion) {
     for &nbits in &[3usize, 4] {
         let t = search_workload(nbits);
         g.bench_with_input(BenchmarkId::new("search_seq", nbits), &t, |bm, t| {
-            bm.iter(|| black_box(search_columns_seq(&t.0, &t.1, 3)))
+            bm.iter(|| black_box(search_columns_seq_in(&ctx, &t.0, &t.1, 3).unwrap()))
         });
         g.bench_with_input(BenchmarkId::new("search_par", nbits), &t, |bm, t| {
-            bm.iter(|| black_box(search_columns(&t.0, &t.1, 3)))
+            bm.iter(|| black_box(search_columns_in(&ctx, &t.0, &t.1, 3).unwrap()))
         });
     }
 

@@ -10,8 +10,9 @@
 
 use bench::{growth_ratios, loglog_slope, time_median};
 use cq::EnumConfig;
-use cqsep::sep_dim::{cq_sep_dim, DimBudget};
+use cqsep::sep_dim::{cq_sep_dim_in, DimBudget};
 use cqsep::{apx, cls_ghw, fo, gen_ghw, sep_cq, sep_cqm, sep_ghw};
+use engine::Engine;
 use std::hint::black_box;
 use workloads::{
     alternating_paths, cycle_with_chords, example_6_2, flip_labels, random_digraph_train,
@@ -61,6 +62,8 @@ fn main() {
 /// own counters. This is the implementation-side speedup experiment, not
 /// a claim of the paper.
 fn e10_hom_engine() {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     use relational::homomorphism_exists;
     header("E10: hom engine — memoized/parallel pipeline vs sequential sweep");
     let cores = std::thread::available_parallelism()
@@ -82,10 +85,10 @@ fn e10_hom_engine() {
         });
         // One cold run charges the cache; the median then reflects the
         // steady state a pipeline (check → chain → classify) sees.
-        black_box(sep_cq::cq_separable(&t));
-        let (s_pipe, engine) = bench::with_hom_stats(|| {
+        black_box(sep_cq::cq_separable_in(&ctx, &t).unwrap());
+        let (s_pipe, stats) = bench::with_engine_stats(&engine, || {
             time_median(3, || {
-                black_box(sep_cq::cq_separable(&t));
+                black_box(sep_cq::cq_separable_in(&ctx, &t).unwrap());
             })
         });
         println!(
@@ -93,7 +96,7 @@ fn e10_hom_engine() {
             pairs.len(),
             s_seq / s_pipe.max(1e-9)
         );
-        println!("{}", engine.report());
+        println!("{}", stats.hom.report());
     }
 }
 
@@ -104,6 +107,8 @@ fn header(title: &str) {
 /// E1: GHW(k)-Sep runtime vs |D| — Theorem 5.3's PTIME claim. The
 /// empirical log-log slope must look polynomial (bounded, stable).
 fn e1_ghw_sep_scaling() {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     header("E1: GHW(k)-Sep scales polynomially (Thm 5.3)");
     println!(
         "{:>6} {:>8} {:>12} {:>12}",
@@ -115,11 +120,11 @@ fn e1_ghw_sep_scaling() {
         let t = random_digraph_train(n, 2.0 / n as f64, 11);
         let facts = t.db.fact_count();
         let s1 = time_median(3, || {
-            black_box(sep_ghw::ghw_separable(&t, 1));
+            black_box(sep_ghw::ghw_separable_in(&ctx, &t, 1).unwrap());
         });
         let s2 = if n <= 16 {
             time_median(1, || {
-                black_box(sep_ghw::ghw_separable(&t, 2));
+                black_box(sep_ghw::ghw_separable_in(&ctx, &t, 2).unwrap());
             })
         } else {
             f64::NAN
@@ -140,32 +145,36 @@ fn e1_ghw_sep_scaling() {
 /// E2: CQ-Sep (coNP baseline) on chorded cycles — the homomorphism tests
 /// dominate; compare against the GHW(1) test on the same instances.
 fn e2_cq_sep_scaling() {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     header("E2: CQ-Sep (coNP) vs GHW(1)-Sep on the same instances (Thm 3.2)");
     println!(
         "{:>6} {:>8} {:>12} {:>12}",
         "n", "facts", "CQ (s)", "GHW(1) (s)"
     );
-    let (_, engine) = bench::with_hom_stats(|| {
+    let (_, stats) = bench::with_engine_stats(&engine, || {
         for n in [10usize, 16, 24, 32] {
             let t = cycle_with_chords(n, n / 3, 5);
             let facts = t.db.fact_count();
             let s_cq = time_median(3, || {
-                black_box(sep_cq::cq_separable(&t));
+                black_box(sep_cq::cq_separable_in(&ctx, &t).unwrap());
             });
             let s_ghw = time_median(3, || {
-                black_box(sep_ghw::ghw_separable(&t, 1));
+                black_box(sep_ghw::ghw_separable_in(&ctx, &t, 1).unwrap());
             });
             println!("{n:>6} {facts:>8} {s_cq:>12.4} {s_ghw:>12.4}");
         }
     });
     println!("(CQ-Sep stays feasible here because the hom solver prunes well;");
     println!(" its worst case is exponential, GHW(k)'s is not.)");
-    println!("{}", engine.report());
+    println!("{}", stats.hom.report());
 }
 
 /// E3: CQ[m]-Sep — polynomial in |D| for fixed schema, exponential in m
 /// (the 2^{q(k)} factor of Proposition 4.1).
 fn e3_cqm_scaling() {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     header("E3: CQ[m]-Sep: polynomial in |D|, exponential in m (Prop 4.1)");
     println!(
         "{:>6} {:>6} {:>10} {:>12}",
@@ -176,7 +185,7 @@ fn e3_cqm_scaling() {
         let t = random_digraph_train(10, 0.2, 3);
         let stat = sep_cqm::full_statistic(&t.db, &EnumConfig::cqm(m));
         let s = time_median(1, || {
-            black_box(sep_cqm::cqm_separable(&t, &EnumConfig::cqm(m)));
+            black_box(sep_cqm::cqm_separable_in(&ctx, &t, &EnumConfig::cqm(m)).unwrap());
         });
         println!("{:>6} {m:>6} {:>10} {s:>12.4}", 10, stat.dimension());
         by_m.push(stat.dimension() as f64);
@@ -193,7 +202,7 @@ fn e3_cqm_scaling() {
     for n in [8usize, 16, 32, 64] {
         let t = random_digraph_train(n, 2.0 / n as f64, 3);
         let s = time_median(3, || {
-            black_box(sep_cqm::cqm_separable(&t, &EnumConfig::cqm(2)));
+            black_box(sep_cqm::cqm_separable_in(&ctx, &t, &EnumConfig::cqm(2)).unwrap());
         });
         println!("{n:>6} {:>6} {s:>12.4}", 2);
         pts.push((n as f64, s));
@@ -206,6 +215,8 @@ fn e3_cqm_scaling() {
 
 /// E4: Theorem 5.7's two lower bounds, measured.
 fn e4_feature_blowup() {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     header("E4: statistic dimension and feature size must grow (Thm 5.7)");
     // (a) dimension = m - 1 on the alternating chain.
     println!("{:>4} {:>12}", "m", "min dim");
@@ -221,7 +232,9 @@ fn e4_feature_blowup() {
                 cq::parse::parse_cq(&schema, &body).unwrap()
             })
             .collect();
-        let dim = fo::min_dimension_of(&t, &pool, m).unwrap();
+        let dim = fo::min_dimension_of_in(&ctx, &t, &pool, m)
+            .unwrap()
+            .unwrap();
         println!("{m:>4} {dim:>12}");
     }
     // (b) extracted distinguishing feature size grows with n.
@@ -241,6 +254,8 @@ fn e4_feature_blowup() {
 /// stays fast while explicit generation cost explodes with the budget it
 /// needs.
 fn e5_cls_vs_gen() {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     header("E5: classify cheaply, generate expensively (Thm 5.8 vs Prop 5.6)");
     println!(
         "{:>4} {:>14} {:>14} {:>12}",
@@ -250,11 +265,17 @@ fn e5_cls_vs_gen() {
         let t = alternating_paths(m);
         let eval = alternating_paths(m + 1).db;
         let s_cls = time_median(3, || {
-            black_box(cls_ghw::ghw_classify(&t, &eval, 1).unwrap());
+            black_box(
+                cls_ghw::ghw_classify_in(&ctx, &t, &eval, 1)
+                    .unwrap()
+                    .unwrap(),
+            );
         });
         let mut atoms = 0usize;
         let s_gen = time_median(1, || {
-            let model = gen_ghw::ghw_generate(&t, 1, 10_000_000).unwrap();
+            let model = gen_ghw::ghw_generate_in(&ctx, &t, 1, 10_000_000)
+                .unwrap()
+                .unwrap();
             atoms = model.statistic.total_atoms();
             black_box(&model);
         });
@@ -265,13 +286,15 @@ fn e5_cls_vs_gen() {
 /// E6: bounded dimension — Sep[ℓ] via QBE search (Theorem 6.6 shape) on
 /// Example 6.2-style instances and growing chains.
 fn e6_sep_dim() {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     header("E6: Sep[ℓ] search cost grows with entities (Thm 6.6 / Lemma 6.3)");
     let b = DimBudget::default();
     let t = example_6_2();
     println!(
         "Example 6.2: Sep[1] = {}, Sep[2] = {} (the paper's gap)",
-        cq_sep_dim(&t, 1, &b).unwrap(),
-        cq_sep_dim(&t, 2, &b).unwrap()
+        cq_sep_dim_in(&ctx, &t, 1, &b).unwrap().unwrap(),
+        cq_sep_dim_in(&ctx, &t, 2, &b).unwrap().unwrap()
     );
     println!("{:>4} {:>6} {:>12}", "m", "ℓ", "time (s)");
     for m in [3usize, 4, 5] {
@@ -279,7 +302,7 @@ fn e6_sep_dim() {
         let ell = m - 1;
         let mut blown = false;
         let s = time_median(1, || {
-            match cq_sep_dim(&t, ell, &b) {
+            match cq_sep_dim_in(&ctx, &t, ell, &b).unwrap() {
                 Ok(ans) => {
                     black_box(ans);
                 }
@@ -298,6 +321,8 @@ fn e6_sep_dim() {
 /// E7: approximate separability — Algorithm 2's optimal error tracks the
 /// injected noise rate (Theorem 7.4).
 fn e7_apx() {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     header("E7: optimal relabeling error vs injected noise (Thm 7.4)");
     // Twin-rich workload: same-length path starts are →_1-equivalent, so
     // noise inside a twin group is genuinely irreparable. (On random
@@ -312,7 +337,7 @@ fn e7_apx() {
         let (noisy, flips) = flip_labels(&clean, noise, 13);
         let mut err = 0usize;
         let s = time_median(1, || {
-            err = apx::ghw_min_errors(&noisy, 1);
+            err = apx::ghw_min_errors_in(&ctx, &noisy, 1).unwrap();
         });
         println!("{noise:>7.2} {flips:>7} {err:>12} {s:>10.4}");
         assert!(err <= flips);
@@ -323,6 +348,8 @@ fn e7_apx() {
 /// E8: FO separability (automorphism orbits, GI flavor) vs CQ
 /// separability on the same instances (§8).
 fn e8_fo() {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     header("E8: FO-Sep (GI) vs CQ-Sep (coNP) (Cor 8.2)");
     println!(
         "{:>6} {:>12} {:>12} {:>8} {:>8}",
@@ -336,7 +363,7 @@ fn e8_fo() {
         });
         let mut cq_ans = false;
         let s_cq = time_median(3, || {
-            cq_ans = sep_cq::cq_separable(&t);
+            cq_ans = sep_cq::cq_separable_in(&ctx, &t).unwrap();
         });
         println!("{n:>6} {s_fo:>12.4} {s_cq:>12.4} {fo_ans:>8} {cq_ans:>8}");
         // CQ-separable implies FO-separable, never the converse.
@@ -347,13 +374,15 @@ fn e8_fo() {
 /// E9: Sep[*] with the dimension as input — the column-subset search that
 /// makes the problem NP-hard even for fixed arity (Prop 6.9 / 6.12).
 fn e9_sep_star() {
+    let engine = Engine::new();
+    let ctx = engine.ctx();
     header("E9: CQ[m]-Sep[*]: column-subset search cost (Prop 6.9)");
     println!("{:>4} {:>4} {:>8} {:>12}", "m", "ℓ", "answer", "time (s)");
     let t = alternating_paths(4);
     for ell in 1..=3 {
         let mut ans = false;
         let s = time_median(1, || {
-            ans = cqsep::sep_dim::cqm_sep_dim(&t, &EnumConfig::cqm(4), ell);
+            ans = cqsep::sep_dim::cqm_sep_dim_in(&ctx, &t, &EnumConfig::cqm(4), ell).unwrap();
         });
         println!("{:>4} {ell:>4} {ans:>8} {s:>12.4}", 4);
     }

@@ -3,43 +3,13 @@
 //! cover-game, and LP), used by both the Criterion benches and the
 //! `repro` binary that regenerates the EXPERIMENTS.md tables.
 
-use covergame::GameStats;
-use linsep::LpStats;
-use relational::HomStats;
 use std::time::Instant;
 
-/// Run `f` and return its result together with the homomorphism-engine
-/// counter deltas (searches, nodes, wipeouts, backtracks, cache
-/// hits/misses) it caused.
-pub fn with_hom_stats<R>(f: impl FnOnce() -> R) -> (R, HomStats) {
-    let before = HomStats::snapshot();
-    let out = f();
-    (out, HomStats::snapshot().since(&before))
-}
-
-/// Run `f` and return its result together with the cover-game-engine
-/// counter deltas (games solved, positions explored, fixpoint sweeps,
-/// game-cache hits/misses) it caused.
-pub fn with_game_stats<R>(f: impl FnOnce() -> R) -> (R, GameStats) {
-    let before = GameStats::snapshot();
-    let out = f();
-    (out, GameStats::snapshot().since(&before))
-}
-
-/// Run `f` and return its result together with the LP-engine counter
-/// deltas (LPs solved, simplex pivots, perceptron hits, conflict prunes,
-/// big-number promotions) it caused.
-pub fn with_lp_stats<R>(f: impl FnOnce() -> R) -> (R, LpStats) {
-    let before = LpStats::snapshot();
-    let out = f();
-    (out, LpStats::snapshot().since(&before))
-}
-
 /// Run `f` and return its result together with the unified counter
-/// deltas it caused on a caller-supplied [`engine::Engine`]. On an
-/// isolated engine (one the test constructed itself) every figure except
-/// `lp.bignum_promotions` is exact and attributable — unlike the three
-/// process-global helpers above, which see concurrent tests too.
+/// deltas (hom searches and cache traffic, cover games, LP decisions) it
+/// caused on `engine`. On an isolated engine (one the caller constructed
+/// itself) every figure except `lp.bignum_promotions` is exact and
+/// attributable.
 pub fn with_engine_stats<R>(
     engine: &engine::Engine,
     f: impl FnOnce() -> R,
@@ -192,10 +162,11 @@ mod tests {
             .fact("E", &["y", "z"])
             .fact("E", &["z", "x"])
             .build();
-        let (ans, stats) = with_hom_stats(|| relational::homomorphism_exists(&p, &c3, &[]));
+        let e = engine::Engine::new();
+        let (ans, stats) = with_engine_stats(&e, || e.ctx().hom_exists(&p, &c3, &[]).unwrap());
         assert!(ans);
-        assert!(stats.solves >= 1, "{stats:?}");
-        assert!(stats.nodes_expanded >= 1, "{stats:?}");
+        assert!(stats.hom.solves >= 1, "{stats:?}");
+        assert!(stats.hom.nodes_expanded >= 1, "{stats:?}");
     }
 
     #[test]
@@ -204,15 +175,20 @@ mod tests {
         // but conflict-free in 2 columns of 4 distinct rows) forces a
         // real LP; an easy one exercises the perceptron counter.
         let xor_vectors = vec![vec![1, 1], vec![1, -1], vec![-1, 1], vec![-1, -1]];
-        let (ans, stats) = with_lp_stats(|| linsep::separate(&xor_vectors, &[-1, 1, 1, -1]));
+        let e = engine::Engine::new();
+        let separate = |labels: &[i32]| e.ctx().separate(&xor_vectors, labels).unwrap();
+        let (ans, stats) = with_engine_stats(&e, || separate(&[-1, 1, 1, -1]));
         assert!(ans.is_none());
-        assert!(stats.lps_solved >= 1, "{stats:?}");
+        assert!(stats.lp.lps_solved >= 1, "{stats:?}");
         // The default backend is the sparse revised simplex with the
         // dense tableau as fallback; either way the solve pivots.
-        assert!(stats.sparse_pivots + stats.simplex_pivots >= 1, "{stats:?}");
-        let (ans, stats) = with_lp_stats(|| linsep::separate(&xor_vectors, &[1, -1, -1, -1]));
+        assert!(
+            stats.lp.sparse_pivots + stats.lp.simplex_pivots >= 1,
+            "{stats:?}"
+        );
+        let (ans, stats) = with_engine_stats(&e, || separate(&[1, -1, -1, -1]));
         assert!(ans.is_some());
-        assert!(stats.perceptron_hits >= 1, "{stats:?}");
+        assert!(stats.lp.perceptron_hits >= 1, "{stats:?}");
     }
 
     #[test]
@@ -250,10 +226,12 @@ mod tests {
             .fact("E", &["x", "y"])
             .fact("E", &["y", "x"])
             .build();
-        let (ans, stats) = with_game_stats(|| covergame::cover_implies(&c3, &[], &c2, &[], 1));
+        let e = engine::Engine::new();
+        let (ans, stats) =
+            with_engine_stats(&e, || e.ctx().cover_implies(&c3, &[], &c2, &[], 1).unwrap());
         assert!(ans);
-        assert!(stats.games_solved >= 1, "{stats:?}");
-        assert!(stats.positions_explored >= 1, "{stats:?}");
-        assert!(stats.fixpoint_sweeps >= 1, "{stats:?}");
+        assert!(stats.game.games_solved >= 1, "{stats:?}");
+        assert!(stats.game.positions_explored >= 1, "{stats:?}");
+        assert!(stats.game.fixpoint_sweeps >= 1, "{stats:?}");
     }
 }

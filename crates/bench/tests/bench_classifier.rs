@@ -9,7 +9,7 @@
 //! features, the way stacked training rounds and per-tier sweeps
 //! accumulate equivalent-up-to-core features in practice. The naive leg
 //! evaluates every feature independently (a fresh backtracking hom
-//! search per feature × entity, exactly what `Statistic::apply` does);
+//! search per feature × entity, exactly what `Statistic::apply_in` does);
 //! the compiled leg runs `Model::compile` once and streams entities
 //! through the trie.
 //!
@@ -98,7 +98,9 @@ fn compiled_trie_beats_naive_sweep_sequentially() {
     );
 
     let naive_start = Instant::now();
-    let naive_rows = statistic.apply_with(&sequential, &eval, &entities);
+    let naive_rows = statistic
+        .apply_in(&sequential.ctx(), &eval, &entities)
+        .unwrap();
     let naive_s = naive_start.elapsed().as_secs_f64();
     let naive_preds: Vec<i32> = naive_rows.iter().map(|r| naive_cls.classify(r)).collect();
 

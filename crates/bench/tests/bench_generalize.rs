@@ -22,7 +22,7 @@
 //!   bounded by the number of flipped labels.
 
 use bench::with_engine_stats;
-use cqsep::generalize::{evaluate_with, EvalReport, FitMethod};
+use cqsep::generalize::{evaluate_in, EvalReport, FitMethod};
 use cqsep::Engine;
 use std::fmt::Write as _;
 use workloads::{families, planted_split, PlantedFamily, SampleConfig};
@@ -92,7 +92,7 @@ fn heldout_accuracy_across_regularized_languages() {
 
             let mut best_matching_accuracy: f64 = 0.0;
             for method in methods_for(family.atoms) {
-                let r = evaluate_with(&engine, &split.train, &split.test, method);
+                let r = evaluate_in(&engine.ctx(), &split.train, &split.test, method).unwrap();
                 assert_eq!(r.test_size(), test_n, "{}: {method}", family.name);
                 println!(
                     "{:<10} noise {:.2}  {:<14} acc {:.3}  prec {:.3}  rec {:.3}  \
@@ -183,12 +183,9 @@ fn heldout_accuracy_across_regularized_languages() {
     let split = planted_split(&family, &cfg);
     let (_, stats) = with_engine_stats(&counter_engine, || {
         for method in methods_for(family.atoms) {
-            std::hint::black_box(evaluate_with(
-                &counter_engine,
-                &split.train,
-                &split.test,
-                method,
-            ));
+            std::hint::black_box(
+                evaluate_in(&counter_engine.ctx(), &split.train, &split.test, method).unwrap(),
+            );
         }
     });
 

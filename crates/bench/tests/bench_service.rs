@@ -1,5 +1,5 @@
 //! Throughput benchmark for the task layer: a mixed check/classify
-//! batch pushed through `service::run_task_with` on a single-threaded
+//! batch pushed through `service::run_task_in` on a single-threaded
 //! engine vs the default (all-cores) engine. Outcomes are verified for
 //! agreement before anything is timed, and the measured tasks/sec plus
 //! the engine counters are recorded in `BENCH_service.json` at the
@@ -16,7 +16,7 @@ use cqsep::Engine;
 use relational::spec::DatabaseSpec;
 use relational::TrainingDb;
 use service::json::{escape, Json};
-use service::{run_task_with, ClassSpec, Outcome, Task};
+use service::{run_task_in, ClassSpec, Outcome, Task};
 use workloads::lowerbound;
 
 fn spec_text(train: &TrainingDb) -> String {
@@ -64,7 +64,7 @@ fn run_batch(mk: &dyn Fn() -> Engine, tasks: &[Task]) -> Vec<String> {
     let engine = mk();
     tasks
         .iter()
-        .map(|t| match run_task_with(&engine, t) {
+        .map(|t| match run_task_in(&engine.ctx(), t).unwrap() {
             Ok(out) => out.output,
             Err(e) => panic!("{} task failed: {e}", t.kind()),
         })
@@ -98,7 +98,9 @@ fn service_throughput_single_vs_default_threads() {
     let stats_engine = Engine::new();
     let (_, stats) = with_engine_stats(&stats_engine, || {
         for t in &tasks {
-            let out = run_task_with(&stats_engine, t).expect("task failed");
+            let out = run_task_in(&stats_engine.ctx(), t)
+                .unwrap()
+                .expect("task failed");
             std::hint::black_box(out);
         }
     });
@@ -176,6 +178,12 @@ fn service_throughput_single_vs_default_threads() {
             Json::Num(stats.lp.warm_start_hits as f64),
         ),
     ]);
+    // Debug builds run the batch but leave the tracked ledger alone; the
+    // release run writes it.
+    if cfg!(debug_assertions) {
+        eprintln!("note: debug build — BENCH_service.json untouched");
+        return;
+    }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
     merge_bench_json(
         path,
@@ -222,7 +230,9 @@ fn merge_bench_json(path: &str, updates: Vec<(String, Json)>) {
 fn execute_in_matches_run_task_with() {
     let engine = Engine::new();
     for task in service_batch() {
-        let direct = run_task_with(&engine, &task).expect("task failed");
+        let direct = run_task_in(&engine.ctx(), &task)
+            .unwrap()
+            .expect("task failed");
         match service::execute_in(&engine.ctx(), &task) {
             Outcome::Success(out) => assert_eq!(out.output, direct.output),
             other => panic!("execute_in diverged: {other:?}"),

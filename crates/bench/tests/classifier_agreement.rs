@@ -20,7 +20,8 @@ fn compiled_model_agrees_with_naive_on_every_planted_family() {
         // hold off the training distribution's support, not just on it.
         let eval = sample_labeled(&family, 26, family.default_density, 0xBEEF).db;
 
-        let model = sep_cqm::cqm_generate_with(&engine, &train, &EnumConfig::cqm(family.atoms))
+        let model = sep_cqm::cqm_generate_in(&engine.ctx(), &train, &EnumConfig::cqm(family.atoms))
+            .unwrap()
             .unwrap_or_else(|| {
                 panic!(
                     "{}: zero-noise instance must be CQ[{}]-separable",
@@ -36,7 +37,10 @@ fn compiled_model_agrees_with_naive_on_every_planted_family() {
 
         // Feature rows agree in the original statistic dimension.
         let entities = eval.entities();
-        let naive_rows = model.statistic.apply_with(&engine, &eval, &entities);
+        let naive_rows = model
+            .statistic
+            .apply_in(&engine.ctx(), &eval, &entities)
+            .unwrap();
         let compiled_rows = compiled.apply_in(&ctx, &eval, &entities).unwrap();
         assert_eq!(naive_rows, compiled_rows, "{}: feature rows", family.name);
 
@@ -66,7 +70,8 @@ fn tiny_frontier_cap_stays_exact_on_every_planted_family() {
     for family in families() {
         let train = sample_labeled(&family, 16, family.default_density, 0xACED);
         let eval = sample_labeled(&family, 18, family.default_density, 0xCEDE).db;
-        let model = sep_cqm::cqm_generate_with(&engine, &train, &EnumConfig::cqm(family.atoms))
+        let model = sep_cqm::cqm_generate_in(&engine.ctx(), &train, &EnumConfig::cqm(family.atoms))
+            .unwrap()
             .expect("matching-tier separable");
         let compiled = Model::compile_separator(&model).with_frontier_cap(1);
         let naive = model.classify_in(&ctx, &eval).unwrap();

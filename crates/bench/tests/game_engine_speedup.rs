@@ -27,7 +27,8 @@ fn warm_preorder_sweep_is_at_least_2x_faster() {
     // sequential sweep plays). On an isolated engine the accounting is
     // exact: every cold-sweep miss is exactly one game analysis…
     let engine = Engine::new();
-    let (reference, cold_stats) = with_engine_stats(&engine, || engine.preorder(&t.db, &elems, K));
+    let (reference, cold_stats) =
+        with_engine_stats(&engine, || engine.ctx().preorder(&t.db, &elems, K).unwrap());
     let queries = cold_stats.game.cache_hits + cold_stats.game.cache_misses;
     assert!(
         cold_stats.game.cache_misses > 0,
@@ -39,7 +40,8 @@ fn warm_preorder_sweep_is_at_least_2x_faster() {
     );
     // …and every further sweep is a skeleton build plus pure lookups:
     // the same `queries` game queries, all hits, zero new analyses.
-    let (_, warm_stats) = with_engine_stats(&engine, || engine.preorder(&t.db, &elems, K));
+    let (_, warm_stats) =
+        with_engine_stats(&engine, || engine.ctx().preorder(&t.db, &elems, K).unwrap());
     assert_eq!(warm_stats.game.games_solved, 0, "{warm_stats:?}");
     assert_eq!(warm_stats.game.cache_misses, 0, "{warm_stats:?}");
     assert_eq!(warm_stats.game.fixpoint_sweeps, 0, "{warm_stats:?}");
@@ -57,7 +59,7 @@ fn warm_preorder_sweep_is_at_least_2x_faster() {
         std::hint::black_box(CoverPreorder::compute_seq(&t.db, &elems, K));
     });
     let warm = time_median(3, || {
-        std::hint::black_box(engine.preorder(&t.db, &elems, K));
+        std::hint::black_box(engine.ctx().preorder(&t.db, &elems, K).unwrap());
     });
     assert!(
         warm * 2.0 < cold_sequential,

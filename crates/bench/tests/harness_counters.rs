@@ -6,8 +6,8 @@
 //! and the warm-start hit/miss split stays within the LP count.
 
 use bench::{search_workload, with_engine_stats};
-use cqsep::generalize::{evaluate_with, FitMethod};
-use cqsep::sep_dim::search_columns_with;
+use cqsep::generalize::{evaluate_in, FitMethod};
+use cqsep::sep_dim::search_columns_in;
 use cqsep::Engine;
 use linsep::LpStats;
 use workloads::{family_by_name, planted_split, SampleConfig};
@@ -95,7 +95,7 @@ fn per_fit_deltas_sum_to_isolated_engine_totals() {
     let (mut homs, mut games) = (0u64, 0u64);
     for method in methods() {
         let (r, stats) = with_engine_stats(&per_call, || {
-            evaluate_with(&per_call, &split.train, &split.test, method)
+            evaluate_in(&per_call.ctx(), &split.train, &split.test, method).unwrap()
         });
         assert_eq!(r.test_size(), 12, "{method}");
         // Every warm-capable LP is either a hit or a miss, and only LPs
@@ -120,7 +120,9 @@ fn per_fit_deltas_sum_to_isolated_engine_totals() {
     let block = Engine::new().with_threads(1);
     let (_, total) = with_engine_stats(&block, || {
         for method in methods() {
-            std::hint::black_box(evaluate_with(&block, &split.train, &split.test, method));
+            std::hint::black_box(
+                evaluate_in(&block.ctx(), &split.train, &split.test, method).unwrap(),
+            );
         }
     });
     assert_lp_eq(&lp, &total.lp);
@@ -150,7 +152,7 @@ fn warm_start_traffic_sums_consistently_across_sweeps() {
     let mut lp = LpStats::default();
     for ell in [2usize, 3] {
         let (verdict, stats) = with_engine_stats(&per_call, || {
-            search_columns_with(&per_call, &columns, &labels, ell)
+            search_columns_in(&per_call.ctx(), &columns, &labels, ell).unwrap()
         });
         assert!(verdict.is_none(), "parity is not {ell}-separable");
         assert!(
@@ -164,7 +166,7 @@ fn warm_start_traffic_sums_consistently_across_sweeps() {
     let block = Engine::new().with_threads(1);
     let (_, total) = with_engine_stats(&block, || {
         for ell in [2usize, 3] {
-            std::hint::black_box(search_columns_with(&block, &columns, &labels, ell));
+            std::hint::black_box(search_columns_in(&block.ctx(), &columns, &labels, ell).unwrap());
         }
     });
     assert_lp_eq(&lp, &total.lp);
@@ -184,7 +186,9 @@ fn parallel_harness_counters_stay_structurally_consistent() {
     let engine = Engine::new();
     let (_, stats) = with_engine_stats(&engine, || {
         for method in methods() {
-            std::hint::black_box(evaluate_with(&engine, &split.train, &split.test, method));
+            std::hint::black_box(
+                evaluate_in(&engine.ctx(), &split.train, &split.test, method).unwrap(),
+            );
         }
     });
     assert!(stats.game.games_solved > 0);

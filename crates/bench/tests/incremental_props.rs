@@ -31,7 +31,7 @@ fn verdicts(engine: &Engine, bank: &[(Database, Val)], d: &Database) -> Vec<bool
         .iter()
         .flat_map(|&e| {
             bank.iter()
-                .map(move |(canon, root)| engine.hom_exists(canon, d, &[(*root, e)]))
+                .map(move |(canon, root)| engine.ctx().hom_exists(canon, d, &[(*root, e)]).unwrap())
         })
         .collect()
 }
@@ -158,7 +158,10 @@ fn game_subsumption_across_growth_agrees_with_oracle() {
             .flat_map(|&a| eval.entities().into_iter().map(move |b| (a, b)))
             .collect();
         for &(a, b) in &pairs {
-            engine.cover_implies(&train.db, &[a], &eval, &[b], 1);
+            engine
+                .ctx()
+                .cover_implies(&train.db, &[a], &eval, &[b], 1)
+                .unwrap();
         }
         let mut grown = eval.clone();
         engine
@@ -167,8 +170,14 @@ fn game_subsumption_across_growth_agrees_with_oracle() {
         let oracle = Engine::new().without_cache();
         for &(a, b) in &pairs {
             assert_eq!(
-                engine.cover_implies(&train.db, &[a], &grown, &[b], 1),
-                oracle.cover_implies(&train.db, &[a], &grown, &[b], 1),
+                engine
+                    .ctx()
+                    .cover_implies(&train.db, &[a], &grown, &[b], 1)
+                    .unwrap(),
+                oracle
+                    .ctx()
+                    .cover_implies(&train.db, &[a], &grown, &[b], 1)
+                    .unwrap(),
                 "game verdict changed under growth (seed {seed})"
             );
         }

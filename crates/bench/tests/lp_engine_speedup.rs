@@ -15,10 +15,13 @@
 //! a printed note* — never silently passed, never failed — when the
 //! host cannot express parallelism (fewer than 2 cores).
 
-use bench::{lp_batch, search_workload, time_median, with_engine_stats, with_lp_stats};
-use cqsep::sep_dim::{search_columns_seq_with, search_columns_with, search_columns_with_backend};
+use bench::{lp_batch, search_workload, time_median, with_engine_stats};
+use cqsep::sep_dim::{search_columns_backend_in, search_columns_in, search_columns_seq_with};
 use cqsep::Engine;
-use linsep::{solve_lp, solve_lp_big, LpBackend, LpOutcome, LpOutcomeBig};
+use linsep::{
+    solve_lp, solve_lp_big, solve_lp_counted, LpBackend, LpCounters, LpOutcome, LpOutcomeBig,
+    LpStats,
+};
 use numeric::BigRational;
 
 type BigLp = (Vec<Vec<BigRational>>, Vec<BigRational>, Vec<BigRational>);
@@ -66,11 +69,17 @@ fn hybrid_lp_engine_beats_seed_path() {
             std::hint::black_box(solve_lp_big(a, b, c));
         }
     });
-    let (_, lp_stats) = with_lp_stats(|| {
-        for (a, b, c) in &batch {
-            std::hint::black_box(solve_lp(a, b, c));
-        }
-    });
+    let counters = LpCounters::new();
+    let promotions_before = numeric::rat::promotion_count();
+    for (a, b, c) in &batch {
+        let (out, pivots) = solve_lp_counted(a, b, c);
+        counters.record_lp(pivots);
+        std::hint::black_box(out);
+    }
+    let lp_stats = LpStats {
+        bignum_promotions: numeric::rat::promotion_count() - promotions_before,
+        ..counters.snapshot()
+    };
     let rat_lp_s = time_median(3, || {
         for (a, b, c) in &batch {
             std::hint::black_box(solve_lp(a, b, c));
@@ -96,7 +105,7 @@ fn hybrid_lp_engine_beats_seed_path() {
     let par_engine = Engine::new();
     let seq_engine = Engine::new();
     let (par_verdict, par_stats) = with_engine_stats(&par_engine, || {
-        search_columns_with(&par_engine, &columns, &labels, 3)
+        search_columns_in(&par_engine.ctx(), &columns, &labels, 3).unwrap()
     });
     let (seq_verdict, seq_stats) = with_engine_stats(&seq_engine, || {
         search_columns_seq_with(&seq_engine, &columns, &labels, 3)
@@ -139,7 +148,7 @@ fn hybrid_lp_engine_beats_seed_path() {
         std::hint::black_box(search_columns_seq_with(&seq_engine, &columns, &labels, 3));
     });
     let par_sweep_s = time_median(5, || {
-        std::hint::black_box(search_columns_with(&par_engine, &columns, &labels, 3));
+        std::hint::black_box(search_columns_in(&par_engine.ctx(), &columns, &labels, 3).unwrap());
     });
     if cores >= 4 {
         // Close to linear in cores on this workload; assert a floor.
@@ -169,31 +178,49 @@ fn hybrid_lp_engine_beats_seed_path() {
     // tableau on the identical 119-LP workload (the headline win).
     let sparse_engine = Engine::new();
     let dense_engine = Engine::new();
-    let sparse_verdict =
-        search_columns_with_backend(&sparse_engine, &columns, &labels, 3, LpBackend::SparseWarm);
-    let dense_verdict =
-        search_columns_with_backend(&dense_engine, &columns, &labels, 3, LpBackend::DenseCold);
+    let sparse_verdict = search_columns_backend_in(
+        &sparse_engine.ctx(),
+        &columns,
+        &labels,
+        3,
+        LpBackend::SparseWarm,
+    )
+    .unwrap();
+    let dense_verdict = search_columns_backend_in(
+        &dense_engine.ctx(),
+        &columns,
+        &labels,
+        3,
+        LpBackend::DenseCold,
+    )
+    .unwrap();
     assert_eq!(
         sparse_verdict, dense_verdict,
         "LP backends disagree on the sweep verdict"
     );
     let sparse_sweep_s = time_median(5, || {
-        std::hint::black_box(search_columns_with_backend(
-            &sparse_engine,
-            &columns,
-            &labels,
-            3,
-            LpBackend::SparseWarm,
-        ));
+        std::hint::black_box(
+            search_columns_backend_in(
+                &sparse_engine.ctx(),
+                &columns,
+                &labels,
+                3,
+                LpBackend::SparseWarm,
+            )
+            .unwrap(),
+        );
     });
     let dense_sweep_s = time_median(5, || {
-        std::hint::black_box(search_columns_with_backend(
-            &dense_engine,
-            &columns,
-            &labels,
-            3,
-            LpBackend::DenseCold,
-        ));
+        std::hint::black_box(
+            search_columns_backend_in(
+                &dense_engine.ctx(),
+                &columns,
+                &labels,
+                3,
+                LpBackend::DenseCold,
+            )
+            .unwrap(),
+        );
     });
     assert!(
         sparse_sweep_s < dense_sweep_s,
@@ -259,6 +286,12 @@ fn hybrid_lp_engine_beats_seed_path() {
         sparse_sweep_s = sparse_sweep_s,
         backend_speedup = dense_sweep_s / sparse_sweep_s,
     );
+    // Debug builds run every leg but leave the tracked ledger alone; the
+    // release run writes it.
+    if cfg!(debug_assertions) {
+        eprintln!("note: debug build — BENCH_lp.json untouched");
+        return;
+    }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_lp.json");
     std::fs::write(path, json).expect("write BENCH_lp.json");
 }

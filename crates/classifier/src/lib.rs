@@ -26,7 +26,7 @@ mod trie;
 
 use cq::Cq;
 use cqsep::Statistic;
-use engine::{Ctx, Engine, Interrupted};
+use engine::{Ctx, Interrupted};
 use linsep::LinearClassifier;
 use numeric::Rat;
 use relational::{Database, Label, Labeling, Schema, Val};
@@ -254,12 +254,11 @@ impl Model {
     ) -> Result<(Vec<i32>, ClassifierStats), Interrupted> {
         ctx.check()?;
         const BLOCK: usize = 64;
-        let engine = ctx.engine();
         let mut preds = Vec::with_capacity(entities.len());
         let mut stats = ClassifierStats::default();
         for chunk in entities.chunks(BLOCK) {
-            let results = engine.par_map(chunk, |&e| {
-                let (row, s) = self.eval_one(engine, d, e);
+            let results = ctx.engine().par_map(chunk, |&e| {
+                let (row, s) = self.eval_one(ctx, d, e);
                 (self.folded.classify(&row), s)
             });
             for (p, s) in results {
@@ -271,7 +270,7 @@ impl Model {
         Ok((preds, stats))
     }
 
-    /// Classify every entity of `d`, as [`cqsep::SeparatorModel::classify`]
+    /// Classify every entity of `d`, as [`cqsep::SeparatorModel::classify_in`]
     /// does, through the compiled trie.
     pub fn classify_in(
         &self,
@@ -288,12 +287,6 @@ impl Model {
         Ok((labeling, stats))
     }
 
-    /// [`Model::classify_in`] under an engine's unbounded context.
-    pub fn classify_with(&self, engine: &Engine, d: &Database) -> (Labeling, ClassifierStats) {
-        self.classify_in(&engine.ctx(), d)
-            .expect("unbounded ctx cannot interrupt")
-    }
-
     /// The ±1 feature matrix in the *original* statistic dimension
     /// (duplicate features repeat their class column) — a drop-in,
     /// agreement-testable replacement for `Statistic::apply_in`.
@@ -305,11 +298,10 @@ impl Model {
     ) -> Result<Vec<Vec<i32>>, Interrupted> {
         ctx.check()?;
         const BLOCK: usize = 64;
-        let engine = ctx.engine();
         let mut rows = Vec::with_capacity(entities.len());
         for chunk in entities.chunks(BLOCK) {
-            rows.extend(engine.par_map(chunk, |&e| {
-                let (row, _) = self.eval_one(engine, d, e);
+            rows.extend(ctx.engine().par_map(chunk, |&e| {
+                let (row, _) = self.eval_one(ctx, d, e);
                 self.class_of.iter().map(|&c| row[c]).collect::<Vec<i32>>()
             }));
             ctx.check()?;
@@ -317,8 +309,10 @@ impl Model {
         Ok(rows)
     }
 
-    /// Evaluate one entity: the deduped ±1 row and its counters.
-    fn eval_one(&self, engine: &Engine, d: &Database, e: Val) -> (Vec<i32>, ClassifierStats) {
+    /// Evaluate one entity: the deduped ±1 row and its counters. A hom
+    /// fallback stopped by the context's handle reports a filler verdict;
+    /// callers re-check the handle after each block and discard it.
+    fn eval_one(&self, ctx: &Ctx, d: &Database, e: Val) -> (Vec<i32>, ClassifierStats) {
         let mut truths = vec![false; self.features.len()];
         let mut stats = ClassifierStats {
             entities: 1,
@@ -326,7 +320,7 @@ impl Model {
         };
         let fallback = |j: u32| {
             let (db, x) = &self.canon[j as usize];
-            engine.hom_exists(db, d, &[(*x, e)])
+            ctx.hom_exists(db, d, &[(*x, e)]).unwrap_or(false)
         };
         self.trie
             .eval_entity(d, e, self.frontier_cap, &fallback, &mut truths, &mut stats);
@@ -352,6 +346,7 @@ impl Model {
 mod tests {
     use super::*;
     use cq::parse::parse_cq;
+    use engine::Engine;
     use numeric::qint;
     use relational::DbBuilder;
 
@@ -412,7 +407,7 @@ mod tests {
         let d = db();
         let entities = d.entities();
         let engine = Engine::new();
-        let naive = stat.apply_with(&engine, &d, &entities);
+        let naive = stat.apply_in(&engine.ctx(), &d, &entities).unwrap();
         let compiled = model.apply_in(&engine.ctx(), &d, &entities).unwrap();
         assert_eq!(naive, compiled);
     }
@@ -429,8 +424,8 @@ mod tests {
         let model = Model::compile_separator(&sep);
         let d = db();
         let engine = Engine::new();
-        let naive = sep.classify(&d);
-        let (compiled, stats) = model.classify_with(&engine, &d);
+        let naive = sep.classify_in(&engine.ctx(), &d).unwrap();
+        let (compiled, stats) = model.classify_in(&engine.ctx(), &d).unwrap();
         for e in d.entities() {
             assert_eq!(naive.get(e), compiled.get(e));
         }
@@ -461,7 +456,7 @@ mod tests {
         let d = db();
         let entities = d.entities();
         let engine = Engine::new();
-        let naive = stat.apply_with(&engine, &d, &entities);
+        let naive = stat.apply_in(&engine.ctx(), &d, &entities).unwrap();
         let compiled = model.apply_in(&engine.ctx(), &d, &entities).unwrap();
         assert_eq!(naive, compiled);
     }
@@ -473,7 +468,7 @@ mod tests {
         let model = Model::compile(&stat, &cls);
         let d = db();
         let engine = Engine::new();
-        let (labeling, _) = model.classify_with(&engine, &d);
+        let (labeling, _) = model.classify_in(&engine.ctx(), &d).unwrap();
         // Score 0 < threshold 1: everything negative.
         for e in d.entities() {
             assert_eq!(labeling.get(e), Label::Negative);

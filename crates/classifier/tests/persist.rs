@@ -7,7 +7,8 @@ use linsep::LinearClassifier;
 use numeric::qint;
 use relational::{DbBuilder, Schema};
 use std::fs;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn schema() -> Schema {
     let mut s = Schema::entity_schema();
@@ -43,7 +44,7 @@ fn load_or_compile(path: &Path) -> (Model, bool) {
 
 #[test]
 fn save_load_round_trip_preserves_model_and_predictions() {
-    let dir = tempdir("roundtrip");
+    let dir = TempDir::new("roundtrip");
     let path = dir.join("model.bin");
     let m = compiled();
     m.save(&path).unwrap();
@@ -63,8 +64,8 @@ fn save_load_round_trip_preserves_model_and_predictions() {
         .entity("c")
         .build();
     let engine = engine::Engine::new();
-    let (orig, _) = m.classify_with(&engine, &d);
-    let (redo, _) = loaded.classify_with(&engine, &d);
+    let (orig, _) = m.classify_in(&engine.ctx(), &d).unwrap();
+    let (redo, _) = loaded.classify_in(&engine.ctx(), &d).unwrap();
     for e in d.entities() {
         assert_eq!(orig.get(e), redo.get(e));
     }
@@ -72,7 +73,7 @@ fn save_load_round_trip_preserves_model_and_predictions() {
 
 #[test]
 fn missing_file_falls_back_to_cold_compile() {
-    let dir = tempdir("missing");
+    let dir = TempDir::new("missing");
     let (m, warm) = load_or_compile(&dir.join("nope.bin"));
     assert!(!warm);
     assert_eq!(m, compiled());
@@ -80,7 +81,7 @@ fn missing_file_falls_back_to_cold_compile() {
 
 #[test]
 fn every_truncation_falls_back_to_cold_compile() {
-    let dir = tempdir("truncate");
+    let dir = TempDir::new("truncate");
     let path = dir.join("model.bin");
     let m = compiled();
     m.save(&path).unwrap();
@@ -97,7 +98,7 @@ fn every_truncation_falls_back_to_cold_compile() {
 
 #[test]
 fn corrupt_bytes_fall_back_to_cold_compile() {
-    let dir = tempdir("corrupt");
+    let dir = TempDir::new("corrupt");
     let path = dir.join("model.bin");
     let m = compiled();
     m.save(&path).unwrap();
@@ -124,16 +125,40 @@ fn corrupt_bytes_fall_back_to_cold_compile() {
 
 #[test]
 fn save_is_atomic_no_tmp_left_behind() {
-    let dir = tempdir("atomic");
+    let dir = TempDir::new("atomic");
     let path = dir.join("model.bin");
     compiled().save(&path).unwrap();
     assert!(path.exists());
     assert!(!dir.join("model.bin.tmp").exists());
 }
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("classifier-persist-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    fs::create_dir_all(&dir).unwrap();
-    dir
+/// A scratch directory unique to this process and call, removed on
+/// drop (tests run concurrently, so a pid alone is not enough).
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!(
+            "classifier_persist_{tag}_{}_{n}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+}
+
+impl std::ops::Deref for TempDir {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }

@@ -45,7 +45,7 @@
 //! [`service::run_task_in`] under a [`Ctx`] — the same executor the
 //! `cqsep-serve` worker pool drives.
 //!
-//! Global engine flags (any position):
+//! Engine flags (any position):
 //!
 //! * `--stats` — append the unified [`Engine`] counter report for exactly
 //!   this call;
@@ -74,7 +74,7 @@ use std::time::Duration;
 pub use cqsep::generalize::FitMethod;
 pub use service::ClassSpec;
 
-/// Global engine flags stripped from a command line by
+/// Engine flags stripped from a command line by
 /// [`split_engine_flags`]: everything that configures *how* the solvers
 /// run rather than *what* they solve.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -95,14 +95,7 @@ pub struct EngineOpts {
     pub timeout: Option<Duration>,
 }
 
-impl EngineOpts {
-    /// Does any flag require a freshly configured (non-global) engine?
-    fn wants_custom_engine(&self) -> bool {
-        self.threads.is_some() || self.no_cache
-    }
-}
-
-/// Strip the global engine flags (`--stats`, `--cache-dir <path>`,
+/// Strip the engine flags (`--stats`, `--cache-dir <path>`,
 /// `--threads <n>`, `--no-cache`, `--timeout <secs>`) from any position
 /// of a command line, returning them with the remaining positional
 /// arguments intact.
@@ -155,8 +148,8 @@ pub fn split_engine_flags(args: &[String]) -> Result<(EngineOpts, Vec<String>), 
 /// Run a command line (without the program name). Returns the text to
 /// print, or an error message.
 ///
-/// Engine flags (any position) configure the [`Engine`] the command runs
-/// against: `--stats` appends the unified counter report (hom searches,
+/// Each call builds one fresh [`Engine`]; the engine flags (any
+/// position) configure it: `--stats` appends the unified counter report (hom searches,
 /// cover games, LP decisions, cache traffic, restored entries) covering
 /// exactly this call; `--cache-dir` makes warm starts possible across
 /// process runs; `--threads`/`--no-cache` bound parallelism and disable
@@ -165,23 +158,13 @@ pub fn split_engine_flags(args: &[String]) -> Result<(EngineOpts, Vec<String>), 
 /// report followed by the partial engine counters.
 pub fn run(args: &[String]) -> Result<String, String> {
     let (opts, rest) = split_engine_flags(args)?;
-    // Flags that change solver behavior get a fresh engine; the plain
-    // path (and a bare `--stats` or `--cache-dir`) runs on the global
-    // one so repeated in-process calls keep sharing its memo tables.
-    let custom;
-    let engine: &Engine = if opts.wants_custom_engine() {
-        let mut e = Engine::new();
-        if let Some(n) = opts.threads {
-            e = e.with_threads(n);
-        }
-        if opts.no_cache {
-            e = e.without_cache();
-        }
-        custom = e;
-        &custom
-    } else {
-        Engine::global()
-    };
+    let mut engine = Engine::new();
+    if let Some(n) = opts.threads {
+        engine = engine.with_threads(n);
+    }
+    if opts.no_cache {
+        engine = engine.without_cache();
+    }
     let before = engine.stats();
     let cache_dir = match (&opts.cache_dir, &opts.tenant) {
         (Some(dir), Some(tenant)) => Some(Path::new(dir).join(tenant)),
@@ -236,12 +219,6 @@ fn interrupted_report(interrupted: &Interrupted, elapsed: Duration) -> String {
     )
 }
 
-/// Dispatch a flag-free command line against a caller-supplied [`Engine`]
-/// (unbounded context).
-pub fn run_with(engine: &Engine, args: &[String]) -> Result<String, String> {
-    run_in(&engine.ctx(), args).expect("unbounded ctx cannot interrupt")
-}
-
 /// Dispatch a flag-free command line under a task context. The outer
 /// `Err` is interruption (deadline passed or handle cancelled); the
 /// inner `Err` is a usage or domain error.
@@ -254,6 +231,9 @@ pub fn run_in(ctx: &Ctx, args: &[String]) -> Result<Result<String, String>, Inte
     // and decides what to do with the model text.
     let task_output =
         |task: Task| -> Result<Result<TaskOutput, String>, Interrupted> { run_task_in(ctx, &task) };
+    if let Err(e) = check_flags(args) {
+        return Ok(Err(e));
+    }
     match args.first().map(String::as_str) {
         Some("check") => {
             let path = match args.get(1) {
@@ -493,15 +473,22 @@ pub fn run_in(ctx: &Ctx, args: &[String]) -> Result<Result<String, String>, Inte
             })?
             .map(|out| out.output))
         }
-        Some("classify-model") => Ok((|| {
-            let model_path = args.get(1).ok_or(USAGE)?;
-            let eval_path = args.get(2).ok_or(USAGE)?;
-            let eval = load_database(&read(eval_path)?)?;
-            let model = cqsep::persist::parse_model(eval.schema(), &read(model_path)?)
-                .map_err(|e| e.to_string())?;
-            let labels = model.classify(&eval);
-            Ok(render_labels(&eval, |e| labels.get(e)))
-        })()),
+        Some("classify-model") => {
+            let loaded = (|| {
+                let model_path = args.get(1).ok_or(USAGE)?;
+                let eval_path = args.get(2).ok_or(USAGE)?;
+                let eval = load_database(&read(eval_path)?)?;
+                let model = cqsep::persist::parse_model(eval.schema(), &read(model_path)?)
+                    .map_err(|e| e.to_string())?;
+                Ok::<_, String>((model, eval))
+            })();
+            let (model, eval) = match loaded {
+                Ok(loaded) => loaded,
+                Err(e) => return Ok(Err(e)),
+            };
+            let labels = model.classify_in(ctx, &eval)?;
+            Ok(Ok(render_labels(&eval, |e| labels.get(e))))
+        }
         Some("info") => Ok((|| {
             let path = args.get(1).ok_or(USAGE)?;
             let spec = DatabaseSpec::parse(&read(path)?).map_err(|e| e.to_string())?;
@@ -538,6 +525,39 @@ engine flags (any command, any position):
   --threads <n>        cap solver parallelism at n worker threads
   --no-cache           run every hom/game query unmemoized
   --timeout <secs>     deadline for the whole command (report on expiry)";
+
+/// The flags each subcommand accepts after its positional arguments;
+/// every one of them takes a value.
+fn command_flags(command: &str) -> &'static [&'static str] {
+    match command {
+        "check" | "classify" | "classify-batch" | "recheck" => &["--class"],
+        "train" => &["--class", "-o"],
+        "append" => &["-o"],
+        "relabel" => &["--k"],
+        "evaluate" => &["--method", "--fit-timeout"],
+        _ => &[],
+    }
+}
+
+/// Reject any `-…` argument the subcommand does not accept (engine flags
+/// are already stripped), so a typo such as `--stat` is an error rather
+/// than silently ignored.
+fn check_flags(args: &[String]) -> Result<(), String> {
+    let Some(command) = args.first() else {
+        return Ok(());
+    };
+    let allowed = command_flags(command);
+    let mut rest = args[1..].iter();
+    while let Some(arg) = rest.next() {
+        if arg.len() > 1 && arg.starts_with('-') {
+            if !allowed.contains(&arg.as_str()) {
+                return Err(format!("unknown flag {arg} for {command}\n{USAGE}"));
+            }
+            rest.next();
+        }
+    }
+    Ok(())
+}
 
 /// Collect every `--class <spec>` occurrence (empty when none given —
 /// the task layer or the caller applies the default).
@@ -582,6 +602,7 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const TRAIN: &str = "\
 rel E/2
@@ -599,9 +620,31 @@ entity u
 entity v
 ";
 
+    /// A scratch directory unique to this process and call (tests run
+    /// concurrently, so a pid alone is not enough), removed on drop.
+    struct TempDir(std::path::PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir =
+                std::env::temp_dir().join(format!("cqsep_cli_{tag}_{}_{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+
     fn with_files<F: FnOnce(&str, &str) -> R, R>(f: F) -> R {
-        let dir = std::env::temp_dir().join(format!("cqsep_cli_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("files");
+        let dir = &tmp.0;
         let train = dir.join("train.db");
         let eval = dir.join("eval.db");
         std::fs::write(&train, TRAIN).unwrap();
@@ -647,8 +690,8 @@ entity v
 
     #[test]
     fn check_prints_witness_when_inseparable() {
-        let dir = std::env::temp_dir().join(format!("cqsep_cli_w_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("w");
+        let dir = &tmp.0;
         let p = dir.join("bad.db");
         std::fs::write(
             &p,
@@ -663,8 +706,8 @@ entity v
     #[test]
     fn train_then_classify_model_roundtrip() {
         with_files(|train, eval| {
-            let dir = std::env::temp_dir().join(format!("cqsep_cli_m_{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
+            let tmp = TempDir::new("m");
+            let dir = &tmp.0;
             let model = dir.join("model.txt");
             let out = run(&s(&[
                 "train",
@@ -706,8 +749,8 @@ entity v
 
     #[test]
     fn relabel_reports_disagreements() {
-        let dir = std::env::temp_dir().join(format!("cqsep_cli_r_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let tmp = TempDir::new("r");
+        let dir = &tmp.0;
         let p = dir.join("noisy.db");
         std::fs::write(
             &p,
@@ -722,8 +765,8 @@ entity v
     #[test]
     fn evaluate_reports_heldout_accuracy_table() {
         with_files(|train, _| {
-            let dir = std::env::temp_dir().join(format!("cqsep_cli_e_{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
+            let tmp = TempDir::new("e");
+            let dir = &tmp.0;
             let test = dir.join("test.db");
             std::fs::write(
                 &test,
@@ -766,8 +809,8 @@ entity v
     #[test]
     fn append_applies_a_delta_and_emits_the_descendant_spec() {
         with_files(|train, eval| {
-            let dir = std::env::temp_dir().join(format!("cqsep_cli_a_{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
+            let tmp = TempDir::new("a");
+            let dir = &tmp.0;
             let delta = dir.join("grow.delta");
             std::fs::write(&delta, "add-fact E(c,d)\nadd-entity d -\n").unwrap();
             let delta = delta.to_str().unwrap();
@@ -804,8 +847,8 @@ entity v
     #[test]
     fn recheck_reports_after_an_optional_delta() {
         with_files(|train, _| {
-            let dir = std::env::temp_dir().join(format!("cqsep_cli_rc_{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
+            let tmp = TempDir::new("rc");
+            let dir = &tmp.0;
             // Without a delta: the plain separability report.
             let out = run(&s(&["recheck", train, "--class", "cq"])).unwrap();
             assert!(out.contains("CQ-separable: true"), "{out}");
@@ -850,6 +893,23 @@ entity v
             assert!(out2.contains("hom engine stats"), "{out2}");
             assert!(out2.contains("cover-game engine stats"), "{out2}");
             assert!(out2.contains("lp engine stats"), "{out2}");
+        });
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        with_files(|train, eval| {
+            // `--stat` is a typo of the engine flag `--stats`.
+            let err = run(&s(&["check", train, "--stat"])).unwrap_err();
+            assert!(err.starts_with("unknown flag --stat for check"), "{err}");
+            assert!(err.contains("usage:"), "{err}");
+            let err = run(&s(&["classify", train, eval, "-x", "1"])).unwrap_err();
+            assert!(err.contains("unknown flag -x"), "{err}");
+            // A flag another subcommand accepts is still unknown here.
+            let err = run(&s(&["check", train, "-o", "out.txt"])).unwrap_err();
+            assert!(err.contains("unknown flag -o"), "{err}");
+            // Accepted flags and engine flags pass.
+            assert!(run(&s(&["check", train, "--class", "cq", "--stats"])).is_ok());
         });
     }
 
@@ -936,11 +996,11 @@ entity v
     #[test]
     fn cache_dir_warm_start_restores_entries() {
         with_files(|train, _| {
-            let dir = std::env::temp_dir().join(format!("cqsep_cli_c_{}", std::process::id()));
-            std::fs::create_dir_all(&dir).unwrap();
+            let tmp = TempDir::new("c");
+            let dir = &tmp.0;
             let cache = dir.to_str().unwrap();
-            // --threads forces a fresh engine per run, so the second run
-            // can only know the verdicts by reading them back from disk.
+            // Every run builds a fresh engine, so the second run can only
+            // know the verdicts by reading them back from disk.
             let cold = run(&s(&[
                 "check",
                 train,
@@ -975,9 +1035,8 @@ entity v
     #[test]
     fn tenant_flag_scopes_the_cache_dir() {
         with_files(|train, _| {
-            let dir = std::env::temp_dir().join(format!("cqsep_cli_t_{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
+            let tmp = TempDir::new("t");
+            let dir = &tmp.0;
             let cache = dir.to_str().unwrap().to_string();
             let out = run(&s(&[
                 "check",

@@ -14,24 +14,14 @@
 //!   entities that soak up the entire error budget.
 
 use crate::cls_ghw::ghw_classify_in;
-use crate::sep_ghw::{ghw_preorder_in, ghw_preorder_with};
+use crate::sep_ghw::ghw_preorder_in;
 use crate::statistic::SeparatorModel;
 use cq::EnumConfig;
-use engine::{Ctx, Engine, Interrupted};
+use engine::{Ctx, Interrupted};
 use relational::{Database, Label, Labeling, Schema, TrainingDb};
 
 /// Algorithm 2: the disagreement-minimal `GHW(k)`-separable relabeling
 /// `λ'` of the training database (majority vote per `→_k`-class).
-pub fn ghw_optimal_relabeling(train: &TrainingDb, k: usize) -> Labeling {
-    ghw_optimal_relabeling_with(Engine::global(), train, k)
-}
-
-/// [`ghw_optimal_relabeling`] against a caller-supplied [`Engine`].
-pub fn ghw_optimal_relabeling_with(engine: &Engine, train: &TrainingDb, k: usize) -> Labeling {
-    ghw_optimal_relabeling_from(&ghw_preorder_with(engine, train, k), &train.labeling)
-}
-
-/// [`ghw_optimal_relabeling`] under a task context (interruptible).
 pub fn ghw_optimal_relabeling_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -66,18 +56,6 @@ pub fn ghw_optimal_relabeling_from(
 
 /// The minimum achievable error count for `GHW(k)` statistics (the `δ` of
 /// Corollary 7.5's proof, as a count rather than a fraction).
-pub fn ghw_min_errors(train: &TrainingDb, k: usize) -> usize {
-    ghw_min_errors_with(Engine::global(), train, k)
-}
-
-/// [`ghw_min_errors`] against a caller-supplied [`Engine`].
-pub fn ghw_min_errors_with(engine: &Engine, train: &TrainingDb, k: usize) -> usize {
-    train
-        .labeling
-        .disagreement(&ghw_optimal_relabeling_with(engine, train, k))
-}
-
-/// [`ghw_min_errors`] under a task context (interruptible).
 pub fn ghw_min_errors_in(ctx: &Ctx, train: &TrainingDb, k: usize) -> Result<usize, Interrupted> {
     Ok(train
         .labeling
@@ -85,16 +63,6 @@ pub fn ghw_min_errors_in(ctx: &Ctx, train: &TrainingDb, k: usize) -> Result<usiz
 }
 
 /// `GHW(k)`-ApxSep: is the training database separable with error ε?
-pub fn ghw_apx_separable(train: &TrainingDb, k: usize, eps: f64) -> bool {
-    ghw_apx_separable_with(Engine::global(), train, k, eps)
-}
-
-/// [`ghw_apx_separable`] against a caller-supplied [`Engine`].
-pub fn ghw_apx_separable_with(engine: &Engine, train: &TrainingDb, k: usize, eps: f64) -> bool {
-    ghw_apx_separable_in(&engine.ctx(), train, k, eps).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`ghw_apx_separable`] under a task context (interruptible).
 pub fn ghw_apx_separable_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -113,21 +81,6 @@ pub fn ghw_apx_separable_in(
 /// `GHW(k)`-ApxCls (Corollary 7.5): classify an evaluation database by a
 /// pair that separates `(D, λ')` exactly — hence `(D, λ)` with minimal
 /// error. Returns the evaluation labeling.
-pub fn ghw_apx_classify(train: &TrainingDb, eval: &Database, k: usize) -> Labeling {
-    ghw_apx_classify_with(Engine::global(), train, eval, k)
-}
-
-/// [`ghw_apx_classify`] against a caller-supplied [`Engine`].
-pub fn ghw_apx_classify_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    eval: &Database,
-    k: usize,
-) -> Labeling {
-    ghw_apx_classify_in(&engine.ctx(), train, eval, k).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`ghw_apx_classify`] under a task context (interruptible).
 pub fn ghw_apx_classify_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -144,21 +97,9 @@ pub fn ghw_apx_classify_in(
 
 /// `CQ[m]`-ApxSep / feature generation with minimum error
 /// (Propositions 7.2/7.3): returns the best model and its error count.
-pub fn cqm_apx_generate(train: &TrainingDb, config: &EnumConfig) -> (SeparatorModel, usize) {
-    cqm_apx_generate_with(Engine::global(), train, config)
-}
-
-/// [`cqm_apx_generate`] against a caller-supplied [`Engine`].
-pub fn cqm_apx_generate_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    config: &EnumConfig,
-) -> (SeparatorModel, usize) {
-    cqm_apx_generate_in(&engine.ctx(), train, config).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`cqm_apx_generate`] under a task context: the enumeration sweep and
-/// the branch-and-bound min-error search both observe the handle.
+///
+/// Interruptible: the enumeration sweep and the branch-and-bound min-error
+/// search both observe the handle.
 pub fn cqm_apx_generate_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -177,21 +118,6 @@ pub fn cqm_apx_generate_in(
 }
 
 /// `CQ[m]`-ApxSep decision.
-pub fn cqm_apx_separable(train: &TrainingDb, config: &EnumConfig, eps: f64) -> bool {
-    cqm_apx_separable_with(Engine::global(), train, config, eps)
-}
-
-/// [`cqm_apx_separable`] against a caller-supplied [`Engine`].
-pub fn cqm_apx_separable_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    config: &EnumConfig,
-    eps: f64,
-) -> bool {
-    cqm_apx_separable_in(&engine.ctx(), train, config, eps).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`cqm_apx_separable`] under a task context (interruptible).
 pub fn cqm_apx_separable_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -294,6 +220,7 @@ pub fn pad_for_error(train: &TrainingDb, eps: f64) -> TrainingDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::Engine;
     use relational::DbBuilder;
 
     fn schema() -> Schema {
@@ -322,13 +249,17 @@ mod tests {
 
     #[test]
     fn separable_instance_has_zero_min_errors() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = path4([true, true, false, false]);
-        assert_eq!(ghw_min_errors(&t, 1), 0);
-        assert!(ghw_apx_separable(&t, 1, 0.0));
+        assert_eq!(ghw_min_errors_in(&ctx, &t, 1).unwrap(), 0);
+        assert!(ghw_apx_separable_in(&ctx, &t, 1, 0.0).unwrap());
     }
 
     #[test]
     fn conflicting_twins_force_one_error() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Two disjoint 2-cycles with conflicting labels inside each...
         // simplest: one 2-cycle labeled +/-: the class {a, b} is mixed,
         // majority is a tie -> relabel the whole class positive, 1 error.
@@ -338,11 +269,11 @@ mod tests {
             .positive("a")
             .negative("b")
             .training();
-        assert_eq!(ghw_min_errors(&t, 1), 1);
-        assert!(!ghw_apx_separable(&t, 1, 0.0));
-        assert!(ghw_apx_separable(&t, 1, 0.5));
+        assert_eq!(ghw_min_errors_in(&ctx, &t, 1).unwrap(), 1);
+        assert!(!ghw_apx_separable_in(&ctx, &t, 1, 0.0).unwrap());
+        assert!(ghw_apx_separable_in(&ctx, &t, 1, 0.5).unwrap());
         // The relabeling is separable and classification succeeds.
-        let lab = ghw_apx_classify(&t, &t.db, 1);
+        let lab = ghw_apx_classify_in(&ctx, &t, &t.db, 1).unwrap();
         let a = t.db.val_by_name("a").unwrap();
         let b = t.db.val_by_name("b").unwrap();
         assert_eq!(lab.get(a), lab.get(b), "twins get one label");
@@ -350,6 +281,8 @@ mod tests {
 
     #[test]
     fn algorithm_2_is_optimal_on_small_instances() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Brute force: every GHW(k)-separable labeling λ'' must disagree
         // at least as much as Algorithm 2's λ'.
         let t = DbBuilder::new(schema())
@@ -362,7 +295,7 @@ mod tests {
             .positive("c")
             .negative("d")
             .training();
-        let best = ghw_min_errors(&t, 1);
+        let best = ghw_min_errors_in(&ctx, &t, 1).unwrap();
         let ents = t.entities();
         let mut brute = usize::MAX;
         for mask in 0u32..(1 << ents.len()) {
@@ -378,7 +311,7 @@ mod tests {
                 );
             }
             let cand = TrainingDb::new(t.db.clone(), lab.clone());
-            if crate::sep_ghw::ghw_separable(&cand, 1) {
+            if crate::sep_ghw::ghw_separable_in(&ctx, &cand, 1).unwrap() {
                 brute = brute.min(t.labeling.disagreement(&lab));
             }
         }
@@ -387,27 +320,31 @@ mod tests {
 
     #[test]
     fn cqm_apx_on_noisy_path() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Flip one label on a CQ[1]-separable path; min errors must be 1.
         let clean = path4([true, true, true, false]);
-        let (_, e0) = cqm_apx_generate(&clean, &EnumConfig::cqm(1));
+        let (_, e0) = cqm_apx_generate_in(&ctx, &clean, &EnumConfig::cqm(1)).unwrap();
         assert_eq!(e0, 0);
         let noisy = path4([true, false, true, false]);
-        let (model, e1) = cqm_apx_generate(&noisy, &EnumConfig::cqm(1));
+        let (model, e1) = cqm_apx_generate_in(&ctx, &noisy, &EnumConfig::cqm(1)).unwrap();
         assert_eq!(e1, 1);
-        assert_eq!(model.errors(&noisy), 1);
-        assert!(cqm_apx_separable(&noisy, &EnumConfig::cqm(1), 0.25));
-        assert!(!cqm_apx_separable(&noisy, &EnumConfig::cqm(1), 0.2));
+        assert_eq!(model.errors_in(&ctx, &noisy).unwrap(), 1);
+        assert!(cqm_apx_separable_in(&ctx, &noisy, &EnumConfig::cqm(1), 0.25).unwrap());
+        assert!(!cqm_apx_separable_in(&ctx, &noisy, &EnumConfig::cqm(1), 0.2).unwrap());
     }
 
     #[test]
     fn padding_preserves_separability_status() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         for eps in [0.1, 0.25, 0.4] {
             // Separable instance.
             let t = path4([true, true, false, false]);
             let padded = pad_for_error(&t, eps);
             let n = padded.entities().len() as f64;
             let budget = (eps * n).floor();
-            let min = ghw_min_errors(&padded, 1) as f64;
+            let min = ghw_min_errors_in(&ctx, &padded, 1).unwrap() as f64;
             assert!(
                 min <= budget,
                 "eps={eps}: separable instance must fit the budget ({min} > {budget})"
@@ -422,7 +359,7 @@ mod tests {
                 .training();
             let padded = pad_for_error(&bad, eps);
             let n = padded.entities().len() as f64;
-            let min = ghw_min_errors(&padded, 1) as f64;
+            let min = ghw_min_errors_in(&ctx, &padded, 1).unwrap() as f64;
             assert!(
                 min > eps * n,
                 "eps={eps}: inseparable instance must exceed the budget"

@@ -10,7 +10,7 @@
 //! label-purity check, the class vectors, and the exact-LP classifier —
 //! everything except the preorder itself, which the callers supply.
 
-use engine::{Ctx, Engine, Interrupted};
+use engine::{Ctx, Interrupted};
 use linsep::LinearClassifier;
 use relational::{Label, TrainingDb, Val};
 
@@ -43,28 +43,10 @@ pub enum ChainError {
 
 /// Build the chain model from a full preorder matrix
 /// (`leq[i][j] = elems[i] ⪯ elems[j]`).
-pub fn build_chain(
-    train: &TrainingDb,
-    elems: &[Val],
-    leq: &[Vec<bool>],
-) -> Result<ChainModel, ChainError> {
-    build_chain_with(Engine::global(), train, elems, leq)
-}
-
-/// [`build_chain`] with the class-vector LP counted against a
-/// caller-supplied [`Engine`].
-pub fn build_chain_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    elems: &[Val],
-    leq: &[Vec<bool>],
-) -> Result<ChainModel, ChainError> {
-    build_chain_in(&engine.ctx(), train, elems, leq).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`build_chain`] under a task context: interruptible, with the LP
-/// counted against the context's engine. Inseparability ([`ChainError`])
-/// stays in the inner `Result`; interruption is the outer one.
+///
+/// Interruptible: interruptible, with the LP counted against the context's
+/// engine. Inseparability ([`ChainError`]) stays in the inner `Result`;
+/// interruption is the outer one.
 pub fn build_chain_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -193,6 +175,7 @@ impl ChainModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::Engine;
     use relational::{DbBuilder, Schema};
 
     fn train(labels: &[(&str, bool)]) -> TrainingDb {
@@ -205,6 +188,8 @@ mod tests {
 
     #[test]
     fn total_order_any_labeling_separates() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Chain e0 ⪯ e1 ⪯ e2 ⪯ e3 with an alternating labeling: the
         // chain construction must still separate (this is the crux of
         // the Kimelfeld–Ré lemma the paper leans on).
@@ -212,7 +197,7 @@ mod tests {
         let elems = t.entities();
         let n = elems.len();
         let leq: Vec<Vec<bool>> = (0..n).map(|i| (0..n).map(|j| i <= j).collect()).collect();
-        let m = build_chain(&t, &elems, &leq).unwrap();
+        let m = build_chain_in(&ctx, &t, &elems, &leq).unwrap().unwrap();
         assert_eq!(m.class_count(), 4);
         for c in 0..4 {
             let v: Vec<i32> = (0..4).map(|j| if j <= c { 1 } else { -1 }).collect();
@@ -222,10 +207,12 @@ mod tests {
 
     #[test]
     fn mixed_class_detected() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = train(&[("a", true), ("b", false)]);
         let elems = t.entities();
         let leq = vec![vec![true, true], vec![true, true]];
-        match build_chain(&t, &elems, &leq) {
+        match build_chain_in(&ctx, &t, &elems, &leq).unwrap() {
             Err(ChainError::MixedClass { pos, neg }) => {
                 assert_eq!(t.labeling.get(pos), Label::Positive);
                 assert_eq!(t.labeling.get(neg), Label::Negative);
@@ -236,12 +223,14 @@ mod tests {
 
     #[test]
     fn antichain_classes() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Discrete preorder: every entity its own class; any labeling
         // separates (vectors are distinct unit-ish patterns).
         let t = train(&[("a", true), ("b", false), ("c", true)]);
         let elems = t.entities();
         let leq: Vec<Vec<bool>> = (0..3).map(|i| (0..3).map(|j| i == j).collect()).collect();
-        let m = build_chain(&t, &elems, &leq).unwrap();
+        let m = build_chain_in(&ctx, &t, &elems, &leq).unwrap().unwrap();
         assert_eq!(m.class_count(), 3);
         for c in 0..3 {
             let v: Vec<i32> = (0..3).map(|j| if j == c { 1 } else { -1 }).collect();
@@ -251,6 +240,8 @@ mod tests {
 
     #[test]
     fn diamond_partial_order() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // bottom ⪯ {mid1, mid2} ⪯ top with labels +,-,-,+ .
         let t = train(&[("bot", true), ("m1", false), ("m2", false), ("top", true)]);
         let elems = t.entities();
@@ -265,7 +256,7 @@ mod tests {
         leq[b][top] = true;
         leq[m1][top] = true;
         leq[m2][top] = true;
-        let m = build_chain(&t, &elems, &leq).unwrap();
+        let m = build_chain_in(&ctx, &t, &elems, &leq).unwrap().unwrap();
         assert_eq!(m.class_count(), 4);
         // Check classification of each class's own vector.
         for c in 0..4 {

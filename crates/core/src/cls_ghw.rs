@@ -15,28 +15,13 @@
 
 use crate::chain::ChainError;
 use crate::sep_ghw::ghw_chain_in;
-use engine::{Ctx, Engine, Interrupted};
+use engine::{Ctx, Interrupted};
 use relational::{Database, Labeling, TrainingDb, Val};
 
 /// `GHW(k)`-Cls (Algorithm 1): label the entities of `eval` consistently
 /// with a statistic-classifier pair that separates `train`. Returns
 /// `Err` when the training database is not `GHW(k)`-separable (the
 /// problem promise is violated).
-pub fn ghw_classify(train: &TrainingDb, eval: &Database, k: usize) -> Result<Labeling, ChainError> {
-    ghw_classify_with(Engine::global(), train, eval, k)
-}
-
-/// [`ghw_classify`] against a caller-supplied [`Engine`].
-pub fn ghw_classify_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    eval: &Database,
-    k: usize,
-) -> Result<Labeling, ChainError> {
-    ghw_classify_in(&engine.ctx(), train, eval, k).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`ghw_classify`] under a task context (interruptible).
 pub fn ghw_classify_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -82,6 +67,7 @@ pub fn ghw_classify_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::Engine;
     use relational::{DbBuilder, Label, Schema};
 
     fn schema() -> Schema {
@@ -102,8 +88,10 @@ mod tests {
 
     #[test]
     fn training_db_classified_consistently() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = path_train();
-        let lab = ghw_classify(&t, &t.db, 1).unwrap();
+        let lab = ghw_classify_in(&ctx, &t, &t.db, 1).unwrap().unwrap();
         for e in t.entities() {
             assert_eq!(lab.get(e), t.labeling.get(e), "{}", t.db.val_name(e));
         }
@@ -111,6 +99,8 @@ mod tests {
 
     #[test]
     fn eval_db_gets_pattern_based_labels() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = path_train();
         let eval = DbBuilder::new(schema())
             .fact("E", &["u", "v"])
@@ -121,7 +111,7 @@ mod tests {
             .entity("w")
             .entity("x")
             .build();
-        let lab = ghw_classify(&t, &eval, 1).unwrap();
+        let lab = ghw_classify_in(&ctx, &t, &eval, 1).unwrap().unwrap();
         // Under →_1, u/v start long out-paths like entity 1 or richer;
         // x is a pure sink like entity 3.
         let name = |s: &str| eval.val_by_name(s).unwrap();
@@ -131,17 +121,21 @@ mod tests {
 
     #[test]
     fn inseparable_training_db_errors() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = DbBuilder::new(schema())
             .fact("E", &["a", "b"])
             .fact("E", &["b", "a"])
             .positive("a")
             .negative("b")
             .training();
-        assert!(ghw_classify(&t, &t.db, 1).is_err());
+        assert!(ghw_classify_in(&ctx, &t, &t.db, 1).unwrap().is_err());
     }
 
     #[test]
     fn agrees_with_explicit_generation_when_feasible() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Cross-check Algorithm 1 against the materialized statistic of
         // gen_ghw on a small instance.
         // Use an isomorphic copy of the training database as evaluation:
@@ -157,11 +151,12 @@ mod tests {
             .entity("v")
             .entity("w")
             .build();
-        let implicit = ghw_classify(&t, &eval, 1).unwrap();
-        let model = crate::gen_ghw::ghw_generate(&t, 1, 10_000)
+        let implicit = ghw_classify_in(&ctx, &t, &eval, 1).unwrap().unwrap();
+        let model = crate::gen_ghw::ghw_generate_in(&ctx, &t, 1, 10_000)
+            .unwrap()
             .expect("generation feasible on this instance");
-        assert!(model.separates(&t));
-        let explicit = model.classify(&eval);
+        assert!(model.separates_in(&ctx, &t).unwrap());
+        let explicit = model.classify_in(&ctx, &eval).unwrap();
         for f in eval.entities() {
             assert_eq!(implicit.get(f), explicit.get(f), "{}", eval.val_name(f));
         }

@@ -141,7 +141,7 @@ pub fn intersection_closure_violation(
 /// nodes) on which the out-path queries produce a strictly linear family
 /// of `n` answer sets. Returns the training database whose alternating
 /// labeling requires at least ~n/2... (in fact `n`) features — measured
-/// empirically via [`min_dimension_of`] in tests and benches.
+/// empirically via [`min_dimension_of_in`] in tests and benches.
 pub fn linear_family_db(n: usize) -> TrainingDb {
     let mut schema = relational::Schema::entity_schema();
     schema.add_relation("E", 2);
@@ -166,23 +166,9 @@ pub fn linear_family_db(n: usize) -> TrainingDb {
 /// The minimal dimension of a statistic from the given (finite) candidate
 /// pool that linearly separates `train` — brute force, for the
 /// unbounded-dimension experiments (Theorems 5.7/8.7 measurements).
-pub fn min_dimension_of(train: &TrainingDb, pool: &[cq::Cq], cap: usize) -> Option<usize> {
-    min_dimension_of_with(engine::Engine::global(), train, pool, cap)
-}
-
-/// [`min_dimension_of`] with the subset LPs counted against a
-/// caller-supplied [`engine::Engine`].
-pub fn min_dimension_of_with(
-    engine: &engine::Engine,
-    train: &TrainingDb,
-    pool: &[cq::Cq],
-    cap: usize,
-) -> Option<usize> {
-    min_dimension_of_in(&engine.ctx(), train, pool, cap).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`min_dimension_of`] under a task context: the handle is observed at
-/// every subset-search node and inside each LP.
+///
+/// Interruptible: the handle is observed at every subset-search node and inside
+/// each LP.
 pub fn min_dimension_of_in(
     ctx: &engine::Ctx,
     train: &TrainingDb,
@@ -243,6 +229,7 @@ pub fn min_dimension_of_in(
 mod tests {
     use super::*;
     use cq::parse::parse_cq;
+    use engine::Engine;
     use relational::{DbBuilder, Schema};
 
     fn schema() -> Schema {
@@ -253,6 +240,8 @@ mod tests {
 
     #[test]
     fn fo_separates_what_cq_cannot() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Two disjoint 3-cycles: CQ-inseparable (hom-equivalent), but FO
         // separates iff the pointed structures are non-automorphic —
         // they ARE automorphic here (swap the cycles), so FO also fails.
@@ -266,7 +255,7 @@ mod tests {
             .positive("a")
             .negative("x")
             .training();
-        assert!(!crate::sep_cq::cq_separable(&sym));
+        assert!(!crate::sep_cq::cq_separable_in(&ctx, &sym).unwrap());
         assert!(!fo_separable(&sym));
 
         // Break the symmetry: a 3-cycle vs a 4-cycle — still
@@ -292,7 +281,7 @@ mod tests {
             .negative("x")
             .training();
         // All triangle elements are hom-equivalent: CQ fails.
-        assert!(!crate::sep_cq::cq_separable(&gap));
+        assert!(!crate::sep_cq::cq_separable_in(&ctx, &gap).unwrap());
         // But no automorphism maps a to x: a's "database" has p,q,r
         // distinguishable... the automorphism must preserve the whole
         // structure, and both a and x lie on triangles, with the
@@ -319,7 +308,7 @@ mod tests {
             .negative("x")
             .training();
         assert!(
-            !crate::sep_cq::cq_separable(&fo_wins),
+            !crate::sep_cq::cq_separable_in(&ctx, &fo_wins).unwrap(),
             "still hom-equivalent"
         );
         assert!(fo_separable(&fo_wins), "FO sees the pendant");
@@ -448,6 +437,8 @@ mod tests {
 
     #[test]
     fn linear_family_needs_growing_dimension() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Proposition 8.6 / Theorem 8.7 in miniature: on the alternating
         // path of length n, the pool of out-path queries (a linear
         // family) needs at least ⌈n/2⌉-ish features; measure exactly.
@@ -464,7 +455,9 @@ mod tests {
                     parse_cq(&schema, &body).unwrap()
                 })
                 .collect();
-            let dim = min_dimension_of(&t, &pool, n + 1).expect("pool suffices");
+            let dim = min_dimension_of_in(&ctx, &t, &pool, n + 1)
+                .unwrap()
+                .expect("pool suffices");
             assert!(
                 dim >= n / 2,
                 "n={n}: alternating labels need ≥ n/2 linear-family features, got {dim}"

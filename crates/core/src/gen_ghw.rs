@@ -13,7 +13,7 @@ use crate::statistic::{SeparatorModel, Statistic};
 use covergame::extract::lemma54_feature;
 use covergame::ExtractError;
 use cq::Cq;
-use engine::{Ctx, Engine, Interrupted};
+use engine::{Ctx, Interrupted};
 use relational::TrainingDb;
 use std::fmt;
 
@@ -43,30 +43,10 @@ impl std::error::Error for GenError {}
 /// Generate an explicit separating pair `(Π, Λ_w̄)` with features in
 /// `GHW(k)` (Proposition 5.6). `max_nodes` bounds each feature's
 /// strategy-tree unfolding.
-pub fn ghw_generate(
-    train: &TrainingDb,
-    k: usize,
-    max_nodes: usize,
-) -> Result<SeparatorModel, GenError> {
-    ghw_generate_with(Engine::global(), train, k, max_nodes)
-}
-
-/// [`ghw_generate`] against a caller-supplied [`Engine`]. The chain
-/// model and its LP run through the engine; the per-feature strategy
-/// unfoldings are uncached by nature (they need the analyzed game, not a
-/// verdict).
-pub fn ghw_generate_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    k: usize,
-    max_nodes: usize,
-) -> Result<SeparatorModel, GenError> {
-    ghw_generate_in(&engine.ctx(), train, k, max_nodes).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`ghw_generate`] under a task context (interruptible). The strategy
-/// unfoldings themselves are budget-bounded and uncached, so the handle
-/// is observed between features rather than inside an unfolding.
+///
+/// Interruptible. The strategy unfoldings themselves are budget-bounded and
+/// uncached, so the handle is observed between features rather than inside an
+/// unfolding.
 pub fn ghw_generate_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -99,6 +79,7 @@ pub fn ghw_generate_in(
 mod tests {
     use super::*;
     use cq::evaluate_unary;
+    use engine::Engine;
     use relational::{DbBuilder, Schema};
 
     fn schema() -> Schema {
@@ -109,6 +90,8 @@ mod tests {
 
     #[test]
     fn generated_model_separates() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = DbBuilder::new(schema())
             .fact("E", &["1", "2"])
             .fact("E", &["2", "3"])
@@ -116,13 +99,15 @@ mod tests {
             .positive("2")
             .negative("3")
             .training();
-        let model = ghw_generate(&t, 1, 10_000).unwrap();
-        assert!(model.separates(&t), "{}", model.statistic);
+        let model = ghw_generate_in(&ctx, &t, 1, 10_000).unwrap().unwrap();
+        assert!(model.separates_in(&ctx, &t).unwrap(), "{}", model.statistic);
         assert_eq!(model.statistic.dimension(), 3);
     }
 
     #[test]
     fn features_select_up_sets() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Each generated q_{e_i} must select exactly the →_k-upward
         // closure of e_i on the training database.
         let t = DbBuilder::new(schema())
@@ -132,8 +117,8 @@ mod tests {
             .positive("2")
             .negative("3")
             .training();
-        let model = ghw_generate(&t, 1, 10_000).unwrap();
-        let chain = crate::sep_ghw::ghw_chain(&t, 1).unwrap();
+        let model = ghw_generate_in(&ctx, &t, 1, 10_000).unwrap().unwrap();
+        let chain = crate::sep_ghw::ghw_chain_in(&ctx, &t, 1).unwrap().unwrap();
         for (c, q) in model.statistic.features.iter().enumerate() {
             let e = chain.elems[chain.representative(c)];
             let selected = evaluate_unary(q, &t.db);
@@ -146,6 +131,8 @@ mod tests {
 
     #[test]
     fn inseparable_reports_not_separable() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = DbBuilder::new(schema())
             .fact("E", &["a", "b"])
             .fact("E", &["b", "a"])
@@ -153,13 +140,15 @@ mod tests {
             .negative("b")
             .training();
         assert!(matches!(
-            ghw_generate(&t, 1, 10_000),
+            ghw_generate_in(&ctx, &t, 1, 10_000).unwrap(),
             Err(GenError::NotSeparable)
         ));
     }
 
     #[test]
     fn tiny_budget_reports_budget() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = DbBuilder::new(schema())
             .fact("E", &["1", "2"])
             .fact("E", &["2", "3"])
@@ -168,15 +157,17 @@ mod tests {
             .positive("1")
             .negative("5")
             .training();
-        match ghw_generate(&t, 1, 1) {
+        match ghw_generate_in(&ctx, &t, 1, 1).unwrap() {
             Err(GenError::Budget { .. }) => {}
-            Ok(model) => assert!(model.separates(&t)),
+            Ok(model) => assert!(model.separates_in(&ctx, &t).unwrap()),
             Err(other) => panic!("{other}"),
         }
     }
 
     #[test]
     fn generated_features_have_bounded_ghw() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = DbBuilder::new(schema())
             .fact("E", &["1", "2"])
             .fact("E", &["2", "3"])
@@ -184,7 +175,7 @@ mod tests {
             .positive("2")
             .negative("3")
             .training();
-        let model = ghw_generate(&t, 1, 10_000).unwrap();
+        let model = ghw_generate_in(&ctx, &t, 1, 10_000).unwrap().unwrap();
         for q in &model.statistic.features {
             assert!(cq::ghw(q) <= 1, "{q}");
         }

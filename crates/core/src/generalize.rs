@@ -27,8 +27,8 @@ use crate::sep_cqm::{column_reduced_statistic_in, cqm_generate_in};
 use crate::sep_dim::{dedup_column_indices, search_columns_in};
 use crate::statistic::{SeparatorModel, Statistic};
 use cq::EnumConfig;
-use engine::{Ctx, Engine, Interrupted};
-use relational::{Database, Label, Labeling, TrainingDb};
+use engine::{Ctx, Interrupted};
+use relational::{Label, Labeling, TrainingDb};
 
 /// How to fit a classifier on the training database.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,23 +151,9 @@ fn ratio(num: usize, den: usize) -> f64 {
 }
 
 /// Fit `method` on `train` and score it on the labeled held-out `test`.
-pub fn evaluate(train: &TrainingDb, test: &TrainingDb, method: FitMethod) -> EvalReport {
-    evaluate_with(Engine::global(), train, test, method)
-}
-
-/// [`evaluate`] against a caller-supplied [`Engine`].
-pub fn evaluate_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    test: &TrainingDb,
-    method: FitMethod,
-) -> EvalReport {
-    evaluate_in(&engine.ctx(), train, test, method).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`evaluate`] under a task context (interruptible): the fit, the
-/// training-error count, and the held-out classification sweep all
-/// observe the handle.
+///
+/// Interruptible: the fit, the training-error count, and the held-out
+/// classification sweep all observe the handle.
 pub fn evaluate_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -195,7 +181,7 @@ pub fn evaluate_in(
     };
     match fitted {
         Ok((model, train_errors)) => {
-            let predicted = classify_in(ctx, &model, &test.db)?;
+            let predicted = model.classify_in(ctx, &test.db)?;
             Ok(report(
                 method,
                 train_errors,
@@ -267,21 +253,6 @@ pub fn sep_generate_in(
     )))
 }
 
-/// [`SeparatorModel::classify`] under a task context.
-pub fn classify_in(
-    ctx: &Ctx,
-    model: &SeparatorModel,
-    d: &Database,
-) -> Result<Labeling, Interrupted> {
-    let entities = d.entities();
-    let rows = model.statistic.apply_in(ctx, d, &entities)?;
-    Ok(entities
-        .into_iter()
-        .zip(rows)
-        .map(|(e, row)| (e, Label::from_sign(model.classifier.classify(&row))))
-        .collect())
-}
-
 fn majority_of(train: &TrainingDb) -> (Label, usize) {
     let pos = train.positives().len();
     let neg = train.negatives().len();
@@ -323,6 +294,7 @@ fn report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::Engine;
     use relational::{DbBuilder, Schema};
 
     fn schema() -> Schema {
@@ -376,6 +348,8 @@ mod tests {
 
     #[test]
     fn all_methods_ace_the_clean_out_edge_instance() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let (train, test) = out_edge_pair();
         for method in [
             FitMethod::Cqm(1),
@@ -383,7 +357,7 @@ mod tests {
             FitMethod::Sep { m: 1, ell: 1 },
             FitMethod::MinError(1),
         ] {
-            let r = evaluate(&train, &test, method);
+            let r = evaluate_in(&ctx, &train, &test, method).unwrap();
             assert!(r.fit_exact, "{method}");
             assert_eq!(r.train_errors, 0, "{method}");
             assert_eq!(r.accuracy(), 1.0, "{method}: {r:?}");
@@ -394,8 +368,10 @@ mod tests {
 
     #[test]
     fn sep_model_is_dimension_bounded() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let (train, test) = out_edge_pair();
-        let r = evaluate(&train, &test, FitMethod::Sep { m: 2, ell: 1 });
+        let r = evaluate_in(&ctx, &train, &test, FitMethod::Sep { m: 2, ell: 1 }).unwrap();
         assert!(r.fit_exact);
         assert_eq!(r.dimension, Some(1));
         assert_eq!(r.accuracy(), 1.0);
@@ -403,6 +379,8 @@ mod tests {
 
     #[test]
     fn inseparable_instance_falls_back_to_majority() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Hom-equivalent twins with opposite labels: no CQ class fits.
         let train = DbBuilder::new(schema())
             .fact("E", &["a", "b"])
@@ -417,7 +395,7 @@ mod tests {
             .negative("v")
             .training();
         for method in [FitMethod::Cqm(2), FitMethod::Sep { m: 2, ell: 2 }] {
-            let r = evaluate(&train, &test, method);
+            let r = evaluate_in(&ctx, &train, &test, method).unwrap();
             assert!(!r.fit_exact, "{method}");
             assert_eq!(
                 r.train_errors, 1,
@@ -430,7 +408,7 @@ mod tests {
         }
         // The approximate paths stay total and pay exactly one error.
         for method in [FitMethod::Ghw(1), FitMethod::MinError(2)] {
-            let r = evaluate(&train, &test, method);
+            let r = evaluate_in(&ctx, &train, &test, method).unwrap();
             assert!(!r.fit_exact, "{method}");
             assert_eq!(r.train_errors, 1, "{method}");
             assert_eq!(r.accuracy(), 0.5, "{method}: twins share one label");
@@ -439,6 +417,8 @@ mod tests {
 
     #[test]
     fn min_error_absorbs_label_noise_that_exact_fitting_cannot() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // CQ[1]-separable path with one flipped label.
         let train = DbBuilder::new(schema())
             .fact("E", &["1", "2"])
@@ -454,12 +434,12 @@ mod tests {
             .positive("u")
             .negative("v")
             .training();
-        let r = evaluate(&train, &test, FitMethod::MinError(1));
+        let r = evaluate_in(&ctx, &train, &test, FitMethod::MinError(1)).unwrap();
         assert!(!r.fit_exact);
         assert_eq!(r.train_errors, 1);
         assert_eq!(r.accuracy(), 1.0, "the min-error fit recovers the target");
         // Exact CQ[1] cannot fit the noisy labels: majority fallback.
-        let r = evaluate(&train, &test, FitMethod::Cqm(1));
+        let r = evaluate_in(&ctx, &train, &test, FitMethod::Cqm(1)).unwrap();
         assert!(!r.fit_exact);
         assert_eq!(r.dimension, None);
     }

@@ -32,7 +32,7 @@
 //! # Example
 //!
 //! ```
-//! use cqsep::{cls_ghw, sep_ghw, DbBuilder, Schema};
+//! use cqsep::{cls_ghw, sep_ghw, DbBuilder, Engine, Schema};
 //!
 //! // An entity schema: the distinguished unary η plus one binary relation.
 //! let mut schema = Schema::entity_schema();
@@ -47,8 +47,13 @@
 //!     .negative("c")
 //!     .training();
 //!
+//! // Every solver runs under a context over an explicit engine, which
+//! // owns the memo caches and counters (`engine.ctx()` has no deadline).
+//! let engine = Engine::new();
+//! let ctx = engine.ctx();
+//!
 //! // GHW(1)-separability is decidable in polynomial time (Theorem 5.3)...
-//! assert!(sep_ghw::ghw_separable(&train, 1));
+//! assert!(sep_ghw::ghw_separable_in(&ctx, &train, 1).unwrap());
 //!
 //! // ...and evaluation data is classifiable without materializing the
 //! // feature queries (Theorem 5.8, Algorithm 1).
@@ -57,7 +62,9 @@
 //!     .entity("x")
 //!     .entity("y")
 //!     .build();
-//! let labels = cls_ghw::ghw_classify(&train, &eval, 1).unwrap();
+//! let labels = cls_ghw::ghw_classify_in(&ctx, &train, &eval, 1)
+//!     .unwrap()
+//!     .unwrap();
 //! assert_eq!(labels.len(), 2);
 //! ```
 
@@ -76,7 +83,7 @@ pub mod sep_dim_naive;
 pub mod sep_ghw;
 pub mod statistic;
 
-pub use generalize::{evaluate, evaluate_in, evaluate_with, EvalReport, FitMethod};
+pub use generalize::{evaluate_in, EvalReport, FitMethod};
 pub use statistic::{SeparatorModel, Statistic};
 
 // Re-export the building blocks users need alongside the algorithms.

@@ -103,6 +103,7 @@ pub fn parse_model(schema: &Schema, text: &str) -> Result<SeparatorModel, ModelP
 mod tests {
     use super::*;
     use cq::EnumConfig;
+    use engine::Engine;
     use relational::DbBuilder;
 
     fn schema() -> Schema {
@@ -113,6 +114,8 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_behavior() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = DbBuilder::new(schema())
             .fact("E", &["1", "2"])
             .fact("E", &["2", "3"])
@@ -120,17 +123,19 @@ mod tests {
             .positive("2")
             .negative("3")
             .training();
-        let model = crate::sep_cqm::cqm_generate(&t, &EnumConfig::cqm(1)).unwrap();
+        let model = crate::sep_cqm::cqm_generate_in(&ctx, &t, &EnumConfig::cqm(1))
+            .unwrap()
+            .unwrap();
         let text = model_to_text(&model);
         let back = parse_model(&schema(), &text).unwrap();
         assert_eq!(back.statistic.dimension(), model.statistic.dimension());
         // Behavioral equality on the training database.
-        let a = model.classify(&t.db);
-        let b = back.classify(&t.db);
+        let a = model.classify_in(&ctx, &t.db).unwrap();
+        let b = back.classify_in(&ctx, &t.db).unwrap();
         for e in t.entities() {
             assert_eq!(a.get(e), b.get(e));
         }
-        assert!(back.separates(&t));
+        assert!(back.separates_in(&ctx, &t).unwrap());
     }
 
     #[test]
@@ -165,12 +170,14 @@ weights 2/3
 
     #[test]
     fn zero_feature_model() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let text = "threshold -1\nweights\n";
         let model = parse_model(&schema(), text).unwrap();
         assert_eq!(model.statistic.dimension(), 0);
         // Classifies everything positive (0 >= -1).
         let d = DbBuilder::new(schema()).entity("a").build();
-        let lab = model.classify(&d);
+        let lab = model.classify_in(&ctx, &d).unwrap();
         assert_eq!(
             lab.get(d.val_by_name("a").unwrap()),
             relational::Label::Positive

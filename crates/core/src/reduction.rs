@@ -103,7 +103,8 @@ pub fn qbe_to_sep_ell(d: &Database, pos: &[Val], neg: &[Val], ell: usize) -> Red
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sep_dim::{cq_sep_dim, DimBudget};
+    use crate::sep_dim::{cq_sep_dim_in, DimBudget};
+    use engine::Engine;
     use relational::DbBuilder;
 
     /// Build a plain (non-entity) database for QBE inputs.
@@ -124,6 +125,8 @@ mod tests {
 
     #[test]
     fn reduction_preserves_yes_instances() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let d = qbe_db();
         // S+ = {a, b} (the R elements), S- = {c}: R(x) explains.
         let pos = [v(&d, "a"), v(&d, "b")];
@@ -132,7 +135,9 @@ mod tests {
         for ell in 1..=2 {
             let red = qbe_to_sep_ell(&d, &pos, &neg, ell);
             assert!(
-                cq_sep_dim(&red.train, ell, &DimBudget::default()).unwrap(),
+                cq_sep_dim_in(&ctx, &red.train, ell, &DimBudget::default())
+                    .unwrap()
+                    .unwrap(),
                 "ℓ={ell}"
             );
         }
@@ -140,6 +145,8 @@ mod tests {
 
     #[test]
     fn reduction_preserves_no_instances() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let d = qbe_db();
         // S+ = {a, c}, S- = {b}: a CQ true at both a (R, out-edge) and c
         // (in-edge only) shares only trivial properties, all true at b?
@@ -151,7 +158,9 @@ mod tests {
         for ell in 1..=2 {
             let red = qbe_to_sep_ell(&d, &pos, &neg, ell);
             assert!(
-                !cq_sep_dim(&red.train, ell, &DimBudget::default()).unwrap(),
+                !cq_sep_dim_in(&ctx, &red.train, ell, &DimBudget::default())
+                    .unwrap()
+                    .unwrap(),
                 "ℓ={ell}"
             );
         }

@@ -17,20 +17,10 @@
 use crate::chain::{build_chain_in, ChainError, ChainModel};
 use crate::statistic::{SeparatorModel, Statistic};
 use cq::Cq;
-use engine::{Ctx, Engine, Interrupted};
+use engine::{Ctx, Interrupted};
 use relational::{Database, Labeling, TrainingDb, Val};
 
 /// Decide CQ-separability (Thm 3.2; coNP).
-pub fn cq_separable(train: &TrainingDb) -> bool {
-    cq_separable_with(Engine::global(), train)
-}
-
-/// [`cq_separable`] against a caller-supplied [`Engine`].
-pub fn cq_separable_with(engine: &Engine, train: &TrainingDb) -> bool {
-    cq_separable_in(&engine.ctx(), train).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`cq_separable`] under a task context (interruptible).
 pub fn cq_separable_in(ctx: &Ctx, train: &TrainingDb) -> Result<bool, Interrupted> {
     ctx.check()?;
     // Cheaper than building the full preorder: only pos/neg pairs matter.
@@ -50,16 +40,6 @@ pub fn cq_separable_in(ctx: &Ctx, train: &TrainingDb) -> Result<bool, Interrupte
 }
 
 /// The hom-preorder chain model over the training entities.
-pub fn cq_chain(train: &TrainingDb) -> Result<ChainModel, ChainError> {
-    cq_chain_with(Engine::global(), train)
-}
-
-/// [`cq_chain`] against a caller-supplied [`Engine`].
-pub fn cq_chain_with(engine: &Engine, train: &TrainingDb) -> Result<ChainModel, ChainError> {
-    cq_chain_in(&engine.ctx(), train).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`cq_chain`] under a task context (interruptible).
 pub fn cq_chain_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -68,7 +48,7 @@ pub fn cq_chain_in(
     let elems = train.entities();
     let n = elems.len();
     // The n×n preorder matrix: n² independent hom queries, most of them
-    // shared with `cq_separable`/`cq_classify` through the memo cache.
+    // shared with `cq_separable_in`/`cq_classify_in` through the memo cache.
     let cells: Vec<(usize, usize)> = (0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect();
     let flat = ctx.engine().par_map(&cells, |&(i, j)| {
         i == j
@@ -84,16 +64,6 @@ pub fn cq_chain_in(
 /// Feature generation for CQ: the explicit chain statistic
 /// `Π = (q_{e_1}, …, q_{e_m})` of canonical queries plus its classifier.
 /// Polynomial-size output (contrast Theorem 5.7 for `GHW(k)`).
-pub fn cq_generate(train: &TrainingDb) -> Option<SeparatorModel> {
-    cq_generate_with(Engine::global(), train)
-}
-
-/// [`cq_generate`] against a caller-supplied [`Engine`].
-pub fn cq_generate_with(engine: &Engine, train: &TrainingDb) -> Option<SeparatorModel> {
-    cq_generate_in(&engine.ctx(), train).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`cq_generate`] under a task context (interruptible).
 pub fn cq_generate_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -117,16 +87,6 @@ pub fn cq_generate_in(
 /// CQ-Cls: classify an evaluation database consistently with a separating
 /// statistic, evaluating the implicit features by cross-database
 /// homomorphism tests.
-pub fn cq_classify(train: &TrainingDb, eval: &Database) -> Option<Labeling> {
-    cq_classify_with(Engine::global(), train, eval)
-}
-
-/// [`cq_classify`] against a caller-supplied [`Engine`].
-pub fn cq_classify_with(engine: &Engine, train: &TrainingDb, eval: &Database) -> Option<Labeling> {
-    cq_classify_in(&engine.ctx(), train, eval).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`cq_classify`] under a task context (interruptible).
 pub fn cq_classify_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -163,16 +123,6 @@ pub fn cq_classify_in(
 /// The CQ-indistinguishability witness, when inseparable: a positive and
 /// a negative entity that are hom-equivalent (the "reason" of Lemma 5.4's
 /// criterion, CQ version).
-pub fn cq_inseparability_witness(train: &TrainingDb) -> Option<(Val, Val)> {
-    cq_inseparability_witness_with(Engine::global(), train)
-}
-
-/// [`cq_inseparability_witness`] against a caller-supplied [`Engine`].
-pub fn cq_inseparability_witness_with(engine: &Engine, train: &TrainingDb) -> Option<(Val, Val)> {
-    cq_inseparability_witness_in(&engine.ctx(), train).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`cq_inseparability_witness`] under a task context (interruptible).
 pub fn cq_inseparability_witness_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -196,16 +146,6 @@ pub fn cq_inseparability_witness_in(
 /// ∃FO⁺-separability coincides with CQ-separability (Proposition 8.3(2)):
 /// unions/conjunctions of CQs distinguish exactly what single CQs do at
 /// the level of entity pairs.
-pub fn epfo_separable(train: &TrainingDb) -> bool {
-    cq_separable(train)
-}
-
-/// [`epfo_separable`] against a caller-supplied [`Engine`].
-pub fn epfo_separable_with(engine: &Engine, train: &TrainingDb) -> bool {
-    cq_separable_with(engine, train)
-}
-
-/// [`epfo_separable`] under a task context (interruptible).
 pub fn epfo_separable_in(ctx: &Ctx, train: &TrainingDb) -> Result<bool, Interrupted> {
     cq_separable_in(ctx, train)
 }
@@ -213,6 +153,7 @@ pub fn epfo_separable_in(ctx: &Ctx, train: &TrainingDb) -> Result<bool, Interrup
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::Engine;
     use relational::{DbBuilder, Label, Schema};
 
     fn schema() -> Schema {
@@ -233,16 +174,20 @@ mod tests {
 
     #[test]
     fn path_is_separable_and_generates() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = path_train();
-        assert!(cq_separable(&t));
-        assert!(cq_inseparability_witness(&t).is_none());
-        let model = cq_generate(&t).expect("separable");
-        assert!(model.separates(&t), "{}", model.statistic);
+        assert!(cq_separable_in(&ctx, &t).unwrap());
+        assert!(cq_inseparability_witness_in(&ctx, &t).unwrap().is_none());
+        let model = cq_generate_in(&ctx, &t).unwrap().expect("separable");
+        assert!(model.separates_in(&ctx, &t).unwrap(), "{}", model.statistic);
         assert_eq!(model.statistic.dimension(), 3);
     }
 
     #[test]
     fn hom_equivalent_pair_blocks() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Two disjoint 3-cycles: all six elements hom-equivalent.
         let t = DbBuilder::new(schema())
             .fact("E", &["a", "b"])
@@ -254,16 +199,18 @@ mod tests {
             .positive("a")
             .negative("x")
             .training();
-        assert!(!cq_separable(&t));
-        let (p, n) = cq_inseparability_witness(&t).unwrap();
+        assert!(!cq_separable_in(&ctx, &t).unwrap());
+        let (p, n) = cq_inseparability_witness_in(&ctx, &t).unwrap().unwrap();
         assert_eq!(t.labeling.get(p), Label::Positive);
         assert_eq!(t.labeling.get(n), Label::Negative);
-        assert!(cq_generate(&t).is_none());
-        assert!(cq_classify(&t, &t.db).is_none());
+        assert!(cq_generate_in(&ctx, &t).unwrap().is_none());
+        assert!(cq_classify_in(&ctx, &t, &t.db).unwrap().is_none());
     }
 
     #[test]
     fn classification_transfers_to_eval_db() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = path_train();
         // Evaluation: a longer all-entity path. The canonical features
         // q_e are whole-database patterns (η facts included), so the
@@ -277,7 +224,7 @@ mod tests {
             .entity("w")
             .entity("x")
             .build();
-        let lab = cq_classify(&t, &eval).unwrap();
+        let lab = cq_classify_in(&ctx, &t, &eval).unwrap().unwrap();
         let u = eval.val_by_name("u").unwrap();
         let w = eval.val_by_name("w").unwrap();
         let x = eval.val_by_name("x").unwrap();
@@ -292,14 +239,16 @@ mod tests {
 
     #[test]
     fn classification_agrees_with_model_on_training() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = path_train();
-        let lab = cq_classify(&t, &t.db).unwrap();
+        let lab = cq_classify_in(&ctx, &t, &t.db).unwrap().unwrap();
         for e in t.entities() {
             assert_eq!(lab.get(e), t.labeling.get(e));
         }
         // And with the explicit generated model.
-        let model = cq_generate(&t).unwrap();
-        let model_lab = model.classify(&t.db);
+        let model = cq_generate_in(&ctx, &t).unwrap().unwrap();
+        let model_lab = model.classify_in(&ctx, &t.db).unwrap();
         for e in t.entities() {
             assert_eq!(model_lab.get(e), t.labeling.get(e));
         }
@@ -307,6 +256,8 @@ mod tests {
 
     #[test]
     fn example_6_2_needs_two_features_but_is_separable() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Example 6.2 of the paper: D = {R(a), S(a), S(c), η(a), η(b),
         // η(c)}, λ(a)=λ(b)=+, λ(c)=−.
         let mut s = Schema::entity_schema();
@@ -320,8 +271,8 @@ mod tests {
             .positive("b")
             .negative("c")
             .training();
-        assert!(cq_separable(&t));
-        let model = cq_generate(&t).unwrap();
-        assert!(model.separates(&t));
+        assert!(cq_separable_in(&ctx, &t).unwrap());
+        let model = cq_generate_in(&ctx, &t).unwrap().unwrap();
+        assert!(model.separates_in(&ctx, &t).unwrap());
     }
 }

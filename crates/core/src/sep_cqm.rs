@@ -11,7 +11,7 @@
 
 use crate::statistic::{SeparatorModel, Statistic};
 use cq::{enumerate_feature_queries, EnumConfig};
-use engine::{Ctx, Engine, Interrupted};
+use engine::{Ctx, Interrupted};
 use relational::{Database, Labeling, TrainingDb};
 
 /// The full `CQ[m]` statistic over the relations populated in `D`
@@ -41,21 +41,9 @@ pub fn full_statistic(d: &Database, config: &EnumConfig) -> Statistic {
 /// cheap syntactic deduplication and the statistic keeps one feature per
 /// distinct column. This changes neither the decision nor the
 /// separation guarantee — only the (much smaller) LP dimension.
-pub fn cqm_generate(train: &TrainingDb, config: &EnumConfig) -> Option<SeparatorModel> {
-    cqm_generate_with(Engine::global(), train, config)
-}
-
-/// [`cqm_generate`] against a caller-supplied [`Engine`].
-pub fn cqm_generate_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    config: &EnumConfig,
-) -> Option<SeparatorModel> {
-    cqm_generate_in(&engine.ctx(), train, config).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`cqm_generate`] under a task context (interruptible): both the
-/// enumerated feature-matrix sweep and the LP observe the handle.
+///
+/// Interruptible: both the enumerated feature-matrix sweep and the LP observe
+/// the handle.
 pub fn cqm_generate_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -81,14 +69,9 @@ pub fn cqm_generate_in(
 /// [`Statistic`], one indicator row per entity, and the entity labels.
 pub type ReducedStatistic = (Statistic, Vec<Vec<i32>>, Vec<i32>);
 
-pub fn column_reduced_statistic(train: &TrainingDb, config: &EnumConfig) -> ReducedStatistic {
-    column_reduced_statistic_in(&Engine::global().ctx(), train, config)
-        .expect("unbounded ctx cannot interrupt")
-}
-
-/// [`column_reduced_statistic`] under a task context: the feature-matrix
-/// sweep runs through [`Statistic::apply_in`], observing the handle
-/// between feature blocks.
+///
+/// Interruptible: the feature-matrix sweep runs through
+/// [`Statistic::apply_in`], observing the handle between feature blocks.
 pub fn column_reduced_statistic_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -119,17 +102,7 @@ pub fn column_reduced_statistic_in(
     Ok((Statistic::new(kept_features), reduced_rows, labels))
 }
 
-/// Decision-only variant of [`cqm_generate`].
-pub fn cqm_separable(train: &TrainingDb, config: &EnumConfig) -> bool {
-    cqm_generate(train, config).is_some()
-}
-
-/// [`cqm_separable`] against a caller-supplied [`Engine`].
-pub fn cqm_separable_with(engine: &Engine, train: &TrainingDb, config: &EnumConfig) -> bool {
-    cqm_generate_with(engine, train, config).is_some()
-}
-
-/// [`cqm_separable`] under a task context (interruptible).
+/// Decision-only variant of [`cqm_generate_in`].
 pub fn cqm_separable_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -140,21 +113,6 @@ pub fn cqm_separable_in(
 
 /// `CQ[m]`-Cls: classify an evaluation database with a model generated
 /// from the training database (both constructive per §4).
-pub fn cqm_classify(train: &TrainingDb, eval: &Database, config: &EnumConfig) -> Option<Labeling> {
-    cqm_classify_with(Engine::global(), train, eval, config)
-}
-
-/// [`cqm_classify`] against a caller-supplied [`Engine`].
-pub fn cqm_classify_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    eval: &Database,
-    config: &EnumConfig,
-) -> Option<Labeling> {
-    cqm_generate_with(engine, train, config).map(|model| model.classify(eval))
-}
-
-/// [`cqm_classify`] under a task context (interruptible).
 pub fn cqm_classify_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -170,6 +128,7 @@ pub fn cqm_classify_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::Engine;
     use relational::{DbBuilder, Label, Schema};
 
     fn schema() -> Schema {
@@ -190,21 +149,32 @@ mod tests {
 
     #[test]
     fn one_atom_suffices_for_out_edges() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = path_train();
-        let model = cqm_generate(&t, &EnumConfig::cqm(1)).expect("separable at m=1");
-        assert!(model.separates(&t));
+        let model = cqm_generate_in(&ctx, &t, &EnumConfig::cqm(1))
+            .unwrap()
+            .expect("separable at m=1");
+        assert!(model.separates_in(&ctx, &t).unwrap());
     }
 
     #[test]
     fn separability_monotone_in_m() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = path_train();
         for m in 1..=2 {
-            assert!(cqm_separable(&t, &EnumConfig::cqm(m)), "m={m}");
+            assert!(
+                cqm_separable_in(&ctx, &t, &EnumConfig::cqm(m)).unwrap(),
+                "m={m}"
+            );
         }
     }
 
     #[test]
     fn depth_two_pattern_needs_two_atoms() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Distinguish "has an out-2-path" from "has only an out-1-path":
         // positives: 1; negatives: 2 (both have out-edges).
         let t = DbBuilder::new(schema())
@@ -216,12 +186,14 @@ mod tests {
         // m=1 candidates: out-edge (both +), in-edge (2 only, wrong
         // direction helps!): E(y,x) is true at 2 and false at 1 — that
         // separates with one atom after all. Verify the solver finds it.
-        let m1 = cqm_generate(&t, &EnumConfig::cqm(1));
-        assert!(m1.is_some_and(|m| m.separates(&t)));
+        let m1 = cqm_generate_in(&ctx, &t, &EnumConfig::cqm(1)).unwrap();
+        assert!(m1.is_some_and(|m| m.separates_in(&ctx, &t).unwrap()));
     }
 
     #[test]
     fn genuinely_inseparable_stays_inseparable() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Two hom-equivalent entities with opposite labels cannot be
         // separated by ANY CQ class, in particular CQ[m].
         let t = DbBuilder::new(schema())
@@ -231,12 +203,17 @@ mod tests {
             .negative("b")
             .training();
         for m in 1..=2 {
-            assert!(!cqm_separable(&t, &EnumConfig::cqm(m)), "m={m}");
+            assert!(
+                !cqm_separable_in(&ctx, &t, &EnumConfig::cqm(m)).unwrap(),
+                "m={m}"
+            );
         }
     }
 
     #[test]
     fn cqmp_weaker_than_cqm() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Self-loop vs 2-cycle: E(x,x) requires two occurrences of x.
         let t = DbBuilder::new(schema())
             .fact("E", &["a", "a"])
@@ -245,19 +222,23 @@ mod tests {
             .positive("a")
             .negative("b")
             .training();
-        assert!(!cqm_separable(&t, &EnumConfig::cqmp(1, 1)));
-        assert!(cqm_separable(&t, &EnumConfig::cqmp(1, 2)));
+        assert!(!cqm_separable_in(&ctx, &t, &EnumConfig::cqmp(1, 1)).unwrap());
+        assert!(cqm_separable_in(&ctx, &t, &EnumConfig::cqmp(1, 2)).unwrap());
     }
 
     #[test]
     fn classify_eval_db() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = path_train();
         let eval = DbBuilder::new(schema())
             .fact("E", &["u", "v"])
             .entity("u")
             .entity("v")
             .build();
-        let lab = cqm_classify(&t, &eval, &EnumConfig::cqm(1)).unwrap();
+        let lab = cqm_classify_in(&ctx, &t, &eval, &EnumConfig::cqm(1))
+            .unwrap()
+            .unwrap();
         let u = eval.val_by_name("u").unwrap();
         let v = eval.val_by_name("v").unwrap();
         assert_eq!(lab.get(u), Label::Positive);

@@ -22,7 +22,7 @@
 //! NP-complete (Theorem 6.10). That part is engineered, not just
 //! endured: candidate columns are deduplicated (exact duplicates *and*
 //! complements — negating a weight realizes the complement) by
-//! [`dedup_column_indices`] before the sweep, and [`search_columns`]
+//! [`dedup_column_indices`] before the sweep, and [`search_columns_in`]
 //! fans the ≤ ℓ-subset enumeration out under the [`Engine`]'s thread
 //! budget, refuting most subsets with a cheap conflict scan before any
 //! LP is assembled.
@@ -94,27 +94,6 @@ impl Default for DimBudget {
 /// Decide `L`-Sep[ℓ]: is `train` separable by a statistic of at most
 /// `ell` features from the class? (With `ell` from the input this is the
 /// `L`-Sep[*] variant — same code, per the paper's definitions.)
-pub fn sep_dim(
-    train: &TrainingDb,
-    class: &DimClass,
-    ell: usize,
-    budget: &DimBudget,
-) -> Result<bool, DimError> {
-    sep_dim_with(Engine::global(), train, class, ell, budget)
-}
-
-/// [`sep_dim`] against a caller-supplied [`Engine`].
-pub fn sep_dim_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    class: &DimClass,
-    ell: usize,
-    budget: &DimBudget,
-) -> Result<bool, DimError> {
-    Ok(sep_dim_witness_with(engine, train, class, ell, budget)?.is_some())
-}
-
-/// [`sep_dim`] under a task context (interruptible).
 pub fn sep_dim_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -129,35 +108,13 @@ pub fn sep_dim_in(
 /// split it must realize.
 pub type WitnessSplits = Vec<(Vec<Val>, Vec<Val>)>;
 
-/// As [`sep_dim`], but on success returns, for each chosen feature
+/// As [`sep_dim_in`], but on success returns, for each chosen feature
 /// coordinate, the `(positive, negative)` entity split it must realize —
 /// i.e. the QBE instances whose explanations form a witnessing statistic
-/// (fed to [`sep_dim_generate`]).
-pub fn sep_dim_witness(
-    train: &TrainingDb,
-    class: &DimClass,
-    ell: usize,
-    budget: &DimBudget,
-) -> Result<Option<WitnessSplits>, DimError> {
-    sep_dim_witness_with(Engine::global(), train, class, ell, budget)
-}
-
-/// [`sep_dim_witness`] against a caller-supplied [`Engine`]: the preorder
-/// sweep, QBE oracle calls, and subset-search LPs all run through (and
-/// count against) `engine`.
-pub fn sep_dim_witness_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    class: &DimClass,
-    ell: usize,
-    budget: &DimBudget,
-) -> Result<Option<WitnessSplits>, DimError> {
-    sep_dim_witness_in(&engine.ctx(), train, class, ell, budget)
-        .expect("unbounded ctx cannot interrupt")
-}
-
-/// [`sep_dim_witness`] under a task context: the preorder sweep, every
-/// QBE oracle call, and the subset search all observe the handle.
+/// (fed to [`sep_dim_generate_in`]).
+///
+/// Interruptible: the preorder sweep, every QBE oracle call, and the subset
+/// search all observe the handle.
 pub fn sep_dim_witness_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -283,41 +240,6 @@ pub fn sep_dim_witness_in(
 }
 
 /// Convenience wrappers matching the paper's problem names.
-pub fn cq_sep_dim(train: &TrainingDb, ell: usize, budget: &DimBudget) -> Result<bool, DimError> {
-    sep_dim(train, &DimClass::Cq, ell, budget)
-}
-
-pub fn ghw_sep_dim(
-    train: &TrainingDb,
-    k: usize,
-    ell: usize,
-    budget: &DimBudget,
-) -> Result<bool, DimError> {
-    sep_dim(train, &DimClass::Ghw(k), ell, budget)
-}
-
-/// [`cq_sep_dim`] against a caller-supplied [`Engine`].
-pub fn cq_sep_dim_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    ell: usize,
-    budget: &DimBudget,
-) -> Result<bool, DimError> {
-    sep_dim_with(engine, train, &DimClass::Cq, ell, budget)
-}
-
-/// [`ghw_sep_dim`] against a caller-supplied [`Engine`].
-pub fn ghw_sep_dim_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    k: usize,
-    ell: usize,
-    budget: &DimBudget,
-) -> Result<bool, DimError> {
-    sep_dim_with(engine, train, &DimClass::Ghw(k), ell, budget)
-}
-
-/// [`cq_sep_dim`] under a task context (interruptible).
 pub fn cq_sep_dim_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -327,7 +249,6 @@ pub fn cq_sep_dim_in(
     sep_dim_in(ctx, train, &DimClass::Cq, ell, budget)
 }
 
-/// [`ghw_sep_dim`] under a task context (interruptible).
 pub fn ghw_sep_dim_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -341,22 +262,9 @@ pub fn ghw_sep_dim_in(
 /// `CQ[m]`-Sep[ℓ] / `CQ[m]`-Sep[*] (§6.3): enumerate the `CQ[m]` feature
 /// queries, deduplicate their indicator columns, and search for ≤ ℓ
 /// columns that linearly separate. NP-complete (Theorem 6.10); exact.
-pub fn cqm_sep_dim(train: &TrainingDb, config: &cq::EnumConfig, ell: usize) -> bool {
-    cqm_sep_dim_with(Engine::global(), train, config, ell)
-}
-
-/// [`cqm_sep_dim`] against a caller-supplied [`Engine`].
-pub fn cqm_sep_dim_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    config: &cq::EnumConfig,
-    ell: usize,
-) -> bool {
-    cqm_sep_dim_in(&engine.ctx(), train, config, ell).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`cqm_sep_dim`] under a task context: the candidate enumeration sweep
-/// and the subset search both observe the handle.
+///
+/// Interruptible: the candidate enumeration sweep and the subset search both
+/// observe the handle.
 pub fn cqm_sep_dim_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -394,30 +302,6 @@ pub fn cqm_sep_dim_in(
 /// coordinates: product-canonical CQs for `CQ`, cover-game extractions
 /// for `GHW(k)` — both worst-case exponential in size (Theorem 6.7), so
 /// `extract_budget` caps the `GHW(k)` unfoldings.
-pub fn sep_dim_generate(
-    train: &TrainingDb,
-    class: &DimClass,
-    ell: usize,
-    budget: &DimBudget,
-    extract_budget: usize,
-) -> Result<Option<crate::statistic::SeparatorModel>, DimError> {
-    sep_dim_generate_with(Engine::global(), train, class, ell, budget, extract_budget)
-}
-
-/// [`sep_dim_generate`] against a caller-supplied [`Engine`].
-pub fn sep_dim_generate_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    class: &DimClass,
-    ell: usize,
-    budget: &DimBudget,
-    extract_budget: usize,
-) -> Result<Option<crate::statistic::SeparatorModel>, DimError> {
-    sep_dim_generate_in(&engine.ctx(), train, class, ell, budget, extract_budget)
-        .expect("unbounded ctx cannot interrupt")
-}
-
-/// [`sep_dim_generate`] under a task context (interruptible).
 pub fn sep_dim_generate_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -474,42 +358,6 @@ pub fn sep_dim_generate_in(
 /// ℓ-feature model generated from the training database (the
 /// classification counterpart the paper notes for the constructive
 /// cases, e.g. `CQ[m]`-Cls[*] in Prop 6.8).
-pub fn sep_dim_classify(
-    train: &TrainingDb,
-    eval: &Database,
-    class: &DimClass,
-    ell: usize,
-    budget: &DimBudget,
-    extract_budget: usize,
-) -> Result<Option<relational::Labeling>, DimError> {
-    sep_dim_classify_with(
-        Engine::global(),
-        train,
-        eval,
-        class,
-        ell,
-        budget,
-        extract_budget,
-    )
-}
-
-/// [`sep_dim_classify`] against a caller-supplied [`Engine`].
-pub fn sep_dim_classify_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    eval: &Database,
-    class: &DimClass,
-    ell: usize,
-    budget: &DimBudget,
-    extract_budget: usize,
-) -> Result<Option<relational::Labeling>, DimError> {
-    Ok(
-        sep_dim_generate_with(engine, train, class, ell, budget, extract_budget)?
-            .map(|model| model.classify(eval)),
-    )
-}
-
-/// [`sep_dim_classify`] under a task context (interruptible).
 pub fn sep_dim_classify_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -519,10 +367,12 @@ pub fn sep_dim_classify_in(
     budget: &DimBudget,
     extract_budget: usize,
 ) -> Result<Result<Option<relational::Labeling>, DimError>, Interrupted> {
-    Ok(
-        sep_dim_generate_in(ctx, train, class, ell, budget, extract_budget)?
-            .map(|model| model.map(|m| m.classify(eval))),
-    )
+    let model = match sep_dim_generate_in(ctx, train, class, ell, budget, extract_budget)? {
+        Ok(Some(model)) => model,
+        Ok(None) => return Ok(Ok(None)),
+        Err(e) => return Ok(Err(e)),
+    };
+    Ok(Ok(Some(model.classify_in(ctx, eval)?)))
 }
 
 /// The indistinguishability preorder matrix for the class, under a task
@@ -639,7 +489,7 @@ fn enumerate_upsets(class_leq: &[Vec<bool>], cap: usize) -> Option<Vec<Vec<bool>
 /// weight flip realizes any dropped complement and LP separability over
 /// the kept columns equals separability over the full set. Returning
 /// indices (first occurrence wins) lets callers keep side tables — the
-/// QBE splits in [`sep_dim_witness`], the queries in [`cqm_sep_dim`] —
+/// QBE splits in [`sep_dim_witness_in`], the queries in [`cqm_sep_dim_in`] —
 /// aligned with the surviving columns.
 pub fn dedup_column_indices(columns: &[Vec<i32>]) -> Vec<usize> {
     let mut seen: HashSet<Vec<i32>> = HashSet::with_capacity(columns.len());
@@ -862,27 +712,12 @@ fn subset_separates_warm(
 /// [`par_find_first`] — so the result is deterministic (the
 /// lexicographically first witness of minimum size) regardless of worker
 /// count, and a hit early in the enumeration exits without touching the
-/// rest. [`search_columns_seq`] is the single-threaded reference with
+/// rest. [`search_columns_seq_in`] is the single-threaded reference with
 /// the same verdict.
-pub fn search_columns(columns: &[Vec<i32>], labels: &[i32], ell: usize) -> Option<Vec<usize>> {
-    search_columns_with(Engine::global(), columns, labels, ell)
-}
-
-/// [`search_columns`] against a caller-supplied [`Engine`]: the subset
-/// sweep fans out under the engine's thread budget and every LP decision
-/// (conflict prune, perceptron hit, simplex solve) counts against it.
-pub fn search_columns_with(
-    engine: &Engine,
-    columns: &[Vec<i32>],
-    labels: &[i32],
-    ell: usize,
-) -> Option<Vec<usize>> {
-    search_columns_in(&engine.ctx(), columns, labels, ell).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`search_columns`] under a task context: the sweep observes the
-/// handle once per [`SEARCH_BLOCK`]-combination block (between parallel
-/// fan-outs), so cancellation lands within one block's worth of LPs.
+///
+/// Interruptible: the sweep observes the handle once per
+/// [`SEARCH_BLOCK`]-combination block (between parallel fan-outs), so
+/// cancellation lands within one block's worth of LPs.
 pub fn search_columns_in(
     ctx: &Ctx,
     columns: &[Vec<i32>],
@@ -892,25 +727,12 @@ pub fn search_columns_in(
     search_columns_backend_in(ctx, columns, labels, ell, LpBackend::default())
 }
 
-/// [`search_columns`] against a caller-supplied [`Engine`] and an
-/// explicit LP backend. With [`LpBackend::DenseCold`] every subset LP is
-/// a cold dense solve (the pre-warm-start behavior, kept as the
-/// benchmark baseline and agreement oracle).
-pub fn search_columns_with_backend(
-    engine: &Engine,
-    columns: &[Vec<i32>],
-    labels: &[i32],
-    ell: usize,
-    backend: LpBackend,
-) -> Option<Vec<usize>> {
-    search_columns_backend_in(&engine.ctx(), columns, labels, ell, backend)
-        .expect("unbounded ctx cannot interrupt")
-}
-
 /// [`search_columns_in`] with an explicit LP backend — the full sweep:
 /// size classes ascend, combinations within a class are lexicographic,
 /// and every solved subset banks its optimal basis in a [`BasisStore`]
-/// to warm its siblings and extensions.
+/// to warm its siblings and extensions. With [`LpBackend::DenseCold`]
+/// every subset LP is a cold dense solve (the pre-warm-start behavior,
+/// kept as the benchmark baseline and agreement oracle).
 ///
 /// Parallelism is adaptive: when the engine's effective parallelism is
 /// below 2 (single-core hardware, or a thread budget of 1) the sweep
@@ -978,16 +800,9 @@ pub fn search_columns_backend_in(
     Ok(None)
 }
 
-/// Sequential reference for [`search_columns`]: plain depth-first subset
-/// enumeration, one LP at a time. Kept for agreement tests and as the
-/// baseline leg of the LP-engine benchmarks. The verdict always matches
-/// the parallel sweep; the witness may differ (DFS order is not
-/// size-ascending), but both are valid ≤ ℓ separating subsets.
-pub fn search_columns_seq(columns: &[Vec<i32>], labels: &[i32], ell: usize) -> Option<Vec<usize>> {
-    search_columns_seq_with(Engine::global(), columns, labels, ell)
-}
-
-/// [`search_columns_seq`] against a caller-supplied [`Engine`].
+/// [`search_columns_seq_in`] on an unbounded context over `engine`. The
+/// one engine-taking shim left: the benchmark under `perfbench/` calls it
+/// as its reference oracle.
 pub fn search_columns_seq_with(
     engine: &Engine,
     columns: &[Vec<i32>],
@@ -998,8 +813,13 @@ pub fn search_columns_seq_with(
         .expect("unbounded ctx cannot interrupt")
 }
 
-/// [`search_columns_seq`] under a task context: the DFS observes the
-/// handle at every search node.
+/// Sequential reference for [`search_columns_in`]: plain depth-first subset
+/// enumeration, one LP at a time. Kept for agreement tests and as the
+/// baseline leg of the LP-engine benchmarks. The verdict always matches
+/// the parallel sweep; the witness may differ (DFS order is not
+/// size-ascending), but both are valid ≤ ℓ separating subsets.
+///
+/// Interruptible: the DFS observes the handle at every search node.
 pub fn search_columns_seq_in(
     ctx: &Ctx,
     columns: &[Vec<i32>],
@@ -1048,7 +868,6 @@ pub fn search_columns_seq_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use linsep::separate;
     use relational::{DbBuilder, Schema};
 
     fn example_6_2() -> TrainingDb {
@@ -1068,24 +887,28 @@ mod tests {
 
     #[test]
     fn example_6_2_dimension_gap() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // The paper's Example 6.2: not separable with one feature, but
         // separable with two.
         let t = example_6_2();
         let b = DimBudget::default();
-        assert!(!cq_sep_dim(&t, 1, &b).unwrap());
-        assert!(cq_sep_dim(&t, 2, &b).unwrap());
+        assert!(!cq_sep_dim_in(&ctx, &t, 1, &b).unwrap().unwrap());
+        assert!(cq_sep_dim_in(&ctx, &t, 2, &b).unwrap().unwrap());
         // Same under CQ[1].
-        assert!(!cqm_sep_dim(&t, &cq::EnumConfig::cqm(1), 1));
-        assert!(cqm_sep_dim(&t, &cq::EnumConfig::cqm(1), 2));
+        assert!(!cqm_sep_dim_in(&ctx, &t, &cq::EnumConfig::cqm(1), 1).unwrap());
+        assert!(cqm_sep_dim_in(&ctx, &t, &cq::EnumConfig::cqm(1), 2).unwrap());
     }
 
     #[test]
     fn dimension_monotonicity() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = example_6_2();
         let b = DimBudget::default();
         let mut prev = false;
         for ell in 1..=3 {
-            let now = cq_sep_dim(&t, ell, &b).unwrap();
+            let now = cq_sep_dim_in(&ctx, &t, ell, &b).unwrap().unwrap();
             if prev {
                 assert!(now, "Sep[ℓ] must be monotone in ℓ");
             }
@@ -1096,6 +919,8 @@ mod tests {
 
     #[test]
     fn single_feature_when_one_suffices() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let mut s = Schema::entity_schema();
         s.add_relation("R", 1);
         let t = DbBuilder::new(s)
@@ -1106,13 +931,15 @@ mod tests {
             .negative("c")
             .training();
         let bud = DimBudget::default();
-        assert!(cq_sep_dim(&t, 1, &bud).unwrap());
-        assert!(ghw_sep_dim(&t, 1, 1, &bud).unwrap());
-        assert!(cqm_sep_dim(&t, &cq::EnumConfig::cqm(1), 1));
+        assert!(cq_sep_dim_in(&ctx, &t, 1, &bud).unwrap().unwrap());
+        assert!(ghw_sep_dim_in(&ctx, &t, 1, 1, &bud).unwrap().unwrap());
+        assert!(cqm_sep_dim_in(&ctx, &t, &cq::EnumConfig::cqm(1), 1).unwrap());
     }
 
     #[test]
     fn mixed_class_is_hopeless_at_any_dimension() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let mut s = Schema::entity_schema();
         s.add_relation("E", 2);
         let t = DbBuilder::new(s)
@@ -1123,59 +950,71 @@ mod tests {
             .training();
         let bud = DimBudget::default();
         for ell in 1..=3 {
-            assert!(!cq_sep_dim(&t, ell, &bud).unwrap());
-            assert!(!ghw_sep_dim(&t, 1, ell, &bud).unwrap());
-            assert!(!cqm_sep_dim(&t, &cq::EnumConfig::cqm(2), ell));
+            assert!(!cq_sep_dim_in(&ctx, &t, ell, &bud).unwrap().unwrap());
+            assert!(!ghw_sep_dim_in(&ctx, &t, 1, ell, &bud).unwrap().unwrap());
+            assert!(!cqm_sep_dim_in(&ctx, &t, &cq::EnumConfig::cqm(2), ell).unwrap());
         }
     }
 
     #[test]
     fn unbounded_matches_pairwise_criterion() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // With ℓ = #entities, Sep[ℓ] coincides with plain separability.
         let t = example_6_2();
         let bud = DimBudget::default();
         assert_eq!(
-            cq_sep_dim(&t, 3, &bud).unwrap(),
-            crate::sep_cq::cq_separable(&t)
+            cq_sep_dim_in(&ctx, &t, 3, &bud).unwrap().unwrap(),
+            crate::sep_cq::cq_separable_in(&ctx, &t).unwrap()
         );
     }
 
     #[test]
     fn ghw_dimension_gap_matches_cq_on_small_instance() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = example_6_2();
         let bud = DimBudget::default();
         // On unary relations GHW(1) features are as strong as CQ here.
-        assert!(!ghw_sep_dim(&t, 1, 1, &bud).unwrap());
-        assert!(ghw_sep_dim(&t, 1, 2, &bud).unwrap());
+        assert!(!ghw_sep_dim_in(&ctx, &t, 1, 1, &bud).unwrap().unwrap());
+        assert!(ghw_sep_dim_in(&ctx, &t, 1, 2, &bud).unwrap().unwrap());
     }
 
     #[test]
     fn generated_dim_bounded_model_separates() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = example_6_2();
         let b = DimBudget::default();
         // ℓ = 1: no model.
-        assert!(sep_dim_generate(&t, &DimClass::Cq, 1, &b, 100_000)
+        assert!(sep_dim_generate_in(&ctx, &t, &DimClass::Cq, 1, &b, 100_000)
+            .unwrap()
             .unwrap()
             .is_none());
         // ℓ = 2: an explicit 2-feature model that separates.
-        let model = sep_dim_generate(&t, &DimClass::Cq, 2, &b, 100_000)
+        let model = sep_dim_generate_in(&ctx, &t, &DimClass::Cq, 2, &b, 100_000)
+            .unwrap()
             .unwrap()
             .expect("ℓ=2 suffices");
         assert!(model.statistic.dimension() <= 2);
-        assert!(model.separates(&t));
+        assert!(model.separates_in(&ctx, &t).unwrap());
         // Same through GHW(1).
-        let model = sep_dim_generate(&t, &DimClass::Ghw(1), 2, &b, 100_000)
+        let model = sep_dim_generate_in(&ctx, &t, &DimClass::Ghw(1), 2, &b, 100_000)
+            .unwrap()
             .unwrap()
             .expect("ℓ=2 suffices");
         assert!(model.statistic.dimension() <= 2);
-        assert!(model.separates(&t));
+        assert!(model.separates_in(&ctx, &t).unwrap());
     }
 
     #[test]
     fn dim_bounded_classification() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = example_6_2();
         let b = DimBudget::default();
-        let lab = sep_dim_classify(&t, &t.db, &DimClass::Cq, 2, &b, 100_000)
+        let lab = sep_dim_classify_in(&ctx, &t, &t.db, &DimClass::Cq, 2, &b, 100_000)
+            .unwrap()
             .unwrap()
             .expect("ℓ=2 separates");
         for e in t.entities() {
@@ -1199,38 +1038,68 @@ mod tests {
 
     #[test]
     fn search_columns_edge_cases() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Uniform labels: zero features suffice, even with ℓ > 0 and no
         // columns at all.
-        assert_eq!(search_columns(&[], &[1, 1], 3), Some(Vec::new()));
-        assert_eq!(search_columns(&[], &[-1, -1, -1], 0), Some(Vec::new()));
+        assert_eq!(
+            search_columns_in(&ctx, &[], &[1, 1], 3).unwrap(),
+            Some(Vec::new())
+        );
+        assert_eq!(
+            search_columns_in(&ctx, &[], &[-1, -1, -1], 0).unwrap(),
+            Some(Vec::new())
+        );
         // Mixed labels with no columns: hopeless at any ℓ.
-        assert_eq!(search_columns(&[], &[1, -1], 2), None);
+        assert_eq!(search_columns_in(&ctx, &[], &[1, -1], 2).unwrap(), None);
         // ℓ = 0 with mixed labels: hopeless.
         let col = vec![vec![1, -1]];
-        assert_eq!(search_columns(&col, &[1, -1], 0), None);
+        assert_eq!(search_columns_in(&ctx, &col, &[1, -1], 0).unwrap(), None);
         // ℓ exceeding the column count is clamped, not an error.
-        assert_eq!(search_columns(&col, &[1, -1], 99), Some(vec![0]));
+        assert_eq!(
+            search_columns_in(&ctx, &col, &[1, -1], 99).unwrap(),
+            Some(vec![0])
+        );
         // Single-row instances are uniformly labeled by definition.
-        assert_eq!(search_columns(&[vec![1]], &[-1], 1), Some(Vec::new()));
+        assert_eq!(
+            search_columns_in(&ctx, &[vec![1]], &[-1], 1).unwrap(),
+            Some(Vec::new())
+        );
         // The sequential reference agrees on all of the above.
-        assert_eq!(search_columns_seq(&[], &[1, 1], 3), Some(Vec::new()));
-        assert_eq!(search_columns_seq(&[], &[1, -1], 2), None);
-        assert_eq!(search_columns_seq(&col, &[1, -1], 0), None);
-        assert_eq!(search_columns_seq(&col, &[1, -1], 99), Some(vec![0]));
+        assert_eq!(
+            search_columns_seq_in(&ctx, &[], &[1, 1], 3).unwrap(),
+            Some(Vec::new())
+        );
+        assert_eq!(search_columns_seq_in(&ctx, &[], &[1, -1], 2).unwrap(), None);
+        assert_eq!(
+            search_columns_seq_in(&ctx, &col, &[1, -1], 0).unwrap(),
+            None
+        );
+        assert_eq!(
+            search_columns_seq_in(&ctx, &col, &[1, -1], 99).unwrap(),
+            Some(vec![0])
+        );
     }
 
     #[test]
     fn parallel_witness_is_minimum_size_lexicographic() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Columns 0 and 1 each fail alone; column 2 works alone. The
         // parallel sweep (size-ascending) must return [2], regardless of
         // what a DFS would try first.
         let labels = vec![1, -1, 1, -1];
         let cols = vec![vec![1, 1, -1, -1], vec![-1, -1, 1, 1], vec![1, -1, 1, -1]];
-        assert_eq!(search_columns(&cols, &labels, 2), Some(vec![2]));
+        assert_eq!(
+            search_columns_in(&ctx, &cols, &labels, 2).unwrap(),
+            Some(vec![2])
+        );
     }
 
     #[test]
     fn sequential_and_parallel_search_agree_across_seeds() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Random column matrices; the two engines must give the same
         // verdict and, on success, witnesses that really separate within
         // the ℓ budget.
@@ -1255,8 +1124,8 @@ mod tests {
             let labels: Vec<i32> = (0..nrows)
                 .map(|_| if rnd() % 2 == 0 { 1 } else { -1 })
                 .collect();
-            let par = search_columns(&columns, &labels, ell);
-            let seq = search_columns_seq(&columns, &labels, ell);
+            let par = search_columns_in(&ctx, &columns, &labels, ell).unwrap();
+            let seq = search_columns_seq_in(&ctx, &columns, &labels, ell).unwrap();
             assert_eq!(
                 par.is_some(),
                 seq.is_some(),
@@ -1268,7 +1137,7 @@ mod tests {
                     .map(|r| witness.iter().map(|&c| columns[c][r]).collect())
                     .collect();
                 assert!(
-                    separate(&rows, &labels).is_some(),
+                    ctx.separate(&rows, &labels).unwrap().is_some(),
                     "trial {trial}: witness {witness:?} does not separate"
                 );
             }
@@ -1277,14 +1146,22 @@ mod tests {
 
     #[test]
     fn warm_sparse_and_cold_dense_backends_find_identical_witnesses() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // Both backends are deterministic — lexicographically first
         // witness of minimum size — so they must return *identical*
         // witnesses, not merely matching verdicts. This is the
         // S → S ∪ {j} regression guard: a warm-started basis that
         // changed any subset's feasibility verdict would change which
         // witness the sweep finds first.
-        let warm_engine = Engine::new();
-        let cold_engine = Engine::new();
+        //
+        // The counter comparisons below run on one-thread engines: the
+        // parallel sweep may evaluate subsets past the first witness of
+        // a block, and how many depends on scheduling. The default
+        // (parallel) engines check the witnesses only.
+        let warm_engine = Engine::new().with_threads(1);
+        let cold_engine = Engine::new().with_threads(1);
+        let (warm_par, cold_par) = (Engine::new(), Engine::new());
         let mut x = 0x2545f4914f6cdd1du64;
         let mut rnd = move || {
             x = x
@@ -1306,29 +1183,38 @@ mod tests {
             let labels: Vec<i32> = (0..nrows)
                 .map(|_| if rnd() % 2 == 0 { 1 } else { -1 })
                 .collect();
-            let warm = search_columns_with_backend(
-                &warm_engine,
+            let warm = search_columns_backend_in(
+                &warm_engine.ctx(),
                 &columns,
                 &labels,
                 ell,
                 LpBackend::SparseWarm,
-            );
-            let cold = search_columns_with_backend(
-                &cold_engine,
+            )
+            .unwrap();
+            let cold = search_columns_backend_in(
+                &cold_engine.ctx(),
                 &columns,
                 &labels,
                 ell,
                 LpBackend::DenseCold,
-            );
+            )
+            .unwrap();
             assert_eq!(
                 warm, cold,
                 "trial {trial}: {columns:?} {labels:?} ell={ell}"
             );
+            for (engine, backend) in [
+                (&warm_par, LpBackend::SparseWarm),
+                (&cold_par, LpBackend::DenseCold),
+            ] {
+                let par = search_columns_backend_in(&engine.ctx(), &columns, &labels, ell, backend);
+                assert_eq!(par.unwrap(), warm, "trial {trial}: parallel {backend:?}");
+            }
             if let Some(witness) = &warm {
                 let rows: Vec<Vec<i32>> = (0..labels.len())
                     .map(|r| witness.iter().map(|&c| columns[c][r]).collect())
                     .collect();
-                assert!(separate(&rows, &labels).is_some());
+                assert!(ctx.separate(&rows, &labels).unwrap().is_some());
             }
         }
         // Both tiers did real LP work; only the warm backend may have
@@ -1365,7 +1251,8 @@ mod tests {
         ];
         let engine = Engine::new();
         let found =
-            search_columns_with_backend(&engine, &columns, &labels, 1, LpBackend::SparseWarm);
+            search_columns_backend_in(&engine.ctx(), &columns, &labels, 1, LpBackend::SparseWarm)
+                .unwrap();
         let stats = engine.stats();
         // Whatever the verdict, every LP after the first in the size
         // class had a sibling basis on offer.
@@ -1380,8 +1267,14 @@ mod tests {
             );
         }
         // Cross-check the verdict against the cold reference.
-        let cold =
-            search_columns_with_backend(&Engine::new(), &columns, &labels, 1, LpBackend::DenseCold);
+        let cold = search_columns_backend_in(
+            &(Engine::new()).ctx(),
+            &columns,
+            &labels,
+            1,
+            LpBackend::DenseCold,
+        )
+        .unwrap();
         assert_eq!(found, cold);
     }
 

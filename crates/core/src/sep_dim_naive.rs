@@ -12,34 +12,14 @@
 //! are built from.
 
 use crate::sep_dim::{DimBudget, DimClass, DimError};
-use engine::{Ctx, Engine, Interrupted};
+use engine::{Ctx, Interrupted};
 use relational::{TrainingDb, Val};
 
 /// Decide `L`-Sep[ℓ] by the literal Lemma 6.3 search. Exponential in
 /// `ℓ · |η(D)|`; use only on tiny instances (the test suite does).
-pub fn sep_dim_naive(
-    train: &TrainingDb,
-    class: &DimClass,
-    ell: usize,
-    budget: &DimBudget,
-) -> Result<bool, DimError> {
-    sep_dim_naive_with(Engine::global(), train, class, ell, budget)
-}
-
-/// [`sep_dim_naive`] against a caller-supplied [`Engine`].
-pub fn sep_dim_naive_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    class: &DimClass,
-    ell: usize,
-    budget: &DimBudget,
-) -> Result<bool, DimError> {
-    sep_dim_naive_in(&engine.ctx(), train, class, ell, budget)
-        .expect("unbounded ctx cannot interrupt")
-}
-
-/// [`sep_dim_naive`] under a task context: the handle is observed once
-/// per guessed assignment κ (each LP and QBE call also checks on entry).
+///
+/// Interruptible: the handle is observed once per guessed assignment κ (each LP
+/// and QBE call also checks on entry).
 pub fn sep_dim_naive_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -124,7 +104,8 @@ pub fn sep_dim_naive_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sep_dim::{cq_sep_dim, ghw_sep_dim};
+    use crate::sep_dim::{cq_sep_dim_in, ghw_sep_dim_in};
+    use engine::Engine;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use relational::{Database, Label, Labeling, Schema};
@@ -162,12 +143,16 @@ mod tests {
     /// agree — two independent implementations of one theorem.
     #[test]
     fn naive_agrees_with_optimized_cq() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let budget = DimBudget::default();
         for seed in 0..10 {
             let t = random_train(4, seed);
             for ell in 1..=2 {
-                let naive = sep_dim_naive(&t, &DimClass::Cq, ell, &budget).unwrap();
-                let smart = cq_sep_dim(&t, ell, &budget).unwrap();
+                let naive = sep_dim_naive_in(&ctx, &t, &DimClass::Cq, ell, &budget)
+                    .unwrap()
+                    .unwrap();
+                let smart = cq_sep_dim_in(&ctx, &t, ell, &budget).unwrap().unwrap();
                 assert_eq!(naive, smart, "seed {seed}, ℓ={ell}");
             }
         }
@@ -175,12 +160,16 @@ mod tests {
 
     #[test]
     fn naive_agrees_with_optimized_ghw() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let budget = DimBudget::default();
         for seed in 0..8 {
             let t = random_train(3, seed * 7 + 1);
             for ell in 1..=2 {
-                let naive = sep_dim_naive(&t, &DimClass::Ghw(1), ell, &budget).unwrap();
-                let smart = ghw_sep_dim(&t, 1, ell, &budget).unwrap();
+                let naive = sep_dim_naive_in(&ctx, &t, &DimClass::Ghw(1), ell, &budget)
+                    .unwrap()
+                    .unwrap();
+                let smart = ghw_sep_dim_in(&ctx, &t, 1, ell, &budget).unwrap().unwrap();
                 assert_eq!(naive, smart, "seed {seed}, ℓ={ell}");
             }
         }
@@ -188,10 +177,16 @@ mod tests {
 
     #[test]
     fn example_6_2_through_the_naive_path() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = workloads_example();
         let budget = DimBudget::default();
-        assert!(!sep_dim_naive(&t, &DimClass::Cq, 1, &budget).unwrap());
-        assert!(sep_dim_naive(&t, &DimClass::Cq, 2, &budget).unwrap());
+        assert!(!sep_dim_naive_in(&ctx, &t, &DimClass::Cq, 1, &budget)
+            .unwrap()
+            .unwrap());
+        assert!(sep_dim_naive_in(&ctx, &t, &DimClass::Cq, 2, &budget)
+            .unwrap()
+            .unwrap());
     }
 
     /// Example 6.2, built locally (workloads is a dev-dependency of the
@@ -214,7 +209,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "exponential")]
     fn size_guard_trips() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = random_train(8, 3);
-        let _ = sep_dim_naive(&t, &DimClass::Cq, 3, &DimBudget::default());
+        let _ = sep_dim_naive_in(&ctx, &t, &DimClass::Cq, 3, &DimBudget::default()).unwrap();
     }
 }

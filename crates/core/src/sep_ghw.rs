@@ -8,40 +8,16 @@
 
 use crate::chain::{build_chain_in, ChainError, ChainModel};
 use covergame::{CoverPreorder, UnionSkeleton};
-use engine::{Ctx, Engine, Interrupted};
+use engine::{Ctx, Interrupted};
 use relational::{TrainingDb, Val};
 
 /// Decide `GHW(k)`-separability (Theorem 5.3).
-pub fn ghw_separable(train: &TrainingDb, k: usize) -> bool {
-    ghw_separable_with(Engine::global(), train, k)
-}
-
-/// [`ghw_separable`] against a caller-supplied [`Engine`].
-pub fn ghw_separable_with(engine: &Engine, train: &TrainingDb, k: usize) -> bool {
-    ghw_inseparability_witness_with(engine, train, k).is_none()
-}
-
-/// [`ghw_separable`] under a task context (interruptible).
 pub fn ghw_separable_in(ctx: &Ctx, train: &TrainingDb, k: usize) -> Result<bool, Interrupted> {
     Ok(ghw_inseparability_witness_in(ctx, train, k)?.is_none())
 }
 
 /// A positive/negative pair that is `GHW(k)`-indistinguishable, if any
 /// (the failure certificate of Lemma 5.4 (2)).
-pub fn ghw_inseparability_witness(train: &TrainingDb, k: usize) -> Option<(Val, Val)> {
-    ghw_inseparability_witness_with(Engine::global(), train, k)
-}
-
-/// [`ghw_inseparability_witness`] against a caller-supplied [`Engine`].
-pub fn ghw_inseparability_witness_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    k: usize,
-) -> Option<(Val, Val)> {
-    ghw_inseparability_witness_in(&engine.ctx(), train, k).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`ghw_inseparability_witness`] under a task context (interruptible).
 pub fn ghw_inseparability_witness_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -71,16 +47,6 @@ pub fn ghw_inseparability_witness_in(
 /// The full `→_k` preorder over the training entities (used by
 /// classification and the approximate algorithms; more expensive than the
 /// pairwise test above but still polynomial).
-pub fn ghw_preorder(train: &TrainingDb, k: usize) -> CoverPreorder {
-    ghw_preorder_with(Engine::global(), train, k)
-}
-
-/// [`ghw_preorder`] against a caller-supplied [`Engine`].
-pub fn ghw_preorder_with(engine: &Engine, train: &TrainingDb, k: usize) -> CoverPreorder {
-    engine.preorder(&train.db, &train.entities(), k)
-}
-
-/// [`ghw_preorder`] under a task context (interruptible).
 pub fn ghw_preorder_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -92,20 +58,6 @@ pub fn ghw_preorder_in(
 /// The chain model of Lemma 5.4 for the `→_k` preorder: the implicit
 /// statistic `Π = (q_{e_1}, …, q_{e_m})` *represented by its preorder
 /// only*, plus the linear classifier.
-pub fn ghw_chain(train: &TrainingDb, k: usize) -> Result<ChainModel, ChainError> {
-    ghw_chain_with(Engine::global(), train, k)
-}
-
-/// [`ghw_chain`] against a caller-supplied [`Engine`].
-pub fn ghw_chain_with(
-    engine: &Engine,
-    train: &TrainingDb,
-    k: usize,
-) -> Result<ChainModel, ChainError> {
-    ghw_chain_in(&engine.ctx(), train, k).expect("unbounded ctx cannot interrupt")
-}
-
-/// [`ghw_chain`] under a task context (interruptible).
 pub fn ghw_chain_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -118,6 +70,7 @@ pub fn ghw_chain_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::Engine;
     use relational::{DbBuilder, Label, Schema};
 
     fn schema() -> Schema {
@@ -128,6 +81,8 @@ mod tests {
 
     #[test]
     fn path_separable_at_k1() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = DbBuilder::new(schema())
             .fact("E", &["1", "2"])
             .fact("E", &["2", "3"])
@@ -135,13 +90,15 @@ mod tests {
             .positive("2")
             .negative("3")
             .training();
-        assert!(ghw_separable(&t, 1));
-        let chain = ghw_chain(&t, 1).unwrap();
+        assert!(ghw_separable_in(&ctx, &t, 1).unwrap());
+        let chain = ghw_chain_in(&ctx, &t, 1).unwrap().unwrap();
         assert_eq!(chain.class_count(), 3);
     }
 
     #[test]
     fn width_hierarchy_on_cycles() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // a on a (shared-element) structure: entity x on C2, entity a on
         // C4, labeled oppositely. GHW(1) distinguishes: the 2-cycle query
         // ∃y E(x,y),E(y,x) has ghw 1 and holds only at the C2 members.
@@ -155,12 +112,14 @@ mod tests {
             .positive("x")
             .negative("a")
             .training();
-        assert!(ghw_separable(&t, 1));
-        assert!(ghw_separable(&t, 2));
+        assert!(ghw_separable_in(&ctx, &t, 1).unwrap());
+        assert!(ghw_separable_in(&ctx, &t, 2).unwrap());
     }
 
     #[test]
     fn ghw_separable_implies_cq_separable() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // GHW(k) ⊆ CQ: a GHW(k)-separable instance is CQ-separable.
         let samples = [
             vec![("1", "2"), ("2", "3")],
@@ -174,9 +133,9 @@ mod tests {
             }
             let t = b.positive(edges[0].0).negative(edges[0].1).training();
             for k in 1..=2 {
-                if ghw_separable(&t, k) {
+                if ghw_separable_in(&ctx, &t, k).unwrap() {
                     assert!(
-                        crate::sep_cq::cq_separable(&t),
+                        crate::sep_cq::cq_separable_in(&ctx, &t).unwrap(),
                         "GHW({k}) separated but CQ did not: {edges:?}"
                     );
                 }
@@ -186,20 +145,26 @@ mod tests {
 
     #[test]
     fn witness_labels_are_correct() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = DbBuilder::new(schema())
             .fact("E", &["a", "b"])
             .fact("E", &["b", "a"])
             .positive("a")
             .negative("b")
             .training();
-        let (p, n) = ghw_inseparability_witness(&t, 1).expect("2-cycle collapses");
+        let (p, n) = ghw_inseparability_witness_in(&ctx, &t, 1)
+            .unwrap()
+            .expect("2-cycle collapses");
         assert_eq!(t.labeling.get(p), Label::Positive);
         assert_eq!(t.labeling.get(n), Label::Negative);
-        assert!(!ghw_separable(&t, 2));
+        assert!(!ghw_separable_in(&ctx, &t, 2).unwrap());
     }
 
     #[test]
     fn k_monotonicity_of_separability() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // GHW(k) ⊆ GHW(k+1): separability is monotone in k.
         let t = DbBuilder::new(schema())
             .fact("E", &["p", "q"])
@@ -214,7 +179,7 @@ mod tests {
             .training();
         let mut prev = false;
         for k in 1..=2 {
-            let now = ghw_separable(&t, k);
+            let now = ghw_separable_in(&ctx, &t, k).unwrap();
             if prev {
                 assert!(now, "separability must be monotone in k");
             }

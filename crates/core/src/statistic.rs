@@ -6,7 +6,7 @@ use relational::{Database, Label, Labeling, TrainingDb, Val};
 use std::fmt;
 
 /// A statistic `Π = (q_1, …, q_n)`: a sequence of unary feature queries.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Statistic {
     pub features: Vec<Cq>,
 }
@@ -30,25 +30,10 @@ impl Statistic {
     /// Each feature column is an independent evaluation (a batch of hom
     /// tests for its query), so columns are computed on the parallel
     /// driver and then transposed into rows.
-    pub fn apply(&self, d: &Database, entities: &[Val]) -> Vec<Vec<i32>> {
-        self.apply_with(engine::Engine::global(), d, entities)
-    }
-
-    /// [`Statistic::apply`] with the column sweep fanned out under a
-    /// caller-supplied [`engine::Engine`]'s thread budget.
-    pub fn apply_with(
-        &self,
-        engine: &engine::Engine,
-        d: &Database,
-        entities: &[Val],
-    ) -> Vec<Vec<i32>> {
-        self.apply_in(&engine.ctx(), d, entities)
-            .expect("unbounded ctx cannot interrupt")
-    }
-
-    /// [`Statistic::apply`] under a task context. The feature sweep runs
-    /// in blocks with an interrupt check between blocks, so wide
-    /// enumerated statistics (the `CQ[m]` solvers) stop promptly.
+    ///
+    /// Interruptible. The feature sweep runs in blocks with an interrupt check
+    /// between blocks, so wide enumerated statistics (the `CQ[m]` solvers) stop
+    /// promptly.
     pub fn apply_in(
         &self,
         ctx: &engine::Ctx,
@@ -89,7 +74,7 @@ impl fmt::Display for Statistic {
 
 /// A statistic together with a linear classifier: the pair `(Π, Λ_w̄)`
 /// that the feature-generation algorithms produce.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SeparatorModel {
     pub statistic: Statistic,
     pub classifier: LinearClassifier,
@@ -97,13 +82,9 @@ pub struct SeparatorModel {
 
 impl SeparatorModel {
     /// Classify the entities of `d` (any database over the schema).
-    pub fn classify(&self, d: &Database) -> Labeling {
-        self.classify_in(&engine::Engine::global().ctx(), d)
-            .expect("unbounded ctx cannot interrupt")
-    }
-
-    /// [`SeparatorModel::classify`] under a task context: the feature
-    /// sweep honours the context's engine and interrupt handle.
+    ///
+    /// Interruptible: the feature sweep honours the context's engine and
+    /// interrupt handle.
     pub fn classify_in(
         &self,
         ctx: &engine::Ctx,
@@ -120,19 +101,27 @@ impl SeparatorModel {
 
     /// Does this model reproduce the training labels exactly
     /// (`L`-separation in the sense of Definition 3.1)?
-    pub fn separates(&self, train: &TrainingDb) -> bool {
-        self.errors(train) == 0
+    pub fn separates_in(
+        &self,
+        ctx: &engine::Ctx,
+        train: &TrainingDb,
+    ) -> Result<bool, engine::Interrupted> {
+        Ok(self.errors_in(ctx, train)? == 0)
     }
 
     /// Number of training entities the model misclassifies (the error
     /// count of §7).
-    pub fn errors(&self, train: &TrainingDb) -> usize {
-        let predicted = self.classify(&train.db);
-        train
+    pub fn errors_in(
+        &self,
+        ctx: &engine::Ctx,
+        train: &TrainingDb,
+    ) -> Result<usize, engine::Interrupted> {
+        let predicted = self.classify_in(ctx, &train.db)?;
+        Ok(train
             .entities()
             .into_iter()
             .filter(|&e| predicted.get(e) != train.labeling.get(e))
-            .count()
+            .count())
     }
 }
 
@@ -140,6 +129,7 @@ impl SeparatorModel {
 mod tests {
     use super::*;
     use cq::parse::parse_cq;
+    use engine::Engine;
     use numeric::qint;
     use relational::{DbBuilder, Schema};
 
@@ -169,38 +159,46 @@ mod tests {
 
     #[test]
     fn apply_builds_feature_matrix() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = train();
         let m = model();
-        let rows = m.statistic.apply(&t.db, &t.entities());
+        let rows = m.statistic.apply_in(&ctx, &t.db, &t.entities()).unwrap();
         assert_eq!(rows, vec![vec![1], vec![1], vec![-1]]);
     }
 
     #[test]
     fn model_separates_training_db() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = train();
         let m = model();
-        assert!(m.separates(&t));
-        assert_eq!(m.errors(&t), 0);
+        assert!(m.separates_in(&ctx, &t).unwrap());
+        assert_eq!(m.errors_in(&ctx, &t).unwrap(), 0);
     }
 
     #[test]
     fn errors_counted() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let mut t = train();
         // Flip a's label: the out-edge model now errs once.
         let a = t.db.val_by_name("a").unwrap();
         t.labeling.set(a, Label::Negative);
-        assert_eq!(model().errors(&t), 1);
+        assert_eq!(model().errors_in(&ctx, &t).unwrap(), 1);
     }
 
     #[test]
     fn classify_evaluation_database() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let m = model();
         let eval = DbBuilder::new(schema())
             .fact("E", &["u", "v"])
             .entity("u")
             .entity("v")
             .build();
-        let lab = m.classify(&eval);
+        let lab = m.classify_in(&ctx, &eval).unwrap();
         let u = eval.val_by_name("u").unwrap();
         let v = eval.val_by_name("v").unwrap();
         assert_eq!(lab.get(u), Label::Positive);

@@ -3,6 +3,7 @@
 //! criterion, and the approximation algorithms must be optimal.
 
 use cq::EnumConfig;
+use cqsep::Engine;
 use cqsep::{apx, gen_ghw, sep_cq, sep_cqm, sep_ghw};
 use proptest::prelude::*;
 use relational::{Database, Label, Labeling, Schema, TrainingDb, Val};
@@ -54,11 +55,13 @@ proptest! {
     /// it says no, the definitional criterion must also say no.
     #[test]
     fn cq_decision_matches_generation(t in random_train()) {
-        let decision = sep_cq::cq_separable(&t);
-        match sep_cq::cq_generate(&t) {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
+        let decision = sep_cq::cq_separable_in(&ctx, &t).unwrap();
+        match sep_cq::cq_generate_in(&ctx, &t).unwrap() {
             Some(model) => {
                 prop_assert!(decision);
-                prop_assert!(model.separates(&t), "{}", model.statistic);
+                prop_assert!(model.separates_in(&ctx, &t).unwrap(), "{}", model.statistic);
             }
             None => prop_assert!(!decision),
         }
@@ -66,12 +69,14 @@ proptest! {
 
     #[test]
     fn ghw_decision_matches_generation(t in random_train()) {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         for k in 1..=2 {
-            let decision = sep_ghw::ghw_separable(&t, k);
-            match gen_ghw::ghw_generate(&t, k, 500_000) {
+            let decision = sep_ghw::ghw_separable_in(&ctx, &t, k).unwrap();
+            match gen_ghw::ghw_generate_in(&ctx, &t, k, 500_000).unwrap() {
                 Ok(model) => {
                     prop_assert!(decision, "k={k}");
-                    prop_assert!(model.separates(&t), "k={k}: {}", model.statistic);
+                    prop_assert!(model.separates_in(&ctx, &t).unwrap(), "k={k}: {}", model.statistic);
                     for q in &model.statistic.features {
                         // Width certificates for small features only (the
                         // exact ghw search is exponential).
@@ -90,9 +95,11 @@ proptest! {
 
     #[test]
     fn cqm_model_separates_when_produced(t in random_train()) {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         for m in 1..=2 {
-            if let Some(model) = sep_cqm::cqm_generate(&t, &EnumConfig::cqm(m)) {
-                prop_assert!(model.separates(&t), "m={m}");
+            if let Some(model) = sep_cqm::cqm_generate_in(&ctx, &t, &EnumConfig::cqm(m)).unwrap() {
+                prop_assert!(model.separates_in(&ctx, &t).unwrap(), "m={m}");
                 for q in &model.statistic.features {
                     prop_assert!(q.atom_count_for_cqm() <= m);
                 }
@@ -104,11 +111,13 @@ proptest! {
     /// brute-forced over all labelings.
     #[test]
     fn algorithm_2_is_optimal(t in random_train()) {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let ents = t.entities();
         prop_assume!(ents.len() <= 4);
-        let relabeled = apx::ghw_optimal_relabeling(&t, 1);
+        let relabeled = apx::ghw_optimal_relabeling_in(&ctx, &t, 1).unwrap();
         let cand = TrainingDb::new(t.db.clone(), relabeled.clone());
-        prop_assert!(sep_ghw::ghw_separable(&cand, 1));
+        prop_assert!(sep_ghw::ghw_separable_in(&ctx, &cand, 1).unwrap());
         let ours = t.labeling.disagreement(&relabeled);
         let mut brute = usize::MAX;
         for mask in 0u32..(1 << ents.len()) {
@@ -117,7 +126,7 @@ proptest! {
                 lab.set(e, if mask & (1 << i) != 0 { Label::Positive } else { Label::Negative });
             }
             let c = TrainingDb::new(t.db.clone(), lab.clone());
-            if sep_ghw::ghw_separable(&c, 1) {
+            if sep_ghw::ghw_separable_in(&ctx, &c, 1).unwrap() {
                 brute = brute.min(t.labeling.disagreement(&lab));
             }
         }
@@ -127,10 +136,12 @@ proptest! {
     /// The separability hierarchy on random instances.
     #[test]
     fn hierarchy(t in random_train()) {
-        let cqm1 = sep_cqm::cqm_separable(&t, &EnumConfig::cqm(1));
-        let g1 = sep_ghw::ghw_separable(&t, 1);
-        let g2 = sep_ghw::ghw_separable(&t, 2);
-        let cq = sep_cq::cq_separable(&t);
+        let engine = Engine::new();
+        let ctx = engine.ctx();
+        let cqm1 = sep_cqm::cqm_separable_in(&ctx, &t, &EnumConfig::cqm(1)).unwrap();
+        let g1 = sep_ghw::ghw_separable_in(&ctx, &t, 1).unwrap();
+        let g2 = sep_ghw::ghw_separable_in(&ctx, &t, 2).unwrap();
+        let cq = sep_cq::cq_separable_in(&ctx, &t).unwrap();
         let fo = cqsep::fo::fo_separable(&t);
         prop_assert!(!cqm1 || g1);
         prop_assert!(!g1 || g2);
@@ -142,14 +153,16 @@ proptest! {
     /// every classifier reproduces λ exactly when separable.
     #[test]
     fn classification_reproduces_training_labels(t in random_train()) {
-        if sep_ghw::ghw_separable(&t, 1) {
-            let lab = cqsep::cls_ghw::ghw_classify(&t, &t.db, 1).unwrap();
+        let engine = Engine::new();
+        let ctx = engine.ctx();
+        if sep_ghw::ghw_separable_in(&ctx, &t, 1).unwrap() {
+            let lab = cqsep::cls_ghw::ghw_classify_in(&ctx, &t, &t.db, 1).unwrap().unwrap();
             for e in t.entities() {
                 prop_assert_eq!(lab.get(e), t.labeling.get(e));
             }
         }
-        if sep_cq::cq_separable(&t) {
-            let lab = sep_cq::cq_classify(&t, &t.db).unwrap();
+        if sep_cq::cq_separable_in(&ctx, &t).unwrap() {
+            let lab = sep_cq::cq_classify_in(&ctx, &t, &t.db).unwrap().unwrap();
             for e in t.entities() {
                 prop_assert_eq!(lab.get(e), t.labeling.get(e));
             }
@@ -160,13 +173,15 @@ proptest! {
     /// reports 0 exactly on separable instances.
     #[test]
     fn cqm_apx_consistent(t in random_train()) {
-        let (model, errors) = apx::cqm_apx_generate(&t, &EnumConfig::cqm(1));
-        prop_assert_eq!(model.errors(&t), errors);
+        let engine = Engine::new();
+        let ctx = engine.ctx();
+        let (model, errors) = apx::cqm_apx_generate_in(&ctx, &t, &EnumConfig::cqm(1)).unwrap();
+        prop_assert_eq!(model.errors_in(&ctx, &t).unwrap(), errors);
         prop_assert_eq!(
             errors == 0,
-            sep_cqm::cqm_separable(&t, &EnumConfig::cqm(1))
+            sep_cqm::cqm_separable_in(&ctx, &t, &EnumConfig::cqm(1)).unwrap()
         );
         // GHW(1) is at least as expressive as CQ[1]:
-        prop_assert!(apx::ghw_min_errors(&t, 1) <= errors);
+        prop_assert!(apx::ghw_min_errors_in(&ctx, &t, 1).unwrap() <= errors);
     }
 }

@@ -24,7 +24,7 @@ use interrupt::{Interrupt, Stop};
 use relational::{Containment, Database, Lineage, Val};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Shard count; a small power of two comfortably above typical worker
 /// counts so lock contention stays negligible.
@@ -52,9 +52,8 @@ impl Generations {
     }
 }
 
-/// The memo table. Most callers use the process-wide [`global`] instance
-/// via [`cover_implies_cached`]; independent instances exist for tests
-/// and for callers that want isolated lifetimes or capacities.
+/// The memo table. Each `Engine` owns one; independent instances also
+/// serve tests and callers that want isolated lifetimes or capacities.
 pub struct GameCache {
     shards: Vec<Mutex<Generations>>,
     per_shard_cap: usize,
@@ -70,7 +69,7 @@ pub struct GameCache {
     /// Entries imported from a persisted table (see `import_entry`).
     restored: AtomicU64,
     /// Verdicts served by delta subsumption instead of a fresh analysis
-    /// (see [`GameCache::implies_sub`]); counted as neither hit nor miss.
+    /// (see [`GameCache::implies_sub_int`]); counted as neither hit nor miss.
     sub_hits: AtomicU64,
 }
 
@@ -108,50 +107,23 @@ impl GameCache {
         game.duplicator_wins()
     }
 
-    /// Memoized `(D, ā) →_k (D', b̄)`. Builds a fresh [`UnionSkeleton`]
-    /// on a miss; batch callers replaying many games over one left-hand
-    /// database should use [`GameCache::implies_with_skeleton`].
+    /// Memoized `(D, ā) →_k (D', b̄)`: the uninterruptible,
+    /// lineage-free form of [`GameCache::implies_sub_int`]. Builds a fresh
+    /// [`UnionSkeleton`] on a miss; batch callers replaying many games
+    /// over one left-hand database should use
+    /// [`GameCache::implies_with_skeleton`].
     pub fn implies(&self, d: &Database, a: &[Val], d2: &Database, b: &[Val], k: usize) -> bool {
-        self.lookup_or(d, a, d2, b, k, || {
-            self.solve_counted(&CoverGame::analyze(d, a, d2, b, k))
-        })
+        self.implies_int(d, a, d2, b, k, &Interrupt::none())
+            .expect("an unshared handle cannot trip")
     }
 
-    /// [`GameCache::implies`] with delta subsumption: on an exact-key
-    /// miss, verdicts cached for lineage ancestors of either database are
-    /// consulted under the monotone rules of `subsumed_via` before a
-    /// fresh analysis. Subsumption-served verdicts count only in
-    /// [`GameCache::subsumption_hits`].
-    pub fn implies_sub(
-        &self,
-        d: &Database,
-        a: &[Val],
-        d2: &Database,
-        b: &[Val],
-        k: usize,
-        lineage: Option<&Lineage>,
-    ) -> bool {
-        self.lookup_or_sub(d, a, d2, b, k, lineage, || {
-            self.solve_counted(&CoverGame::analyze(d, a, d2, b, k))
-        })
-    }
-
-    /// [`GameCache::implies_with_skeleton`] with delta subsumption.
-    pub fn implies_with_skeleton_sub(
-        &self,
-        d: &Database,
-        a: &[Val],
-        d2: &Database,
-        b: &[Val],
-        skeleton: &UnionSkeleton,
-        lineage: Option<&Lineage>,
-    ) -> bool {
-        self.lookup_or_sub(d, a, d2, b, skeleton.k, lineage, || {
-            self.solve_counted(&CoverGame::analyze_with_skeleton(d, a, d2, b, skeleton))
-        })
-    }
-
-    /// Interruptible [`GameCache::implies_sub`].
+    /// Interruptible memoized `(D, ā) →_k (D', b̄)` with delta
+    /// subsumption: on an exact-key miss, verdicts cached for lineage
+    /// ancestors of either database are consulted under the monotone
+    /// rules of `subsumed_via` before a fresh analysis.
+    /// Subsumption-served verdicts count only in
+    /// [`GameCache::subsumption_hits`]. A stopped analysis inserts
+    /// nothing.
     #[allow(clippy::too_many_arguments)]
     pub fn implies_sub_int(
         &self,
@@ -168,7 +140,8 @@ impl GameCache {
         })
     }
 
-    /// Interruptible [`GameCache::implies_with_skeleton_sub`].
+    /// [`GameCache::implies_sub_int`] reusing a prebuilt skeleton of
+    /// `(d, skeleton.k)` for the miss path.
     #[allow(clippy::too_many_arguments)]
     pub fn implies_with_skeleton_sub_int(
         &self,
@@ -221,7 +194,9 @@ impl GameCache {
         })
     }
 
-    /// Interruptible [`GameCache::implies_uncached`].
+    /// [`GameCache::implies_int`] minus the memo table: counted as a
+    /// miss and solved afresh, but the table is neither consulted nor
+    /// updated — the `no_cache` execution mode of an engine.
     pub fn implies_uncached_int(
         &self,
         d: &Database,
@@ -235,7 +210,7 @@ impl GameCache {
         CoverGame::analyze_int(d, a, d2, b, k, intr).map(|g| self.solve_counted(&g))
     }
 
-    /// Interruptible [`GameCache::implies_with_skeleton_uncached`].
+    /// [`GameCache::implies_uncached_int`] reusing a prebuilt skeleton.
     pub fn implies_with_skeleton_uncached_int(
         &self,
         d: &Database,
@@ -250,34 +225,6 @@ impl GameCache {
             .map(|g| self.solve_counted(&g))
     }
 
-    /// [`GameCache::implies`] minus the memo table: counted as a miss and
-    /// solved afresh, but the table is neither consulted nor updated —
-    /// the `no_cache` execution mode of an engine.
-    pub fn implies_uncached(
-        &self,
-        d: &Database,
-        a: &[Val],
-        d2: &Database,
-        b: &[Val],
-        k: usize,
-    ) -> bool {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.solve_counted(&CoverGame::analyze(d, a, d2, b, k))
-    }
-
-    /// [`GameCache::implies_with_skeleton`] minus the memo table.
-    pub fn implies_with_skeleton_uncached(
-        &self,
-        d: &Database,
-        a: &[Val],
-        d2: &Database,
-        b: &[Val],
-        skeleton: &UnionSkeleton,
-    ) -> bool {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.solve_counted(&CoverGame::analyze_with_skeleton(d, a, d2, b, skeleton))
-    }
-
     /// Memoized `(D, ā) →_k (D', b̄)` reusing a prebuilt skeleton of
     /// `(d, skeleton.k)` for the miss path. The skeleton does not enter
     /// the key: it is a pure function of `(d, k)`, which the fingerprint
@@ -290,9 +237,8 @@ impl GameCache {
         b: &[Val],
         skeleton: &UnionSkeleton,
     ) -> bool {
-        self.lookup_or(d, a, d2, b, skeleton.k, || {
-            self.solve_counted(&CoverGame::analyze_with_skeleton(d, a, d2, b, skeleton))
-        })
+        self.implies_with_skeleton_int(d, a, d2, b, skeleton, &Interrupt::none())
+            .expect("an unshared handle cannot trip")
     }
 
     /// Exact-key probe with previous-generation promotion; counts a hit.
@@ -367,47 +313,11 @@ impl GameCache {
         Some(ans)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn lookup_or_sub(
-        &self,
-        d: &Database,
-        a: &[Val],
-        d2: &Database,
-        b: &[Val],
-        k: usize,
-        lineage: Option<&Lineage>,
-        solve: impl FnOnce() -> bool,
-    ) -> bool {
-        let key: Key = (d.fingerprint(), d2.fingerprint(), a.to_vec(), b.to_vec(), k);
-        if let Some(ans) = self.probe_exact(&key) {
-            return ans;
-        }
-        if let Some(ans) = self.try_subsume(&key, lineage) {
-            return ans;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Solve with the lock released; a fixpoint analysis must not
-        // serialize unrelated lookups on this shard. Two threads may race
-        // to compute the same key; both get the same verdict.
-        let ans = solve();
-        self.store(key, ans);
-        ans
-    }
-
-    fn lookup_or(
-        &self,
-        d: &Database,
-        a: &[Val],
-        d2: &Database,
-        b: &[Val],
-        k: usize,
-        solve: impl FnOnce() -> bool,
-    ) -> bool {
-        self.lookup_or_sub(d, a, d2, b, k, None, solve)
-    }
-
-    /// The interruptible twin of [`GameCache::lookup_or_sub`]: a stopped
-    /// solve propagates [`Stop`] and leaves the table untouched.
+    /// Probe, subsume, or solve-and-store. A stopped solve propagates
+    /// [`Stop`] and leaves the table untouched. The solve runs with the
+    /// lock released, so a fixpoint analysis never serializes unrelated
+    /// lookups on this shard; two threads may race to compute the same
+    /// key and both get the same verdict.
     #[allow(clippy::too_many_arguments)]
     fn lookup_or_sub_int(
         &self,
@@ -501,8 +411,7 @@ impl GameCache {
 
     /// This cache's own counters as a [`GameStats`]: analysis effort from
     /// its miss/uncached paths plus its hit/miss counts — attributable to
-    /// exactly the queries routed through this cache instance, unlike the
-    /// process-global [`GameStats::snapshot`].
+    /// exactly the queries routed through this cache instance.
     pub fn stats(&self) -> GameStats {
         GameStats {
             games_solved: self.games.load(Ordering::Relaxed),
@@ -571,24 +480,6 @@ impl Default for GameCache {
     fn default() -> GameCache {
         GameCache::new()
     }
-}
-
-static GLOBAL: OnceLock<Arc<GameCache>> = OnceLock::new();
-
-/// The process-wide cache instance used by the legacy (engine-less)
-/// entry points and `Engine::global()`.
-pub fn global() -> &'static GameCache {
-    GLOBAL.get_or_init(|| Arc::new(GameCache::new()))
-}
-
-/// The global cache as a shared handle, so an `Engine` can co-own it.
-pub fn global_arc() -> Arc<GameCache> {
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(GameCache::new())))
-}
-
-/// Memoized [`crate::game::cover_implies`] through the [`global`] cache.
-pub fn cover_implies_cached(d: &Database, a: &[Val], d2: &Database, b: &[Val], k: usize) -> bool {
-    global().implies(d, a, d2, b, k)
 }
 
 #[cfg(test)]
@@ -666,12 +557,16 @@ mod tests {
         let lineage = Lineage::new();
         let d = graph(&[("a", "b"), ("b", "c"), ("c", "a")]); // 3-cycle
         let mut d2 = graph(&[("x", "y"), ("y", "x")]); // 2-cycle
-        let positive = cache.implies_sub(&d, &[], &d2, &[], 1, Some(&lineage));
+        let positive = cache
+            .implies_sub_int(&d, &[], &d2, &[], 1, Some(&lineage), &Interrupt::none())
+            .unwrap();
         assert!(positive, "C3 ->_1 C2 holds");
         // Enrich the right side: duplicator only gains options.
         d2.apply_via(&Delta::new().add_fact("E", &["y", "z"]), &lineage)
             .unwrap();
-        assert!(cache.implies_sub(&d, &[], &d2, &[], 1, Some(&lineage)));
+        assert!(cache
+            .implies_sub_int(&d, &[], &d2, &[], 1, Some(&lineage), &Interrupt::none())
+            .unwrap());
         assert_eq!(cache.misses(), 1, "no fresh analysis after the append");
         assert_eq!(cache.subsumption_hits(), 1);
         // Against the cold solver: subsumption was exact.
@@ -680,10 +575,14 @@ mod tests {
         // Negative verdicts survive right-side deletions.
         let d3 = graph(&[("a", "b"), ("b", "c"), ("c", "a")]);
         let mut poor = graph(&[("x", "y"), ("y", "x")]);
-        assert!(!cache.implies_sub(&d3, &[], &poor, &[], 2, Some(&lineage)));
+        assert!(!cache
+            .implies_sub_int(&d3, &[], &poor, &[], 2, Some(&lineage), &Interrupt::none())
+            .unwrap());
         poor.apply_via(&Delta::new().remove_fact("E", &["y", "x"]), &lineage)
             .unwrap();
-        assert!(!cache.implies_sub(&d3, &[], &poor, &[], 2, Some(&lineage)));
+        assert!(!cache
+            .implies_sub_int(&d3, &[], &poor, &[], 2, Some(&lineage), &Interrupt::none())
+            .unwrap());
         assert_eq!(cache.subsumption_hits(), 2);
         assert!(!cover_implies(&d3, &[], &poor, &[], 2));
     }
@@ -699,10 +598,14 @@ mod tests {
         let d = graph(&[("s", "t")]);
         let mut d2 = graph(&[("u", "v")]);
         let (s, u) = (v(&d, "s"), v(&d2, "u"));
-        assert!(cache.implies_sub(&d, &[s], &d2, &[u], 1, Some(&lineage)));
+        assert!(cache
+            .implies_sub_int(&d, &[s], &d2, &[u], 1, Some(&lineage), &Interrupt::none())
+            .unwrap());
         d2.apply_via(&Delta::new().remove_fact("E", &["u", "v"]), &lineage)
             .unwrap();
-        let after = cache.implies_sub(&d, &[s], &d2, &[u], 1, Some(&lineage));
+        let after = cache
+            .implies_sub_int(&d, &[s], &d2, &[u], 1, Some(&lineage), &Interrupt::none())
+            .unwrap();
         assert_eq!(after, cover_implies(&d, &[s], &d2, &[u], 1));
         assert_eq!(cache.subsumption_hits(), 0);
         assert_eq!(cache.misses(), 2);

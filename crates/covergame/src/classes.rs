@@ -14,7 +14,7 @@ use interrupt::{Interrupt, Stop};
 use relational::{Database, Val};
 
 /// The computed preorder `⪯` over a list of elements of one database.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CoverPreorder {
     pub k: usize,
     /// The elements, in the order the matrix is indexed by.
@@ -29,23 +29,18 @@ pub struct CoverPreorder {
 }
 
 impl CoverPreorder {
-    /// Compute the preorder over `elems` (typically `η(D)`).
+    /// Compute the preorder over `elems` (typically `η(D)`), memoizing
+    /// through `cache`.
     ///
     /// Cost: one cover-game analysis per ordered pair — `O(|elems|²)`
     /// polynomial-time game solves, exactly as in Theorem 5.3's test.
-    /// The solves fan out over all cores (one shared [`UnionSkeleton`])
-    /// and memoize through the process-wide [`crate::cache::global`]
-    /// table, so re-sweeping an unchanged database is nearly free.
-    pub fn compute(d: &Database, elems: &[Val], k: usize) -> CoverPreorder {
-        Self::compute_with(d, elems, k, crate::cache::global())
-    }
-
-    /// [`CoverPreorder::compute`] against a caller-supplied cache —
-    /// for tests and for callers that want an isolated lifetime or
-    /// capacity.
+    /// The solves fan out over all cores (one shared [`UnionSkeleton`]),
+    /// so re-sweeping an unchanged database is nearly free.
+    ///
+    /// [`UnionSkeleton`]: crate::skeleton::UnionSkeleton
     pub fn compute_with(d: &Database, elems: &[Val], k: usize, cache: &GameCache) -> CoverPreorder {
-        Self::compute_inner(d, elems, k, cache, None)
-            .expect("uninterruptible preorder sweep cannot stop")
+        Self::compute_int(d, elems, k, cache, &Interrupt::none())
+            .expect("an unshared handle cannot trip")
     }
 
     /// Interruptible [`CoverPreorder::compute_with`]: every pairwise game
@@ -61,19 +56,7 @@ impl CoverPreorder {
         cache: &GameCache,
         intr: &Interrupt,
     ) -> Result<CoverPreorder, Stop> {
-        Self::compute_inner(d, elems, k, cache, Some(intr))
-    }
-
-    fn compute_inner(
-        d: &Database,
-        elems: &[Val],
-        k: usize,
-        cache: &GameCache,
-        intr: Option<&Interrupt>,
-    ) -> Result<CoverPreorder, Stop> {
-        if let Some(h) = intr {
-            h.check()?;
-        }
+        intr.check()?;
         let n = elems.len();
         // One skeleton for all n² games (the unions depend only on D).
         let skeleton = crate::skeleton::UnionSkeleton::build(d, k);
@@ -81,16 +64,13 @@ impl CoverPreorder {
             .flat_map(|i| (0..n).map(move |j| (i, j)))
             .filter(|&(i, j)| i != j)
             .collect();
-        let verdicts = relational::hom::par::par_map(&cells, |&(i, j)| match intr {
-            None => cache.implies_with_skeleton(d, &[elems[i]], d, &[elems[j]], &skeleton),
-            Some(h) => cache
-                .implies_with_skeleton_int(d, &[elems[i]], d, &[elems[j]], &skeleton, h)
-                .unwrap_or(false),
+        let verdicts = relational::hom::par::par_map(&cells, |&(i, j)| {
+            cache
+                .implies_with_skeleton_int(d, &[elems[i]], d, &[elems[j]], &skeleton, intr)
+                .unwrap_or(false)
         });
-        if let Some(h) = intr {
-            // The sticky re-check that makes the filler verdicts safe.
-            h.check()?;
-        }
+        // The sticky re-check that makes the filler verdicts safe.
+        intr.check()?;
         let mut leq = vec![vec![false; n]; n];
         for (i, row) in leq.iter_mut().enumerate() {
             row[i] = true;
@@ -213,13 +193,7 @@ impl CoverPreorder {
 
     /// Evaluate the implicit statistic on a *new* element of an evaluation
     /// database: component `j` is `+1` iff `(D, e_j) →_k (D', f)` (the key
-    /// step of Algorithm 1, lines 3–9).
-    pub fn chain_vector_for(&self, d: &Database, d2: &Database, f: Val) -> Vec<i32> {
-        self.chain_vector_for_with(d, d2, f, crate::cache::global())
-    }
-
-    /// [`CoverPreorder::chain_vector_for`] against a caller-supplied
-    /// cache (an engine's own table instead of the process-wide one).
+    /// step of Algorithm 1, lines 3–9), memoizing through `cache`.
     pub fn chain_vector_for_with(
         &self,
         d: &Database,
@@ -227,16 +201,8 @@ impl CoverPreorder {
         f: Val,
         cache: &GameCache,
     ) -> Vec<i32> {
-        (0..self.class_count())
-            .map(|j| {
-                let rep = self.elems[self.representative(j)];
-                if cache.implies(d, &[rep], d2, &[f], self.k) {
-                    1
-                } else {
-                    -1
-                }
-            })
-            .collect()
+        self.chain_vector_for_int(d, d2, f, cache, &Interrupt::none())
+            .expect("an unshared handle cannot trip")
     }
 
     /// Interruptible [`CoverPreorder::chain_vector_for_with`]: each of
@@ -284,7 +250,7 @@ mod tests {
     #[test]
     fn path_gives_distinct_singleton_classes() {
         let d = graph(&[("1", "2"), ("2", "3")], &["1", "2", "3"]);
-        let pre = CoverPreorder::compute(&d, &d.entities(), 1);
+        let pre = CoverPreorder::compute_with(&d, &d.entities(), 1, &GameCache::new());
         assert_eq!(pre.class_count(), 3);
         assert!(pre.classes.iter().all(|c| c.len() == 1));
     }
@@ -293,7 +259,7 @@ mod tests {
     fn cycle_elements_collapse_to_one_class() {
         let d = graph(&[("a", "b"), ("b", "c"), ("c", "a")], &["a", "b", "c"]);
         for k in 1..=2 {
-            let pre = CoverPreorder::compute(&d, &d.entities(), k);
+            let pre = CoverPreorder::compute_with(&d, &d.entities(), k, &GameCache::new());
             assert_eq!(pre.class_count(), 1, "k={k}");
             assert_eq!(pre.classes[0].len(), 3);
         }
@@ -314,7 +280,7 @@ mod tests {
             ],
             &["a", "b", "c", "z"],
         );
-        let pre = CoverPreorder::compute(&d, &d.entities(), 1);
+        let pre = CoverPreorder::compute_with(&d, &d.entities(), 1, &GameCache::new());
         for c in 0..pre.class_count() {
             for e in 0..pre.class_count() {
                 if pre.class_leq(c, e) && c != e {
@@ -328,7 +294,7 @@ mod tests {
     fn chain_vectors_are_monotone() {
         // e ⪯ e' implies chain_vector(e) ≤ chain_vector(e') pointwise.
         let d = graph(&[("1", "2"), ("2", "3"), ("3", "4")], &["1", "2", "3", "4"]);
-        let pre = CoverPreorder::compute(&d, &d.entities(), 1);
+        let pre = CoverPreorder::compute_with(&d, &d.entities(), 1, &GameCache::new());
         for c in 0..pre.class_count() {
             let vc = pre.chain_vector(c);
             assert_eq!(vc[c], 1, "class selects its own feature");
@@ -348,9 +314,9 @@ mod tests {
         // Evaluating the implicit statistic on the training database
         // itself must reproduce chain_vector.
         let d = graph(&[("1", "2"), ("2", "3")], &["1", "2", "3"]);
-        let pre = CoverPreorder::compute(&d, &d.entities(), 1);
+        let pre = CoverPreorder::compute_with(&d, &d.entities(), 1, &GameCache::new());
         for (i, &e) in pre.elems.iter().enumerate() {
-            let via_eval = pre.chain_vector_for(&d, &d, e);
+            let via_eval = pre.chain_vector_for_with(&d, &d, e, &GameCache::new());
             let via_class = pre.chain_vector(pre.class_of[i]);
             assert_eq!(via_eval, via_class);
         }
@@ -359,7 +325,7 @@ mod tests {
     #[test]
     fn isolated_entities_share_a_class() {
         let d = graph(&[("a", "b")], &["x", "y", "a"]);
-        let pre = CoverPreorder::compute(&d, &d.entities(), 1);
+        let pre = CoverPreorder::compute_with(&d, &d.entities(), 1, &GameCache::new());
         let xi = pre
             .elems
             .iter()

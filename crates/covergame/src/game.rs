@@ -70,9 +70,7 @@ impl<'a> CoverGame<'a> {
 
     /// Interruptible [`CoverGame::analyze`]: the position exploration and
     /// every fixpoint sweep observe `intr` at bounded intervals. On
-    /// [`Stop`] the partial effort (positions enumerated, sweeps run so
-    /// far) is still flushed to the global stats; the half-built game is
-    /// discarded.
+    /// [`Stop`] the half-built game is discarded.
     pub fn analyze_int(
         d: &'a Database,
         a: &[Val],
@@ -143,17 +141,12 @@ impl<'a> CoverGame<'a> {
         game.base = game.check_base();
         if game.base.is_none() {
             // Spoiler wins before any position exists.
-            crate::stats::record_game(0, 0);
             return Ok(game);
         }
         game.instantiate_unions(skeleton);
         let run = game
             .build_positions(intr)
             .and_then(|()| game.fixpoint(&skeleton.neighbors, intr));
-        // Flush effort whether the analysis completed or was stopped:
-        // partial work is still attributable work.
-        let positions: u64 = game.positions.iter().map(|p| p.len() as u64).sum();
-        crate::stats::record_game(positions, game.sweeps as u64);
         run.map(|()| game)
     }
 
@@ -167,8 +160,8 @@ impl<'a> CoverGame<'a> {
         self.sweeps
     }
 
-    /// Total positions enumerated across all unions (diagnostics; the
-    /// same figure `analyze` flushes into the global stats).
+    /// Total positions enumerated across all unions (the figure a
+    /// [`crate::GameCache`] adds to its `positions_explored` counter).
     pub fn position_count(&self) -> u64 {
         self.positions.iter().map(|p| p.len() as u64).sum()
     }

@@ -35,7 +35,7 @@ pub mod pebble;
 pub mod skeleton;
 pub mod stats;
 
-pub use cache::{cover_implies_cached, GameCache};
+pub use cache::GameCache;
 pub use classes::CoverPreorder;
 pub use extract::{extract_distinguishing_query, ExtractError};
 pub use game::{cover_equivalent, cover_implies, CoverGame};

@@ -1,28 +1,12 @@
-//! Global instrumentation counters for the cover-game engine, mirroring
+//! Instrumentation counters for the cover-game engine, mirroring
 //! `relational::hom::stats` one layer up the stack.
 //!
-//! The fixpoint solver ([`crate::game::CoverGame`]) counts the positions
-//! it enumerated and the sweeps its greatest-fixpoint computation took,
-//! and flushes them here once per analysis; the memo cache
-//! ([`crate::cache`]) contributes hit/miss counts. [`GameStats`]
-//! snapshots the lot, so a caller (the CLI `--stats` flag, the bench
-//! harness) can difference two snapshots around a region of interest.
-//!
-//! Counters are process-global atomics: cheap to bump from the parallel
-//! driver's worker threads and aggregated without any locking.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static GAMES_SOLVED: AtomicU64 = AtomicU64::new(0);
-static POSITIONS_EXPLORED: AtomicU64 = AtomicU64::new(0);
-static FIXPOINT_SWEEPS: AtomicU64 = AtomicU64::new(0);
-
-/// Flush one analysis's worth of counters (called by the solver).
-pub(crate) fn record_game(positions: u64, sweeps: u64) {
-    GAMES_SOLVED.fetch_add(1, Ordering::Relaxed);
-    POSITIONS_EXPLORED.fetch_add(positions, Ordering::Relaxed);
-    FIXPOINT_SWEEPS.fetch_add(sweeps, Ordering::Relaxed);
-}
+//! Each memo cache ([`crate::cache::GameCache`]) counts the games it
+//! solved, the positions they enumerated and the sweeps their
+//! greatest-fixpoint computations took, next to its hit/miss counts.
+//! [`GameStats`] is a snapshot of one cache's counters, so a caller (the
+//! CLI `--stats` flag, the bench harness) can difference two snapshots
+//! around a region of interest.
 
 /// A point-in-time aggregate of the cover-game engine counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -41,18 +25,6 @@ pub struct GameStats {
 }
 
 impl GameStats {
-    /// Read all counters now.
-    pub fn snapshot() -> GameStats {
-        let cache = crate::cache::global();
-        GameStats {
-            games_solved: GAMES_SOLVED.load(Ordering::Relaxed),
-            positions_explored: POSITIONS_EXPLORED.load(Ordering::Relaxed),
-            fixpoint_sweeps: FIXPOINT_SWEEPS.load(Ordering::Relaxed),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-        }
-    }
-
     /// Counter deltas since an earlier snapshot (saturating, so a
     /// concurrent reset cannot produce bogus huge values).
     pub fn since(&self, earlier: &GameStats) -> GameStats {
@@ -95,7 +67,7 @@ impl GameStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::game::cover_implies;
+    use crate::cache::GameCache;
     use relational::{DbBuilder, Schema};
 
     #[test]
@@ -111,12 +83,13 @@ mod tests {
             .fact("E", &["x", "y"])
             .fact("E", &["y", "z"])
             .build();
-        let before = GameStats::snapshot();
+        let cache = GameCache::new();
+        let before = cache.stats();
         let a = c3.val_by_name("a").unwrap();
         let x = p.val_by_name("x").unwrap();
         // Spoiler wins this one, which takes at least one sweep.
-        assert!(!cover_implies(&c3, &[a], &p, &[x], 1));
-        let delta = GameStats::snapshot().since(&before);
+        assert!(!cache.implies(&c3, &[a], &p, &[x], 1));
+        let delta = cache.stats().since(&before);
         assert!(delta.games_solved >= 1, "delta={delta:?}");
         assert!(delta.positions_explored >= 1, "delta={delta:?}");
         assert!(delta.fixpoint_sweeps >= 1, "delta={delta:?}");

@@ -5,6 +5,7 @@
 use covergame::extract::{extract_distinguishing_query, lemma54_feature};
 use covergame::{cover_implies, pebble_equivalent, CoverPreorder, ExtractError, GameCache};
 use cq::{evaluate_unary, selects};
+use interrupt::Interrupt;
 use proptest::prelude::*;
 use relational::{homomorphism_exists, Database, Schema, Val};
 
@@ -32,8 +33,8 @@ fn small_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// All `CoverPreorder::compute` paths agree: the parallel sweep
-    /// through the global cache, the sweep through a cold isolated cache,
+    /// All `CoverPreorder` sweeps agree: the interruptible sweep under an
+    /// unbounded handle, the sweep through a cold isolated cache,
     /// a warm re-sweep of the same cache, and the sequential uncached
     /// reference — and all of them match pairwise brute-force
     /// `cover_implies`. The resulting `leq` matrix is a preorder
@@ -43,15 +44,16 @@ proptest! {
         let d = graph(n, &e, true);
         let ents = d.entities();
         let seq = CoverPreorder::compute_seq(&d, &ents, k);
-        let global = CoverPreorder::compute(&d, &ents, k);
+        let unbounded = CoverPreorder::compute_int(&d, &ents, k, &GameCache::new(), &Interrupt::none())
+            .unwrap();
         let isolated = GameCache::new();
         let cold = CoverPreorder::compute_with(&d, &ents, k, &isolated);
         let warm = CoverPreorder::compute_with(&d, &ents, k, &isolated);
-        prop_assert_eq!(&global.leq, &seq.leq, "global-cache path disagrees");
+        prop_assert_eq!(&unbounded.leq, &seq.leq, "interruptible sweep disagrees");
         prop_assert_eq!(&cold.leq, &seq.leq, "cold isolated cache disagrees");
         prop_assert_eq!(&warm.leq, &seq.leq, "warm re-sweep disagrees");
-        prop_assert_eq!(&global.class_of, &seq.class_of);
-        prop_assert_eq!(&global.classes, &seq.classes);
+        prop_assert_eq!(&unbounded.class_of, &seq.class_of);
+        prop_assert_eq!(&unbounded.classes, &seq.classes);
         for (i, &a) in ents.iter().enumerate() {
             for (j, &b) in ents.iter().enumerate() {
                 let brute = cover_implies(&d, &[a], &d, &[b], k);
@@ -170,7 +172,7 @@ proptest! {
     fn preorder_structure((n, e) in small_graph(), k in 1usize..3) {
         let d = graph(n, &e, true);
         let ents = d.entities();
-        let pre = CoverPreorder::compute(&d, &ents, k);
+        let pre = CoverPreorder::compute_with(&d, &ents, k, &GameCache::new());
         for (i, _) in ents.iter().enumerate() {
             for (j, _) in ents.iter().enumerate() {
                 let same = pre.class_of[i] == pre.class_of[j];

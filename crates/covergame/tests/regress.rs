@@ -3,6 +3,7 @@
 //! and `k` exceeding the number of facts in the database.
 
 use covergame::{cover_implies, CoverPreorder, GameCache, UnionSkeleton};
+use interrupt::Interrupt;
 use relational::{Database, DbBuilder, Schema, Val};
 
 fn graph(edges: &[(&str, &str)], entities: &[&str]) -> Database {
@@ -25,7 +26,8 @@ fn v(d: &Database, n: &str) -> Val {
 /// All three compute paths on the same input must agree exactly.
 fn all_paths(d: &Database, elems: &[Val], k: usize) -> CoverPreorder {
     let seq = CoverPreorder::compute_seq(d, elems, k);
-    let par = CoverPreorder::compute(d, elems, k);
+    let par =
+        CoverPreorder::compute_int(d, elems, k, &GameCache::new(), &Interrupt::none()).unwrap();
     let iso = GameCache::new();
     let cold = CoverPreorder::compute_with(d, elems, k, &iso);
     assert_eq!(par.leq, seq.leq);

@@ -8,20 +8,19 @@
 //! construction so an interrupted task can report the effort it spent —
 //! the `partial_stats` on [`Interrupted`].
 //!
-//! # The `foo_in` / `foo_with` / `foo` convention
+//! # One entry-point form: `foo_in(&Ctx, ...)`
 //!
-//! * `foo(...)` — legacy, globals-backed, uninterruptible.
-//! * `foo_with(&Engine, ...)` — engine-threaded, uninterruptible. Since
-//!   PR 5 these are thin shims that build an unbounded `Ctx` and
-//!   delegate to `foo_in` (an unbounded handle can still be cancelled,
-//!   but a `foo_with` caller holds no clone of it, so the `Interrupted`
-//!   arm is unreachable and the shim unwraps it).
-//! * `foo_in(&Ctx, ...)` — the real implementation: interruptible,
-//!   engine-threaded, returns `Result<_, Interrupted>`. Entry points
-//!   whose inner result is itself a `Result<T, E>` return the nested
-//!   `Result<Result<T, E>, Interrupted>` so interruption composes
-//!   uniformly with domain errors.
-//!
+//! Every public solver entry point above the engine takes a `&Ctx` and
+//! returns `Result<_, Interrupted>`: interruptible, engine-threaded, and
+//! the only form there is. Entry points whose inner result is itself a
+//! `Result<T, E>` return the nested `Result<Result<T, E>, Interrupted>`
+//! so interruption composes uniformly with domain errors. A caller with
+//! no deadline passes `engine.ctx()` — an unbounded context whose
+//! handle nobody else holds, so its `Interrupted` arm cannot fire — and
+//! unwraps; a caller that wants isolation, no memoization or a thread
+//! cap builds the [`Engine`] accordingly. There is no process-wide
+//! engine.
+
 //! # Cancellation-check placement
 //!
 //! Every `foo_in` makes a **mandatory entry check** before any work, so
@@ -140,11 +139,12 @@ impl<'e> Ctx<'e> {
     }
 
     // ------------------------------------------------------------------
-    // Interruptible solver entry points (the Ctx forms of the Engine
-    // methods; each makes the mandatory entry check)
+    // Solver entry points (each makes the mandatory entry check)
     // ------------------------------------------------------------------
 
-    /// Interruptible [`Engine::hom_exists`].
+    /// Does a homomorphism `from → to` extending `fixed` exist?
+    /// Memoized through the engine's table (unless caching is off), with
+    /// delta subsumption against the engine's lineage registry.
     pub fn hom_exists(
         &self,
         from: &Database,
@@ -167,7 +167,7 @@ impl<'e> Ctx<'e> {
         ans.map_err(|stop| self.wrap(stop))
     }
 
-    /// Interruptible [`Engine::cover_implies`].
+    /// `(D, ā) →_k (D', b̄)`, memoized through the engine's table.
     pub fn cover_implies(
         &self,
         d: &Database,
@@ -186,7 +186,8 @@ impl<'e> Ctx<'e> {
         ans.map_err(|stop| self.wrap(stop))
     }
 
-    /// Interruptible [`Engine::cover_implies_with_skeleton`].
+    /// [`Ctx::cover_implies`] reusing a prebuilt [`UnionSkeleton`] of
+    /// `(d, skeleton.k)` for the miss path.
     pub fn cover_implies_with_skeleton(
         &self,
         d: &Database,
@@ -237,7 +238,7 @@ impl<'e> Ctx<'e> {
         Ok(self.engine.apply_training_delta(train, delta))
     }
 
-    /// Interruptible [`Engine::separate`].
+    /// Linear separation, counted against the engine's LP counters.
     pub fn separate(
         &self,
         vectors: &[Vec<i32>],
@@ -248,7 +249,7 @@ impl<'e> Ctx<'e> {
             .map_err(|stop| self.wrap(stop))
     }
 
-    /// Interruptible [`Engine::separate_with_margin`].
+    /// [`Ctx::separate`] also returning the optimal margin.
     pub fn separate_with_margin(
         &self,
         vectors: &[Vec<i32>],
@@ -289,7 +290,8 @@ impl<'e> Ctx<'e> {
         .map_err(|stop| self.wrap(stop))
     }
 
-    /// Interruptible [`Engine::min_error`].
+    /// Exact minimum-error linear classification (§7), every internal LP
+    /// decision counted against the engine.
     pub fn min_error(
         &self,
         vectors: &[Vec<i32>],
@@ -305,8 +307,10 @@ impl<'e> Ctx<'e> {
         .map_err(|stop| self.wrap(stop))
     }
 
-    /// Interruptible [`Engine::preorder`]: the pairwise game sweep fans
-    /// out under the engine's thread budget; a worker that trips reports
+    /// The `→_k` preorder over `elems` of `d`: one game per ordered pair
+    /// (one shared skeleton), memoized through the engine's table. The
+    /// sweep fans out under the engine's thread budget; a worker that
+    /// trips reports
     /// a filler verdict, and the sticky post-fan-in check discards the
     /// whole matrix. Completed games keep their cache entries, so a
     /// re-run on the same engine resumes where the sweep stopped.
@@ -339,7 +343,9 @@ impl<'e> Ctx<'e> {
         Ok(CoverPreorder::from_matrix(elems.to_vec(), leq, k))
     }
 
-    /// Interruptible [`Engine::chain_vector_for`].
+    /// Evaluate a preorder's implicit chain statistic on an element `f`
+    /// of an evaluation database (Algorithm 1, lines 3–9), with the
+    /// per-component games routed through the engine.
     pub fn chain_vector_for(
         &self,
         pre: &CoverPreorder,
@@ -380,17 +386,20 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_ctx_agrees_with_engine_methods() {
+    fn unbounded_ctx_agrees_with_reference_solvers() {
         let e = Engine::new();
         let ctx = Ctx::new(&e);
         let p = graph(&[("a", "b"), ("b", "c")], &[]);
         let c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")], &[]);
-        assert!(ctx.hom_exists(&p, &c3, &[]).unwrap());
+        assert_eq!(
+            ctx.hom_exists(&p, &c3, &[]).unwrap(),
+            relational::homomorphism_exists(&p, &c3, &[])
+        );
         let a = c3.val_by_name("x").unwrap();
         let one = p.val_by_name("a").unwrap();
         assert_eq!(
             ctx.cover_implies(&c3, &[a], &p, &[one], 1).unwrap(),
-            e.cover_implies(&c3, &[a], &p, &[one], 1)
+            covergame::cover_implies(&c3, &[a], &p, &[one], 1)
         );
         let vs = vec![vec![1, 1], vec![-1, -1]];
         assert!(ctx.separate(&vs, &[1, -1]).unwrap().is_some());
@@ -444,9 +453,16 @@ mod tests {
     fn preorder_in_matches_uninterrupted_engine_preorder() {
         let e = Engine::new();
         let d = graph(&[("1", "2"), ("2", "3")], &["1", "2", "3"]);
-        let ctx = Ctx::new(&e);
+        // A deadline-bearing context that does not fire…
+        let ctx = Ctx::with_deadline(&e, Duration::from_secs(3600));
         let ours = ctx.preorder(&d, &d.entities(), 1).unwrap();
-        let reference = e.preorder(&d, &d.entities(), 1);
+        // …agrees with the unbounded context of a fresh engine and with
+        // the uncached reference sweep.
+        let fresh = Engine::new();
+        let uninterrupted = fresh.ctx().preorder(&d, &d.entities(), 1).unwrap();
+        let reference = CoverPreorder::compute_seq(&d, &d.entities(), 1);
+        assert_eq!(ours.leq, uninterrupted.leq);
+        assert_eq!(ours.class_of, uninterrupted.class_of);
         assert_eq!(ours.leq, reference.leq);
         assert_eq!(ours.class_of, reference.class_of);
     }

@@ -3,29 +3,24 @@
 //! Every layer of the separability pipeline keeps instrumented, memoized
 //! machinery: the hom solver's memo table ([`relational::HomCache`]), the
 //! cover-game verdict table ([`covergame::GameCache`]), and the LP
-//! engine's counters ([`linsep::LpCounters`]). Historically each was a
-//! process-global singleton, which made concurrent workloads share (and
-//! cross-contaminate) counters and left no way to run a solve with an
-//! isolated lifetime, a thread budget, or caching switched off.
-//!
-//! An [`Engine`] bundles all three plus the parallelism configuration
-//! into one explicit context:
+//! engine's counters ([`linsep::LpCounters`]). An [`Engine`] owns one of
+//! each plus the parallelism configuration; there is no process-wide
+//! instance, so concurrent workloads never share (or cross-contaminate)
+//! counters, and every solve runs with an explicit lifetime, thread
+//! budget and caching mode:
 //!
 //! * `Engine::new()` is a fully isolated instance — its caches and
 //!   counters see exactly the queries routed through it;
-//! * [`Engine::global`] wraps the legacy process-wide singletons, so the
-//!   engine-less entry points (`cqsep::cq_separable` etc.) and the
-//!   engine-threaded ones (`cq_separable_with`) interoperate — a verdict
-//!   memoized by either is visible to both;
+//!   [`Engine::without_cache`] runs the same queries unmemoized and
+//!   [`Engine::with_threads`] caps the parallel drivers;
 //! * [`Engine::save`]/[`Engine::load`] persist the two verdict tables to
 //!   a cache directory (see [`persist`]) for warm starts across
 //!   processes — the CLI's `--cache-dir` flag.
 //!
-//! The convention for threading: a layer's public `foo(...)` keeps its
-//! historical globals-backed behavior and delegates to
-//! `foo_with(&Engine, ...)` (or an [`Engine`] method) with
-//! [`Engine::global`]. Solver code below the engine never touches the
-//! global singletons directly.
+//! Solvers take a [`Ctx`] — an engine borrow plus a deadline or
+//! cancellation handle — and every public solver entry point has the one
+//! form `foo_in(&Ctx, ...) -> Result<_, Interrupted>` (see [`ctx`]). A
+//! caller with no deadline builds `engine.ctx()` and unwraps.
 //!
 //! One counter is intentionally *not* per-engine: `bignum_promotions`
 //! happens inside `numeric::Rat` arithmetic with no engine in sight, so
@@ -35,26 +30,20 @@
 pub mod ctx;
 pub mod persist;
 
-use covergame::{CoverPreorder, GameCache, GameStats, UnionSkeleton};
+use covergame::{GameCache, GameStats};
 use cq::{Cq, EnumConfig};
 use linsep::{LinearClassifier, LpCounters, LpStats};
-use numeric::Rat;
 use qbe::QbeError;
 use relational::{
     Database, Delta, DeltaError, DeltaReceipt, HomCache, HomStats, Lineage, TrainingDb, Val,
 };
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
 
 pub use ctx::{Ctx, Interrupted};
 pub use interrupt::{Interrupt, Reason, Stop};
 pub use persist::RestoreSummary;
-
-/// Environment toggle honored by [`Engine::global`]: setting
-/// `CQSEP_NO_CACHE=1` makes the global engine run every query uncached
-/// (same verdicts, same accounting shape, no memo table).
-pub const NO_CACHE_ENV: &str = "CQSEP_NO_CACHE";
 
 /// A solver context owning the memo caches, the unified stats counters,
 /// and the parallelism configuration for everything run through it.
@@ -108,23 +97,6 @@ impl Engine {
     pub fn without_cache(mut self) -> Engine {
         self.use_cache = false;
         self
-    }
-
-    /// The process-wide engine wrapping the legacy global singletons.
-    /// Engine-less entry points route here, so their memoized verdicts
-    /// and counters are shared with explicit `Engine::global()` users.
-    /// Caching is on unless [`NO_CACHE_ENV`] is set to `1` (read once, at
-    /// first use).
-    pub fn global() -> &'static Engine {
-        static GLOBAL: OnceLock<Engine> = OnceLock::new();
-        GLOBAL.get_or_init(|| Engine {
-            hom: relational::hom::cache::global_arc(),
-            game: covergame::cache::global_arc(),
-            lp: linsep::stats::global_counters_arc(),
-            lineage: relational::global_lineage_arc(),
-            threads: None,
-            use_cache: std::env::var(NO_CACHE_ENV).map_or(true, |v| v != "1"),
-        })
     }
 
     // ------------------------------------------------------------------
@@ -221,126 +193,11 @@ impl Engine {
         train.apply_via(delta, &self.lineage)
     }
 
-    // ------------------------------------------------------------------
-    // Solver entry points
-    // ------------------------------------------------------------------
-
-    /// Does a homomorphism `from → to` extending `fixed` exist?
-    /// Memoized through this engine's table (unless caching is off),
-    /// with delta subsumption against this engine's lineage registry.
-    pub fn hom_exists(&self, from: &Database, to: &Database, fixed: &[(Val, Val)]) -> bool {
-        if self.use_cache {
-            self.hom.exists_sub(from, to, fixed, Some(&self.lineage))
-        } else {
-            self.hom.exists_uncached(from, to, fixed)
-        }
-    }
-
-    /// `(D, ā) →_k (D', b̄)`, memoized through this engine's table.
-    pub fn cover_implies(
-        &self,
-        d: &Database,
-        a: &[Val],
-        d2: &Database,
-        b: &[Val],
-        k: usize,
-    ) -> bool {
-        if self.use_cache {
-            self.game.implies_sub(d, a, d2, b, k, Some(&self.lineage))
-        } else {
-            self.game.implies_uncached(d, a, d2, b, k)
-        }
-    }
-
-    /// [`Engine::cover_implies`] reusing a prebuilt [`UnionSkeleton`] of
-    /// `(d, skeleton.k)` for the miss path.
-    pub fn cover_implies_with_skeleton(
-        &self,
-        d: &Database,
-        a: &[Val],
-        d2: &Database,
-        b: &[Val],
-        skeleton: &UnionSkeleton,
-    ) -> bool {
-        if self.use_cache {
-            self.game
-                .implies_with_skeleton_sub(d, a, d2, b, skeleton, Some(&self.lineage))
-        } else {
-            self.game
-                .implies_with_skeleton_uncached(d, a, d2, b, skeleton)
-        }
-    }
-
-    /// Linear separation, counted against this engine's LP counters.
-    pub fn separate(&self, vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
-        linsep::separate_counted(&self.lp, vectors, labels)
-    }
-
-    /// [`Engine::separate`] also returning the optimal margin.
-    pub fn separate_with_margin(
-        &self,
-        vectors: &[Vec<i32>],
-        labels: &[i32],
-    ) -> Option<(LinearClassifier, Rat)> {
-        linsep::separate_with_margin_counted(&self.lp, vectors, labels)
-    }
-
-    /// Exact minimum-error linear classification (§7), every internal LP
-    /// decision counted against this engine.
-    pub fn min_error(&self, vectors: &[Vec<i32>], labels: &[i32]) -> linsep::MinErrorResult {
-        linsep::min_error_classifier_counted(&self.lp, vectors, labels)
-    }
-
     /// Note a column subset refuted by the caller's own duplicate-row
     /// conflict scan (the dimension-bounded subset search runs the scan
     /// on projected rows before assembling an LP).
     pub fn record_conflict_prune(&self) {
         self.lp.record_conflict_prune();
-    }
-
-    /// The `→_k` preorder over `elems` of `d`: one game per ordered pair,
-    /// fanned out under this engine's thread budget and memoized through
-    /// its table (one shared skeleton for all pairs).
-    pub fn preorder(&self, d: &Database, elems: &[Val], k: usize) -> CoverPreorder {
-        let n = elems.len();
-        let skeleton = UnionSkeleton::build(d, k);
-        let cells: Vec<(usize, usize)> = (0..n)
-            .flat_map(|i| (0..n).map(move |j| (i, j)))
-            .filter(|&(i, j)| i != j)
-            .collect();
-        let verdicts = self.par_map(&cells, |&(i, j)| {
-            self.cover_implies_with_skeleton(d, &[elems[i]], d, &[elems[j]], &skeleton)
-        });
-        let mut leq = vec![vec![false; n]; n];
-        for (i, row) in leq.iter_mut().enumerate() {
-            row[i] = true;
-        }
-        for (&(i, j), v) in cells.iter().zip(verdicts) {
-            leq[i][j] = v;
-        }
-        CoverPreorder::from_matrix(elems.to_vec(), leq, k)
-    }
-
-    /// Evaluate a preorder's implicit chain statistic on an element `f`
-    /// of an evaluation database (Algorithm 1, lines 3–9), with the
-    /// per-component games routed through this engine.
-    pub fn chain_vector_for(
-        &self,
-        pre: &CoverPreorder,
-        d: &Database,
-        d2: &Database,
-        f: Val,
-    ) -> Vec<i32> {
-        (0..pre.class_count())
-            .map(|j| {
-                let rep = pre.elems[pre.representative(j)];
-                if self.cover_implies(d, &[rep], d2, &[f], pre.k) {
-                    1
-                } else {
-                    -1
-                }
-            })
-            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -590,12 +447,8 @@ impl SubsumeStats {
 }
 
 // ----------------------------------------------------------------------
-// Engine-threaded QBE entry points
-//
-// `foo_in(&Ctx, ...)` is the interruptible implementation; `foo_with`
-// delegates with an unbounded context (whose Interrupted arm cannot
-// fire, so the shim unwraps it). See `ctx` module docs for the
-// convention.
+// Engine-threaded QBE entry points (`foo_in(&Ctx, ...)`; see the `ctx`
+// module docs for the convention)
 // ----------------------------------------------------------------------
 
 /// [`qbe::cq_qbe_decide`] with the product-hom tests routed through the
@@ -621,19 +474,6 @@ pub fn cq_qbe_decide_in(
     Ok(out)
 }
 
-/// [`qbe::cq_qbe_decide`] with the product-hom tests routed through
-/// `engine`'s cache and counters.
-pub fn cq_qbe_decide_with(
-    engine: &Engine,
-    d: &Database,
-    pos: &[Val],
-    neg: &[Val],
-    product_budget: usize,
-) -> Result<bool, QbeError> {
-    cq_qbe_decide_in(&engine.ctx(), d, pos, neg, product_budget)
-        .expect("unbounded ctx cannot interrupt")
-}
-
 /// [`qbe::cq_qbe_explain`] with the product-hom tests routed through the
 /// context's engine and observing its interrupt handle.
 pub fn cq_qbe_explain_in(
@@ -653,19 +493,6 @@ pub fn cq_qbe_explain_in(
     );
     ctx.check()?;
     Ok(out)
-}
-
-/// [`qbe::cq_qbe_explain`] with the product-hom tests routed through
-/// `engine`'s cache and counters.
-pub fn cq_qbe_explain_with(
-    engine: &Engine,
-    d: &Database,
-    pos: &[Val],
-    neg: &[Val],
-    product_budget: usize,
-) -> Result<Option<Cq>, QbeError> {
-    cq_qbe_explain_in(&engine.ctx(), d, pos, neg, product_budget)
-        .expect("unbounded ctx cannot interrupt")
 }
 
 /// [`qbe::ghw_qbe_decide`] with the cover-game tests routed through the
@@ -691,20 +518,6 @@ pub fn ghw_qbe_decide_in(
     Ok(out)
 }
 
-/// [`qbe::ghw_qbe_decide`] with the cover-game tests routed through
-/// `engine`'s cache and counters.
-pub fn ghw_qbe_decide_with(
-    engine: &Engine,
-    d: &Database,
-    pos: &[Val],
-    neg: &[Val],
-    k: usize,
-    product_budget: usize,
-) -> Result<bool, QbeError> {
-    ghw_qbe_decide_in(&engine.ctx(), d, pos, neg, k, product_budget)
-        .expect("unbounded ctx cannot interrupt")
-}
-
 /// [`qbe::ghw_qbe_explain`] under a context. Extraction unfolds
 /// Spoiler's strategy from the *analyzed game*, which a verdict cache
 /// cannot supply, so the games here run uncached regardless of the
@@ -723,29 +536,6 @@ pub fn ghw_qbe_explain_in(
     let out = qbe::ghw_qbe_explain(d, pos, neg, k, product_budget, extract_budget);
     ctx.check()?;
     Ok(out)
-}
-
-/// [`qbe::ghw_qbe_explain`] under an engine (see
-/// [`ghw_qbe_explain_in`] for why the games run uncached).
-pub fn ghw_qbe_explain_with(
-    engine: &Engine,
-    d: &Database,
-    pos: &[Val],
-    neg: &[Val],
-    k: usize,
-    product_budget: usize,
-    extract_budget: usize,
-) -> Result<Option<Cq>, QbeError> {
-    ghw_qbe_explain_in(
-        &engine.ctx(),
-        d,
-        pos,
-        neg,
-        k,
-        product_budget,
-        extract_budget,
-    )
-    .expect("unbounded ctx cannot interrupt")
 }
 
 /// [`qbe::cqm_qbe`] with the candidate scan fanned out under the
@@ -775,20 +565,8 @@ pub fn cqm_qbe_in(
     Ok(None)
 }
 
-/// [`qbe::cqm_qbe`] with the candidate scan fanned out under `engine`'s
-/// thread budget.
-pub fn cqm_qbe_with(
-    engine: &Engine,
-    d: &Database,
-    pos: &[Val],
-    neg: &[Val],
-    config: &EnumConfig,
-) -> Option<Cq> {
-    cqm_qbe_in(&engine.ctx(), d, pos, neg, config).expect("unbounded ctx cannot interrupt")
-}
-
-/// Interruptible [`separate_with`] (the free-function form of
-/// [`Ctx::separate`]).
+/// [`linsep::separate_counted`] under a task context: the free-function
+/// form of [`Ctx::separate`].
 pub fn separate_in(
     ctx: &Ctx,
     vectors: &[Vec<i32>],
@@ -797,18 +575,10 @@ pub fn separate_in(
     ctx.separate(vectors, labels)
 }
 
-/// [`linsep::separate`] counted against `engine`'s LP counters.
-pub fn separate_with(
-    engine: &Engine,
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-) -> Option<LinearClassifier> {
-    engine.separate(vectors, labels)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use covergame::CoverPreorder;
     use relational::{DbBuilder, Schema};
 
     fn graph(edges: &[(&str, &str)], entities: &[&str]) -> Database {
@@ -839,8 +609,9 @@ mod tests {
         );
         let p = graph(&[("a", "b"), ("b", "c")], &[]);
         let c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")], &[]);
-        assert!(e.hom_exists(&p, &c3, &[]));
-        assert!(e.hom_exists(&p, &c3, &[]));
+        let ctx = e.ctx();
+        assert!(ctx.hom_exists(&p, &c3, &[]).unwrap());
+        assert!(ctx.hom_exists(&p, &c3, &[]).unwrap());
         let st = e.stats();
         assert_eq!((st.hom.cache_hits, st.hom.cache_misses), (1, 1));
         assert_eq!(st.hom.solves, 1);
@@ -854,17 +625,18 @@ mod tests {
     fn no_cache_engine_recomputes_every_query() {
         let e = Engine::new().without_cache();
         assert!(!e.caching_enabled());
+        let ctx = e.ctx();
         let p = graph(&[("a", "b"), ("b", "c")], &[]);
         let c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")], &[]);
-        assert!(e.hom_exists(&p, &c3, &[]));
-        assert!(e.hom_exists(&p, &c3, &[]));
+        assert!(ctx.hom_exists(&p, &c3, &[]).unwrap());
+        assert!(ctx.hom_exists(&p, &c3, &[]).unwrap());
         let a = c3.val_by_name("x").unwrap();
         let one = p.val_by_name("a").unwrap();
         assert_eq!(
-            e.cover_implies(&c3, &[a], &p, &[one], 1),
+            ctx.cover_implies(&c3, &[a], &p, &[one], 1).unwrap(),
             covergame::cover_implies(&c3, &[a], &p, &[one], 1)
         );
-        e.cover_implies(&c3, &[a], &p, &[one], 1);
+        ctx.cover_implies(&c3, &[a], &p, &[one], 1).unwrap();
         let st = e.stats();
         // Every query is a miss and a fresh solve; nothing is memoized.
         assert_eq!((st.hom.cache_hits, st.hom.cache_misses), (0, 2));
@@ -928,7 +700,7 @@ mod tests {
         );
         let e = Engine::new();
         for k in 1..=2 {
-            let ours = e.preorder(&d, &d.entities(), k);
+            let ours = e.ctx().preorder(&d, &d.entities(), k).unwrap();
             let reference = CoverPreorder::compute_seq(&d, &d.entities(), k);
             assert_eq!(ours.leq, reference.leq, "k={k}");
             assert_eq!(ours.class_of, reference.class_of, "k={k}");
@@ -942,10 +714,11 @@ mod tests {
     fn chain_vector_for_matches_classes_impl() {
         let d = graph(&[("1", "2"), ("2", "3")], &["1", "2", "3"]);
         let e = Engine::new();
-        let pre = e.preorder(&d, &d.entities(), 1);
+        let ctx = e.ctx();
+        let pre = ctx.preorder(&d, &d.entities(), 1).unwrap();
         for &f in &pre.elems {
             assert_eq!(
-                e.chain_vector_for(&pre, &d, &d, f),
+                ctx.chain_vector_for(&pre, &d, &d, f).unwrap(),
                 pre.chain_vector_for_with(&d, &d, f, e.game_cache())
             );
         }
@@ -954,10 +727,11 @@ mod tests {
     #[test]
     fn separate_counts_into_the_engine() {
         let e = Engine::new();
+        let ctx = e.ctx();
         let vs = vec![vec![1, 1], vec![-1, -1]];
-        assert!(e.separate(&vs, &[1, -1]).is_some());
+        assert!(ctx.separate(&vs, &[1, -1]).unwrap().is_some());
         let dup = vec![vec![1, -1], vec![1, -1]];
-        assert!(e.separate(&dup, &[1, -1]).is_none());
+        assert!(ctx.separate(&dup, &[1, -1]).unwrap().is_none());
         let st = e.stats();
         assert_eq!(st.lp.perceptron_hits, 1);
         assert_eq!(st.lp.conflict_prunes, 1);
@@ -989,10 +763,11 @@ mod tests {
     #[test]
     fn apply_delta_records_lineage_and_enables_subsumption() {
         let e = Engine::new();
+        let ctx = e.ctx();
         let p = graph(&[("a", "b"), ("b", "c")], &[]);
         let mut c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")], &[]);
         // Warm the cache on the original target.
-        assert!(e.hom_exists(&p, &c3, &[]));
+        assert!(ctx.hom_exists(&p, &c3, &[]).unwrap());
         // Grow the target by one fresh edge through the engine: the
         // lineage registry learns (parent, delta) -> child.
         let delta = relational::Delta::new()
@@ -1004,7 +779,7 @@ mod tests {
         // The positive verdict transfers to the grown target without a
         // fresh search: a subsumption hit, not a miss.
         let before = e.stats();
-        assert!(e.hom_exists(&p, &c3, &[]));
+        assert!(ctx.hom_exists(&p, &c3, &[]).unwrap());
         let d = e.stats().since(&before);
         assert_eq!(d.sub.hom_subsumption_hits, 1);
         assert_eq!(d.hom.solves, 0);
@@ -1021,14 +796,14 @@ mod tests {
         let e = Engine::new();
         let p = graph(&[("a", "b")], &[]);
         let c2 = graph(&[("x", "y"), ("y", "x")], &[]);
-        e.hom_exists(&p, &c2, &[]);
+        e.ctx().hom_exists(&p, &c2, &[]).unwrap();
         e.reset_stats();
         let st = e.stats();
         assert_eq!(st.hom, HomStats::default());
         assert_eq!(st.game, GameStats::default());
         assert_eq!(st.restored_entries, 0);
         // The table survives a stats reset: next query is a hit.
-        e.hom_exists(&p, &c2, &[]);
+        e.ctx().hom_exists(&p, &c2, &[]).unwrap();
         assert_eq!(e.stats().hom.cache_hits, 1);
     }
 
@@ -1044,17 +819,18 @@ mod tests {
             d.val_by_name("p").unwrap(),
         );
         let e = Engine::new();
+        let ctx = e.ctx();
         assert_eq!(
-            cq_qbe_decide_with(&e, &d, &[a, b], &[p], 100_000),
+            cq_qbe_decide_in(&ctx, &d, &[a, b], &[p], 100_000).unwrap(),
             qbe::cq_qbe_decide(&d, &[a, b], &[p], 100_000)
         );
         assert_eq!(
-            ghw_qbe_decide_with(&e, &d, &[a, b], &[p], 1, 100_000),
+            ghw_qbe_decide_in(&ctx, &d, &[a, b], &[p], 1, 100_000).unwrap(),
             qbe::ghw_qbe_decide(&d, &[a, b], &[p], 1, 100_000)
         );
         let cfg = EnumConfig::cqm(1);
         assert_eq!(
-            cqm_qbe_with(&e, &d, &[a, b], &[p], &cfg),
+            cqm_qbe_in(&ctx, &d, &[a, b], &[p], &cfg).unwrap(),
             qbe::cqm_qbe(&d, &[a, b], &[p], &cfg)
         );
         // The hom/game tests went through the engine's caches.

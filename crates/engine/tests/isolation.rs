@@ -1,5 +1,5 @@
 //! Cross-engine isolation: independent `Engine` instances must agree on
-//! every verdict (with each other, with the global shim, and with the
+//! every verdict (with each other, with an uncached engine, and with the
 //! raw solvers) while sharing no counters and no cache entries.
 
 use engine::Engine;
@@ -44,10 +44,12 @@ fn random_graph(rng: &mut Rng, n: u64, edges: u64) -> Database {
 }
 
 #[test]
-fn fresh_engines_agree_with_each_other_and_the_global_shim() {
+fn fresh_engines_agree_with_each_other_and_an_uncached_engine() {
     let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
     let ea = Engine::new();
     let eb = Engine::new();
+    let uncached = Engine::new().without_cache();
+    let (ca, cb, cu) = (ea.ctx(), eb.ctx(), uncached.ctx());
     for round in 0..12 {
         let (n1, m1) = (4 + rng.below(3), 5 + rng.below(5));
         let d = random_graph(&mut rng, n1, m1);
@@ -56,28 +58,27 @@ fn fresh_engines_agree_with_each_other_and_the_global_shim() {
         let a: Vec<Val> = d.dom().take(2).collect();
         let b: Vec<Val> = d2.dom().take(2).collect();
 
-        // Hom layer: both engines, the global shim, and the raw solver
-        // must return the same verdict.
+        // Hom layer: both engines, the uncached engine, and the raw
+        // solver must return the same verdict.
         let raw = relational::homomorphism_exists(&d, &d2, &[]);
-        assert_eq!(ea.hom_exists(&d, &d2, &[]), raw, "round {round}");
-        assert_eq!(eb.hom_exists(&d, &d2, &[]), raw, "round {round}");
-        assert_eq!(Engine::global().hom_exists(&d, &d2, &[]), raw);
-        assert_eq!(relational::exists_cached(&d, &d2, &[]), raw);
+        assert_eq!(ca.hom_exists(&d, &d2, &[]).unwrap(), raw, "round {round}");
+        assert_eq!(cb.hom_exists(&d, &d2, &[]).unwrap(), raw, "round {round}");
+        assert_eq!(cu.hom_exists(&d, &d2, &[]).unwrap(), raw);
 
         // Game layer, k = 1 and 2.
         for k in 1..=2 {
             let raw = covergame::cover_implies(&d, &a, &d2, &b, k);
             assert_eq!(
-                ea.cover_implies(&d, &a, &d2, &b, k),
+                ca.cover_implies(&d, &a, &d2, &b, k).unwrap(),
                 raw,
                 "round {round} k={k}"
             );
             assert_eq!(
-                eb.cover_implies(&d, &a, &d2, &b, k),
+                cb.cover_implies(&d, &a, &d2, &b, k).unwrap(),
                 raw,
                 "round {round} k={k}"
             );
-            assert_eq!(covergame::cover_implies_cached(&d, &a, &d2, &b, k), raw);
+            assert_eq!(cu.cover_implies(&d, &a, &d2, &b, k).unwrap(), raw);
         }
     }
 
@@ -98,15 +99,16 @@ fn work_on_one_engine_leaves_another_untouched() {
     let worker = Engine::new();
     let bystander = Engine::new();
     let before = bystander.stats();
+    let ctx = worker.ctx();
     let mut rng = Rng(42);
     for _ in 0..6 {
         let d = random_graph(&mut rng, 5, 7);
         let d2 = random_graph(&mut rng, 5, 7);
-        worker.hom_exists(&d, &d2, &[]);
+        ctx.hom_exists(&d, &d2, &[]).unwrap();
         let a: Vec<Val> = d.dom().take(1).collect();
         let b: Vec<Val> = d2.dom().take(1).collect();
-        worker.cover_implies(&d, &a, &d2, &b, 1);
-        worker.separate(&[vec![1, 1], vec![-1, -1]], &[1, -1]);
+        ctx.cover_implies(&d, &a, &d2, &b, 1).unwrap();
+        ctx.separate(&[vec![1, 1], vec![-1, -1]], &[1, -1]).unwrap();
     }
     let after = bystander.stats();
     // Only the process-wide promotion counter may move underneath a
@@ -123,35 +125,4 @@ fn work_on_one_engine_leaves_another_untouched() {
     assert_eq!(w.hom.cache_misses, 6);
     assert_eq!(w.game.cache_misses, 6);
     assert_eq!(w.lp.perceptron_hits, 6);
-}
-
-#[test]
-fn global_shim_shares_one_table_with_legacy_entry_points() {
-    // A verdict memoized through the legacy free function must be a hit
-    // for Engine::global() (they wrap the same cache), while a fresh
-    // engine re-solves it. Use a workload unique to this test so hits
-    // are attributable even with other tests in this binary running.
-    // Not meaningful when the cold-cache CI job disables the global
-    // engine's memo tables outright.
-    if std::env::var(engine::NO_CACHE_ENV).is_ok_and(|v| v == "1") {
-        eprintln!("skipping: {} is set", engine::NO_CACHE_ENV);
-        return;
-    }
-    let mut rng = Rng(0xDEAD_BEEF);
-    let d = random_graph(&mut rng, 6, 9);
-    let d2 = random_graph(&mut rng, 6, 9);
-    let raw = relational::exists_cached(&d, &d2, &[]);
-    let hits_before = Engine::global().hom_cache().hits();
-    assert_eq!(Engine::global().hom_exists(&d, &d2, &[]), raw);
-    assert!(
-        Engine::global().hom_cache().hits() > hits_before,
-        "global engine must hit the entry the legacy path memoized"
-    );
-    let fresh = Engine::new();
-    assert_eq!(fresh.hom_exists(&d, &d2, &[]), raw);
-    assert_eq!(
-        (fresh.stats().hom.cache_hits, fresh.stats().hom.cache_misses),
-        (0, 1),
-        "a fresh engine must not see the global table"
-    );
 }

@@ -45,10 +45,10 @@ fn run_workload(e: &Engine) -> Vec<bool> {
     let pa: Vec<Val> = vec![a];
     let cx: Vec<Val> = vec![x];
     vec![
-        e.hom_exists(&p, &c3, &[]),
-        e.hom_exists(&p, &c3, &[(a, x)]),
-        e.cover_implies(&p, &pa, &c3, &cx, 1),
-        e.cover_implies(&c3, &cx, &p, &pa, 1),
+        e.ctx().hom_exists(&p, &c3, &[]).unwrap(),
+        e.ctx().hom_exists(&p, &c3, &[(a, x)]).unwrap(),
+        e.ctx().cover_implies(&p, &pa, &c3, &cx, 1).unwrap(),
+        e.ctx().cover_implies(&c3, &cx, &p, &pa, 1).unwrap(),
     ]
 }
 
@@ -136,7 +136,7 @@ fn lineage_edges_round_trip_and_pay_off_after_reload() {
     let first = Engine::new();
     let p = graph(&[("a", "b"), ("b", "c")]);
     let mut c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")]);
-    assert!(first.hom_exists(&p, &c3, &[]));
+    assert!(first.ctx().hom_exists(&p, &c3, &[]).unwrap());
     let delta = Delta::new().add_value("w").add_fact("E", &["z", "w"]);
     first.apply_delta(&mut c3, &delta).unwrap();
     assert_eq!(first.stats().sub.lineage_edges, 1);
@@ -149,7 +149,7 @@ fn lineage_edges_round_trip_and_pay_off_after_reload() {
     let summary = second.load(&tmp.0).unwrap();
     assert_eq!(summary.lineage_edges, 1);
     assert!(summary.total() >= 2);
-    assert!(second.hom_exists(&p, &c3, &[]));
+    assert!(second.ctx().hom_exists(&p, &c3, &[]).unwrap());
     let s2 = second.stats();
     assert_eq!(s2.sub.hom_subsumption_hits, 1);
     assert_eq!(s2.hom.solves, 0, "warm lineage must avoid the search");
@@ -192,7 +192,7 @@ fn save_overwrites_atomically_and_is_reloadable() {
     // Grow the table and save again over the same directory.
     let d = graph(&[("m", "n"), ("n", "m")]);
     let d2 = graph(&[("s", "t")]);
-    e.hom_exists(&d, &d2, &[]);
+    e.ctx().hom_exists(&d, &d2, &[]).unwrap();
     e.save(&tmp.0).unwrap();
     assert!(
         !tmp.0.join(format!("{HOM_FILE}.tmp")).exists(),

@@ -23,9 +23,9 @@
 //! * [`minerror`] — exact minimum-error linear classification by
 //!   branch-and-bound over vector-type assignments, plus the greedy
 //!   majority upper bound; powers the `CQ[m]`-ApxSep algorithms (§7.2).
-//! * [`stats`] — process-global LP engine counters ([`LpStats`]): LPs
-//!   solved, simplex pivots, perceptron hits, conflict prunes, and
-//!   big-number promotions.
+//! * [`stats`] — the LP engine counter set ([`LpCounters`], one per
+//!   engine) and its snapshot ([`LpStats`]): LPs solved, simplex pivots,
+//!   perceptron hits, conflict prunes, and big-number promotions.
 
 pub mod classifier;
 pub mod minerror;
@@ -37,17 +37,16 @@ pub mod stats;
 
 pub use classifier::LinearClassifier;
 pub use minerror::{
-    min_error_classifier, min_error_classifier_counted, min_error_classifier_counted_int,
-    MinErrorResult,
+    min_error_classifier_counted, min_error_classifier_counted_int, MinErrorResult,
 };
 pub use revised::{
     solve_lp_sparse, solve_lp_sparse_with_pricing, Pricing, SparseBasis, SparseOutcome,
     SparseReport, Warm,
 };
 pub use separate::{
-    has_label_conflict, separate, separate_counted, separate_counted_int,
-    separate_warm_counted_int, separate_with_margin, separate_with_margin_counted,
-    separate_with_margin_counted_int, LpBackend, SepBasis, SepOutcome, VarTag,
+    has_label_conflict, separate_counted, separate_counted_int, separate_warm_counted_int,
+    separate_with_margin_counted, separate_with_margin_counted_int, LpBackend, SepBasis,
+    SepOutcome, VarTag,
 };
 pub use simplex::{solve_lp, solve_lp_counted, solve_lp_counted_int, LpOutcome};
 pub use simplex_big::{solve_lp_big, LpOutcomeBig};

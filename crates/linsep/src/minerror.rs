@@ -17,11 +17,11 @@
 
 use crate::classifier::LinearClassifier;
 use crate::separate::{separate_counted, separate_counted_int};
-use crate::stats::{global_counters, LpCounters};
+use crate::stats::LpCounters;
 use interrupt::{Interrupt, Stop};
 use std::collections::HashMap;
 
-/// Result of [`min_error_classifier`].
+/// Result of [`min_error_classifier_counted`].
 #[derive(Clone, Debug)]
 pub struct MinErrorResult {
     /// A classifier achieving the minimum number of errors.
@@ -38,12 +38,7 @@ pub struct MinErrorResult {
 /// Exact; worst-case exponential in the number of *distinct* vectors
 /// (inherently so — the problem is NP-complete), which is what makes the
 /// paper's FPT claims work when the dimension is schema-bounded.
-pub fn min_error_classifier(vectors: &[Vec<i32>], labels: &[i32]) -> MinErrorResult {
-    min_error_classifier_counted(global_counters(), vectors, labels)
-}
-
-/// As [`min_error_classifier`], recording every internal LP decision into
-/// a caller-supplied counter set instead of the process-global one.
+/// Every internal LP decision is recorded into `counters`.
 pub fn min_error_classifier_counted(
     counters: &LpCounters,
     vectors: &[Vec<i32>],
@@ -272,7 +267,14 @@ fn assignment_separable(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::separate::separate;
+
+    fn min_error_classifier(vectors: &[Vec<i32>], labels: &[i32]) -> MinErrorResult {
+        min_error_classifier_counted(&LpCounters::new(), vectors, labels)
+    }
+
+    fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
+        separate_counted(&LpCounters::new(), vectors, labels)
+    }
 
     #[test]
     fn separable_input_has_zero_errors() {

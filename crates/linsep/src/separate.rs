@@ -26,7 +26,7 @@
 use crate::classifier::LinearClassifier;
 use crate::revised::{solve_lp_sparse, SparseBasis, SparseOutcome, Warm};
 use crate::simplex::{solve_lp_counted, solve_lp_counted_int, LpOutcome};
-use crate::stats::{global_counters, LpCounters};
+use crate::stats::LpCounters;
 use interrupt::{Interrupt, Stop};
 use numeric::{qint, Rat};
 use std::collections::HashMap;
@@ -196,16 +196,8 @@ pub struct SepOutcome {
 }
 
 /// Find a linear classifier separating the examples, or `None` if they
-/// are not linearly separable. Exact. Counts against the process-global
-/// [`crate::stats`] counters; engine-threaded callers use
-/// [`separate_counted`].
-pub fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
-    separate_with_margin(vectors, labels).map(|(c, _)| c)
-}
-
-/// As [`separate`], recording the decision (conflict prune, perceptron
-/// hit, or LP solve + pivots) into a caller-supplied counter set instead
-/// of the process-global one.
+/// are not linearly separable. Exact. Records the decision (conflict
+/// prune, perceptron hit, or LP solve + pivots) into `counters`.
 pub fn separate_counted(
     counters: &LpCounters,
     vectors: &[Vec<i32>],
@@ -242,18 +234,9 @@ pub fn has_label_conflict(vectors: &[Vec<i32>], labels: &[i32]) -> bool {
     false
 }
 
-/// As [`separate`], also returning the optimal margin achieved under the
-/// normalization `|w_j| ≤ 1, |w_0| ≤ 1`. The margin is positive iff the
-/// collection is separable.
-pub fn separate_with_margin(
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-) -> Option<(LinearClassifier, Rat)> {
-    separate_with_margin_counted(global_counters(), vectors, labels)
-}
-
-/// As [`separate_with_margin`], recording into a caller-supplied counter
-/// set instead of the process-global one.
+/// As [`separate_counted`], also returning the optimal margin achieved
+/// under the normalization `|w_j| ≤ 1, |w_0| ≤ 1`. The margin is
+/// positive iff the collection is separable.
 pub fn separate_with_margin_counted(
     counters: &LpCounters,
     vectors: &[Vec<i32>],
@@ -573,6 +556,17 @@ fn margin_of(c: &LinearClassifier, vectors: &[Vec<i32>], labels: &[i32]) -> Rat 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
+        separate_counted(&LpCounters::new(), vectors, labels)
+    }
+
+    fn separate_with_margin(
+        vectors: &[Vec<i32>],
+        labels: &[i32],
+    ) -> Option<(LinearClassifier, Rat)> {
+        separate_with_margin_counted(&LpCounters::new(), vectors, labels)
+    }
 
     fn check(vectors: &[Vec<i32>], labels: &[i32], expect: bool) {
         match separate(vectors, labels) {

@@ -42,10 +42,9 @@
 //! Because positive row scalings change neither reduced costs nor ratios
 //! nor Bland tie-breaking, this engine performs *exactly* the same pivot
 //! sequence as the reference solver and returns identical outcomes (see
-//! `tests/lp_prop.rs`). Every solve reports its pivot count to
-//! [`crate::stats`].
+//! `tests/lp_prop.rs`). Every solve reports its pivot count to the
+//! caller, which records it into an [`crate::stats::LpCounters`].
 
-use crate::stats;
 use interrupt::{Interrupt, Stop};
 use numeric::Rat;
 
@@ -72,8 +71,8 @@ struct Tableau {
     /// Basis: for each row, the variable index currently basic in it.
     basis: Vec<usize>,
     ncols: usize,
-    /// Pivots performed so far (phase 1 + phase 2), flushed to the
-    /// global [`stats`] counters once per solve.
+    /// Pivots performed so far (phase 1 + phase 2), reported to the
+    /// caller once per solve.
     pivots: u64,
 }
 
@@ -224,19 +223,16 @@ impl Tableau {
 /// Solve `max cᵀx s.t. Ax ≤ b, x ≥ 0` exactly.
 ///
 /// `a` is row-major with `a.len() == b.len()` and each row of length
-/// `c.len()`. Bumps the global [`stats`] counters (one LP, its pivots).
+/// `c.len()`. Callers that account for pivots use [`solve_lp_counted`].
 pub fn solve_lp(a: &[Vec<Rat>], b: &[Rat], c: &[Rat]) -> LpOutcome {
-    let (out, pivots) = solve_lp_counted(a, b, c);
-    stats::record_lp(pivots);
-    out
+    solve_lp_counted(a, b, c).0
 }
 
 /// As [`solve_lp`], also returning the number of tableau pivots the solve
-/// took — and *without* flushing any counters: the caller owns the
-/// accounting. Having the count in-band lets tests and benches assert on
-/// a single solve without racing other threads on the process-wide
-/// atomics, and lets per-engine counter sets attribute pivots to the
-/// engine that ran them (see `LpCounters`).
+/// took; the caller owns the accounting. Having the count in-band lets
+/// tests and benches assert on a single solve, and lets per-engine
+/// counter sets attribute pivots to the engine that ran them (see
+/// `LpCounters`).
 pub fn solve_lp_counted(a: &[Vec<Rat>], b: &[Rat], c: &[Rat]) -> (LpOutcome, u64) {
     let (out, pivots) = solve_lp_inner(a, b, c, None);
     (out.expect("uninterruptible solve cannot stop"), pivots)

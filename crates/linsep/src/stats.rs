@@ -1,4 +1,4 @@
-//! Global instrumentation counters for the LP engine, mirroring
+//! Instrumentation counters for the LP engine, mirroring
 //! `relational::hom::stats` and `covergame::stats` one layer down the
 //! stack.
 //!
@@ -7,21 +7,19 @@
 //! fast-path hits (separations decided without touching the tableau) and
 //! conflict prunes (instances refuted by a duplicate-vector/opposite-label
 //! scan before any arithmetic); the hybrid rational ([`numeric::Rat`])
-//! contributes its small→big promotion counter. [`LpStats`] snapshots the
-//! lot, so a caller (the CLI `--stats` flag, the bench harness) can
-//! difference two snapshots around a region of interest.
+//! contributes its small→big promotion counter. Each `Engine` owns one
+//! [`LpCounters`] set; [`LpStats`] is a snapshot of one, so a caller (the
+//! CLI `--stats` flag, the bench harness) can difference two snapshots
+//! around a region of interest.
 //!
-//! Counters are process-global atomics: cheap to bump from the parallel
-//! subset-search workers and aggregated without any locking.
+//! Counters are atomics: cheap to bump from the parallel subset-search
+//! workers and aggregated without any locking.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
 
-/// A free-standing set of LP-engine counters — the per-engine twin of
-/// the process-global statics that used to live here. The legacy
-/// [`LpStats::snapshot`] path reads the [`global_counters`] instance;
-/// an isolated `Engine` owns its own instance and passes it to the
-/// `_counted` entry points ([`crate::separate::separate_counted`],
+/// A set of LP-engine counters. An `Engine` owns one instance and passes
+/// it to the `_counted` entry points
+/// ([`crate::separate::separate_counted`],
 /// [`crate::simplex::solve_lp_counted`] plus an explicit
 /// [`LpCounters::record_lp`]).
 ///
@@ -118,35 +116,6 @@ impl LpCounters {
     }
 }
 
-static GLOBAL: OnceLock<Arc<LpCounters>> = OnceLock::new();
-
-/// The process-wide counter set used by the legacy (engine-less) entry
-/// points and `Engine::global()`.
-pub fn global_counters() -> &'static LpCounters {
-    GLOBAL.get_or_init(|| Arc::new(LpCounters::new()))
-}
-
-/// The global counter set as a shared handle, so an `Engine` can co-own
-/// it.
-pub fn global_counters_arc() -> Arc<LpCounters> {
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(LpCounters::new())))
-}
-
-/// Flush one LP solve's worth of pivot counts (called by the solver).
-pub(crate) fn record_lp(pivots: u64) {
-    global_counters().record_lp(pivots);
-}
-
-/// Record an instance (or column subset) refuted by the cheap
-/// duplicate-vector/opposite-label conflict scan, skipping the LP
-/// entirely. Public because the dimension-bounded subset search in
-/// `cqsep::sep_dim` historically ran the same pre-check against the
-/// global counters; engine-threaded callers use
-/// [`LpCounters::record_conflict_prune`] instead.
-pub fn record_conflict_prune() {
-    global_counters().record_conflict_prune();
-}
-
 /// A point-in-time aggregate of the LP engine counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LpStats {
@@ -178,14 +147,6 @@ pub struct LpStats {
 }
 
 impl LpStats {
-    /// Read all (process-global) counters now.
-    pub fn snapshot() -> LpStats {
-        LpStats {
-            bignum_promotions: numeric::rat::promotion_count(),
-            ..global_counters().snapshot()
-        }
-    }
-
     /// Counter deltas since an earlier snapshot (saturating, so a
     /// concurrent reset cannot produce bogus huge values).
     pub fn since(&self, earlier: &LpStats) -> LpStats {
@@ -245,18 +206,20 @@ impl LpStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::separate::separate;
+    use crate::separate::separate_counted;
 
     #[test]
     fn separations_bump_the_counters() {
-        let before = LpStats::snapshot();
+        let counters = LpCounters::new();
+        let separate = |vs: &[Vec<i32>], ls: &[i32]| separate_counted(&counters, vs, ls);
+        let before = counters.snapshot();
         // Perceptron-friendly instance: decided on the fast path.
         let vs = vec![vec![1, 1], vec![-1, -1]];
         assert!(separate(&vs, &[1, -1]).is_some());
         // Conflicting duplicate: pruned before any arithmetic.
         let dup = vec![vec![1, -1], vec![1, -1]];
         assert!(separate(&dup, &[1, -1]).is_none());
-        let delta = LpStats::snapshot().since(&before);
+        let delta = counters.snapshot().since(&before);
         assert!(delta.perceptron_hits >= 1, "delta={delta:?}");
         assert!(delta.conflict_prunes >= 1, "delta={delta:?}");
     }

@@ -4,7 +4,17 @@
 //! regime the generalization harness feeds it (noisy planted labels
 //! collapse many entities onto few feature types).
 
-use linsep::{min_error_classifier, separate};
+use linsep::{
+    min_error_classifier_counted, separate_counted, LinearClassifier, LpCounters, MinErrorResult,
+};
+
+fn min_error_classifier(vectors: &[Vec<i32>], labels: &[i32]) -> MinErrorResult {
+    min_error_classifier_counted(&LpCounters::new(), vectors, labels)
+}
+
+fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
+    separate_counted(&LpCounters::new(), vectors, labels)
+}
 
 /// Every classifier is constant on a type, so a type holding both
 /// labels pays its minority — and with *one* type, that is the whole

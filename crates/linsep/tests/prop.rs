@@ -1,7 +1,22 @@
 //! Property tests for the linear-separation stack: LP certificates,
 //! separation correctness against brute force, and min-error optimality.
 
-use linsep::{min_error_classifier, separate, separate_with_margin, solve_lp, LpOutcome};
+use linsep::{
+    min_error_classifier_counted, separate_counted, separate_with_margin_counted, solve_lp,
+    LinearClassifier, LpCounters, LpOutcome, MinErrorResult,
+};
+
+fn min_error_classifier(vectors: &[Vec<i32>], labels: &[i32]) -> MinErrorResult {
+    min_error_classifier_counted(&LpCounters::new(), vectors, labels)
+}
+
+fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
+    separate_counted(&LpCounters::new(), vectors, labels)
+}
+
+fn separate_with_margin(vectors: &[Vec<i32>], labels: &[i32]) -> Option<(LinearClassifier, Rat)> {
+    separate_with_margin_counted(&LpCounters::new(), vectors, labels)
+}
 use numeric::{qint, Rat};
 use proptest::prelude::*;
 

@@ -5,9 +5,18 @@
 //! pointless LP work on refutable instances).
 
 use linsep::{
-    has_label_conflict, separate, separate_counted, separate_with_margin, solve_lp_counted,
-    LpCounters, LpOutcome,
+    has_label_conflict, separate_counted, separate_with_margin_counted, solve_lp_counted,
+    LinearClassifier, LpCounters, LpOutcome,
 };
+use numeric::Rat;
+
+fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
+    separate_counted(&LpCounters::new(), vectors, labels)
+}
+
+fn separate_with_margin(vectors: &[Vec<i32>], labels: &[i32]) -> Option<(LinearClassifier, Rat)> {
+    separate_with_margin_counted(&LpCounters::new(), vectors, labels)
+}
 use numeric::qint;
 
 #[test]

@@ -35,7 +35,7 @@ use serde::bytes::{ByteReader, ByteWriter};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// One primitive edit within a [`Delta`].
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -919,14 +919,6 @@ impl Default for Lineage {
     fn default() -> Lineage {
         Lineage::new()
     }
-}
-
-static GLOBAL: OnceLock<Arc<Lineage>> = OnceLock::new();
-
-/// The process-wide lineage registry, shared by `Engine::global()` so
-/// engine-less entry points and the global engine see the same edges.
-pub fn global_lineage_arc() -> Arc<Lineage> {
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(Lineage::new())))
 }
 
 #[cfg(test)]

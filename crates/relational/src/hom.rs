@@ -23,14 +23,13 @@ pub mod par;
 pub mod stats;
 
 /// Per-search instrumentation returned by the `_counted` entry points so
-/// callers holding their own counter sets (e.g. a per-engine cache) can
-/// attribute work without reading the process-global [`stats`] module.
+/// callers holding their own counter sets (a per-engine cache, see
+/// [`stats::HomStats`]) can attribute work.
 ///
 /// `solves` is 1 when a full backtracking search actually ran and 0 when
 /// the query short-circuited before one started (contradictory fixes,
 /// out-of-domain constraints, an empty candidate set at setup, or no
-/// variables at all) — mirroring exactly which paths flush the global
-/// counters.
+/// variables at all).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchCounts {
     pub solves: u64,
@@ -86,20 +85,11 @@ impl<'a> HomSearch<'a> {
         self.solve(&mut |_| true)
     }
 
-    /// Like [`HomSearch::exists`], but also returns the search-effort
-    /// counters of this query so the caller can do per-instance
-    /// accounting. The process-global [`stats`] module is still updated,
-    /// exactly as for `exists`.
-    pub fn exists_counted(&self) -> (bool, SearchCounts) {
-        let (found, counts) = self.solve_counted_int(&mut |_| true, None);
-        (found.expect("uninterruptible search cannot stop"), counts)
-    }
-
-    /// Interruptible [`HomSearch::exists_counted`]: the backtracking loop
-    /// checks `intr` at every node expansion and unwinds with
-    /// [`Stop`] as soon as it trips. The effort counters cover the work
-    /// done up to the stop (and are flushed to the global [`stats`]
-    /// either way), so partial effort stays attributable.
+    /// [`HomSearch::exists`] plus this query's [`SearchCounts`], for
+    /// per-instance accounting; interruptible: the backtracking loop
+    /// checks `intr` at every node expansion and unwinds with [`Stop`] as
+    /// soon as it trips. The effort counters cover the work done up to
+    /// the stop, so partial effort stays attributable.
     pub fn exists_counted_int(&self, intr: &Interrupt) -> (Result<bool, Stop>, SearchCounts) {
         self.solve_counted_int(&mut |_| true, Some(intr))
     }
@@ -139,10 +129,9 @@ impl<'a> HomSearch<'a> {
 
     /// [`HomSearch::solve`] plus the per-query effort counters and an
     /// optional interrupt handle (`None` = run to completion). Early
-    /// returns (before a search state is built) report zeroed counts and,
-    /// matching the historical behaviour, do not flush the global stats.
-    /// An interrupted search flushes the partial counters and reports
-    /// `Err(Stop)` instead of a verdict.
+    /// returns (before a search state is built) report zeroed counts. An
+    /// interrupted search reports its partial counters and `Err(Stop)`
+    /// instead of a verdict.
     fn solve_counted_int(
         &self,
         on_solution: &mut dyn FnMut(HashMap<Val, Val>) -> bool,
@@ -230,9 +219,6 @@ impl<'a> HomSearch<'a> {
             wipeouts: state.wipeouts,
             backtracks: state.backtracks,
         };
-        // Partial effort is flushed even on an interrupted search, so the
-        // caller's partial-stats report covers the work actually done.
-        stats::record_search(state.nodes, state.wipeouts, state.backtracks);
         (found, counts)
     }
 }
@@ -243,7 +229,7 @@ struct SearchState<'a, 'b> {
     vars: Vec<Val>,
     cand: Vec<Vec<Val>>,
     assignment: &'b mut Vec<Option<Val>>,
-    /// Instrumentation (flushed into [`stats`] once per solve).
+    /// Instrumentation (reported as [`SearchCounts`] once per solve).
     nodes: u64,
     wipeouts: u64,
     backtracks: u64,
@@ -416,21 +402,8 @@ pub fn homomorphism_exists(from: &Database, to: &Database, fixed: &[(Val, Val)])
 
 /// [`homomorphism_exists`] plus this query's [`SearchCounts`], for callers
 /// doing per-instance accounting (the memo caches use this on their miss
-/// paths). Global stats are still flushed exactly as for the uncounted
-/// form.
-pub fn homomorphism_exists_counted(
-    from: &Database,
-    to: &Database,
-    fixed: &[(Val, Val)],
-) -> (bool, SearchCounts) {
-    fixed
-        .iter()
-        .fold(HomSearch::new(from, to), |s, &(a, b)| s.fix(a, b))
-        .exists_counted()
-}
-
-/// Interruptible [`homomorphism_exists_counted`]: the backtracking search
-/// observes `intr` at every node expansion. The counts always report the
+/// paths). The backtracking search observes `intr` at every node
+/// expansion. The counts always report the
 /// effort actually spent, even when the verdict is `Err(Stop)`.
 pub fn homomorphism_exists_counted_int(
     from: &Database,

@@ -2,8 +2,8 @@
 //! homomorphism-existence queries.
 //!
 //! The separability pipelines ask the same NP-hard question —
-//! "is there a hom `(D, a) → (D', b)`?" — over and over: `cq_chain`
-//! re-checks pairs that `cq_separable` already decided, classification
+//! "is there a hom `(D, a) → (D', b)`?" — over and over: `cq_chain_in`
+//! re-checks pairs that `cq_separable_in` already decided, classification
 //! repeats training-time queries, and preorder matrices touch each pair
 //! from both sides. Memoizing by *content* makes all of that free.
 //!
@@ -30,14 +30,14 @@
 //! can never change an answer.
 
 use super::stats::HomStats;
-use super::{homomorphism_exists_counted, homomorphism_exists_counted_int, SearchCounts};
+use super::{homomorphism_exists_counted_int, SearchCounts};
 use crate::database::Database;
 use crate::delta::{Containment, Lineage};
 use crate::ids::Val;
 use interrupt::{Interrupt, Stop};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Shard count; a small power of two comfortably above typical worker
 /// counts so lock contention stays negligible.
@@ -67,9 +67,8 @@ impl Generations {
     }
 }
 
-/// The memo table. Most callers use the process-wide [`global`] instance
-/// via [`exists_cached`]; independent instances exist for tests and for
-/// callers that want isolated lifetimes or capacities.
+/// The memo table. Each `Engine` owns one; independent instances also
+/// serve tests and callers that want isolated lifetimes or capacities.
 pub struct HomCache {
     shards: Vec<Mutex<Generations>>,
     per_shard_cap: usize,
@@ -78,8 +77,7 @@ pub struct HomCache {
     // Per-cache search-effort counters, bumped only by searches this
     // cache itself ran (its miss and uncached paths). Together with
     // hits/misses these make a cache a self-contained stats domain, so
-    // an isolated `Engine` can attribute work without touching the
-    // process-global `stats` module (which the solvers still flush).
+    // each `Engine` attributes exactly the work routed through it.
     searches: AtomicU64,
     nodes: AtomicU64,
     wipeouts: AtomicU64,
@@ -87,7 +85,7 @@ pub struct HomCache {
     /// Entries imported from a persisted table (see `import_entry`).
     restored: AtomicU64,
     /// Answers served by delta subsumption instead of a fresh search
-    /// (see [`HomCache::exists_sub`]); counted as neither hit nor miss.
+    /// (see [`HomCache::exists_sub_int`]); counted as neither hit nor miss.
     sub_hits: AtomicU64,
 }
 
@@ -203,46 +201,17 @@ impl HomCache {
         None
     }
 
-    /// Memoized [`homomorphism_exists`]: does a hom `from → to` extending
-    /// `fixed` exist?
+    /// Memoized [`homomorphism_exists`](super::homomorphism_exists): does
+    /// a hom `from → to` extending `fixed` exist? The uninterruptible,
+    /// lineage-free form of [`HomCache::exists_sub_int`].
     ///
     /// The fixed pairs are normalized (sorted, deduplicated) before
     /// keying, so permutations and repetitions of the same constraints
     /// share one entry. Contradictory constraints short-circuit to
     /// `false` without occupying cache space.
     pub fn exists(&self, from: &Database, to: &Database, fixed: &[(Val, Val)]) -> bool {
-        self.exists_sub(from, to, fixed, None)
-    }
-
-    /// [`HomCache::exists`] with delta subsumption: on an exact-key miss,
-    /// entries cached for lineage ancestors of `from`/`to` are consulted
-    /// under the monotone rules of `subsumed_via` before falling back to
-    /// a fresh search. A subsumption-served answer is promoted to an
-    /// exact entry (so the next query is a plain hit) and counts only in
-    /// [`HomCache::subsumption_hits`].
-    pub fn exists_sub(
-        &self,
-        from: &Database,
-        to: &Database,
-        fixed: &[(Val, Val)],
-        lineage: Option<&Lineage>,
-    ) -> bool {
-        let Some(key) = Self::normalize(from, to, fixed) else {
-            return false;
-        };
-        if let Some(ans) = self.probe_exact(&key) {
-            return ans;
-        }
-        if let Some(ans) = self.try_subsume(&key, lineage) {
-            return ans;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        // Search with the lock released; the solve can be exponential and
-        // must not serialize unrelated lookups on this shard.
-        let (ans, counts) = homomorphism_exists_counted(from, to, &key.2);
-        self.note_search(&counts);
-        self.store(key, ans);
-        ans
+        self.exists_sub_int(from, to, fixed, None, &Interrupt::none())
+            .expect("an unshared handle cannot trip")
     }
 
     fn try_subsume(&self, key: &Key, lineage: Option<&Lineage>) -> Option<bool> {
@@ -253,24 +222,21 @@ impl HomCache {
         Some(ans)
     }
 
-    /// Interruptible [`HomCache::exists`]. Hits return instantly (a memo
-    /// lookup needs no interruption window); a miss runs the search under
-    /// `intr` and — critically — does **not** insert anything when the
-    /// search is stopped: an aborted search has no verdict, and caching
-    /// one would poison every later query for the same key. The partial
-    /// search effort still lands in this cache's counters.
-    pub fn exists_int(
-        &self,
-        from: &Database,
-        to: &Database,
-        fixed: &[(Val, Val)],
-        intr: &Interrupt,
-    ) -> Result<bool, Stop> {
-        self.exists_sub_int(from, to, fixed, None, intr)
-    }
-
-    /// Interruptible [`HomCache::exists_sub`] (subsumption probes are
-    /// memo reads and need no interruption window of their own).
+    /// Interruptible [`HomCache::exists`] with delta subsumption. Hits
+    /// return instantly (a memo lookup needs no interruption window); a
+    /// miss runs the search under `intr` and — critically — does **not**
+    /// insert anything when the search is stopped: an aborted search has
+    /// no verdict, and caching one would poison every later query for
+    /// the same key. The partial search effort still lands in this
+    /// cache's counters.
+    ///
+    /// On an exact-key miss, entries cached for lineage ancestors of
+    /// `from`/`to` are consulted under the monotone rules of
+    /// `subsumed_via` before falling back to a fresh search. A
+    /// subsumption-served answer is promoted to an exact entry (so the
+    /// next query is a plain hit) and counts only in
+    /// [`HomCache::subsumption_hits`]. Subsumption probes are memo reads
+    /// and need no interruption window of their own.
     pub fn exists_sub_int(
         &self,
         from: &Database,
@@ -296,26 +262,11 @@ impl HomCache {
         Ok(ans)
     }
 
-    /// [`HomCache::exists`] minus the memo table: the query is normalized
-    /// and counted against this cache's miss/search counters, but the
-    /// table is neither consulted nor updated. This is the `no_cache`
-    /// execution mode of an engine — same verdicts, same accounting
-    /// shape, no memoization.
-    pub fn exists_uncached(&self, from: &Database, to: &Database, fixed: &[(Val, Val)]) -> bool {
-        let mut norm: Vec<(Val, Val)> = fixed.to_vec();
-        norm.sort_unstable();
-        norm.dedup();
-        if norm.windows(2).any(|w| w[0].0 == w[1].0) {
-            return false;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let (ans, counts) = homomorphism_exists_counted(from, to, &norm);
-        self.note_search(&counts);
-        ans
-    }
-
-    /// Interruptible [`HomCache::exists_uncached`]: same accounting, no
-    /// memoization, search stops when `intr` trips.
+    /// [`HomCache::exists_sub_int`] minus the memo table: the query is
+    /// normalized and counted against this cache's miss/search counters,
+    /// but the table is neither consulted nor updated. This is the
+    /// `no_cache` execution mode of an engine — same verdicts, same
+    /// accounting shape, no memoization.
     pub fn exists_uncached_int(
         &self,
         from: &Database,
@@ -392,10 +343,8 @@ impl HomCache {
     }
 
     /// This cache's own counters as a [`HomStats`]: search effort from
-    /// its miss/uncached paths plus its hit/miss counts. Unlike
-    /// [`HomStats::snapshot`], which reads the process-global counters,
-    /// this is attributable to exactly the queries routed through this
-    /// cache instance.
+    /// its miss/uncached paths plus its hit/miss counts, attributable to
+    /// exactly the queries routed through this cache instance.
     pub fn stats(&self) -> HomStats {
         HomStats {
             solves: self.searches.load(Ordering::Relaxed),
@@ -458,24 +407,6 @@ impl Default for HomCache {
     fn default() -> HomCache {
         HomCache::new()
     }
-}
-
-static GLOBAL: OnceLock<Arc<HomCache>> = OnceLock::new();
-
-/// The process-wide cache instance used by the legacy (engine-less)
-/// entry points and `Engine::global()`.
-pub fn global() -> &'static HomCache {
-    GLOBAL.get_or_init(|| Arc::new(HomCache::new()))
-}
-
-/// The global cache as a shared handle, so an `Engine` can co-own it.
-pub fn global_arc() -> Arc<HomCache> {
-    Arc::clone(GLOBAL.get_or_init(|| Arc::new(HomCache::new())))
-}
-
-/// Memoized [`homomorphism_exists`] through the [`global`] cache.
-pub fn exists_cached(from: &Database, to: &Database, fixed: &[(Val, Val)]) -> bool {
-    global().exists(from, to, fixed)
 }
 
 #[cfg(test)]
@@ -625,16 +556,22 @@ mod tests {
         let lineage = Lineage::new();
         let p = graph(&[("a", "b"), ("b", "c")]); // path of length 2
         let mut c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")]);
-        assert!(cache.exists_sub(&p, &c3, &[], Some(&lineage)));
+        assert!(cache
+            .exists_sub_int(&p, &c3, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         assert_eq!(cache.misses(), 1);
         // Append a fact: the positive hom into c3 survives into c3 ∪ Δ.
         c3.apply_via(&Delta::new().add_fact("E", &["x", "w"]), &lineage)
             .unwrap();
-        assert!(cache.exists_sub(&p, &c3, &[], Some(&lineage)));
+        assert!(cache
+            .exists_sub_int(&p, &c3, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         assert_eq!(cache.misses(), 1, "no fresh search after the append");
         assert_eq!(cache.subsumption_hits(), 1);
         // The subsumed answer was promoted to an exact entry.
-        assert!(cache.exists_sub(&p, &c3, &[], Some(&lineage)));
+        assert!(cache
+            .exists_sub_int(&p, &c3, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         assert_eq!(cache.subsumption_hits(), 1);
         assert_eq!(cache.hits(), 1);
     }
@@ -646,12 +583,16 @@ mod tests {
         let lineage = Lineage::new();
         let c3 = graph(&[("a", "b"), ("b", "c"), ("c", "a")]); // 3-cycle
         let mut p = graph(&[("1", "2"), ("2", "3")]);
-        assert!(!cache.exists_sub(&c3, &p, &[], Some(&lineage)));
+        assert!(!cache
+            .exists_sub_int(&c3, &p, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         // Deleting a fact can only make the target poorer: the negative
         // verdict survives.
         p.apply_via(&Delta::new().remove_fact("E", &["2", "3"]), &lineage)
             .unwrap();
-        assert!(!cache.exists_sub(&c3, &p, &[], Some(&lineage)));
+        assert!(!cache
+            .exists_sub_int(&c3, &p, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.subsumption_hits(), 1);
     }
@@ -667,10 +608,14 @@ mod tests {
         // finds the true answer: no hom.
         let p = graph(&[("a", "b")]);
         let mut t = graph(&[("x", "y")]);
-        assert!(cache.exists_sub(&p, &t, &[], Some(&lineage)));
+        assert!(cache
+            .exists_sub_int(&p, &t, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         t.apply_via(&Delta::new().remove_fact("E", &["x", "y"]), &lineage)
             .unwrap();
-        assert!(!cache.exists_sub(&p, &t, &[], Some(&lineage)));
+        assert!(!cache
+            .exists_sub_int(&p, &t, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         assert_eq!(cache.subsumption_hits(), 0);
         assert_eq!(cache.misses(), 2, "direction mismatch forces a search");
     }
@@ -684,10 +629,14 @@ mod tests {
         // sub-source: cache (p2 → c3), then delete a fact from p2.
         let mut p2 = graph(&[("a", "b"), ("b", "c")]);
         let c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")]);
-        assert!(cache.exists_sub(&p2, &c3, &[], Some(&lineage)));
+        assert!(cache
+            .exists_sub_int(&p2, &c3, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         p2.apply_via(&Delta::new().remove_fact("E", &["b", "c"]), &lineage)
             .unwrap();
-        assert!(cache.exists_sub(&p2, &c3, &[], Some(&lineage)));
+        assert!(cache
+            .exists_sub_int(&p2, &c3, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         assert_eq!(cache.misses(), 1);
         assert_eq!(cache.subsumption_hits(), 1);
 
@@ -695,10 +644,14 @@ mod tests {
         // cache (c3 ↛ p1), then append a fact to c3.
         let mut c3b = graph(&[("a", "b"), ("b", "c"), ("c", "a")]);
         let p1 = graph(&[("1", "2")]);
-        assert!(!cache.exists_sub(&c3b, &p1, &[], Some(&lineage)));
+        assert!(!cache
+            .exists_sub_int(&c3b, &p1, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         c3b.apply_via(&Delta::new().add_fact("E", &["a", "d"]), &lineage)
             .unwrap();
-        assert!(!cache.exists_sub(&c3b, &p1, &[], Some(&lineage)));
+        assert!(!cache
+            .exists_sub_int(&c3b, &p1, &[], Some(&lineage), &Interrupt::none())
+            .unwrap());
         assert_eq!(cache.misses(), 2);
         assert_eq!(cache.subsumption_hits(), 2);
     }

@@ -1,7 +1,7 @@
 //! Parallel drivers for fan-out over independent homomorphism queries.
 //!
 //! The separability algorithms are embarrassingly parallel at the pair
-//! level: `cq_separable` asks Θ(|P|·|N|) independent hom questions,
+//! level: `cq_separable_in` asks Θ(|P|·|N|) independent hom questions,
 //! chain construction fills an n×n preorder matrix, classification maps
 //! each evaluation entity against each class representative. The drivers
 //! here fan those out over `std::thread::scope` workers pulling indices

@@ -1,29 +1,12 @@
-//! Global instrumentation counters for the homomorphism engine.
+//! Instrumentation counters for the homomorphism engine.
 //!
 //! The backtracking solver ([`crate::hom::HomSearch`]) counts nodes
-//! expanded, forward-check wipe-outs, and backtracks locally during each
-//! solve and flushes them here once per call; the memo cache
-//! ([`crate::hom::cache`]) contributes hit/miss counts. [`HomStats`]
-//! snapshots the lot, so a caller (the CLI `--stats` flag, the bench
+//! expanded, forward-check wipe-outs, and backtracks during each solve and
+//! reports them as [`crate::hom::SearchCounts`]; the memo cache
+//! ([`crate::hom::cache::HomCache`]) adds them to its own atomics
+//! alongside its hit/miss counts. [`HomStats`] is a snapshot of one
+//! cache's counters, so a caller (the CLI `--stats` flag, the bench
 //! harness) can difference two snapshots around a region of interest.
-//!
-//! Counters are process-global atomics: cheap to bump from the parallel
-//! driver's worker threads and aggregated without any locking.
-
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static NODES_EXPANDED: AtomicU64 = AtomicU64::new(0);
-static FORWARD_CHECK_WIPEOUTS: AtomicU64 = AtomicU64::new(0);
-static BACKTRACKS: AtomicU64 = AtomicU64::new(0);
-static SOLVES: AtomicU64 = AtomicU64::new(0);
-
-/// Flush one solve's worth of search counters (called by the solver).
-pub(crate) fn record_search(nodes: u64, wipeouts: u64, backtracks: u64) {
-    NODES_EXPANDED.fetch_add(nodes, Ordering::Relaxed);
-    FORWARD_CHECK_WIPEOUTS.fetch_add(wipeouts, Ordering::Relaxed);
-    BACKTRACKS.fetch_add(backtracks, Ordering::Relaxed);
-    SOLVES.fetch_add(1, Ordering::Relaxed);
-}
 
 /// A point-in-time aggregate of the engine counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -45,19 +28,6 @@ pub struct HomStats {
 }
 
 impl HomStats {
-    /// Read all counters now.
-    pub fn snapshot() -> HomStats {
-        let cache = super::cache::global();
-        HomStats {
-            solves: SOLVES.load(Ordering::Relaxed),
-            nodes_expanded: NODES_EXPANDED.load(Ordering::Relaxed),
-            forward_check_wipeouts: FORWARD_CHECK_WIPEOUTS.load(Ordering::Relaxed),
-            backtracks: BACKTRACKS.load(Ordering::Relaxed),
-            cache_hits: cache.hits(),
-            cache_misses: cache.misses(),
-        }
-    }
-
     /// Counter deltas since an earlier snapshot (saturating, so a
     /// concurrent `reset` cannot produce bogus huge values).
     pub fn since(&self, earlier: &HomStats) -> HomStats {
@@ -104,7 +74,7 @@ impl HomStats {
 mod tests {
     use super::*;
     use crate::builder::DbBuilder;
-    use crate::hom::homomorphism_exists;
+    use crate::hom::cache::HomCache;
     use crate::schema::Schema;
 
     #[test]
@@ -121,10 +91,11 @@ mod tests {
             .fact("E", &["y", "z"])
             .fact("E", &["z", "w"])
             .build();
-        let before = HomStats::snapshot();
+        let cache = HomCache::new();
+        let before = cache.stats();
         // An unsatisfiable instance must backtrack at least once.
-        assert!(!homomorphism_exists(&c3, &p3, &[]));
-        let delta = HomStats::snapshot().since(&before);
+        assert!(!cache.exists(&c3, &p3, &[]));
+        let delta = cache.stats().since(&before);
         assert!(delta.solves >= 1, "delta={delta:?}");
         assert!(delta.nodes_expanded >= 1, "delta={delta:?}");
         assert!(delta.backtracks >= 1, "delta={delta:?}");

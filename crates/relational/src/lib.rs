@@ -35,14 +35,12 @@ pub mod spec;
 
 pub use builder::DbBuilder;
 pub use database::{fingerprint_computations, Database, Fact};
-pub use delta::{
-    global_lineage_arc, Containment, Delta, DeltaError, DeltaKind, DeltaOp, DeltaReceipt, Lineage,
-};
-pub use hom::cache::{exists_cached, HomCache};
+pub use delta::{Containment, Delta, DeltaError, DeltaKind, DeltaOp, DeltaReceipt, Lineage};
+pub use hom::cache::HomCache;
 pub use hom::stats::HomStats;
 pub use hom::{
-    find_homomorphism, hom_equivalent, homomorphism_exists, homomorphism_exists_counted, HomSearch,
-    SearchCounts,
+    find_homomorphism, hom_equivalent, homomorphism_exists, homomorphism_exists_counted_int,
+    HomSearch, SearchCounts,
 };
 pub use ids::{RelId, Val};
 pub use labeling::{Label, Labeling, TrainingDb};

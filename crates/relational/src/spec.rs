@@ -17,9 +17,26 @@
 
 use crate::database::Database;
 use crate::labeling::{Label, Labeling, TrainingDb};
-use crate::schema::Schema;
+use crate::schema::{Schema, ENTITY_REL_NAME};
 use serde::{Deserialize, Serialize};
+use std::collections::HashSet;
 use std::fmt;
+
+/// Why an entity schema cannot declare `name/arity` (`taken`: the name
+/// is already declared), if it cannot.
+fn check_relation(name: &str, arity: usize, taken: bool) -> Result<(), String> {
+    if arity == 0 {
+        Err(format!("relation {name:?} needs a positive arity"))
+    } else if name == ENTITY_REL_NAME {
+        Err(format!(
+            "relation name {name:?} is reserved for the entity symbol"
+        ))
+    } else if taken {
+        Err(format!("relation {name:?} declared twice"))
+    } else {
+        Ok(())
+    }
+}
 
 /// Portable form of a (training) database.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,18 +62,22 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 impl DatabaseSpec {
-    /// Build the entity schema declared by this spec.
-    pub fn schema(&self) -> Schema {
+    /// Build the entity schema declared by this spec. A declaration the
+    /// schema cannot hold — arity 0, the reserved entity symbol `eta`, or
+    /// a name declared twice — is an error, never a panic: specs arrive
+    /// from untrusted clients.
+    pub fn schema(&self) -> Result<Schema, SpecError> {
         let mut s = Schema::entity_schema();
         for (name, arity) in &self.relations {
+            check_relation(name, *arity, s.rel_by_name(name).is_some()).map_err(SpecError)?;
             s.add_relation(name, *arity);
         }
-        s
+        Ok(s)
     }
 
     /// Instantiate as a plain database (labels, if any, are ignored).
     pub fn to_database(&self) -> Result<Database, SpecError> {
-        let schema = self.schema();
+        let schema = self.schema()?;
         let mut db = Database::new(schema);
         for (rel, args) in &self.facts {
             let rel_id = db
@@ -133,6 +154,7 @@ impl DatabaseSpec {
     /// Parse the line-oriented text format.
     pub fn parse(text: &str) -> Result<DatabaseSpec, SpecError> {
         let mut spec = DatabaseSpec::default();
+        let mut declared = HashSet::new();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
@@ -149,6 +171,8 @@ impl DatabaseSpec {
                         .split_once('/')
                         .ok_or_else(|| err("expected name/arity"))?;
                     let arity: usize = arity.parse().map_err(|_| err("bad arity"))?;
+                    let taken = !declared.insert(name);
+                    check_relation(name, arity, taken).map_err(|e| err(&e))?;
                     spec.relations.push((name.to_string(), arity));
                 }
                 "fact" => {
@@ -265,6 +289,33 @@ entity b
         assert!(e.0.contains("line 2"), "{e}");
         assert!(DatabaseSpec::parse("fact f()").is_err());
         assert!(DatabaseSpec::parse("bogus x").is_err());
+    }
+
+    #[test]
+    fn bad_relation_declarations_are_errors_not_panics() {
+        for (text, needle) in [
+            ("rel eta/1", "reserved"),
+            ("rel E/0", "positive arity"),
+            ("rel E/2\nrel E/2", "declared twice"),
+            ("rel E/2\nrel E/3", "declared twice"),
+        ] {
+            let e = DatabaseSpec::parse(text).unwrap_err();
+            assert!(e.0.contains(needle), "{text:?}: {e}");
+        }
+        // A spec built directly (not parsed) is checked when instantiated.
+        for relations in [
+            vec![("eta".to_string(), 1)],
+            vec![("E".to_string(), 0)],
+            vec![("E".to_string(), 2), ("E".to_string(), 2)],
+        ] {
+            let spec = DatabaseSpec {
+                relations,
+                ..DatabaseSpec::default()
+            };
+            assert!(spec.schema().is_err());
+            assert!(spec.to_database().is_err());
+            assert!(spec.to_training().is_err());
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use server::{
 };
 pub use task::{
     execute_in, execute_res_in, load_database, load_training, render_labels, run_task_in,
-    run_task_res_in, run_task_with, ClassSpec, Outcome, Residents, Task, TaskOutput,
-    DEFAULT_CHECK_CLASSES, DEFAULT_EVALUATE_METHODS,
+    run_task_res_in, ClassSpec, Outcome, Residents, Task, TaskOutput, DEFAULT_CHECK_CLASSES,
+    DEFAULT_EVALUATE_METHODS,
 };
 pub use tenant::{validate_tenant_id, TenantConfig, TenantHandle, TenantRegistry};

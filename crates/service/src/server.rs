@@ -1195,6 +1195,42 @@ mod tests {
     }
 
     #[test]
+    fn hostile_specs_get_typed_errors_and_serving_continues() {
+        let check = |id: f64, train: &str| {
+            req(&[
+                ("id", Json::Num(id)),
+                ("task", Json::Str("check".to_string())),
+                ("train", Json::Str(train.to_string())),
+                ("classes", Json::Arr(vec![Json::Str("cq".to_string())])),
+            ])
+        };
+        let lines = vec![
+            check(1.0, "rel eta/1\nentity a +\n"),
+            check(2.0, "rel E/0\nentity a +\n"),
+            check(3.0, "rel E/2\nrel E/2\nentity a +\n"),
+            check(4.0, TRAIN),
+        ];
+        let (responses, summary) = run_lines(&lines, &ServeOpts::default());
+        assert_eq!((summary.failed, summary.ok), (3, 1));
+        for (id, needle) in [
+            (1, "reserved"),
+            (2, "positive arity"),
+            (3, "declared twice"),
+        ] {
+            assert_eq!(status_of(&responses, id), "error");
+            let err = responses
+                .iter()
+                .find(|r| r.get("id").and_then(Json::as_u64) == Some(id))
+                .and_then(|r| r.get("error"))
+                .and_then(Json::as_str)
+                .unwrap();
+            assert!(err.contains("database spec error"), "{err}");
+            assert!(err.contains(needle), "{err}");
+        }
+        assert_eq!(status_of(&responses, 4), "ok");
+    }
+
+    #[test]
     fn oversized_and_non_utf8_lines_get_typed_errors() {
         let mut input = Vec::new();
         // An oversized line: valid JSON prefix, then padding past the cap.
@@ -1234,9 +1270,19 @@ mod tests {
         use std::io::{BufRead, BufReader, Write};
         use std::os::unix::net::UnixStream;
 
-        let dir = std::env::temp_dir().join(format!("cqsep_sock_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("serve.sock");
+        // Named after this test and process; removed on drop.
+        struct SockDir(std::path::PathBuf);
+        impl Drop for SockDir {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir = SockDir(std::env::temp_dir().join(format!(
+            "cqsep_unix_socket_serves_a_connection_{}",
+            std::process::id()
+        )));
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join("serve.sock");
         let spath = path.clone();
         let server = std::thread::spawn(move || {
             serve_unix(Arc::new(Engine::new()), &spath, &ServeOpts::default())

@@ -12,7 +12,7 @@
 use cq::EnumConfig;
 use cqsep::generalize::{self, FitMethod};
 use cqsep::{apx, cls_ghw, gen_ghw, sep_cq, sep_cqm, sep_ghw};
-use engine::{Ctx, Engine, Interrupted};
+use engine::{Ctx, Interrupted};
 use relational::spec::DatabaseSpec;
 use relational::{Database, Delta, Label, TrainingDb};
 use std::collections::HashMap;
@@ -451,11 +451,6 @@ pub fn run_task_res_in(
     }
 }
 
-/// [`run_task_in`] against a bare engine (unbounded context).
-pub fn run_task_with(engine: &Engine, task: &Task) -> Result<TaskOutput, String> {
-    run_task_in(&engine.ctx(), task).expect("unbounded ctx cannot interrupt")
-}
-
 /// Execute a task and flatten all three terminal states into an
 /// [`Outcome`]. Stateless registry — see [`execute_res_in`].
 pub fn execute_in(ctx: &Ctx, task: &Task) -> Outcome {
@@ -766,6 +761,7 @@ fn sign(l: Label) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engine::Engine;
     use std::time::Duration;
 
     const TRAIN: &str = "\
@@ -809,13 +805,14 @@ entity v
     #[test]
     fn check_task_reports_all_default_classes() {
         let engine = Engine::new();
-        let out = run_task_with(
-            &engine,
+        let out = run_task_in(
+            &engine.ctx(),
             &Task::Check {
                 train: TRAIN.to_string(),
                 classes: vec![],
             },
         )
+        .unwrap()
         .unwrap();
         assert!(out.output.contains("CQ-separable: true"), "{}", out.output);
         assert!(
@@ -834,13 +831,14 @@ entity v
     #[test]
     fn train_task_returns_a_model() {
         let engine = Engine::new();
-        let out = run_task_with(
-            &engine,
+        let out = run_task_in(
+            &engine.ctx(),
             &Task::Train {
                 train: TRAIN.to_string(),
                 class: ClassSpec::Cqm(1),
             },
         )
+        .unwrap()
         .unwrap();
         assert!(out.output.contains("features"), "{}", out.output);
         let model = out.model.expect("train returns the model text");
@@ -850,14 +848,15 @@ entity v
     #[test]
     fn classify_task_labels_eval_entities() {
         let engine = Engine::new();
-        let out = run_task_with(
-            &engine,
+        let out = run_task_in(
+            &engine.ctx(),
             &Task::Classify {
                 train: TRAIN.to_string(),
                 eval: EVAL.to_string(),
                 class: ClassSpec::Ghw(1),
             },
         )
+        .unwrap()
         .unwrap();
         assert!(out.output.contains("u "), "{}", out.output);
         assert!(out.output.contains("v "), "{}", out.output);
@@ -866,14 +865,15 @@ entity v
     #[test]
     fn classify_batch_task_labels_and_reports_stats() {
         let engine = Engine::new();
-        let out = run_task_with(
-            &engine,
+        let out = run_task_in(
+            &engine.ctx(),
             &Task::ClassifyBatch {
                 train: TRAIN.to_string(),
                 eval: EVAL.to_string(),
                 class: ClassSpec::Cqm(1),
             },
         )
+        .unwrap()
         .unwrap();
         assert!(out.output.contains("u +"), "{}", out.output);
         assert!(out.output.contains("v -"), "{}", out.output);
@@ -887,7 +887,7 @@ entity v
     #[test]
     fn classify_batch_agrees_with_classify() {
         let engine = Engine::new();
-        let run = |task| run_task_with(&engine, &task).unwrap().output;
+        let run = |task| run_task_in(&engine.ctx(), &task).unwrap().unwrap().output;
         let plain = run(Task::Classify {
             train: TRAIN.to_string(),
             eval: EVAL.to_string(),
@@ -911,14 +911,15 @@ entity v
     fn relabel_task_reports_disagreements() {
         let engine = Engine::new();
         let noisy = "rel E/2\nfact E(a,b)\nfact E(b,a)\nentity a +\nentity b -\n";
-        let out = run_task_with(
-            &engine,
+        let out = run_task_in(
+            &engine.ctx(),
             &Task::Relabel {
                 train: noisy.to_string(),
                 k: 1,
                 name: None,
             },
         )
+        .unwrap()
         .unwrap();
         assert!(out.output.contains("1 disagreement"), "{}", out.output);
         assert!(
@@ -1035,8 +1036,8 @@ entity v -
     #[test]
     fn evaluate_task_reports_heldout_metrics_for_all_default_methods() {
         let engine = Engine::new();
-        let out = run_task_with(
-            &engine,
+        let out = run_task_in(
+            &engine.ctx(),
             &Task::Evaluate {
                 train: TRAIN.to_string(),
                 test: TEST_DB.to_string(),
@@ -1044,6 +1045,7 @@ entity v -
                 fit_timeout: None,
             },
         )
+        .unwrap()
         .unwrap();
         for m in DEFAULT_EVALUATE_METHODS {
             assert!(out.output.contains(&m.to_string()), "{m}: {}", out.output);
@@ -1057,8 +1059,8 @@ entity v -
     #[test]
     fn evaluate_fit_timeout_marks_rows_without_sinking_the_task() {
         let engine = Engine::new();
-        let out = run_task_with(
-            &engine,
+        let out = run_task_in(
+            &engine.ctx(),
             &Task::Evaluate {
                 train: TRAIN.to_string(),
                 test: TEST_DB.to_string(),
@@ -1066,6 +1068,7 @@ entity v -
                 fit_timeout: Some(Duration::ZERO),
             },
         )
+        .unwrap()
         .unwrap();
         // Every fit's child budget is already expired, but the task
         // itself succeeds with per-method timeout rows.
@@ -1096,13 +1099,14 @@ entity v -
     #[test]
     fn bad_database_text_is_a_domain_failure_not_a_panic() {
         let engine = Engine::new();
-        let err = run_task_with(
-            &engine,
+        let err = run_task_in(
+            &engine.ctx(),
             &Task::Check {
                 train: "this is not a database".to_string(),
                 classes: vec![],
             },
         )
+        .unwrap()
         .unwrap_err();
         assert!(!err.is_empty());
     }

@@ -316,14 +316,37 @@ fn load_residents(path: &Path, residents: &Residents) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     const TRAIN: &str = "rel E/2\nfact E(a,b)\nentity a +\nentity b -\n";
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("cqsep_tenants_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    /// A scratch directory unique to this process and call, removed on
+    /// drop (tests run concurrently, so a pid alone is not enough).
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let dir = std::env::temp_dir()
+                .join(format!("cqsep_tenants_{tag}_{}_{n}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+    }
+
+    impl std::ops::Deref for TempDir {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     #[test]
@@ -373,10 +396,10 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_coldest_and_snapshots_round_trip() {
-        let dir = tmp_dir("lru");
+        let dir = TempDir::new("lru");
         let config = TenantConfig {
             capacity: 2,
-            cache_dir: Some(dir.clone()),
+            cache_dir: Some(dir.to_path_buf()),
             ..TenantConfig::default()
         };
         let registry = TenantRegistry::new(config);
@@ -417,16 +440,14 @@ mod tests {
             delta.hom.cache_hits + delta.game.cache_hits > 0,
             "warm-restored engine must serve cache hits: {delta:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn corrupt_residents_file_is_a_cold_start() {
-        let dir = tmp_dir("corrupt");
+        let dir = TempDir::new("corrupt");
         std::fs::write(dir.join(RESIDENTS_FILE), b"CQSEPRD1garbage").unwrap();
         let residents = Residents::new();
         assert_eq!(load_residents(&dir.join(RESIDENTS_FILE), &residents), None);
         assert!(residents.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -114,11 +114,14 @@ pub fn twin_cycles(n: usize) -> TrainingDb {
 mod tests {
     use super::*;
     use covergame::cover_implies;
-    use cqsep::sep_cq::cq_separable;
-    use cqsep::sep_ghw::ghw_separable;
+    use cqsep::sep_cq::cq_separable_in;
+    use cqsep::sep_ghw::ghw_separable_in;
+    use cqsep::Engine;
 
     #[test]
     fn alternating_paths_form_a_chain() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = alternating_paths(4);
         let ents = t.entities();
         assert_eq!(ents.len(), 4);
@@ -138,19 +141,21 @@ mod tests {
             }
         }
         // Chain is separable (all classes singleton).
-        assert!(ghw_separable(&t, 1));
-        assert!(cq_separable(&t));
+        assert!(ghw_separable_in(&ctx, &t, 1).unwrap());
+        assert!(cq_separable_in(&ctx, &t).unwrap());
     }
 
     #[test]
     fn twin_paths_order_and_distinguishing_size() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         for n in [3usize, 5] {
             let t = twin_paths(n);
             let u = t.db.val_by_name("u").unwrap();
             let v = t.db.val_by_name("v").unwrap();
             assert!(cover_implies(&t.db, &[v], &t.db, &[u], 1), "v ⪯ u");
             assert!(!cover_implies(&t.db, &[u], &t.db, &[v], 1), "u ⋠ v");
-            assert!(ghw_separable(&t, 1));
+            assert!(ghw_separable_in(&ctx, &t, 1).unwrap());
             // The extracted distinguishing query needs ≥ n E-atoms (the
             // out-path of length n is the only distinguishing pattern).
             let (q, td) =
@@ -167,24 +172,34 @@ mod tests {
 
     #[test]
     fn example_6_2_matches_paper() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = example_6_2();
-        assert!(cq_separable(&t));
+        assert!(cq_separable_in(&ctx, &t).unwrap());
         let bud = cqsep::sep_dim::DimBudget::default();
-        assert!(!cqsep::sep_dim::cq_sep_dim(&t, 1, &bud).unwrap());
-        assert!(cqsep::sep_dim::cq_sep_dim(&t, 2, &bud).unwrap());
+        assert!(!cqsep::sep_dim::cq_sep_dim_in(&ctx, &t, 1, &bud)
+            .unwrap()
+            .unwrap());
+        assert!(cqsep::sep_dim::cq_sep_dim_in(&ctx, &t, 2, &bud)
+            .unwrap()
+            .unwrap());
     }
 
     #[test]
     fn twin_cycles_inseparable_everywhere() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = twin_cycles(3);
-        assert!(!cq_separable(&t));
-        assert!(!ghw_separable(&t, 1));
-        assert!(!ghw_separable(&t, 2));
+        assert!(!cq_separable_in(&ctx, &t).unwrap());
+        assert!(!ghw_separable_in(&ctx, &t, 1).unwrap());
+        assert!(!ghw_separable_in(&ctx, &t, 2).unwrap());
         assert!(!cqsep::fo::fo_separable(&t));
     }
 
     #[test]
     fn alternating_chain_needs_linear_dimension() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         // The headline of Theorem 5.7(a), measured: the minimum number of
         // out-path features separating the m-chain is m - 1.
         let schema = graph_schema();
@@ -199,7 +214,9 @@ mod tests {
                     cq::parse::parse_cq(&schema, &body).unwrap()
                 })
                 .collect();
-            let dim = cqsep::fo::min_dimension_of(&t, &pool, m).expect("pool suffices");
+            let dim = cqsep::fo::min_dimension_of_in(&ctx, &t, &pool, m)
+                .unwrap()
+                .expect("pool suffices");
             assert_eq!(dim, m - 1, "m={m}");
         }
     }

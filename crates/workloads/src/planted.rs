@@ -263,6 +263,7 @@ fn label_by(target: &Cq, db: &Database) -> Labeling {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cqsep::Engine;
 
     #[test]
     fn all_families_sample_both_classes() {
@@ -337,19 +338,29 @@ mod tests {
 
     #[test]
     fn zero_noise_split_is_matching_tier_separable() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         for family in families() {
             let cfg = SampleConfig::for_family(&family, 14, 10, 11);
             let split = planted_split(&family, &cfg);
             assert_eq!(split.flips, 0);
-            let model =
-                cqsep::sep_cqm::cqm_generate(&split.train, &cq::EnumConfig::cqm(family.atoms))
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "{}: zero-noise instance must be CQ[{}]-separable",
-                            family.name, family.atoms
-                        )
-                    });
-            assert!(model.separates(&split.train), "{}", family.name);
+            let model = cqsep::sep_cqm::cqm_generate_in(
+                &ctx,
+                &split.train,
+                &cq::EnumConfig::cqm(family.atoms),
+            )
+            .unwrap()
+            .unwrap_or_else(|| {
+                panic!(
+                    "{}: zero-noise instance must be CQ[{}]-separable",
+                    family.name, family.atoms
+                )
+            });
+            assert!(
+                model.separates_in(&ctx, &split.train).unwrap(),
+                "{}",
+                family.name
+            );
         }
     }
 

@@ -178,19 +178,25 @@ pub fn grid_train(r: usize, c: usize) -> TrainingDb {
 mod tests {
     use super::*;
     use cq::parse::parse_cq;
+    use cqsep::Engine;
 
     #[test]
     fn random_digraph_is_out_edge_separable() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = random_digraph_train(12, 0.15, 7);
         assert_eq!(t.entities().len(), 12);
         // Separable by CQ[1] with the out-edge feature, by construction.
-        let model = cqsep::sep_cqm::cqm_generate(&t, &cq::EnumConfig::cqm(1))
+        let model = cqsep::sep_cqm::cqm_generate_in(&ctx, &t, &cq::EnumConfig::cqm(1))
+            .unwrap()
             .expect("planted out-edge labels are CQ[1]-separable");
-        assert!(model.separates(&t));
+        assert!(model.separates_in(&ctx, &t).unwrap());
     }
 
     #[test]
     fn planted_feature_is_recovered() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let q = parse_cq(&graph_schema(), "q(x) :- eta(x), E(x,y), E(y,x)").unwrap();
         let t = planted_feature_graph(
             &PlantedConfig {
@@ -200,8 +206,8 @@ mod tests {
             },
             &q,
         );
-        assert!(cqsep::sep_cqm::cqm_separable(&t, &cq::EnumConfig::cqm(2)));
-        assert!(cqsep::sep_ghw::ghw_separable(&t, 1));
+        assert!(cqsep::sep_cqm::cqm_separable_in(&ctx, &t, &cq::EnumConfig::cqm(2)).unwrap());
+        assert!(cqsep::sep_ghw::ghw_separable_in(&ctx, &t, 1).unwrap());
     }
 
     #[test]
@@ -231,6 +237,8 @@ mod tests {
 
     #[test]
     fn replicated_paths_have_twin_classes() {
+        let engine = Engine::new();
+        let ctx = engine.ctx();
         let t = replicated_paths(3, 2);
         assert_eq!(t.entities().len(), 6);
         // Twins are →_1 equivalent; different lengths are not.
@@ -249,7 +257,7 @@ mod tests {
             v("p3c0_0"),
             1
         ));
-        assert!(cqsep::sep_ghw::ghw_separable(&t, 1));
+        assert!(cqsep::sep_ghw::ghw_separable_in(&ctx, &t, 1).unwrap());
     }
 
     #[test]

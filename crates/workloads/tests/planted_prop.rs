@@ -4,8 +4,8 @@
 //! assertion stands on.
 
 use cq::EnumConfig;
-use cqsep::generalize::{evaluate_with, FitMethod};
-use cqsep::sep_cqm::cqm_generate_with;
+use cqsep::generalize::{evaluate_in, FitMethod};
+use cqsep::sep_cqm::cqm_generate_in;
 use cqsep::Engine;
 use proptest::prelude::*;
 use workloads::{families, planted_split, SampleConfig};
@@ -35,21 +35,22 @@ proptest! {
         prop_assert_eq!(split.flips, 0);
 
         let engine = Engine::new();
-        let model = cqm_generate_with(&engine, &split.train, &EnumConfig::cqm(family.atoms));
+        let ctx = engine.ctx();
+        let model = cqm_generate_in(&ctx, &split.train, &EnumConfig::cqm(family.atoms)).unwrap();
         prop_assert!(
             model.is_some(),
             "{}: zero-noise sample (n={}, seed={}) must be CQ[{}]-separable",
             family.name, train_n, seed, family.atoms
         );
         prop_assert!(
-            model.unwrap().separates(&split.train),
+            model.unwrap().separates_in(&ctx, &split.train).unwrap(),
             "{}: exact fit must reproduce the training labels",
             family.name
         );
 
         // The same invariant through the harness: fit_exact, zero train
         // errors, and metrics inside [0, 1].
-        let r = evaluate_with(&engine, &split.train, &split.test, FitMethod::Cqm(family.atoms));
+        let r = evaluate_in(&ctx, &split.train, &split.test, FitMethod::Cqm(family.atoms)).unwrap();
         prop_assert!(r.fit_exact, "{}", family.name);
         prop_assert_eq!(r.train_errors, 0);
         prop_assert_eq!(r.test_size(), 8);
@@ -83,12 +84,12 @@ proptest! {
         );
 
         let engine = Engine::new();
-        let r = evaluate_with(
-            &engine,
+        let r = evaluate_in(
+            &engine.ctx(),
             &split.train,
             &split.test,
             FitMethod::MinError(family.atoms),
-        );
+        ).unwrap();
         // The planted target still fits the 9 unflipped labels, so the
         // minimum error is at most the number of flips.
         prop_assert!(

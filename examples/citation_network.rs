@@ -10,10 +10,15 @@
 //!
 //! Run with: `cargo run --example citation_network`
 
-use cqsep::{cls_ghw, gen_ghw, sep_ghw};
+use cqsep::{cls_ghw, gen_ghw, sep_ghw, Engine};
 use workloads::alternating_paths;
 
 fn main() {
+    // Every solver runs under a context over an explicit engine, which
+    // owns the memo caches and counters; `engine.ctx()` has no deadline.
+    let engine = Engine::new();
+    let ctx = engine.ctx();
+
     // Training data: the alternating-chain family from the paper's
     // lower-bound analysis (Theorem 5.7) — papers starting citation
     // chains of length 1..=m, alternately labeled.
@@ -26,12 +31,12 @@ fn main() {
     );
 
     // Separability is polynomial (Theorem 5.3).
-    assert!(sep_ghw::ghw_separable(&train, 1));
+    assert!(sep_ghw::ghw_separable_in(&ctx, &train, 1).unwrap());
     println!("GHW(1)-separable: yes");
 
     // Explicit generation with a tight budget fails on this family —
     // the features are path unfoldings of growing size.
-    match gen_ghw::ghw_generate(&train, 1, 8) {
+    match gen_ghw::ghw_generate_in(&ctx, &train, 1, 8).unwrap() {
         Err(e) => println!("explicit generation (budget 8 nodes): {e}"),
         Ok(model) => println!(
             "explicit generation small-budget unexpectedly succeeded \
@@ -40,7 +45,9 @@ fn main() {
         ),
     }
     // With a generous budget it succeeds; measure the statistic size.
-    let model = gen_ghw::ghw_generate(&train, 1, 1_000_000).expect("generous budget");
+    let model = gen_ghw::ghw_generate_in(&ctx, &train, 1, 1_000_000)
+        .unwrap()
+        .expect("generous budget");
     println!(
         "explicit generation (generous budget): {} features, {} total atoms",
         model.statistic.dimension(),
@@ -52,7 +59,9 @@ fn main() {
     // training one (features are whole-database patterns); we use a
     // larger network of the same design, with chains up to length m + 1.
     let eval = alternating_paths(m + 1).db;
-    let labels = cls_ghw::ghw_classify(&train, &eval, 1).unwrap();
+    let labels = cls_ghw::ghw_classify_in(&ctx, &train, &eval, 1)
+        .unwrap()
+        .unwrap();
     println!("\nclassification of the evaluation network (chain starts):");
     let mut named: Vec<(String, relational::Val)> = eval
         .entities()

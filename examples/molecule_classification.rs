@@ -18,7 +18,7 @@
 
 use cq::core::core_of;
 use cq::EnumConfig;
-use cqsep::{DbBuilder, LinearClassifier, Schema, SeparatorModel, Statistic};
+use cqsep::{DbBuilder, Engine, LinearClassifier, Schema, SeparatorModel, Statistic};
 use numeric::qint;
 
 /// Schema: molecules are entities; `has(mol, atom)` links molecules to
@@ -79,6 +79,11 @@ const TRAIN: &[Molecule] = &[
 ];
 
 fn main() {
+    // Every solver runs under a context over an explicit engine, which
+    // owns the memo caches and counters; `engine.ctx()` has no deadline.
+    let engine = Engine::new();
+    let ctx = engine.ctx();
+
     let mut b = DbBuilder::new(molecule_schema());
     for m in TRAIN {
         for (atom, element) in m.atoms {
@@ -142,7 +147,7 @@ fn main() {
         classifier: LinearClassifier::new(qint(1), vec![qint(1)]),
     };
     assert!(
-        model.separates(&train),
+        model.separates_in(&ctx, &train).unwrap(),
         "the motif separates the training data"
     );
 
@@ -165,7 +170,7 @@ fn main() {
         .entity("t1")
         .entity("t2")
         .build();
-    let labels = model.classify(&eval);
+    let labels = model.classify_in(&ctx, &eval).unwrap();
     println!("\nheld-out molecules:");
     for e in eval.entities() {
         println!("  {}: {:?}", eval.val_name(e), labels.get(e));

@@ -7,6 +7,9 @@ use cqsep::{apx, sep_cqm, sep_ghw};
 use relational::{DbBuilder, Schema, TrainingDb};
 use workloads::{flip_labels, replicated_paths, twin_cycles};
 
+mod common;
+use common::both;
+
 fn graph_schema() -> Schema {
     let mut s = Schema::entity_schema();
     s.add_relation("E", 2);
@@ -34,10 +37,18 @@ fn apx_sep_threshold_is_exact() {
         .positive("g1c1")
         .positive("g1c2")
         .training();
-    assert_eq!(apx::ghw_min_errors(&t, 1), 1);
+    assert_eq!(both(|ctx| apx::ghw_min_errors_in(ctx, &t, 1).unwrap()), 1);
     let n = t.entities().len() as f64; // 6
-    assert!(apx::ghw_apx_separable(&t, 1, 1.0 / n));
-    assert!(!apx::ghw_apx_separable(&t, 1, 1.0 / n - 1e-9));
+    assert!(both(
+        |ctx| apx::ghw_apx_separable_in(ctx, &t, 1, 1.0 / n).unwrap()
+    ));
+    assert!(!both(|ctx| apx::ghw_apx_separable_in(
+        ctx,
+        &t,
+        1,
+        1.0 / n - 1e-9
+    )
+    .unwrap()));
 }
 
 #[test]
@@ -45,11 +56,11 @@ fn apx_classify_realizes_the_optimum() {
     let clean = replicated_paths(3, 3);
     for (rate, seed) in [(0.15, 3u64), (0.3, 9)] {
         let (noisy, _) = flip_labels(&clean, rate, seed);
-        let min = apx::ghw_min_errors(&noisy, 1);
-        let recovered = apx::ghw_apx_classify(&noisy, &noisy.db, 1);
+        let min = both(|ctx| apx::ghw_min_errors_in(ctx, &noisy, 1).unwrap());
+        let recovered = both(|ctx| apx::ghw_apx_classify_in(ctx, &noisy, &noisy.db, 1).unwrap());
         // The recovered labeling is GHW(1)-separable...
         let cand = TrainingDb::new(noisy.db.clone(), recovered.clone());
-        assert!(sep_ghw::ghw_separable(&cand, 1));
+        assert!(both(|ctx| sep_ghw::ghw_separable_in(ctx, &cand, 1).unwrap()));
         // ...and achieves exactly the optimal disagreement.
         assert_eq!(noisy.labeling.disagreement(&recovered), min);
     }
@@ -62,9 +73,10 @@ fn class_power_ordering_of_min_errors() {
     let clean = replicated_paths(3, 2);
     for seed in [1u64, 5, 11] {
         let (noisy, _) = flip_labels(&clean, 0.3, seed);
-        let g1 = apx::ghw_min_errors(&noisy, 1);
-        let g2 = apx::ghw_min_errors(&noisy, 2);
-        let (_, c1) = apx::cqm_apx_generate(&noisy, &EnumConfig::cqm(1));
+        let g1 = both(|ctx| apx::ghw_min_errors_in(ctx, &noisy, 1).unwrap());
+        let g2 = both(|ctx| apx::ghw_min_errors_in(ctx, &noisy, 2).unwrap());
+        let (_, c1) =
+            both(|ctx| apx::cqm_apx_generate_in(ctx, &noisy, &EnumConfig::cqm(1)).unwrap());
         assert!(
             g2 <= g1,
             "seed {seed}: GHW(2) must not err more than GHW(1)"
@@ -77,9 +89,9 @@ fn class_power_ordering_of_min_errors() {
 fn inseparable_twins_err_at_every_class() {
     // Twin cycles: the conflicted pair costs 1 error under every class.
     let t = twin_cycles(3);
-    assert_eq!(apx::ghw_min_errors(&t, 1), 1);
-    assert_eq!(apx::ghw_min_errors(&t, 2), 1);
-    let (_, errs) = apx::cqm_apx_generate(&t, &EnumConfig::cqm(2));
+    assert_eq!(both(|ctx| apx::ghw_min_errors_in(ctx, &t, 1).unwrap()), 1);
+    assert_eq!(both(|ctx| apx::ghw_min_errors_in(ctx, &t, 2).unwrap()), 1);
+    let (_, errs) = both(|ctx| apx::cqm_apx_generate_in(ctx, &t, &EnumConfig::cqm(2)).unwrap());
     assert_eq!(errs, 1);
 }
 
@@ -93,7 +105,7 @@ fn padding_reduction_multiple_epsilons() {
     for eps in [0.0, 0.15, 0.3, 0.45] {
         let p = apx::pad_for_error(&sep, eps);
         let n = p.entities().len() as f64;
-        let min = apx::ghw_min_errors(&p, 1) as f64;
+        let min = both(|ctx| apx::ghw_min_errors_in(ctx, &p, 1).unwrap()) as f64;
         assert!(
             min <= (eps * n).floor(),
             "eps={eps}: separable must fit budget ({min} > {})",
@@ -101,7 +113,7 @@ fn padding_reduction_multiple_epsilons() {
         );
         let p = apx::pad_for_error(&insep, eps);
         let n = p.entities().len() as f64;
-        let min = apx::ghw_min_errors(&p, 1) as f64;
+        let min = both(|ctx| apx::ghw_min_errors_in(ctx, &p, 1).unwrap()) as f64;
         assert!(min > eps * n, "eps={eps}: inseparable must exceed budget");
     }
 }
@@ -110,13 +122,14 @@ fn padding_reduction_multiple_epsilons() {
 fn cqm_apx_model_usable_for_classification() {
     let clean = replicated_paths(3, 2);
     let (noisy, _) = flip_labels(&clean, 0.2, 21);
-    let (model, errors) = apx::cqm_apx_generate(&noisy, &EnumConfig::cqm(3));
-    assert_eq!(model.errors(&noisy), errors);
+    let (model, errors) =
+        both(|ctx| apx::cqm_apx_generate_in(ctx, &noisy, &EnumConfig::cqm(3)).unwrap());
+    assert_eq!(both(|ctx| model.errors_in(ctx, &noisy).unwrap()), errors);
     // The model classifies a fresh evaluation database without panicking
     // and deterministically.
     let eval = replicated_paths(4, 1).db;
-    let a = model.classify(&eval);
-    let b = model.classify(&eval);
+    let a = both(|ctx| model.classify_in(ctx, &eval).unwrap());
+    let b = both(|ctx| model.classify_in(ctx, &eval).unwrap());
     for e in eval.entities() {
         assert_eq!(a.get(e), b.get(e));
     }
@@ -125,10 +138,26 @@ fn cqm_apx_model_usable_for_classification() {
 #[test]
 fn zero_noise_means_zero_errors_everywhere() {
     let clean = replicated_paths(4, 2);
-    assert_eq!(apx::ghw_min_errors(&clean, 1), 0);
-    assert!(apx::ghw_apx_separable(&clean, 1, 0.0));
-    let (_, errs) = apx::cqm_apx_generate(&clean, &EnumConfig::cqm(4));
+    assert_eq!(
+        both(|ctx| apx::ghw_min_errors_in(ctx, &clean, 1).unwrap()),
+        0
+    );
+    assert!(both(
+        |ctx| apx::ghw_apx_separable_in(ctx, &clean, 1, 0.0).unwrap()
+    ));
+    let (_, errs) = both(|ctx| apx::cqm_apx_generate_in(ctx, &clean, &EnumConfig::cqm(4)).unwrap());
     assert_eq!(errs, 0);
-    assert!(apx::cqm_apx_separable(&clean, &EnumConfig::cqm(4), 0.0));
-    assert!(sep_cqm::cqm_separable(&clean, &EnumConfig::cqm(4)));
+    assert!(both(|ctx| apx::cqm_apx_separable_in(
+        ctx,
+        &clean,
+        &EnumConfig::cqm(4),
+        0.0
+    )
+    .unwrap()));
+    assert!(both(|ctx| sep_cqm::cqm_separable_in(
+        ctx,
+        &clean,
+        &EnumConfig::cqm(4)
+    )
+    .unwrap()));
 }

@@ -4,11 +4,14 @@
 //! disagreements localize bugs precisely.
 
 use cq::EnumConfig;
-use cqsep::sep_dim::{cq_sep_dim, cqm_sep_dim, ghw_sep_dim, DimBudget};
+use cqsep::sep_dim::{cq_sep_dim_in, cqm_sep_dim_in, ghw_sep_dim_in, DimBudget};
 use cqsep::{fo, sep_cq, sep_cqm, sep_ghw};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use relational::{Database, Label, Labeling, Schema, TrainingDb};
+
+mod common;
+use common::both;
 
 fn graph_schema() -> Schema {
     let mut s = Schema::entity_schema();
@@ -51,11 +54,11 @@ fn random_train(n: usize, edge_prob: f64, seed: u64) -> TrainingDb {
 fn separability_inclusions_on_random_instances() {
     for seed in 0..12 {
         let t = random_train(6, 0.25, seed);
-        let cqm1 = sep_cqm::cqm_separable(&t, &EnumConfig::cqm(1));
-        let cqm2 = sep_cqm::cqm_separable(&t, &EnumConfig::cqm(2));
-        let g1 = sep_ghw::ghw_separable(&t, 1);
-        let g2 = sep_ghw::ghw_separable(&t, 2);
-        let cq = sep_cq::cq_separable(&t);
+        let cqm1 = both(|ctx| sep_cqm::cqm_separable_in(ctx, &t, &EnumConfig::cqm(1)).unwrap());
+        let cqm2 = both(|ctx| sep_cqm::cqm_separable_in(ctx, &t, &EnumConfig::cqm(2)).unwrap());
+        let g1 = both(|ctx| sep_ghw::ghw_separable_in(ctx, &t, 1).unwrap());
+        let g2 = both(|ctx| sep_ghw::ghw_separable_in(ctx, &t, 2).unwrap());
+        let cq = both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap());
         assert!(!cqm1 || cqm2, "CQ[1] ⊆ CQ[2] (seed {seed})");
         assert!(!cqm1 || g1, "CQ[1] ⊆ GHW(1) (seed {seed})");
         assert!(!cqm2 || g2, "CQ[2] ⊆ GHW(2) (seed {seed})");
@@ -76,8 +79,8 @@ fn ghw_sep_agrees_with_preorder_classes() {
     for seed in 0..10 {
         let t = random_train(5, 0.3, seed * 31 + 1);
         for k in 1..=2 {
-            let direct = sep_ghw::ghw_separable(&t, k);
-            let pre = sep_ghw::ghw_preorder(&t, k);
+            let direct = both(|ctx| sep_ghw::ghw_separable_in(ctx, &t, k).unwrap());
+            let pre = both(|ctx| sep_ghw::ghw_preorder_in(ctx, &t, k).unwrap());
             let class_pure = pre.classes.iter().all(|class| {
                 let first = t.labeling.get(pre.elems[class[0]]);
                 class.iter().all(|&i| t.labeling.get(pre.elems[i]) == first)
@@ -95,18 +98,18 @@ fn sep_dim_saturates_to_plain_sep() {
         let t = random_train(4, 0.3, seed * 7 + 3);
         let ell = t.entities().len();
         assert_eq!(
-            cq_sep_dim(&t, ell, &budget).unwrap(),
-            sep_cq::cq_separable(&t),
+            both(|ctx| cq_sep_dim_in(ctx, &t, ell, &budget).unwrap()).unwrap(),
+            both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()),
             "CQ seed {seed}"
         );
         assert_eq!(
-            ghw_sep_dim(&t, 1, ell, &budget).unwrap(),
-            sep_ghw::ghw_separable(&t, 1),
+            both(|ctx| ghw_sep_dim_in(ctx, &t, 1, ell, &budget).unwrap()).unwrap(),
+            both(|ctx| sep_ghw::ghw_separable_in(ctx, &t, 1).unwrap()),
             "GHW seed {seed}"
         );
         assert_eq!(
-            cqm_sep_dim(&t, &EnumConfig::cqm(1), ell.max(8)),
-            sep_cqm::cqm_separable(&t, &EnumConfig::cqm(1)),
+            both(|ctx| cqm_sep_dim_in(ctx, &t, &EnumConfig::cqm(1), ell.max(8)).unwrap()),
+            both(|ctx| sep_cqm::cqm_separable_in(ctx, &t, &EnumConfig::cqm(1)).unwrap()),
             "CQ[1] seed {seed}"
         );
     }
@@ -120,12 +123,15 @@ fn sep_dim_monotonicity_random() {
         let t = random_train(4, 0.35, seed * 13 + 5);
         let mut prev = false;
         for ell in 1..=3 {
-            let now = cq_sep_dim(&t, ell, &budget).unwrap();
+            let now = both(|ctx| cq_sep_dim_in(ctx, &t, ell, &budget).unwrap()).unwrap();
             if prev {
                 assert!(now, "seed {seed}: Sep[{ell}] regressed");
             }
             if now {
-                assert!(sep_cq::cq_separable(&t), "seed {seed}");
+                assert!(
+                    both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()),
+                    "seed {seed}"
+                );
             }
             prev = now;
         }
@@ -165,7 +171,9 @@ fn lemma_6_5_reduction_random() {
         let qbe_answer = qbe::cq_qbe_decide(&db, &pos, &neg, 500_000).unwrap();
         for ell in 1..=2 {
             let red = qbe_to_sep_ell(&db, &pos, &neg, ell);
-            let sep_answer = cq_sep_dim(&red.train, ell, &DimBudget::default()).unwrap();
+            let sep_answer =
+                both(|ctx| cq_sep_dim_in(ctx, &red.train, ell, &DimBudget::default()).unwrap())
+                    .unwrap();
             assert_eq!(
                 qbe_answer, sep_answer,
                 "seed {seed}, ℓ={ell}: Lemma 6.5 equivalence violated"

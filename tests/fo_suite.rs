@@ -7,6 +7,9 @@ use cqsep::fo;
 use cqsep::sep_cq;
 use relational::{DbBuilder, Label, Schema, TrainingDb};
 
+mod common;
+use common::both;
+
 fn graph_schema() -> Schema {
     let mut s = Schema::entity_schema();
     s.add_relation("E", 2);
@@ -33,8 +36,8 @@ fn pendant_triangles() -> TrainingDb {
 #[test]
 fn fo_strictly_stronger_than_cq() {
     let t = pendant_triangles();
-    assert!(!sep_cq::cq_separable(&t));
-    assert!(!sep_cq::epfo_separable(&t)); // ∃FO⁺ ≡ CQ (Prop 8.3(2))
+    assert!(!both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()));
+    assert!(!both(|ctx| sep_cq::epfo_separable_in(ctx, &t).unwrap())); // ∃FO⁺ ≡ CQ (Prop 8.3(2))
     assert!(fo::fo_separable(&t));
 }
 
@@ -131,7 +134,8 @@ fn unbounded_dimension_on_linear_families() {
                 parse_cq(&schema, &body).unwrap()
             })
             .collect();
-        let dim = fo::min_dimension_of(&t, &pool, n + 1).expect("pool suffices");
+        let dim = both(|ctx| fo::min_dimension_of_in(ctx, &t, &pool, n + 1).unwrap())
+            .expect("pool suffices");
         assert!(dim >= n / 2, "n={n}: got {dim}");
     }
 }

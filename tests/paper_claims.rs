@@ -4,10 +4,13 @@
 //! instances.
 
 use cq::EnumConfig;
-use cqsep::sep_dim::{cq_sep_dim, ghw_sep_dim, DimBudget};
+use cqsep::sep_dim::{cq_sep_dim_in, ghw_sep_dim_in, DimBudget};
 use cqsep::{apx, cls_ghw, fo, gen_ghw, sep_cq, sep_cqm, sep_ghw};
 use relational::{DbBuilder, Label, Labeling, Schema, TrainingDb};
 use workloads::{alternating_paths, example_6_2, twin_cycles, twin_paths};
+
+mod common;
+use common::both;
 
 fn graph_schema() -> Schema {
     let mut s = Schema::entity_schema();
@@ -22,7 +25,7 @@ fn graph_schema() -> Schema {
 fn theorem_3_2_schema_shape() {
     let t = twin_cycles(3);
     assert_eq!(t.db.schema().rel_count(), 2); // η and E only
-    assert!(!sep_cq::cq_separable(&t));
+    assert!(!both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()));
 }
 
 /// Proposition 4.1: the all-features CQ[m] statistic decides and the
@@ -30,8 +33,9 @@ fn theorem_3_2_schema_shape() {
 #[test]
 fn proposition_4_1_constructive() {
     let t = alternating_paths(3);
-    let model = sep_cqm::cqm_generate(&t, &EnumConfig::cqm(3)).expect("separable");
-    assert!(model.separates(&t));
+    let model = both(|ctx| sep_cqm::cqm_generate_in(ctx, &t, &EnumConfig::cqm(3)).unwrap())
+        .expect("separable");
+    assert!(both(|ctx| model.separates_in(ctx, &t).unwrap()));
 }
 
 /// Proposition 4.3 / §6.3: CQ[m,p] is strictly weaker than CQ[m] (the
@@ -45,8 +49,18 @@ fn proposition_4_3_occurrence_bound() {
         .positive("a")
         .negative("b")
         .training();
-    assert!(!sep_cqm::cqm_separable(&t, &EnumConfig::cqmp(1, 1)));
-    assert!(sep_cqm::cqm_separable(&t, &EnumConfig::cqmp(1, 2)));
+    assert!(!both(|ctx| sep_cqm::cqm_separable_in(
+        ctx,
+        &t,
+        &EnumConfig::cqmp(1, 1)
+    )
+    .unwrap()));
+    assert!(both(|ctx| sep_cqm::cqm_separable_in(
+        ctx,
+        &t,
+        &EnumConfig::cqmp(1, 2)
+    )
+    .unwrap()));
 }
 
 /// Theorem 5.3 + Lemma 5.4: GHW(k)-Sep equals the pairwise mutual-→_k
@@ -54,8 +68,18 @@ fn proposition_4_3_occurrence_bound() {
 /// named examples).
 #[test]
 fn theorem_5_3_examples() {
-    assert!(sep_ghw::ghw_separable(&alternating_paths(4), 1));
-    assert!(!sep_ghw::ghw_separable(&twin_cycles(4), 2));
+    assert!(both(|ctx| sep_ghw::ghw_separable_in(
+        ctx,
+        &alternating_paths(4),
+        1
+    )
+    .unwrap()));
+    assert!(!both(|ctx| sep_ghw::ghw_separable_in(
+        ctx,
+        &twin_cycles(4),
+        2
+    )
+    .unwrap()));
 }
 
 /// Proposition 5.6: generation is possible (given exponential budget) and
@@ -63,8 +87,8 @@ fn theorem_5_3_examples() {
 #[test]
 fn proposition_5_6_generation() {
     let t = alternating_paths(3);
-    let model = gen_ghw::ghw_generate(&t, 1, 100_000).unwrap();
-    assert!(model.separates(&t));
+    let model = both(|ctx| gen_ghw::ghw_generate_in(ctx, &t, 1, 100_000).unwrap()).unwrap();
+    assert!(both(|ctx| model.separates_in(ctx, &t).unwrap()));
     assert!(model.statistic.dimension() <= t.entities().len());
     for q in &model.statistic.features {
         assert!(cq::ghw(q) <= 1);
@@ -112,12 +136,12 @@ fn theorem_5_8_classification_without_generation() {
     let t = alternating_paths(6);
     // Tiny budget: explicit generation fails (features need path-length
     // unfoldings far past one strategy node)...
-    match gen_ghw::ghw_generate(&t, 1, 2) {
+    match both(|ctx| gen_ghw::ghw_generate_in(ctx, &t, 1, 2).unwrap()) {
         Err(gen_ghw::GenError::Budget { .. }) => {}
         other => panic!("expected budget failure, got {other:?}"),
     }
     // ...but classification succeeds and reproduces the labels.
-    let lab = cls_ghw::ghw_classify(&t, &t.db, 1).unwrap();
+    let lab = both(|ctx| cls_ghw::ghw_classify_in(ctx, &t, &t.db, 1).unwrap()).unwrap();
     for e in t.entities() {
         assert_eq!(lab.get(e), t.labeling.get(e));
     }
@@ -128,9 +152,9 @@ fn theorem_5_8_classification_without_generation() {
 fn example_6_2_dimension_gap() {
     let t = example_6_2();
     let b = DimBudget::default();
-    assert!(sep_cq::cq_separable(&t));
-    assert!(!cq_sep_dim(&t, 1, &b).unwrap());
-    assert!(cq_sep_dim(&t, 2, &b).unwrap());
+    assert!(both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()));
+    assert!(!both(|ctx| cq_sep_dim_in(ctx, &t, 1, &b).unwrap()).unwrap());
+    assert!(both(|ctx| cq_sep_dim_in(ctx, &t, 2, &b).unwrap()).unwrap());
 }
 
 /// Lemma 6.5 shape: the reduction's padding constants behave as the proof
@@ -169,10 +193,10 @@ fn theorem_7_4_optimality() {
         .negative("c")
         .negative("d")
         .training();
-    let lam2 = apx::ghw_optimal_relabeling(&t, 1);
+    let lam2 = both(|ctx| apx::ghw_optimal_relabeling_in(ctx, &t, 1).unwrap());
     let relabeled = TrainingDb::new(t.db.clone(), lam2.clone());
     assert!(
-        sep_ghw::ghw_separable(&relabeled, 1),
+        both(|ctx| sep_ghw::ghw_separable_in(ctx, &relabeled, 1).unwrap()),
         "Algorithm 2 output separable"
     );
     let best = t.labeling.disagreement(&lam2);
@@ -192,7 +216,7 @@ fn theorem_7_4_optimality() {
             );
         }
         let cand = TrainingDb::new(t.db.clone(), lab.clone());
-        if sep_ghw::ghw_separable(&cand, 1) {
+        if both(|ctx| sep_ghw::ghw_separable_in(ctx, &cand, 1).unwrap()) {
             brute = brute.min(t.labeling.disagreement(&lab));
         }
     }
@@ -209,8 +233,12 @@ fn corollary_7_5_threshold() {
         .negative("b")
         .training();
     // min errors = 1 of 2 entities: ε ≥ 1/2 accepts, below rejects.
-    assert!(apx::ghw_apx_separable(&t, 1, 0.5));
-    assert!(!apx::ghw_apx_separable(&t, 1, 0.49));
+    assert!(both(
+        |ctx| apx::ghw_apx_separable_in(ctx, &t, 1, 0.5).unwrap()
+    ));
+    assert!(!both(
+        |ctx| apx::ghw_apx_separable_in(ctx, &t, 1, 0.49).unwrap()
+    ));
 }
 
 /// Proposition 7.1 (shape): padding transfers separability faithfully for
@@ -224,8 +252,13 @@ fn proposition_7_1_padding() {
         let p_insep = apx::pad_for_error(&insep, eps);
         let n_sep = p_sep.entities().len() as f64;
         let n_insep = p_insep.entities().len() as f64;
-        assert!(apx::ghw_min_errors(&p_sep, 1) as f64 <= (eps * n_sep).floor());
-        assert!(apx::ghw_min_errors(&p_insep, 1) as f64 > eps * n_insep);
+        assert!(
+            both(|ctx| apx::ghw_min_errors_in(ctx, &p_sep, 1).unwrap()) as f64
+                <= (eps * n_sep).floor()
+        );
+        assert!(
+            both(|ctx| apx::ghw_min_errors_in(ctx, &p_insep, 1).unwrap()) as f64 > eps * n_insep
+        );
     }
 }
 
@@ -246,7 +279,7 @@ fn proposition_8_1_fo_collapse_witness() {
         .positive("a")
         .negative("x")
         .training();
-    assert!(!sep_cq::cq_separable(&t));
+    assert!(!both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()));
     assert!(fo::fo_separable(&t));
 }
 
@@ -265,7 +298,7 @@ fn theorem_8_7_unbounded_dimension() {
                 cq::parse::parse_cq(&schema, &body).unwrap()
             })
             .collect();
-        let dim = fo::min_dimension_of(&t, &pool, m).unwrap();
+        let dim = both(|ctx| fo::min_dimension_of_in(ctx, &t, &pool, m).unwrap()).unwrap();
         assert_eq!(dim, m - 1, "m={m}: dimension must grow with m");
     }
 }
@@ -276,6 +309,6 @@ fn theorem_8_7_unbounded_dimension() {
 fn theorem_6_6_ghw_dim() {
     let t = example_6_2();
     let b = DimBudget::default();
-    assert!(!ghw_sep_dim(&t, 1, 1, &b).unwrap());
-    assert!(ghw_sep_dim(&t, 1, 2, &b).unwrap());
+    assert!(!both(|ctx| ghw_sep_dim_in(ctx, &t, 1, 1, &b).unwrap()).unwrap());
+    assert!(both(|ctx| ghw_sep_dim_in(ctx, &t, 1, 2, &b).unwrap()).unwrap());
 }

@@ -7,6 +7,9 @@ use cqsep::{apx, cls_ghw, gen_ghw, sep_cq, sep_cqm, sep_ghw};
 use relational::{DbBuilder, Label, Schema, TrainingDb};
 use workloads::{alternating_paths, flip_labels, random_digraph_train};
 
+mod common;
+use common::both;
+
 fn graph_schema() -> Schema {
     let mut s = Schema::entity_schema();
     s.add_relation("E", 2);
@@ -32,8 +35,9 @@ fn social_train() -> TrainingDb {
 fn full_pipeline_cqm() {
     let t = social_train();
     // "star" is the only entity with an incoming 2-path: needs 2 atoms.
-    let model = sep_cqm::cqm_generate(&t, &EnumConfig::cqm(2)).expect("CQ[2] separates");
-    assert!(model.separates(&t));
+    let model = both(|ctx| sep_cqm::cqm_generate_in(ctx, &t, &EnumConfig::cqm(2)).unwrap())
+        .expect("CQ[2] separates");
+    assert!(both(|ctx| model.separates_in(ctx, &t).unwrap()));
     // Every feature respects the m-bound and carries the η guard.
     for q in &model.statistic.features {
         assert!(q.atom_count_for_cqm() <= 2);
@@ -46,7 +50,7 @@ fn full_pipeline_cqm() {
         .entity("c")
         .entity("b")
         .build();
-    let lab = model.classify(&eval);
+    let lab = both(|ctx| model.classify_in(ctx, &eval).unwrap());
     assert_eq!(lab.get(eval.val_by_name("c").unwrap()), Label::Positive);
     assert_eq!(lab.get(eval.val_by_name("b").unwrap()), Label::Negative);
 }
@@ -54,16 +58,16 @@ fn full_pipeline_cqm() {
 #[test]
 fn full_pipeline_ghw() {
     let t = social_train();
-    assert!(sep_ghw::ghw_separable(&t, 1));
+    assert!(both(|ctx| sep_ghw::ghw_separable_in(ctx, &t, 1).unwrap()));
     // Implicit classification (Algorithm 1) reproduces training labels.
-    let lab = cls_ghw::ghw_classify(&t, &t.db, 1).unwrap();
+    let lab = both(|ctx| cls_ghw::ghw_classify_in(ctx, &t, &t.db, 1).unwrap()).unwrap();
     for e in t.entities() {
         assert_eq!(lab.get(e), t.labeling.get(e));
     }
     // Explicit generation also works here (small instance) and its
     // features verify: bounded ghw, correct selection on training data.
-    let model = gen_ghw::ghw_generate(&t, 1, 50_000).unwrap();
-    assert!(model.separates(&t));
+    let model = both(|ctx| gen_ghw::ghw_generate_in(ctx, &t, 1, 50_000).unwrap()).unwrap();
+    assert!(both(|ctx| model.separates_in(ctx, &t).unwrap()));
     for q in &model.statistic.features {
         assert!(cq::ghw(q) <= 1, "{q}");
     }
@@ -72,9 +76,9 @@ fn full_pipeline_ghw() {
 #[test]
 fn full_pipeline_cq() {
     let t = social_train();
-    assert!(sep_cq::cq_separable(&t));
-    let model = sep_cq::cq_generate(&t).unwrap();
-    assert!(model.separates(&t));
+    assert!(both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()));
+    let model = both(|ctx| sep_cq::cq_generate_in(ctx, &t).unwrap()).unwrap();
+    assert!(both(|ctx| model.separates_in(ctx, &t).unwrap()));
     // The CQ statistic has one feature per hom-equivalence class and
     // polynomial total size.
     assert!(model.statistic.dimension() <= t.entities().len());
@@ -92,13 +96,13 @@ fn noisy_pipeline_recovers_with_apx() {
     // "has an out-edge").
     let clean = random_digraph_train(14, 0.18, 99);
     let (noisy, flips) = flip_labels(&clean, 0.2, 7);
-    let min_err = apx::ghw_min_errors(&noisy, 1);
+    let min_err = both(|ctx| apx::ghw_min_errors_in(ctx, &noisy, 1).unwrap());
     assert!(
         min_err <= flips,
         "optimal relabeling ({min_err}) cannot beat undoing the {flips} flips"
     );
     // ApxCls produces a labeling realizable with exactly min_err errors.
-    let recovered = apx::ghw_apx_classify(&noisy, &noisy.db, 1);
+    let recovered = both(|ctx| apx::ghw_apx_classify_in(ctx, &noisy, &noisy.db, 1).unwrap());
     assert_eq!(noisy.labeling.disagreement(&recovered), min_err);
 }
 
@@ -106,15 +110,31 @@ fn noisy_pipeline_recovers_with_apx() {
 fn chain_workload_crosses_all_solvers() {
     let t = alternating_paths(3);
     // Separable under every class (all classes are singletons).
-    assert!(sep_cq::cq_separable(&t));
-    assert!(sep_ghw::ghw_separable(&t, 1));
-    assert!(sep_cqm::cqm_separable(&t, &EnumConfig::cqm(3)));
+    assert!(both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()));
+    assert!(both(|ctx| sep_ghw::ghw_separable_in(ctx, &t, 1).unwrap()));
+    assert!(both(|ctx| sep_cqm::cqm_separable_in(
+        ctx,
+        &t,
+        &EnumConfig::cqm(3)
+    )
+    .unwrap()));
     // And the generated models actually separate.
-    assert!(sep_cq::cq_generate(&t).unwrap().separates(&t));
-    assert!(gen_ghw::ghw_generate(&t, 1, 100_000).unwrap().separates(&t));
-    assert!(sep_cqm::cqm_generate(&t, &EnumConfig::cqm(3))
-        .unwrap()
-        .separates(&t));
+    assert!(both(|ctx| {
+        let model = sep_cq::cq_generate_in(ctx, &t).unwrap().unwrap();
+        model.separates_in(ctx, &t).unwrap()
+    }));
+    assert!(both(|ctx| {
+        let model = gen_ghw::ghw_generate_in(ctx, &t, 1, 100_000)
+            .unwrap()
+            .unwrap();
+        model.separates_in(ctx, &t).unwrap()
+    }));
+    assert!(both(|ctx| {
+        let model = sep_cqm::cqm_generate_in(ctx, &t, &EnumConfig::cqm(3))
+            .unwrap()
+            .unwrap();
+        model.separates_in(ctx, &t).unwrap()
+    }));
 }
 
 #[test]
@@ -125,12 +145,12 @@ fn eval_classification_is_deterministic_and_consistent() {
     // database returns λ, and eval labels are stable across calls.
     let t = alternating_paths(3);
     let eval = alternating_paths(5).db;
-    let a = cls_ghw::ghw_classify(&t, &eval, 1).unwrap();
-    let b = cls_ghw::ghw_classify(&t, &eval, 1).unwrap();
+    let a = both(|ctx| cls_ghw::ghw_classify_in(ctx, &t, &eval, 1).unwrap()).unwrap();
+    let b = both(|ctx| cls_ghw::ghw_classify_in(ctx, &t, &eval, 1).unwrap()).unwrap();
     for f in eval.entities() {
         assert_eq!(a.get(f), b.get(f));
     }
-    let back = cls_ghw::ghw_classify(&t, &t.db, 1).unwrap();
+    let back = both(|ctx| cls_ghw::ghw_classify_in(ctx, &t, &t.db, 1).unwrap()).unwrap();
     for e in t.entities() {
         assert_eq!(back.get(e), t.labeling.get(e));
     }
@@ -151,12 +171,13 @@ entity dan -
 ";
     let spec = relational::spec::DatabaseSpec::parse(text).unwrap();
     let t = spec.to_training().unwrap();
-    assert!(sep_cq::cq_separable(&t));
-    let model = sep_cqm::cqm_generate(&t, &EnumConfig::cqm(2)).unwrap();
-    assert!(model.separates(&t));
+    assert!(both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()));
+    let model =
+        both(|ctx| sep_cqm::cqm_generate_in(ctx, &t, &EnumConfig::cqm(2)).unwrap()).unwrap();
+    assert!(both(|ctx| model.separates_in(ctx, &t).unwrap()));
     let back = relational::spec::DatabaseSpec::from_database(&t.db, Some(&t.labeling));
     let reparsed = relational::spec::DatabaseSpec::parse(&back.to_text()).unwrap();
     let t2 = reparsed.to_training().unwrap();
     assert_eq!(t.entities().len(), t2.entities().len());
-    assert!(sep_cq::cq_separable(&t2));
+    assert!(both(|ctx| sep_cq::cq_separable_in(ctx, &t2).unwrap()));
 }

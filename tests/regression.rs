@@ -7,6 +7,9 @@ use cq::{evaluate_unary, EnumConfig};
 use cqsep::{cls_ghw, sep_cq, sep_cqm, sep_ghw};
 use relational::{DbBuilder, Label, Schema, TrainingDb};
 
+mod common;
+use common::both;
+
 /// Schema with a ternary "meeting" relation and a unary tag.
 fn ternary_schema() -> Schema {
     let mut s = Schema::entity_schema();
@@ -34,11 +37,17 @@ fn meetings() -> TrainingDb {
 fn ternary_relations_through_all_separability_solvers() {
     let t = meetings();
     // q(x) :- meets(x, y, z) separates attendees-in-slot-1.
-    assert!(sep_cqm::cqm_separable(&t, &EnumConfig::cqm(1)));
-    assert!(sep_ghw::ghw_separable(&t, 1));
-    assert!(sep_cq::cq_separable(&t));
-    let model = sep_cqm::cqm_generate(&t, &EnumConfig::cqm(1)).unwrap();
-    assert!(model.separates(&t));
+    assert!(both(|ctx| sep_cqm::cqm_separable_in(
+        ctx,
+        &t,
+        &EnumConfig::cqm(1)
+    )
+    .unwrap()));
+    assert!(both(|ctx| sep_ghw::ghw_separable_in(ctx, &t, 1).unwrap()));
+    assert!(both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()));
+    let model =
+        both(|ctx| sep_cqm::cqm_generate_in(ctx, &t, &EnumConfig::cqm(1)).unwrap()).unwrap();
+    assert!(both(|ctx| model.separates_in(ctx, &t).unwrap()));
 }
 
 #[test]
@@ -69,7 +78,7 @@ fn ternary_evaluation_and_repeated_variables() {
 fn ternary_cover_game_and_classification() {
     let t = meetings();
     // Algorithm 1 over the ternary schema: training labels reproduced.
-    let lab = cls_ghw::ghw_classify(&t, &t.db, 1).unwrap();
+    let lab = both(|ctx| cls_ghw::ghw_classify_in(ctx, &t, &t.db, 1).unwrap()).unwrap();
     for e in t.entities() {
         assert_eq!(lab.get(e), t.labeling.get(e), "{}", t.db.val_name(e));
     }
@@ -84,7 +93,7 @@ fn ternary_cover_game_and_classification() {
         .entity("y")
         .entity("z")
         .build();
-    let lab = cls_ghw::ghw_classify(&t, &eval, 1).unwrap();
+    let lab = both(|ctx| cls_ghw::ghw_classify_in(ctx, &t, &eval, 1).unwrap()).unwrap();
     // x matches alice's pattern exactly (starts a meeting chain).
     assert_eq!(lab.get(eval.val_by_name("x").unwrap()), Label::Positive);
     // z matches carol's (vip, meeting target in second slot).
@@ -119,14 +128,19 @@ fn empty_and_degenerate_training_databases() {
         DbBuilder::new(s.clone()).fact("vip", &["x"]).build(),
         relational::Labeling::new(),
     );
-    assert!(sep_cq::cq_separable(&t));
-    assert!(sep_ghw::ghw_separable(&t, 1));
-    assert!(sep_cqm::cqm_separable(&t, &EnumConfig::cqm(1)));
+    assert!(both(|ctx| sep_cq::cq_separable_in(ctx, &t).unwrap()));
+    assert!(both(|ctx| sep_ghw::ghw_separable_in(ctx, &t, 1).unwrap()));
+    assert!(both(|ctx| sep_cqm::cqm_separable_in(
+        ctx,
+        &t,
+        &EnumConfig::cqm(1)
+    )
+    .unwrap()));
 
     // Single entity: always separable; classifiers are constant.
     let t1 = DbBuilder::new(s.clone()).positive("only").training();
-    assert!(sep_ghw::ghw_separable(&t1, 1));
-    let lab = cls_ghw::ghw_classify(&t1, &t1.db, 1).unwrap();
+    assert!(both(|ctx| sep_ghw::ghw_separable_in(ctx, &t1, 1).unwrap()));
+    let lab = both(|ctx| cls_ghw::ghw_classify_in(ctx, &t1, &t1.db, 1).unwrap()).unwrap();
     assert_eq!(lab.get(t1.db.val_by_name("only").unwrap()), Label::Positive);
 
     // All entities share one label: separable even when structurally
@@ -136,8 +150,15 @@ fn empty_and_degenerate_training_databases() {
         .positive("p2")
         .positive("p3")
         .training();
-    assert!(sep_ghw::ghw_separable(&tsame, 1));
-    assert!(sep_cqm::cqm_separable(&tsame, &EnumConfig::cqm(1)));
+    assert!(both(
+        |ctx| sep_ghw::ghw_separable_in(ctx, &tsame, 1).unwrap()
+    ));
+    assert!(both(|ctx| sep_cqm::cqm_separable_in(
+        ctx,
+        &tsame,
+        &EnumConfig::cqm(1)
+    )
+    .unwrap()));
 }
 
 #[test]
@@ -158,15 +179,38 @@ fn unary_only_schema() {
         .training();
     // CQ[1]-Sep allows MANY single-atom features: A(x) and B(x)
     // together realize the AND pattern linearly, so it separates.
-    assert!(sep_cqm::cqm_separable(&t, &EnumConfig::cqm(1)));
+    assert!(both(|ctx| sep_cqm::cqm_separable_in(
+        ctx,
+        &t,
+        &EnumConfig::cqm(1)
+    )
+    .unwrap()));
     // But no SINGLE CQ[1] feature does (A and B each mix the classes):
     // the dimension-bounded variant at ℓ=1 fails, at ℓ=2 succeeds.
-    assert!(!cqsep::sep_dim::cqm_sep_dim(&t, &EnumConfig::cqm(1), 1));
-    assert!(cqsep::sep_dim::cqm_sep_dim(&t, &EnumConfig::cqm(1), 2));
+    assert!(!both(|ctx| cqsep::sep_dim::cqm_sep_dim_in(
+        ctx,
+        &t,
+        &EnumConfig::cqm(1),
+        1
+    )
+    .unwrap()));
+    assert!(both(|ctx| cqsep::sep_dim::cqm_sep_dim_in(
+        ctx,
+        &t,
+        &EnumConfig::cqm(1),
+        2
+    )
+    .unwrap()));
     // One 2-atom feature A(x) ∧ B(x) also works: ℓ=1 at m=2.
-    assert!(cqsep::sep_dim::cqm_sep_dim(&t, &EnumConfig::cqm(2), 1));
+    assert!(both(|ctx| cqsep::sep_dim::cqm_sep_dim_in(
+        ctx,
+        &t,
+        &EnumConfig::cqm(2),
+        1
+    )
+    .unwrap()));
     // GHW(1) contains A(x) ∧ B(x) (no existential vars at all): yes.
-    assert!(sep_ghw::ghw_separable(&t, 1));
+    assert!(both(|ctx| sep_ghw::ghw_separable_in(ctx, &t, 1).unwrap()));
 }
 
 #[test]
@@ -221,8 +265,8 @@ fn wide_arity_stress() {
     // q ⪯ p? query at q: ∃ W(x,·,·,u,u): p lacks it -> not q ⪯ p.
     // p ⪯ q? query at p: W(x,a,b,c,d) folds onto q's fact by mapping
     // c,d -> c,c? distinct vars may merge: yes -> p ⪯ q.
-    assert!(sep_ghw::ghw_separable(&t, 1));
-    let lab = cls_ghw::ghw_classify(&t, &t.db, 1).unwrap();
+    assert!(both(|ctx| sep_ghw::ghw_separable_in(ctx, &t, 1).unwrap()));
+    let lab = both(|ctx| cls_ghw::ghw_classify_in(ctx, &t, &t.db, 1).unwrap()).unwrap();
     for e in t.entities() {
         assert_eq!(lab.get(e), t.labeling.get(e));
     }
