@@ -1,6 +1,6 @@
 //! Shared helpers for the benchmark harness: timing utilities,
 //! growth-rate estimation, and engine counter capture (homomorphism,
-//! cover-game, and LP), used by both the Criterion benches and the
+//! cover-game, and LP), used by the release speedup tests and the
 //! `repro` binary that regenerates the EXPERIMENTS.md tables.
 
 use std::time::Instant;
@@ -17,42 +17,6 @@ pub fn with_engine_stats<R>(
     let before = engine.stats();
     let out = f();
     (out, engine.stats().since(&before))
-}
-
-/// One LP instance `max cᵀx  s.t.  Ax ≤ b, x ≥ 0` as `(A, b, c)`.
-pub type LpInstance = (Vec<Vec<numeric::Rat>>, Vec<numeric::Rat>, Vec<numeric::Rat>);
-
-/// Deterministic batch of dense LP instances for the LP-engine
-/// benches. Coefficients are small integers; every fourth row gets a
-/// negative right-hand side so the two-phase machinery (artificial
-/// variables) is exercised, not just phase 2.
-pub fn lp_batch(count: usize, nvars: usize, nrows: usize, seed: u64) -> Vec<LpInstance> {
-    use numeric::qint;
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as i64
-    };
-    (0..count)
-        .map(|_| {
-            let a: Vec<Vec<numeric::Rat>> = (0..nrows)
-                .map(|_| (0..nvars).map(|_| qint(next() % 11 - 5)).collect())
-                .collect();
-            let b: Vec<numeric::Rat> = (0..nrows)
-                .map(|i| {
-                    if i % 4 == 3 {
-                        qint(-(next() % 4) - 1)
-                    } else {
-                        qint(next() % 9 + 1)
-                    }
-                })
-                .collect();
-            let c: Vec<numeric::Rat> = (0..nvars).map(|_| qint(next() % 9 - 3)).collect();
-            (a, b, c)
-        })
-        .collect()
 }
 
 /// Deterministic "parity" column matrix for the subset-search benches.
@@ -180,12 +144,9 @@ mod tests {
         let (ans, stats) = with_engine_stats(&e, || separate(&[-1, 1, 1, -1]));
         assert!(ans.is_none());
         assert!(stats.lp.lps_solved >= 1, "{stats:?}");
-        // The default backend is the sparse revised simplex with the
-        // dense tableau as fallback; either way the solve pivots.
-        assert!(
-            stats.lp.sparse_pivots + stats.lp.simplex_pivots >= 1,
-            "{stats:?}"
-        );
+        // The sparse revised simplex is the one LP solver, and this
+        // solve pivots.
+        assert!(stats.lp.sparse_pivots >= 1, "{stats:?}");
         let (ans, stats) = with_engine_stats(&e, || separate(&[1, -1, -1, -1]));
         assert!(ans.is_some());
         assert!(stats.lp.perceptron_hits >= 1, "{stats:?}");
@@ -193,15 +154,8 @@ mod tests {
 
     #[test]
     fn workload_generators_are_deterministic_and_shaped() {
-        let b1 = lp_batch(3, 4, 6, 42);
-        let b2 = lp_batch(3, 4, 6, 42);
-        assert_eq!(b1, b2, "lp_batch must be deterministic");
-        assert_eq!(b1.len(), 3);
-        assert_eq!(b1[0].0.len(), 6);
-        assert_eq!(b1[0].0[0].len(), 4);
-        assert!(b1[0].1[3].is_negative(), "every fourth rhs is negative");
-
         let (cols, labels) = search_workload(3);
+        assert_eq!((cols.clone(), labels.clone()), search_workload(3));
         assert_eq!(cols.len(), 6, "masks 1..full, full excluded");
         assert_eq!(labels.len(), 8);
         assert!(cols.iter().all(|c| c.len() == 8));

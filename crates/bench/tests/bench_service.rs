@@ -2,9 +2,11 @@
 //! batch pushed through `service::run_task_in` on a single-threaded
 //! engine vs the default (all-cores) engine. Outcomes are verified for
 //! agreement before anything is timed, and the measured tasks/sec plus
-//! the engine counters are recorded in `BENCH_service.json` at the
-//! repository root (the same shape as `BENCH_lp.json`), merged around
-//! the `"loadgen"` section owned by the service crate's load bench. No
+//! the engine counters are recorded in the `"service_batch"` key of
+//! `BENCH_service.json` at the repository root, together with the
+//! machine that measured them (`available_parallelism`,
+//! `effective_threads`), merged around the `"loadgen"` key owned by the
+//! service crate's load bench, which records its own machine. No
 //! speedup is asserted — single-task parallelism depends on the host —
 //! but on multi-core hosts the default engine must never lose by more
 //! than noise (single-core hosts record a note instead of asserting on
@@ -144,6 +146,11 @@ fn service_throughput_single_vs_default_threads() {
 
     let round = |x: f64, places: f64| (x * places).round() / places;
     let batch = Json::Obj(vec![
+        ("available_parallelism".to_string(), Json::Num(cores as f64)),
+        (
+            "effective_threads".to_string(),
+            Json::Num(effective_threads as f64),
+        ),
         ("tasks".to_string(), Json::Num(tasks.len() as f64)),
         ("check_tasks".to_string(), Json::Num(checks as f64)),
         ("classify_tasks".to_string(), Json::Num(classifies as f64)),
@@ -185,21 +192,14 @@ fn service_throughput_single_vs_default_threads() {
         return;
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    merge_bench_json(
-        path,
-        vec![
-            ("available_parallelism".to_string(), Json::Num(cores as f64)),
-            (
-                "effective_threads".to_string(),
-                Json::Num(effective_threads as f64),
-            ),
-            ("service_batch".to_string(), batch),
-        ],
-    );
+    merge_bench_json(path, vec![("service_batch".to_string(), batch)]);
 }
 
 /// Replace `updates` keys in the root-level BENCH_service.json object,
 /// preserving every other key (the loadgen bench owns `"loadgen"`).
+/// Each key carries its own machine fields, so top-level scalars (a
+/// machine description shared by keys measured on different hosts) are
+/// dropped.
 fn merge_bench_json(path: &str, updates: Vec<(String, Json)>) {
     let mut fields: Vec<(String, Json)> = match std::fs::read_to_string(path) {
         Ok(text) => match Json::parse(&text) {
@@ -208,6 +208,7 @@ fn merge_bench_json(path: &str, updates: Vec<(String, Json)>) {
         },
         Err(_) => Vec::new(),
     };
+    fields.retain(|(_, v)| matches!(v, Json::Obj(_)));
     for (key, value) in updates {
         match fields.iter_mut().find(|(k, _)| *k == key) {
             Some(slot) => slot.1 = value,

@@ -1,13 +1,13 @@
-//! Speedup acceptance test for the exact LP engine: the hybrid
-//! small/big `Rat` simplex must beat the seed `BigRational` simplex on
-//! identical LP batches, the warm-started sparse revised simplex must
-//! beat the cold dense tableau on the sweep-exhausting parity workload,
-//! and the adaptive parallel ≤ℓ-subset sweep must never lose to the
-//! sequential reference (on single-core hosts it *is* the sequential
-//! path — that is the adaptive fallback under test). All comparisons
-//! are verified for agreement before they are timed, and the measured
-//! times plus the engine counters are recorded in `BENCH_lp.json` at
-//! the repository root.
+//! Speedup acceptance test for the exact LP engine: the sparse revised
+//! simplex over hybrid small/big `Rat` must beat the seed `BigRational`
+//! dense simplex on identical margin-LP batches, the warm-started
+//! size-ascending subset sweep must beat the cold depth-first reference
+//! on the sweep-exhausting parity workload, and the adaptive parallel
+//! ≤ℓ-subset sweep must never lose to the sequential reference (on
+//! single-core hosts it *is* the sequential path — that is the adaptive
+//! fallback under test). All comparisons are verified for agreement
+//! before they are timed, and the measured times plus the engine
+//! counters are recorded in `BENCH_lp.json` at the repository root.
 //!
 //! Core-count honesty: the JSON records the host's
 //! `available_parallelism` and the engine's effective thread budget as
@@ -15,16 +15,43 @@
 //! a printed note* — never silently passed, never failed — when the
 //! host cannot express parallelism (fewer than 2 cores).
 
-use bench::{lp_batch, search_workload, time_median, with_engine_stats};
-use cqsep::sep_dim::{search_columns_backend_in, search_columns_in, search_columns_seq_with};
+use bench::{search_workload, time_median, with_engine_stats};
+use cqsep::sep_dim::{search_columns_in, search_columns_seq_with};
 use cqsep::Engine;
+use engine::Interrupt;
 use linsep::{
-    solve_lp, solve_lp_big, solve_lp_counted, LpBackend, LpCounters, LpOutcome, LpOutcomeBig,
-    LpStats,
+    has_label_conflict, margin_lp, solve_lp_big, solve_lp_big_counted, solve_lp_sparse,
+    solve_lp_sparse_with_pricing, LpCounters, LpOutcomeBig, LpStats, Pricing, SparseOutcome,
 };
-use numeric::BigRational;
+use numeric::{BigRational, Rat};
 
+type RatLp = (Vec<Vec<Rat>>, Vec<Rat>, Vec<Rat>);
 type BigLp = (Vec<Vec<BigRational>>, Vec<BigRational>, Vec<BigRational>);
+
+/// The first `count` margin LPs the subset sweep solves on `columns` /
+/// `labels`: one per conflict-free 3-column subset, in lexicographic
+/// order (conflicting subsets are refuted before any LP exists).
+fn margin_lp_batch(columns: &[Vec<i32>], labels: &[i32], count: usize) -> Vec<RatLp> {
+    let mut batch = Vec::with_capacity(count);
+    let k = columns.len();
+    'outer: for i in 0..k {
+        for j in i + 1..k {
+            for l in j + 1..k {
+                let rows: Vec<Vec<i32>> = (0..labels.len())
+                    .map(|r| vec![columns[i][r], columns[j][r], columns[l][r]])
+                    .collect();
+                if has_label_conflict(&rows, labels) {
+                    continue;
+                }
+                batch.push(margin_lp(&rows, labels));
+                if batch.len() == count {
+                    break 'outer;
+                }
+            }
+        }
+    }
+    batch
+}
 
 #[test]
 fn hybrid_lp_engine_beats_seed_path() {
@@ -32,9 +59,12 @@ fn hybrid_lp_engine_beats_seed_path() {
         .map(|n| n.get())
         .unwrap_or(1);
     let effective_threads = Engine::new().effective_parallelism();
+    let intr = Interrupt::none();
 
-    // ---- Leg 1: hybrid Rat simplex vs seed BigRational simplex ----
-    let batch = lp_batch(24, 8, 16, 0x5EED);
+    // ---- Leg 1: sparse revised Rat simplex vs seed BigRational simplex ----
+    let (columns, labels) = search_workload(4);
+    let batch = margin_lp_batch(&columns, &labels, 24);
+    assert_eq!(batch.len(), 24, "the parity workload has enough LPs");
     let big_batch: Vec<BigLp> = batch
         .iter()
         .map(|(a, b, c)| {
@@ -48,20 +78,31 @@ fn hybrid_lp_engine_beats_seed_path() {
         })
         .collect();
 
-    // Agreement before speed: same verdict, same optimum, same vertex.
+    // Agreement before speed: under Bland pricing the sparse solver
+    // replays the oracle's pivot sequence, so vertex and pivot count
+    // must match exactly; the production (partial) pricing must reach
+    // the same optimal value.
     for ((a, b, c), (ab, bb, cb)) in batch.iter().zip(&big_batch) {
-        match (solve_lp(a, b, c), solve_lp_big(ab, bb, cb)) {
-            (LpOutcome::Infeasible, LpOutcomeBig::Infeasible) => {}
-            (LpOutcome::Unbounded, LpOutcomeBig::Unbounded) => {}
-            (LpOutcome::Optimal { x, value }, LpOutcomeBig::Optimal { x: xb, value: vb }) => {
-                assert_eq!(value.to_big(), vb, "optimal values diverge");
-                assert_eq!(x.len(), xb.len());
-                for (xi, xbi) in x.iter().zip(&xb) {
-                    assert_eq!(xi.to_big(), *xbi, "optimal vertices diverge");
-                }
-            }
-            (fast, slow) => panic!("verdicts diverge: hybrid={fast:?} big={slow:?}"),
+        let (LpOutcomeBig::Optimal { x: xb, value: vb }, big_pivots) =
+            solve_lp_big_counted(ab, bb, cb)
+        else {
+            panic!("margin LPs are bounded and feasible");
+        };
+        let (out, report) = solve_lp_sparse_with_pricing(a, b, c, None, Pricing::Bland, &intr);
+        let Ok(SparseOutcome::Optimal { x, value, .. }) = out else {
+            panic!("sparse Bland solve must be optimal: {out:?}");
+        };
+        assert_eq!(value.to_big(), vb, "optimal values diverge");
+        assert_eq!(x.len(), xb.len());
+        for (xi, xbi) in x.iter().zip(&xb) {
+            assert_eq!(xi.to_big(), *xbi, "optimal vertices diverge");
         }
+        assert_eq!(report.pivots, big_pivots, "pivot sequences diverge");
+        let Ok(SparseOutcome::Optimal { value, .. }) = solve_lp_sparse(a, b, c, None, &intr).0
+        else {
+            panic!("sparse solve must be optimal");
+        };
+        assert_eq!(value.to_big(), vb, "partial pricing reaches another value");
     }
 
     let big_lp_s = time_median(3, || {
@@ -72,9 +113,9 @@ fn hybrid_lp_engine_beats_seed_path() {
     let counters = LpCounters::new();
     let promotions_before = numeric::rat::promotion_count();
     for (a, b, c) in &batch {
-        let (out, pivots) = solve_lp_counted(a, b, c);
-        counters.record_lp(pivots);
-        std::hint::black_box(out);
+        let (out, report) = solve_lp_sparse(a, b, c, None, &intr);
+        counters.record_sparse_lp(report.pivots, None);
+        std::hint::black_box(out.unwrap());
     }
     let lp_stats = LpStats {
         bignum_promotions: numeric::rat::promotion_count() - promotions_before,
@@ -82,14 +123,14 @@ fn hybrid_lp_engine_beats_seed_path() {
     };
     let rat_lp_s = time_median(3, || {
         for (a, b, c) in &batch {
-            std::hint::black_box(solve_lp(a, b, c));
+            std::hint::black_box(solve_lp_sparse(a, b, c, None, &intr).0.unwrap());
         }
     });
-    // Conservative floor: the hybrid solver is typically several times
+    // Conservative floor: the sparse Rat solver is typically many times
     // faster than the BigRational one.
     assert!(
         rat_lp_s * 1.1 < big_lp_s,
-        "hybrid simplex must beat the seed solver: rat={rat_lp_s:.6}s big={big_lp_s:.6}s"
+        "sparse Rat simplex must beat the seed solver: rat={rat_lp_s:.6}s big={big_lp_s:.6}s"
     );
 
     // ---- Leg 2: adaptive subset sweep vs sequential reference ----
@@ -101,7 +142,6 @@ fn hybrid_lp_engine_beats_seed_path() {
     // solver while the DFS reference cold-starts every LP, so identical
     // verdicts are reached through different pivot counts — that gap is
     // the optimization.
-    let (columns, labels) = search_workload(4);
     let par_engine = Engine::new();
     let seq_engine = Engine::new();
     let (par_verdict, par_stats) = with_engine_stats(&par_engine, || {
@@ -172,59 +212,20 @@ fn hybrid_lp_engine_beats_seed_path() {
         "adaptive sweep lost to sequential: par={par_sweep_s:.6}s seq={seq_sweep_s:.6}s"
     );
 
-    // ---- Leg 3: warm sparse backend vs cold dense backend ----
-    // Same sweep, same enumeration order, backend pinned explicitly:
-    // the warm-started sparse revised simplex must beat the cold dense
-    // tableau on the identical 119-LP workload (the headline win).
-    let sparse_engine = Engine::new();
-    let dense_engine = Engine::new();
-    let sparse_verdict = search_columns_backend_in(
-        &sparse_engine.ctx(),
-        &columns,
-        &labels,
-        3,
-        LpBackend::SparseWarm,
-    )
-    .unwrap();
-    let dense_verdict = search_columns_backend_in(
-        &dense_engine.ctx(),
-        &columns,
-        &labels,
-        3,
-        LpBackend::DenseCold,
-    )
-    .unwrap();
-    assert_eq!(
-        sparse_verdict, dense_verdict,
-        "LP backends disagree on the sweep verdict"
-    );
-    let sparse_sweep_s = time_median(5, || {
-        std::hint::black_box(
-            search_columns_backend_in(
-                &sparse_engine.ctx(),
-                &columns,
-                &labels,
-                3,
-                LpBackend::SparseWarm,
-            )
-            .unwrap(),
-        );
-    });
-    let dense_sweep_s = time_median(5, || {
-        std::hint::black_box(
-            search_columns_backend_in(
-                &dense_engine.ctx(),
-                &columns,
-                &labels,
-                3,
-                LpBackend::DenseCold,
-            )
-            .unwrap(),
-        );
+    // ---- Leg 3: warm size-ascending sweep vs cold depth-first reference ----
+    // Leg 2 already established that both decide the identical subset
+    // multiset; the warm sweep, which reuses each subset's optimal basis
+    // and skips the perceptron when a basis is on offer, must be strictly
+    // faster than the cold reference that solves every subset from
+    // scratch. On single-core hosts the sweep is the sequential path, so
+    // this isolates the warm-start win from parallelism.
+    let warm_engine = Engine::new().with_threads(1);
+    let warm_sweep_s = time_median(5, || {
+        std::hint::black_box(search_columns_in(&warm_engine.ctx(), &columns, &labels, 3).unwrap());
     });
     assert!(
-        sparse_sweep_s < dense_sweep_s,
-        "warm sparse backend must beat cold dense: sparse={sparse_sweep_s:.6}s dense={dense_sweep_s:.6}s"
+        warm_sweep_s < seq_sweep_s,
+        "warm sweep must beat the cold reference: warm={warm_sweep_s:.6}s cold={seq_sweep_s:.6}s"
     );
 
     let json = format!(
@@ -235,10 +236,10 @@ fn hybrid_lp_engine_beats_seed_path() {
             "  \"lp_batch\": {{\n",
             "    \"instances\": {instances},\n",
             "    \"big_rational_s\": {big_lp_s:.6},\n",
-            "    \"hybrid_rat_s\": {rat_lp_s:.6},\n",
+            "    \"sparse_rat_s\": {rat_lp_s:.6},\n",
             "    \"speedup\": {batch_speedup:.2},\n",
             "    \"lps_solved\": {batch_lps},\n",
-            "    \"simplex_pivots\": {batch_pivots},\n",
+            "    \"sparse_pivots\": {batch_pivots},\n",
             "    \"bignum_promotions\": {batch_promotions}\n",
             "  }},\n",
             "  \"subset_sweep\": {{\n",
@@ -253,12 +254,9 @@ fn hybrid_lp_engine_beats_seed_path() {
             "    \"warm_start_hits\": {warm_hits},\n",
             "    \"warm_start_misses\": {warm_misses},\n",
             "    \"sparse_pivots\": {sparse_pivots},\n",
-            "    \"basis_reuse_depth\": {reuse_depth}\n",
-            "  }},\n",
-            "  \"lp_backend\": {{\n",
-            "    \"dense_cold_s\": {dense_sweep_s:.6},\n",
-            "    \"sparse_warm_s\": {sparse_sweep_s:.6},\n",
-            "    \"speedup\": {backend_speedup:.2}\n",
+            "    \"basis_reuse_depth\": {reuse_depth},\n",
+            "    \"warm_sequential_s\": {warm_sweep_s:.6},\n",
+            "    \"warm_speedup\": {warm_speedup:.2}\n",
             "  }}\n",
             "}}\n",
         ),
@@ -269,7 +267,7 @@ fn hybrid_lp_engine_beats_seed_path() {
         rat_lp_s = rat_lp_s,
         batch_speedup = big_lp_s / rat_lp_s,
         batch_lps = lp_stats.lps_solved,
-        batch_pivots = lp_stats.simplex_pivots,
+        batch_pivots = lp_stats.sparse_pivots,
         batch_promotions = lp_stats.bignum_promotions,
         ncols = columns.len(),
         nrows = labels.len(),
@@ -282,9 +280,8 @@ fn hybrid_lp_engine_beats_seed_path() {
         warm_misses = sweep_stats.warm_start_misses,
         sparse_pivots = sweep_stats.sparse_pivots,
         reuse_depth = sweep_stats.basis_reuse_depth,
-        dense_sweep_s = dense_sweep_s,
-        sparse_sweep_s = sparse_sweep_s,
-        backend_speedup = dense_sweep_s / sparse_sweep_s,
+        warm_sweep_s = warm_sweep_s,
+        warm_speedup = seq_sweep_s / warm_sweep_s,
     );
     // Debug builds run every leg but leave the tracked ledger alone; the
     // release run writes it.

@@ -28,7 +28,7 @@
 //! LP is assembled.
 
 use engine::{Ctx, Engine, Interrupted};
-use linsep::{has_label_conflict, LpBackend, SepBasis};
+use linsep::{has_label_conflict, SepBasis};
 use qbe::QbeError;
 use relational::{Database, TrainingDb, Val};
 use std::collections::{HashMap, HashSet};
@@ -580,7 +580,7 @@ fn subset_separates(ctx: &Ctx, columns: &[Vec<i32>], labels: &[i32], chosen: &[u
 const BASIS_STORE_CAP: usize = 1 << 16;
 
 /// Optimal-basis cache for the size-ascending subset sweep: the reason
-/// the warm-started sparse backend pays off.
+/// warm starts pay off.
 ///
 /// Two maps, both keyed so that the *next* LP can find a starting basis
 /// in O(1):
@@ -671,7 +671,7 @@ impl BasisStore {
 }
 
 /// [`subset_separates`] through the warm-start machinery: consult the
-/// [`BasisStore`] for a starting basis, solve on the chosen backend, and
+/// [`BasisStore`] for a starting basis, solve, and
 /// bank the optimal basis (returned even for inseparable subsets — the
 /// LP is solved to optimality either way) for the subsets still to come.
 fn subset_separates_warm(
@@ -680,7 +680,6 @@ fn subset_separates_warm(
     labels: &[i32],
     chosen: &[usize],
     store: &BasisStore,
-    backend: LpBackend,
 ) -> bool {
     let rows: Vec<Vec<i32>> = (0..labels.len())
         .map(|r| chosen.iter().map(|&c| columns[c][r]).collect())
@@ -692,7 +691,7 @@ fn subset_separates_warm(
     let warm = store.lookup(chosen, labels.len());
     // A Stop mid-LP yields a filler `false`; the callers' sticky
     // re-checks discard the whole sweep when the handle tripped.
-    match ctx.separate_warm(&rows, labels, warm.as_deref(), backend) {
+    match ctx.separate_warm(&rows, labels, warm.as_deref()) {
         Ok(out) => {
             if let Some(basis) = out.basis {
                 store.store(chosen, Arc::new(basis));
@@ -712,27 +711,11 @@ fn subset_separates_warm(
 /// [`par_find_first`] — so the result is deterministic (the
 /// lexicographically first witness of minimum size) regardless of worker
 /// count, and a hit early in the enumeration exits without touching the
-/// rest. [`search_columns_seq_in`] is the single-threaded reference with
-/// the same verdict.
-///
-/// Interruptible: the sweep observes the handle once per
-/// [`SEARCH_BLOCK`]-combination block (between parallel fan-outs), so
-/// cancellation lands within one block's worth of LPs.
-pub fn search_columns_in(
-    ctx: &Ctx,
-    columns: &[Vec<i32>],
-    labels: &[i32],
-    ell: usize,
-) -> Result<Option<Vec<usize>>, Interrupted> {
-    search_columns_backend_in(ctx, columns, labels, ell, LpBackend::default())
-}
-
-/// [`search_columns_in`] with an explicit LP backend — the full sweep:
-/// size classes ascend, combinations within a class are lexicographic,
-/// and every solved subset banks its optimal basis in a [`BasisStore`]
-/// to warm its siblings and extensions. With [`LpBackend::DenseCold`]
-/// every subset LP is a cold dense solve (the pre-warm-start behavior,
-/// kept as the benchmark baseline and agreement oracle).
+/// rest. Every solved subset banks its optimal basis in a [`BasisStore`]
+/// to warm its siblings and extensions. [`search_columns_seq_in`] is the
+/// single-threaded cold reference. Warm-offered subsets skip the
+/// perceptron, so they meet the positive-weight gap of
+/// [`linsep::margin_lp`].
 ///
 /// Parallelism is adaptive: when the engine's effective parallelism is
 /// below 2 (single-core hardware, or a thread budget of 1) the sweep
@@ -742,12 +725,15 @@ pub fn search_columns_in(
 /// hit rates are also strictly better sequentially (every sibling LP
 /// sees its immediate predecessor's basis), so the fallback is faster on
 /// two counts.
-pub fn search_columns_backend_in(
+///
+/// Interruptible: the sweep observes the handle once per
+/// [`SEARCH_BLOCK`]-combination block (between parallel fan-outs), so
+/// cancellation lands within one block's worth of LPs.
+pub fn search_columns_in(
     ctx: &Ctx,
     columns: &[Vec<i32>],
     labels: &[i32],
     ell: usize,
-    backend: LpBackend,
 ) -> Result<Option<Vec<usize>>, Interrupted> {
     ctx.check()?;
     // Trivial case: uniform labels need zero features.
@@ -765,7 +751,7 @@ pub fn search_columns_backend_in(
             // the handle observed before every subset.
             while let Some(chosen) = combos.next_combo() {
                 ctx.check()?;
-                if subset_separates_warm(ctx, columns, labels, &chosen, &store, backend) {
+                if subset_separates_warm(ctx, columns, labels, &chosen, &store) {
                     return Ok(Some(chosen));
                 }
             }
@@ -784,7 +770,7 @@ pub fn search_columns_backend_in(
                 break;
             }
             let hit = ctx.engine().par_find_first(&block, |chosen| {
-                subset_separates_warm(ctx, columns, labels, chosen, &store, backend)
+                subset_separates_warm(ctx, columns, labels, chosen, &store)
             });
             // Sticky re-check: a hit found by a tripped worker's filler
             // verdict must not be reported as a witness.
@@ -1144,24 +1130,72 @@ mod tests {
         }
     }
 
+    /// Does the dense `BigRational` oracle find a positive margin on the
+    /// margin LP of `rows` / `labels` (optimum above `n + 2`, see
+    /// [`linsep::margin_lp`])?
+    fn oracle_separates(rows: &[Vec<i32>], labels: &[i32]) -> bool {
+        let (a, b, c) = linsep::margin_lp(rows, labels);
+        let big = |v: &[numeric::Rat]| v.iter().map(numeric::Rat::to_big).collect::<Vec<_>>();
+        let a: Vec<Vec<_>> = a.iter().map(|row| big(row)).collect();
+        match linsep::solve_lp_big(&a, &big(&b), &big(&c)) {
+            linsep::LpOutcomeBig::Optimal { value, .. } => {
+                value > numeric::int(rows[0].len() as i64 + 2)
+            }
+            other => panic!("margin LP must be optimal, oracle says {other:?}"),
+        }
+    }
+
+    /// The lexicographically first minimum-size separating subset, found
+    /// by solving every candidate subset cold (`warm: None`) and checking
+    /// each verdict the LP tier reached against the dense oracle.
+    fn cold_first_witness(
+        ctx: &Ctx,
+        columns: &[Vec<i32>],
+        labels: &[i32],
+        ell: usize,
+    ) -> Option<Vec<usize>> {
+        if labels.iter().all(|&l| l == labels[0]) {
+            return Some(Vec::new());
+        }
+        for k in 1..=ell.min(columns.len()) {
+            let mut combos = Combinations::new(columns.len(), k);
+            while let Some(chosen) = combos.next_combo() {
+                let rows: Vec<Vec<i32>> = (0..labels.len())
+                    .map(|r| chosen.iter().map(|&c| columns[c][r]).collect())
+                    .collect();
+                let cold = ctx.separate_warm(&rows, labels, None).unwrap();
+                if cold.basis.is_some() {
+                    assert_eq!(
+                        cold.result.is_some(),
+                        oracle_separates(&rows, labels),
+                        "cold sparse LP and dense oracle disagree on {chosen:?}"
+                    );
+                }
+                if cold.result.is_some() {
+                    return Some(chosen);
+                }
+            }
+        }
+        None
+    }
+
     #[test]
     fn warm_sparse_and_cold_dense_backends_find_identical_witnesses() {
-        let engine = Engine::new();
-        let ctx = engine.ctx();
-        // Both backends are deterministic — lexicographically first
-        // witness of minimum size — so they must return *identical*
-        // witnesses, not merely matching verdicts. This is the
-        // S → S ∪ {j} regression guard: a warm-started basis that
-        // changed any subset's feasibility verdict would change which
-        // witness the sweep finds first.
+        // The warm sweep is deterministic — lexicographically first
+        // witness of minimum size — so it must return the *identical*
+        // witness a cold reference finds, not merely a matching verdict.
+        // This is the S → S ∪ {j} regression guard: a warm-started basis
+        // that changed any subset's feasibility verdict would change
+        // which witness the sweep finds first. The reference solves each
+        // subset cold and pins every LP verdict to the dense oracle.
         //
         // The counter comparisons below run on one-thread engines: the
         // parallel sweep may evaluate subsets past the first witness of
         // a block, and how many depends on scheduling. The default
-        // (parallel) engines check the witnesses only.
+        // (parallel) engine checks the witnesses only.
         let warm_engine = Engine::new().with_threads(1);
         let cold_engine = Engine::new().with_threads(1);
-        let (warm_par, cold_par) = (Engine::new(), Engine::new());
+        let warm_par = Engine::new();
         let mut x = 0x2545f4914f6cdd1du64;
         let mut rnd = move || {
             x = x
@@ -1183,57 +1217,30 @@ mod tests {
             let labels: Vec<i32> = (0..nrows)
                 .map(|_| if rnd() % 2 == 0 { 1 } else { -1 })
                 .collect();
-            let warm = search_columns_backend_in(
-                &warm_engine.ctx(),
-                &columns,
-                &labels,
-                ell,
-                LpBackend::SparseWarm,
-            )
-            .unwrap();
-            let cold = search_columns_backend_in(
-                &cold_engine.ctx(),
-                &columns,
-                &labels,
-                ell,
-                LpBackend::DenseCold,
-            )
-            .unwrap();
+            let warm = search_columns_in(&warm_engine.ctx(), &columns, &labels, ell).unwrap();
+            let cold = cold_first_witness(&cold_engine.ctx(), &columns, &labels, ell);
             assert_eq!(
                 warm, cold,
                 "trial {trial}: {columns:?} {labels:?} ell={ell}"
             );
-            for (engine, backend) in [
-                (&warm_par, LpBackend::SparseWarm),
-                (&cold_par, LpBackend::DenseCold),
-            ] {
-                let par = search_columns_backend_in(&engine.ctx(), &columns, &labels, ell, backend);
-                assert_eq!(par.unwrap(), warm, "trial {trial}: parallel {backend:?}");
-            }
-            if let Some(witness) = &warm {
-                let rows: Vec<Vec<i32>> = (0..labels.len())
-                    .map(|r| witness.iter().map(|&c| columns[c][r]).collect())
-                    .collect();
-                assert!(ctx.separate(&rows, &labels).unwrap().is_some());
-            }
+            let par = search_columns_in(&warm_par.ctx(), &columns, &labels, ell).unwrap();
+            assert_eq!(par, warm, "trial {trial}: parallel sweep");
         }
-        // Both tiers did real LP work; only the warm backend may have
-        // touched the sparse solver.
+        // Both did real LP work; only the sweep offered warm bases.
         let warm_stats = warm_engine.stats();
         let cold_stats = cold_engine.stats();
-        assert_eq!(cold_stats.lp.sparse_pivots, 0);
         assert_eq!(cold_stats.lp.warm_start_hits, 0);
         assert!(warm_stats.lp.lps_solved > 0);
-        // The warm backend skips the perceptron tier whenever a basis is
-        // on offer, so it can only send *more* subsets to the LP tier —
-        // never fewer, and never with a different verdict.
+        // The sweep skips the perceptron tier whenever a basis is on
+        // offer, so it can only send *more* subsets to the LP tier —
+        // never fewer.
         assert!(
             warm_stats.lp.lps_solved >= cold_stats.lp.lps_solved,
-            "warm backend decided fewer subsets by LP than cold: {warm_stats:?} vs {cold_stats:?}"
+            "warm sweep decided fewer subsets by LP than cold: {warm_stats:?} vs {cold_stats:?}"
         );
         assert_eq!(
             warm_stats.lp.conflict_prunes, cold_stats.lp.conflict_prunes,
-            "the conflict tier is backend-independent"
+            "the conflict tier is warm-independent"
         );
     }
 
@@ -1250,9 +1257,7 @@ mod tests {
             vec![1, 1, 1, -1, -1],
         ];
         let engine = Engine::new();
-        let found =
-            search_columns_backend_in(&engine.ctx(), &columns, &labels, 1, LpBackend::SparseWarm)
-                .unwrap();
+        let found = search_columns_in(&engine.ctx(), &columns, &labels, 1).unwrap();
         let stats = engine.stats();
         // Whatever the verdict, every LP after the first in the size
         // class had a sibling basis on offer.
@@ -1267,14 +1272,7 @@ mod tests {
             );
         }
         // Cross-check the verdict against the cold reference.
-        let cold = search_columns_backend_in(
-            &(Engine::new()).ctx(),
-            &columns,
-            &labels,
-            1,
-            LpBackend::DenseCold,
-        )
-        .unwrap();
+        let cold = cold_first_witness(&Engine::new().ctx(), &columns, &labels, 1);
         assert_eq!(found, cold);
     }
 

@@ -40,7 +40,6 @@ use crate::{Engine, EngineStats};
 use covergame::{CoverPreorder, UnionSkeleton};
 use interrupt::{Interrupt, Reason, Stop};
 use linsep::LinearClassifier;
-use numeric::Rat;
 use relational::{Database, Val};
 use std::time::Duration;
 
@@ -244,47 +243,30 @@ impl<'e> Ctx<'e> {
         vectors: &[Vec<i32>],
         labels: &[i32],
     ) -> Result<Option<LinearClassifier>, Interrupted> {
-        self.check()?;
-        linsep::separate_counted_int(self.engine.lp_counters(), vectors, labels, &self.interrupt)
-            .map_err(|stop| self.wrap(stop))
-    }
-
-    /// [`Ctx::separate`] also returning the optimal margin.
-    pub fn separate_with_margin(
-        &self,
-        vectors: &[Vec<i32>],
-        labels: &[i32],
-    ) -> Result<Option<(LinearClassifier, Rat)>, Interrupted> {
-        self.check()?;
-        linsep::separate_with_margin_counted_int(
-            self.engine.lp_counters(),
-            vectors,
-            labels,
-            &self.interrupt,
-        )
-        .map_err(|stop| self.wrap(stop))
+        Ok(self
+            .separate_warm(vectors, labels, None)?
+            .result
+            .map(|(c, _)| c))
     }
 
     /// Warm-capable interruptible separation: as [`Ctx::separate`] but
     /// accepting the final basis of a related instance (subset `S` of the
     /// ≤ℓ sweep warm-starting `S ∪ {j}` or a same-size sibling — see
-    /// [`linsep::SepBasis`]) and returning the verdict together with this
-    /// instance's final basis. Verdicts are warm- and
-    /// backend-independent.
+    /// [`linsep::SepBasis`]) and returning the verdict, with its optimal
+    /// margin, together with this instance's final basis. An offer skips
+    /// the perceptron tier, so the LP decides (see [`linsep::separate`]).
     pub fn separate_warm(
         &self,
         vectors: &[Vec<i32>],
         labels: &[i32],
         warm: Option<&linsep::SepBasis>,
-        backend: linsep::LpBackend,
     ) -> Result<linsep::SepOutcome, Interrupted> {
         self.check()?;
-        linsep::separate_warm_counted_int(
+        linsep::separate(
             self.engine.lp_counters(),
             vectors,
             labels,
             warm,
-            backend,
             &self.interrupt,
         )
         .map_err(|stop| self.wrap(stop))
@@ -298,13 +280,8 @@ impl<'e> Ctx<'e> {
         labels: &[i32],
     ) -> Result<linsep::MinErrorResult, Interrupted> {
         self.check()?;
-        linsep::min_error_classifier_counted_int(
-            self.engine.lp_counters(),
-            vectors,
-            labels,
-            &self.interrupt,
-        )
-        .map_err(|stop| self.wrap(stop))
+        linsep::min_error_classifier(self.engine.lp_counters(), vectors, labels, &self.interrupt)
+            .map_err(|stop| self.wrap(stop))
     }
 
     /// The `→_k` preorder over `elems` of `d`: one game per ordered pair
@@ -413,7 +390,7 @@ mod tests {
         assert!(ctx.hom_exists(&p, &p, &[]).is_err());
         assert!(ctx.cover_implies(&p, &[], &p, &[], 1).is_err());
         assert!(ctx.separate(&[], &[]).is_err());
-        assert!(ctx.separate_with_margin(&[], &[]).is_err());
+        assert!(ctx.separate_warm(&[], &[], None).is_err());
         assert!(ctx.min_error(&[], &[]).is_err());
         assert!(ctx.preorder(&p, &p.entities(), 1).is_err());
         let err = ctx.check().unwrap_err();

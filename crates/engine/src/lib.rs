@@ -32,7 +32,7 @@ pub mod persist;
 
 use covergame::{GameCache, GameStats};
 use cq::{Cq, EnumConfig};
-use linsep::{LinearClassifier, LpCounters, LpStats};
+use linsep::{LpCounters, LpStats};
 use qbe::QbeError;
 use relational::{
     Database, Delta, DeltaError, DeltaReceipt, HomCache, HomStats, Lineage, TrainingDb, Val,
@@ -373,7 +373,6 @@ impl EngineStats {
             .saturating_add(self.game.games_solved)
             .saturating_add(self.game.positions_explored)
             .saturating_add(self.lp.lps_solved)
-            .saturating_add(self.lp.simplex_pivots)
             .saturating_add(self.lp.sparse_pivots)
     }
 
@@ -563,16 +562,6 @@ pub fn cqm_qbe_in(
         }
     }
     Ok(None)
-}
-
-/// [`linsep::separate_counted`] under a task context: the free-function
-/// form of [`Ctx::separate`].
-pub fn separate_in(
-    ctx: &Ctx,
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-) -> Result<Option<LinearClassifier>, Interrupted> {
-    ctx.separate(vectors, labels)
 }
 
 #[cfg(test)]

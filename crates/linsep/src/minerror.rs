@@ -16,12 +16,12 @@
 //! initial upper bound — when it happens to be separable it is optimal.
 
 use crate::classifier::LinearClassifier;
-use crate::separate::{separate_counted, separate_counted_int};
+use crate::separate::separate;
 use crate::stats::LpCounters;
 use interrupt::{Interrupt, Stop};
 use std::collections::HashMap;
 
-/// Result of [`min_error_classifier_counted`].
+/// Result of [`min_error_classifier`].
 #[derive(Clone, Debug)]
 pub struct MinErrorResult {
     /// A classifier achieving the minimum number of errors.
@@ -38,39 +38,18 @@ pub struct MinErrorResult {
 /// Exact; worst-case exponential in the number of *distinct* vectors
 /// (inherently so — the problem is NP-complete), which is what makes the
 /// paper's FPT claims work when the dimension is schema-bounded.
-/// Every internal LP decision is recorded into `counters`.
-pub fn min_error_classifier_counted(
-    counters: &LpCounters,
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-) -> MinErrorResult {
-    min_error_inner(counters, vectors, labels, None)
-        .expect("uninterruptible min-error search cannot stop")
-}
-
-/// Interruptible [`min_error_classifier_counted`]: the branch-and-bound
-/// observes `intr` at every search node and inside every pruning LP. The
-/// partial incumbent is discarded on [`Stop`] (a truncated search cannot
-/// certify minimality).
-pub fn min_error_classifier_counted_int(
+/// Every internal LP decision is recorded into `counters`. The
+/// branch-and-bound observes `intr` at every search node and inside
+/// every pruning LP; the partial incumbent is discarded on [`Stop`] (a
+/// truncated search cannot certify minimality).
+pub fn min_error_classifier(
     counters: &LpCounters,
     vectors: &[Vec<i32>],
     labels: &[i32],
     intr: &Interrupt,
 ) -> Result<MinErrorResult, Stop> {
-    min_error_inner(counters, vectors, labels, Some(intr))
-}
-
-fn min_error_inner(
-    counters: &LpCounters,
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-    intr: Option<&Interrupt>,
-) -> Result<MinErrorResult, Stop> {
     assert_eq!(vectors.len(), labels.len());
-    if let Some(h) = intr {
-        h.check()?;
-    }
+    intr.check()?;
     if vectors.is_empty() {
         return Ok(MinErrorResult {
             classifier: LinearClassifier::new(numeric::qint(0), Vec::new()),
@@ -152,12 +131,10 @@ fn min_error_inner(
     )?;
 
     // Realize the best assignment with an actual classifier.
-    let classifier = separate_counted(
-        counters,
-        &types.iter().map(|t| t.to_vec()).collect::<Vec<_>>(),
-        &best_assign,
-    )
-    .expect("best assignment was verified separable");
+    let type_vectors: Vec<Vec<i32>> = types.iter().map(|t| t.to_vec()).collect();
+    let (classifier, _) = separate(counters, &type_vectors, &best_assign, None, intr)?
+        .result
+        .expect("best assignment was verified separable");
     let labels_out: Vec<i32> = vectors
         .iter()
         .map(|v| best_assign[type_of[v.as_slice()]])
@@ -188,11 +165,9 @@ fn branch(
     assign: &mut Vec<i32>,
     best_cost: &mut usize,
     best_assign: &mut Vec<i32>,
-    intr: Option<&Interrupt>,
+    intr: &Interrupt,
 ) -> Result<(), Stop> {
-    if let Some(h) = intr {
-        h.check()?;
-    }
+    intr.check()?;
     if cost + suffix_min[i] >= *best_cost {
         return Ok(());
     }
@@ -237,7 +212,7 @@ fn prefix_separable(
     order: &[usize],
     upto: usize,
     assign: &[i32],
-    intr: Option<&Interrupt>,
+    intr: &Interrupt,
 ) -> Result<bool, Stop> {
     let mut vs = Vec::with_capacity(upto + 1);
     let mut ys = Vec::with_capacity(upto + 1);
@@ -245,23 +220,19 @@ fn prefix_separable(
         vs.push(types[t].to_vec());
         ys.push(assign[t]);
     }
-    Ok(match intr {
-        None => separate_counted(counters, &vs, &ys).is_some(),
-        Some(h) => separate_counted_int(counters, &vs, &ys, h)?.is_some(),
-    })
+    Ok(separate(counters, &vs, &ys, None, intr)?.result.is_some())
 }
 
 fn assignment_separable(
     counters: &LpCounters,
     types: &[&[i32]],
     assign: &[i32],
-    intr: Option<&Interrupt>,
+    intr: &Interrupt,
 ) -> Result<bool, Stop> {
     let vs: Vec<Vec<i32>> = types.iter().map(|t| t.to_vec()).collect();
-    Ok(match intr {
-        None => separate_counted(counters, &vs, assign).is_some(),
-        Some(h) => separate_counted_int(counters, &vs, assign, h)?.is_some(),
-    })
+    Ok(separate(counters, &vs, assign, None, intr)?
+        .result
+        .is_some())
 }
 
 #[cfg(test)]
@@ -269,11 +240,21 @@ mod tests {
     use super::*;
 
     fn min_error_classifier(vectors: &[Vec<i32>], labels: &[i32]) -> MinErrorResult {
-        min_error_classifier_counted(&LpCounters::new(), vectors, labels)
+        super::min_error_classifier(&LpCounters::new(), vectors, labels, &Interrupt::none())
+            .unwrap()
     }
 
     fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
-        separate_counted(&LpCounters::new(), vectors, labels)
+        super::separate(
+            &LpCounters::new(),
+            vectors,
+            labels,
+            None,
+            &Interrupt::none(),
+        )
+        .unwrap()
+        .result
+        .map(|(c, _)| c)
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Sparse revised simplex over exact rationals, with warm-started bases.
+//! Sparse revised simplex over exact rationals, with warm-started bases:
+//! the one LP solver behind [`crate::separate`].
 //!
-//! The dense tableau in [`crate::simplex`] rewrites the entire `m × (n+m)`
-//! matrix on every pivot. The separation LPs the subset sweep generates
-//! are mostly ±1 and highly structured (example rows + unit box rows), so
-//! a revised simplex that keeps only the original columns (column-major
-//! nonzero lists, slacks implicit) plus a factorization of the current
-//! basis does `O(m²)` work per pivot instead of `O(m·(n+m))` — and, more
+//! The separation LPs the subset sweep generates are mostly ±1 and highly
+//! structured (example rows + unit box rows), so a revised simplex that
+//! keeps only the original columns (column-major nonzero lists, slacks
+//! implicit) plus a factorization of the current basis does `O(m²)` work
+//! per pivot instead of a dense tableau's `O(m·(n+m))` — and, more
 //! importantly, can **warm-start**: a caller holding the final basis of a
 //! structurally similar LP (subset `S` vs `S ∪ {j}` in the ≤ℓ sweep) can
 //! hand it back and skip most pivots.
@@ -28,8 +28,9 @@
 //!   pivots permanently switches to Bland's smallest-index rule, which
 //!   cannot cycle (a cycle is all-degenerate); [`Pricing::Bland`] forces
 //!   that rule from the start, in which case this solver performs
-//!   *exactly* the dense tableau's pivot sequence (same entering rule,
-//!   same ratio tie-break) — the agreement tests pin this.
+//!   *exactly* the pivot sequence of the dense [`crate::simplex_big`]
+//!   oracle (same entering rule, same ratio tie-break) — the agreement
+//!   tests pin this.
 //! * **Warm starts**: [`Warm::Reuse`] clones a sibling instance's entire
 //!   factorization (valid when every basis column's data is unchanged —
 //!   the caller's contract) and recomputes `x_B = B⁻¹b` for the new RHS;
@@ -41,9 +42,8 @@
 //!   but can never change a verdict.
 //!
 //! Scope: this solver requires `b ≥ 0` (the all-slack basis feasible, so
-//! a single phase suffices). The margin LPs of [`crate::separate`] always
-//! satisfy this; [`solve_lp_sparse`] returns `None` otherwise and the
-//! caller falls back to the dense two-phase solver.
+//! a single phase suffices) and asserts it. The margin LPs of
+//! [`crate::separate`] always have `b ≥ 1`.
 
 use interrupt::{Interrupt, Stop};
 use numeric::Rat;
@@ -115,8 +115,8 @@ pub enum Warm<'a> {
 }
 
 /// Entering-variable rule. `Partial` is the performance default; `Bland`
-/// reproduces the dense tableau's pivot sequence exactly (used by the
-/// agreement tests).
+/// reproduces the [`crate::simplex_big`] oracle's pivot sequence exactly
+/// (used by the agreement tests).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Pricing {
     /// Rotating-cursor first-improving, with an automatic permanent
@@ -137,8 +137,7 @@ pub struct SparseReport {
 }
 
 /// Result of [`solve_lp_sparse`]. Infeasibility cannot occur: the solver
-/// only accepts instances with `b ≥ 0`, where the all-slack basis is
-/// feasible.
+/// requires `b ≥ 0`, where the all-slack basis is feasible.
 #[derive(Clone, Debug)]
 pub enum SparseOutcome {
     /// Optimal structural solution, objective value, and the final basis
@@ -153,18 +152,22 @@ pub enum SparseOutcome {
 }
 
 /// Solve `max cᵀx s.t. Ax ≤ b, x ≥ 0` exactly by the sparse revised
-/// simplex with partial pricing, optionally warm-started.
+/// simplex with partial pricing, optionally warm-started. Observes `intr`
+/// once per pivot.
 ///
-/// Returns `None` when some `b_i < 0` (the caller should use the dense
-/// two-phase [`crate::simplex::solve_lp_counted`] instead). The caller
-/// owns all counter accounting via the returned [`SparseReport`].
+/// # Panics
+///
+/// If some `b_i < 0` (the all-slack start would be infeasible and this
+/// solver has no phase 1), or if the shapes of `A`, `b` and `c` disagree.
+/// The caller owns all counter accounting via the returned
+/// [`SparseReport`], which is filled in even when the solve stops.
 pub fn solve_lp_sparse(
     a: &[Vec<Rat>],
     b: &[Rat],
     c: &[Rat],
     warm: Option<Warm>,
-    intr: Option<&Interrupt>,
-) -> Option<(Result<SparseOutcome, Stop>, SparseReport)> {
+    intr: &Interrupt,
+) -> (Result<SparseOutcome, Stop>, SparseReport) {
     solve_lp_sparse_with_pricing(a, b, c, warm, Pricing::Partial, intr)
 }
 
@@ -175,17 +178,18 @@ pub fn solve_lp_sparse_with_pricing(
     c: &[Rat],
     warm: Option<Warm>,
     pricing: Pricing,
-    intr: Option<&Interrupt>,
-) -> Option<(Result<SparseOutcome, Stop>, SparseReport)> {
+    intr: &Interrupt,
+) -> (Result<SparseOutcome, Stop>, SparseReport) {
     let m = a.len();
     let n = c.len();
     assert_eq!(b.len(), m, "b must match the number of constraint rows");
     for row in a {
         assert_eq!(row.len(), n, "every row of A must match c's length");
     }
-    if b.iter().any(|v| v.is_negative()) {
-        return None;
-    }
+    assert!(
+        b.iter().all(|v| !v.is_negative()),
+        "solve_lp_sparse requires b >= 0 (the all-slack basis must be feasible)"
+    );
     // Column-major nonzero lists of the structural columns; slack columns
     // stay implicit unit vectors.
     let mut cols: Vec<Vec<(usize, Rat)>> = vec![Vec::new(); n];
@@ -220,7 +224,7 @@ pub fn solve_lp_sparse_with_pricing(
         pivots: rev.pivots,
         warm_used,
     };
-    Some((result, report))
+    (result, report)
 }
 
 struct Rev<'a> {
@@ -497,7 +501,7 @@ impl Rev<'_> {
         self.basis.etas.clear();
     }
 
-    fn run(&mut self, pricing: Pricing, intr: Option<&Interrupt>) -> Result<SparseOutcome, Stop> {
+    fn run(&mut self, pricing: Pricing, intr: &Interrupt) -> Result<SparseOutcome, Stop> {
         let mut bland = pricing == Pricing::Bland;
         let mut degen_run = 0usize;
         // A cycle consists solely of degenerate pivots, so a long
@@ -505,9 +509,7 @@ impl Rev<'_> {
         // (which terminates unconditionally).
         let degen_limit = 2 * self.m + 16;
         loop {
-            if let Some(h) = intr {
-                h.check()?;
-            }
+            intr.check()?;
             let cb: Vec<Rat> = self
                 .basis
                 .vars
@@ -526,7 +528,7 @@ impl Rev<'_> {
             };
             let w = self.ftran(&self.column_dense(enter));
             // Ratio test; ties broken by smallest basic variable (Bland),
-            // matching the dense tableau exactly.
+            // matching the dense oracle exactly.
             let mut best: Option<(usize, Rat)> = None;
             for (i, wi) in w.iter().enumerate() {
                 if !wi.is_positive() {
@@ -600,7 +602,7 @@ impl Rev<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simplex::{solve_lp_counted, LpOutcome};
+    use crate::simplex_big::{solve_lp_big_counted, LpOutcomeBig};
     use numeric::{qint, qrat};
 
     fn rats(rows: &[&[i64]]) -> Vec<Vec<Rat>> {
@@ -617,21 +619,39 @@ mod tests {
         pricing: Pricing,
     ) -> (SparseOutcome, SparseReport) {
         let (res, report) =
-            solve_lp_sparse_with_pricing(a, b, c, warm, pricing, None).expect("b >= 0");
+            solve_lp_sparse_with_pricing(a, b, c, warm, pricing, &Interrupt::none());
         (res.expect("uninterruptible"), report)
+    }
+
+    /// The dense all-`BigRational` oracle on the same instance, with its
+    /// pivot count.
+    fn oracle(a: &[Vec<Rat>], b: &[Rat], c: &[Rat]) -> (LpOutcomeBig, u64) {
+        let big = |v: &[Rat]| v.iter().map(Rat::to_big).collect::<Vec<_>>();
+        let a: Vec<Vec<_>> = a.iter().map(|row| big(row)).collect();
+        solve_lp_big_counted(&a, &big(b), &big(c))
     }
 
     #[test]
     fn textbook_optimum_matches_dense() {
+        // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18 -> 36 at (2,6).
         let a = rats(&[&[1, 0], &[0, 2], &[3, 2]]);
         let b = vec![qint(4), qint(12), qint(18)];
         let c = vec![qint(3), qint(5)];
+        let LpOutcomeBig::Optimal {
+            x: dense_x,
+            value: dense_value,
+        } = oracle(&a, &b, &c).0
+        else {
+            panic!("the oracle must find the optimum");
+        };
         for pricing in [Pricing::Partial, Pricing::Bland] {
             let (out, report) = sparse(&a, &b, &c, None, pricing);
             match out {
                 SparseOutcome::Optimal { x, value, .. } => {
                     assert_eq!(value, qint(36));
                     assert_eq!(x, vec![qint(2), qint(6)]);
+                    assert_eq!(value.to_big(), dense_value);
+                    assert!(x.iter().map(Rat::to_big).eq(dense_x.iter().cloned()));
                 }
                 other => panic!("{other:?}"),
             }
@@ -642,7 +662,7 @@ mod tests {
 
     #[test]
     fn bland_mode_matches_dense_pivot_for_pivot() {
-        // With b >= 0 the dense solver runs a single Bland phase from the
+        // With b >= 0 the dense oracle runs a single Bland phase from the
         // same all-slack basis, so outcomes AND pivot counts must agree.
         type Case = (Vec<Vec<Rat>>, Vec<Rat>, Vec<Rat>);
         let cases: Vec<Case> = vec![
@@ -669,23 +689,108 @@ mod tests {
             ),
         ];
         for (a, b, c) in &cases {
-            let (dense_out, dense_pivots) = solve_lp_counted(a, b, c);
+            let (dense_out, dense_pivots) = oracle(a, b, c);
             let (out, report) = sparse(a, b, c, None, Pricing::Bland);
             match (out, dense_out) {
                 (
                     SparseOutcome::Optimal { x, value, .. },
-                    LpOutcome::Optimal {
+                    LpOutcomeBig::Optimal {
                         x: dx,
                         value: dvalue,
                     },
                 ) => {
-                    assert_eq!(value, dvalue);
-                    assert_eq!(x, dx, "exact vertex agreement");
+                    assert_eq!(value.to_big(), dvalue);
+                    assert!(
+                        x.iter().map(Rat::to_big).eq(dx.iter().cloned()),
+                        "exact vertex agreement"
+                    );
                 }
                 (l, r) => panic!("outcome mismatch: {l:?} vs {r:?}"),
             }
             assert_eq!(report.pivots, dense_pivots, "identical pivot sequence");
         }
+    }
+
+    #[test]
+    fn fractional_optimum_is_exact() {
+        // max 2x + y s.t. 2x + y <= 3, x + 2y <= 3 -> value 3.
+        let (out, _) = sparse(
+            &rats(&[&[2, 1], &[1, 2]]),
+            &[qint(3), qint(3)],
+            &[qint(2), qint(1)],
+            None,
+            Pricing::Partial,
+        );
+        let SparseOutcome::Optimal { value, .. } = out else {
+            panic!("optimal expected");
+        };
+        assert_eq!(value, qint(3));
+        // A genuinely fractional one: max y s.t. 3y <= 2.
+        let (out, _) = sparse(
+            &rats(&[&[3]]),
+            &[qint(2)],
+            &[qint(1)],
+            None,
+            Pricing::Partial,
+        );
+        let SparseOutcome::Optimal { x, value, .. } = out else {
+            panic!("optimal expected");
+        };
+        assert_eq!(x[0], qrat(2, 3));
+        assert_eq!(value, qrat(2, 3));
+    }
+
+    #[test]
+    fn degenerate_does_not_cycle() {
+        // Classic degenerate instance (Beale-like): partial pricing must
+        // fall back to Bland before it can cycle, and both rules finish.
+        let a: Vec<Vec<Rat>> = vec![
+            vec![qrat(1, 4), qint(-8), qint(-1), qint(9)],
+            vec![qrat(1, 2), qint(-12), qrat(-1, 2), qint(3)],
+            vec![qint(0), qint(0), qint(1), qint(0)],
+        ];
+        let b = vec![qint(0), qint(0), qint(1)];
+        let c = vec![qrat(3, 4), qint(-20), qrat(1, 2), qint(-6)];
+        for pricing in [Pricing::Partial, Pricing::Bland] {
+            let (out, _) = sparse(&a, &b, &c, None, pricing);
+            let SparseOutcome::Optimal { value, .. } = out else {
+                panic!("optimal expected");
+            };
+            assert_eq!(value, qrat(5, 4));
+        }
+    }
+
+    #[test]
+    fn pivot_counts_are_reported_in_band() {
+        // The textbook instance pivots at least twice; a basis that is
+        // optimal at the start pivots zero times.
+        let a = rats(&[&[1, 0], &[3, 2]]);
+        let b = vec![qint(4), qint(18)];
+        let (_, report) = sparse(&a, &b, &[qint(3), qint(5)], None, Pricing::Partial);
+        assert!(report.pivots >= 2, "expected real pivoting, got {report:?}");
+        let (out, report) = sparse(&a, &b, &[qint(-1), qint(-1)], None, Pricing::Partial);
+        assert_eq!(report.pivots, 0, "all-slack basis is already optimal");
+        assert!(matches!(out, SparseOutcome::Optimal { .. }));
+    }
+
+    #[test]
+    fn huge_coefficients_promote_and_stay_exact() {
+        // max x s.t. K·x <= K² with K near the i64 boundary: the solver
+        // must promote internally yet produce the exact x = K.
+        let k = qint(3_000_000_000);
+        let ksq = &k * &k; // overflows i64 -> Big
+        let (out, _) = sparse(
+            &[vec![k.clone()]],
+            &[ksq],
+            &[qint(1)],
+            None,
+            Pricing::Partial,
+        );
+        let SparseOutcome::Optimal { x, value, .. } = out else {
+            panic!("optimal expected");
+        };
+        assert_eq!(x[0], k);
+        assert_eq!(value, k);
     }
 
     #[test]
@@ -699,10 +804,16 @@ mod tests {
 
     #[test]
     fn declines_negative_rhs() {
+        // No phase 1: a negative right-hand side violates the
+        // precondition, and the solver refuses it loudly.
         let a = rats(&[&[1]]);
         let b = vec![qint(-1)];
         let c = vec![qint(1)];
-        assert!(solve_lp_sparse(&a, &b, &c, None, None).is_none());
+        let err =
+            std::panic::catch_unwind(|| solve_lp_sparse(&a, &b, &c, None, &Interrupt::none()))
+                .expect_err("b < 0 must be rejected");
+        let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+        assert!(msg.contains("requires b >= 0"), "unexpected panic: {msg:?}");
     }
 
     #[test]
@@ -816,5 +927,12 @@ mod tests {
         assert_eq!(value, qint(0));
         let (out, _) = sparse(&[], &[], &[qint(1)], None, Pricing::Partial);
         assert!(matches!(out, SparseOutcome::Unbounded));
+        // Constraints but an empty objective over zero variables.
+        let (out, _) = sparse(&[vec![]], &[qint(1)], &[], None, Pricing::Partial);
+        let SparseOutcome::Optimal { x, value, .. } = out else {
+            panic!("optimal expected");
+        };
+        assert!(x.is_empty());
+        assert_eq!(value, qint(0));
     }
 }

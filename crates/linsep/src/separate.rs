@@ -20,29 +20,16 @@
 //!    instances before any arithmetic.
 //! 2. **Integer perceptron** — converges immediately on the easy
 //!    instances the enumeration algorithms mostly generate.
-//! 3. **Exact LP** — the maximum-margin simplex solve, now over hybrid
-//!    [`Rat`] arithmetic.
+//! 3. **Exact LP** — the maximum-margin LP ([`margin_lp`]), solved by the
+//!    sparse revised simplex over hybrid [`Rat`] arithmetic, optionally
+//!    warm-started from a related instance's basis.
 
 use crate::classifier::LinearClassifier;
 use crate::revised::{solve_lp_sparse, SparseBasis, SparseOutcome, Warm};
-use crate::simplex::{solve_lp_counted, solve_lp_counted_int, LpOutcome};
 use crate::stats::LpCounters;
 use interrupt::{Interrupt, Stop};
 use numeric::{qint, Rat};
 use std::collections::HashMap;
-
-/// Which LP engine decides the margin LP.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum LpBackend {
-    /// Sparse revised simplex with warm-start support (the default);
-    /// falls back to the dense tableau on the—here impossible—negative
-    /// RHS case.
-    #[default]
-    SparseWarm,
-    /// The PR-3 dense in-place tableau, always cold. Kept selectable so
-    /// benches can compare engines on identical workloads.
-    DenseCold,
-}
 
 /// Instance-independent identity of one margin-LP variable, so a basis
 /// can be carried from subset `S` to `S ∪ {j}` (or to a same-arity
@@ -187,36 +174,11 @@ impl SepBasis {
 /// Outcome of a warm-capable separation: the verdict (as elsewhere:
 /// `Some` with the classifier and its positive margin iff separable) plus
 /// the final LP basis when an LP actually ran — reusable to warm-start a
-/// related instance. Conflict prunes, perceptron hits, and dense-backend
-/// solves carry no basis.
+/// related instance. Conflict prunes and perceptron hits carry no basis.
 #[derive(Clone, Debug)]
 pub struct SepOutcome {
     pub result: Option<(LinearClassifier, Rat)>,
     pub basis: Option<SepBasis>,
-}
-
-/// Find a linear classifier separating the examples, or `None` if they
-/// are not linearly separable. Exact. Records the decision (conflict
-/// prune, perceptron hit, or LP solve + pivots) into `counters`.
-pub fn separate_counted(
-    counters: &LpCounters,
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-) -> Option<LinearClassifier> {
-    separate_with_margin_counted(counters, vectors, labels).map(|(c, _)| c)
-}
-
-/// Interruptible [`separate_counted`]: the conflict scan runs to
-/// completion (one cheap pass), the perceptron observes `intr` per epoch,
-/// and the margin LP observes it per pivot. Effort spent before the stop
-/// is still recorded into `counters`.
-pub fn separate_counted_int(
-    counters: &LpCounters,
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-    intr: &Interrupt,
-) -> Result<Option<LinearClassifier>, Stop> {
-    Ok(separate_with_margin_counted_int(counters, vectors, labels, intr)?.map(|(c, _)| c))
 }
 
 /// Do identical vectors appear with opposite labels? If so no classifier
@@ -234,66 +196,33 @@ pub fn has_label_conflict(vectors: &[Vec<i32>], labels: &[i32]) -> bool {
     false
 }
 
-/// As [`separate_counted`], also returning the optimal margin achieved
-/// under the normalization `|w_j| ≤ 1, |w_0| ≤ 1`. The margin is
-/// positive iff the collection is separable.
-pub fn separate_with_margin_counted(
-    counters: &LpCounters,
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-) -> Option<(LinearClassifier, Rat)> {
-    separate_margin_inner(counters, vectors, labels, None)
-        .expect("uninterruptible separation cannot stop")
-}
-
-/// Interruptible [`separate_with_margin_counted`].
-pub fn separate_with_margin_counted_int(
-    counters: &LpCounters,
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-    intr: &Interrupt,
-) -> Result<Option<(LinearClassifier, Rat)>, Stop> {
-    separate_margin_inner(counters, vectors, labels, Some(intr))
-}
-
-/// The warm-capable separation entry point: as
-/// [`separate_with_margin_counted_int`] but accepting a basis from a
-/// related instance to warm-start the LP (see [`SepBasis::offer`] for
-/// which shapes qualify) and an explicit backend, and returning the final
-/// basis alongside the verdict. The verdict is backend- and
-/// warm-independent — a rejected or absent warm offer only costs pivots.
-pub fn separate_warm_counted_int(
+/// Find a linear classifier separating the examples.
+///
+/// The verdict is `Some` with the classifier and a positive margin
+/// (normalized to the perceptron's `max(|w_j|, |w_0|) = 1` or to the
+/// LP's box), `None` if no separator was found: exact when the conflict
+/// scan decides, subject to the LP's positive-weight gap (see
+/// [`margin_lp`]) when the LP does.
+///
+/// `warm` may carry the final basis of a related instance (see
+/// [`SepBasis::offer`] for which shapes qualify). The LP's verdict never
+/// depends on it — a rejected or absent offer only costs pivots — but
+/// an offer skips the perceptron, so the LP decides. The final LP basis
+/// comes back whenever an LP ran.
+///
+/// Every decision (conflict prune, perceptron hit, or LP solve and its
+/// pivots) is recorded into `counters`, effort spent before a stop
+/// included. The conflict scan runs to completion (one cheap pass), the
+/// perceptron observes `intr` per epoch, and the LP per pivot.
+pub fn separate(
     counters: &LpCounters,
     vectors: &[Vec<i32>],
     labels: &[i32],
     warm: Option<&SepBasis>,
-    backend: LpBackend,
     intr: &Interrupt,
-) -> Result<SepOutcome, Stop> {
-    separate_warm_inner(counters, vectors, labels, warm, backend, Some(intr))
-}
-
-fn separate_margin_inner(
-    counters: &LpCounters,
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-    intr: Option<&Interrupt>,
-) -> Result<Option<(LinearClassifier, Rat)>, Stop> {
-    Ok(separate_warm_inner(counters, vectors, labels, None, LpBackend::default(), intr)?.result)
-}
-
-fn separate_warm_inner(
-    counters: &LpCounters,
-    vectors: &[Vec<i32>],
-    labels: &[i32],
-    warm: Option<&SepBasis>,
-    backend: LpBackend,
-    intr: Option<&Interrupt>,
 ) -> Result<SepOutcome, Stop> {
     assert_eq!(vectors.len(), labels.len(), "one label per vector");
-    if let Some(h) = intr {
-        h.check()?;
-    }
+    intr.check()?;
     if vectors.is_empty() {
         return Ok(SepOutcome {
             result: Some((LinearClassifier::new(qint(0), Vec::new()), qint(1))),
@@ -327,9 +256,8 @@ fn separate_warm_inner(
     // LP is expected to be nearly pivot-free — cheaper than even a
     // perceptron hit — so the heuristic tier is skipped entirely. (This
     // means which tier decides a subset, and hence `lps_solved`, can
-    // depend on the backend and warm offer; verdicts never do.)
-    let warm_offered = backend == LpBackend::SparseWarm && warm.is_some();
-    let heuristic = if warm_offered {
+    // depend on the warm offer; verdicts never do.)
+    let heuristic = if warm.is_some() {
         None
     } else {
         perceptron(vectors, labels, 200 * (n + 1) * (vectors.len() + 1), intr)?
@@ -349,19 +277,59 @@ fn separate_warm_inner(
         });
     }
 
-    // Tier 3, exact LP: variables u_j = w_j + 1 ∈ [0, 2] (j = 1..n),
-    // u_0 = w_0 + 1, and the margin t' = t + (n + 2) ≥ 0 (t ≥ -(n+1) - 1
-    // always holds under the box bounds). Maximize t.
-    //
-    // Constraints per example (with s_i = y_i):
-    //   s_i (w·b_i − w_0) ≥ t
-    //   ⇔ −s_i Σ b_ij w_j + s_i w_0 + t ≤ 0
-    //   substitute w_j = u_j − 1, w_0 = u_0 − 1, t = t' − (n + 2):
-    //   −s_i Σ b_ij u_j + s_i u_0 + t' ≤ (n + 2) − s_i (1 − Σ b_ij)
-    // Box: u_j ≤ 2, u_0 ≤ 2, t' ≤ (n + 2) + 1.
+    // Tier 3: the exact margin LP. Its right-hand side is always ≥ 1,
+    // so the single-phase sparse solver applies unconditionally; a warm
+    // offer comes from a related subset's final basis and can only save
+    // pivots, never change the LP's verdict (rejected offers cold-start).
+    let (a, b, c) = margin_lp(vectors, labels);
+    let offer = warm.and_then(|sb| sb.offer(n, vectors.len()));
+    let depth = warm.map_or(0, |sb| sb.depth + 1);
+    let (res, report) = solve_lp_sparse(&a, &b, &c, offer, intr);
+    // Record effort whether or not the solve completed: partial effort
+    // is still attributable effort.
+    counters.record_sparse_lp(report.pivots, report.warm_used.then_some(depth));
+    match res? {
+        SparseOutcome::Optimal { x, value, basis } => {
+            let chain = if report.warm_used { depth } else { 0 };
+            let sep = SepBasis::from_sparse(n, vectors.len(), chain, basis);
+            Ok(margin_outcome(n, vectors, labels, &x, value, sep))
+        }
+        SparseOutcome::Unbounded => unreachable!("margin LP is box-bounded"),
+    }
+}
+
+/// The maximum-margin LP `max cᵀx s.t. Ax ≤ b, x ≥ 0` that decides
+/// whether `vectors` (uniform arity `n`) separate by `labels`, as
+/// `(A, b, c)`.
+///
+/// Variables `u_j ∈ [0, 2]` (`j = 1..n`), the threshold `u_0 ∈ [0, 2]`
+/// and the margin `t' = t + (n + 2) ∈ [0, n + 3]`; the objective
+/// maximizes `t'`. With `s_i = y_i` each example contributes
+///
+/// ```text
+///   −s_i Σ b_ij u_j + s_i u_0 + t' ≤ (n + 2) − s_i (1 − Σ b_ij)
+/// ```
+///
+/// followed by the boxes `u_j ≤ 2`, `u_0 ≤ 2` and `t' ≤ n + 3`.
+/// Substituting `w_j = u_j + 1` and `w_0 = u_0 + 1` turns each example
+/// row into exactly `s_i (w·b_i − w_0) ≥ t`, so the LP maximizes the
+/// margin over weights and threshold in `[1, 3]`. Every right-hand side
+/// is ≥ 1, so the all-slack basis is feasible, and the box keeps the LP
+/// bounded.
+///
+/// **Known gap.** Positive weights and threshold make the LP sound but
+/// incomplete: `t > 0` proves separability, but an instance whose every
+/// separator needs a negative weight or threshold (`[[1], [-1]]`
+/// labelled `[-1, 1]`, say) gets `t ≤ 0`. The complete box `w ∈ [−1, 1]`
+/// (`w = u − 1`, right-hand side `(n + 2) + s_i (1 − Σ b_ij)`) costs the
+/// warm parity sweep about five times the pivots. Cold separations
+/// rarely meet the gap, since the perceptron decides separable data
+/// first; warm-offered solves skip the perceptron and do.
+pub fn margin_lp(vectors: &[Vec<i32>], labels: &[i32]) -> (Vec<Vec<Rat>>, Vec<Rat>, Vec<Rat>) {
+    let n = vectors.first().map_or(0, Vec::len);
     let nvars = n + 2; // u_1..u_n, u_0, t'
-    let mut a: Vec<Vec<Rat>> = Vec::new();
-    let mut b: Vec<Rat> = Vec::new();
+    let mut a: Vec<Vec<Rat>> = Vec::with_capacity(vectors.len() + n + 2);
+    let mut b: Vec<Rat> = Vec::with_capacity(vectors.len() + n + 2);
     for (v, &y) in vectors.iter().zip(labels.iter()) {
         let s = y as i64;
         let mut row = vec![Rat::zero(); nvars];
@@ -372,9 +340,8 @@ fn separate_warm_inner(
         }
         row[n] = qint(s);
         row[n + 1] = qint(1);
-        let rhs = qint(n as i64 + 2 - s * (1 - sum_b));
         a.push(row);
-        b.push(rhs);
+        b.push(qint(n as i64 + 2 - s * (1 - sum_b)));
     }
     for j in 0..=n {
         let mut row = vec![Rat::zero(); nvars];
@@ -382,78 +349,37 @@ fn separate_warm_inner(
         a.push(row);
         b.push(qint(2));
     }
-    {
-        let mut row = vec![Rat::zero(); nvars];
-        row[n + 1] = qint(1);
-        a.push(row);
-        b.push(qint(n as i64 + 3));
-    }
+    let mut row = vec![Rat::zero(); nvars];
+    row[n + 1] = qint(1);
+    a.push(row);
+    b.push(qint(n as i64 + 3));
     let mut c = vec![Rat::zero(); nvars];
     c[n + 1] = qint(1);
-
-    if backend == LpBackend::SparseWarm {
-        // The margin LP always has b ≥ 1, so the single-phase sparse
-        // solver applies unconditionally; a warm offer comes from a
-        // related subset's final basis and can only save pivots, never
-        // change the verdict (rejected offers cold-start).
-        let offer = warm.and_then(|sb| sb.offer(n, vectors.len()));
-        let depth = warm.map_or(0, |sb| sb.depth + 1);
-        if let Some((res, report)) = solve_lp_sparse(&a, &b, &c, offer, intr) {
-            // Record effort whether or not the solve completed: partial
-            // effort is still attributable effort.
-            counters.record_sparse_lp(report.pivots, report.warm_used.then_some(depth));
-            return match res? {
-                SparseOutcome::Optimal { x, value, basis } => {
-                    let chain = if report.warm_used { depth } else { 0 };
-                    let sep = SepBasis::from_sparse(n, vectors.len(), chain, basis);
-                    Ok(margin_outcome(n, vectors, labels, &x, value, Some(sep)))
-                }
-                SparseOutcome::Unbounded => unreachable!("margin LP is box-bounded"),
-            };
-        }
-        // b ≥ 1 makes the decline branch unreachable for this LP family,
-        // but keep the dense fallback real rather than asserting.
-    }
-    let (outcome, pivots) = match intr {
-        None => {
-            let (out, pivots) = solve_lp_counted(&a, &b, &c);
-            (Ok(out), pivots)
-        }
-        Some(h) => solve_lp_counted_int(&a, &b, &c, h),
-    };
-    // Record the pivots whether or not the solve completed: partial
-    // effort is still attributable effort.
-    counters.record_lp(pivots);
-    match outcome? {
-        LpOutcome::Optimal { x, value } => Ok(margin_outcome(n, vectors, labels, &x, value, None)),
-        // The LP is a bounded feasibility problem with an always-feasible
-        // box (e.g. all-zero weights, t = -(n+2) ⇒ t' = 0).
-        other => unreachable!("margin LP cannot be {other:?}"),
-    }
+    (a, b, c)
 }
 
 /// Turn the margin LP's optimal point into the separation verdict:
-/// `t = value − (n+2) > 0` iff separable, with the classifier read off
-/// the shifted variables. The final basis rides along regardless of the
-/// verdict — an inseparable subset's basis still warm-starts its
-/// successors.
+/// `t = value − (n+2) > 0` means separable, with the classifier read off
+/// the shifted variables (`w = u + 1`, see [`margin_lp`]). The final
+/// basis rides along regardless of the verdict — an inseparable
+/// subset's basis still warm-starts its successors.
 fn margin_outcome(
     n: usize,
     vectors: &[Vec<i32>],
     labels: &[i32],
     x: &[Rat],
     value: Rat,
-    basis: Option<SepBasis>,
+    basis: SepBasis,
 ) -> SepOutcome {
     let t = value - qint(n as i64 + 2);
     if !t.is_positive() {
         return SepOutcome {
             result: None,
-            basis,
+            basis: Some(basis),
         };
     }
-    let weights: Vec<Rat> = (0..n).map(|j| &x[j] - &qint(1)).collect();
-    let threshold = &x[n] - &qint(1);
+    let weights: Vec<Rat> = (0..n).map(|j| &x[j] + &qint(1)).collect();
+    let threshold = &x[n] + &qint(1);
     let c = LinearClassifier::new(threshold, weights);
     debug_assert!(c.separates(
         vectors
@@ -463,7 +389,7 @@ fn margin_outcome(
     ));
     SepOutcome {
         result: Some((c, t)),
-        basis,
+        basis: Some(basis),
     }
 }
 
@@ -475,16 +401,14 @@ fn perceptron(
     vectors: &[Vec<i32>],
     labels: &[i32],
     max_updates: usize,
-    intr: Option<&Interrupt>,
+    intr: &Interrupt,
 ) -> Result<Option<LinearClassifier>, Stop> {
     let n = vectors[0].len();
     let mut w = vec![0i64; n];
     let mut w0 = 0i64;
     let mut updates = 0usize;
     loop {
-        if let Some(h) = intr {
-            h.check()?;
-        }
+        intr.check()?;
         let mut clean = true;
         for (v, &y) in vectors.iter().zip(labels.iter()) {
             let score: i64 = w
@@ -557,15 +481,20 @@ fn margin_of(c: &LinearClassifier, vectors: &[Vec<i32>], labels: &[i32]) -> Rat 
 mod tests {
     use super::*;
 
-    fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
-        separate_counted(&LpCounters::new(), vectors, labels)
+    fn separate_margin(vectors: &[Vec<i32>], labels: &[i32]) -> Option<(LinearClassifier, Rat)> {
+        super::separate(
+            &LpCounters::new(),
+            vectors,
+            labels,
+            None,
+            &Interrupt::none(),
+        )
+        .unwrap()
+        .result
     }
 
-    fn separate_with_margin(
-        vectors: &[Vec<i32>],
-        labels: &[i32],
-    ) -> Option<(LinearClassifier, Rat)> {
-        separate_with_margin_counted(&LpCounters::new(), vectors, labels)
+    fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
+        separate_margin(vectors, labels).map(|(c, _)| c)
     }
 
     fn check(vectors: &[Vec<i32>], labels: &[i32], expect: bool) {
@@ -668,8 +597,8 @@ mod tests {
     #[test]
     fn margin_positive_iff_separable() {
         let vectors = vec![vec![1, 1], vec![-1, -1]];
-        let (_, m) = separate_with_margin(&vectors, &[1, -1]).unwrap();
+        let (_, m) = separate_margin(&vectors, &[1, -1]).unwrap();
         assert!(m.is_positive());
-        assert!(separate_with_margin(&[vec![1, -1], vec![1, -1]], &[1, -1]).is_none());
+        assert!(separate_margin(&[vec![1, -1], vec![1, -1]], &[1, -1]).is_none());
     }
 }

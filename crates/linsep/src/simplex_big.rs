@@ -1,13 +1,16 @@
-//! The original all-[`BigRational`] simplex, kept as a reference oracle.
+//! The original all-[`BigRational`] dense simplex, kept as a reference
+//! oracle.
 //!
-//! This is the seed implementation the hybrid engine in [`crate::simplex`]
-//! replaced: normalized pivot rows (divide through by the pivot element),
-//! a fresh allocation per eliminated cell, every entry a heap-backed
-//! [`BigRational`]. It is deliberately untouched by the instrumentation
-//! counters and the in-place/rescaling machinery so that property tests
-//! (`tests/lp_prop.rs`) and the `bench_lp_engine` benchmark can pin the
-//! fast engine against it: same inputs, same pivot rule, therefore the
-//! same Optimal/Infeasible/Unbounded verdicts and the same exact values.
+//! This is the seed implementation: a two-phase tableau with Bland's
+//! rule, normalized pivot rows (divide through by the pivot element), a
+//! fresh allocation per eliminated cell, every entry a heap-backed
+//! [`BigRational`]. It is deliberately free of the instrumentation
+//! counters and of any fast-path machinery so that property tests
+//! (`tests/lp_prop.rs`, `crate::revised`'s unit tests) and the release
+//! speedup test can pin the production solver, [`crate::revised`],
+//! against it: on `b ≥ 0` inputs, Bland pricing there and here gives the
+//! same pivot sequence, hence the same pivot count, optimal vertex and
+//! value.
 
 use numeric::BigRational;
 
@@ -34,6 +37,8 @@ struct Tableau {
     /// Basis: for each row, the variable index currently basic in it.
     basis: Vec<usize>,
     ncols: usize,
+    /// Pivots performed so far (both phases).
+    pivots: u64,
 }
 
 impl Tableau {
@@ -96,6 +101,7 @@ impl Tableau {
             }
         }
         self.basis[row] = col;
+        self.pivots += 1;
     }
 
     /// Run pivots to optimality. Returns `false` on unboundedness.
@@ -111,8 +117,18 @@ impl Tableau {
 }
 
 /// Solve `max cᵀx s.t. Ax ≤ b, x ≥ 0` exactly with the all-big reference
-/// engine. Same contract as [`crate::simplex::solve_lp`].
+/// engine. Any sign of `b` is accepted: negative rows get a phase 1.
 pub fn solve_lp_big(a: &[Vec<BigRational>], b: &[BigRational], c: &[BigRational]) -> LpOutcomeBig {
+    solve_lp_big_counted(a, b, c).0
+}
+
+/// [`solve_lp_big`] also returning the number of tableau pivots it took
+/// (phase 1, artificial drive-out and phase 2 together).
+pub fn solve_lp_big_counted(
+    a: &[Vec<BigRational>],
+    b: &[BigRational],
+    c: &[BigRational],
+) -> (LpOutcomeBig, u64) {
     let m = a.len();
     let n = c.len();
     assert_eq!(b.len(), m, "b must match the number of constraint rows");
@@ -171,6 +187,7 @@ pub fn solve_lp_big(a: &[Vec<BigRational>], b: &[BigRational], c: &[BigRational]
             obj,
             basis,
             ncols,
+            pivots: 0,
         };
         let bounded = tab.optimize();
         debug_assert!(bounded, "phase-1 objective is bounded by 0");
@@ -178,7 +195,7 @@ pub fn solve_lp_big(a: &[Vec<BigRational>], b: &[BigRational], c: &[BigRational]
         // (stored as obj[rhs], negated running value) must be 0.
         let resid = tab.obj[ncols - 1].clone();
         if !resid.is_zero() {
-            return LpOutcomeBig::Infeasible;
+            return (LpOutcomeBig::Infeasible, tab.pivots);
         }
         // Drive any artificial still basic (at value 0) out of the basis.
         for r in 0..m {
@@ -226,14 +243,15 @@ pub fn solve_lp_big(a: &[Vec<BigRational>], b: &[BigRational], c: &[BigRational]
             obj,
             basis,
             ncols,
+            pivots: 0,
         };
         finish(tab, n)
     }
 }
 
-fn finish(mut tab: Tableau, n: usize) -> LpOutcomeBig {
+fn finish(mut tab: Tableau, n: usize) -> (LpOutcomeBig, u64) {
     if !tab.optimize() {
-        return LpOutcomeBig::Unbounded;
+        return (LpOutcomeBig::Unbounded, tab.pivots);
     }
     let rhs = tab.ncols - 1;
     let mut x = vec![BigRational::zero(); n];
@@ -244,7 +262,7 @@ fn finish(mut tab: Tableau, n: usize) -> LpOutcomeBig {
     }
     // The objective row's RHS holds -(current value) relative to 0 start.
     let value = -&tab.obj[rhs];
-    LpOutcomeBig::Optimal { x, value }
+    (LpOutcomeBig::Optimal { x, value }, tab.pivots)
 }
 
 #[cfg(test)]
@@ -252,8 +270,8 @@ mod tests {
     use super::*;
     use numeric::{int, ratio};
 
-    // Smoke coverage only: the exhaustive suite lives with the fast
-    // engine in `simplex.rs`, and `tests/lp_prop.rs` pins the two
+    // Smoke coverage only: the exhaustive suite lives with the production
+    // solver in `revised.rs`, and `tests/lp_prop.rs` pins the two
     // implementations to each other on random instances.
 
     #[test]

@@ -2,10 +2,9 @@
 //! `relational::hom::stats` and `covergame::stats` one layer down the
 //! stack.
 //!
-//! The simplex solver ([`crate::simplex`]) counts the LPs it solves and
-//! the tableau pivots they take; [`crate::separate`] counts perceptron
-//! fast-path hits (separations decided without touching the tableau) and
-//! conflict prunes (instances refuted by a duplicate-vector/opposite-label
+//! [`crate::separate`] counts the LPs it solves with the sparse revised
+//! simplex ([`crate::revised`]) and the pivots they take, perceptron
+//! fast-path hits (separations decided without an LP) and conflict prunes (instances refuted by a duplicate-vector/opposite-label
 //! scan before any arithmetic); the hybrid rational ([`numeric::Rat`])
 //! contributes its small→big promotion counter. Each `Engine` owns one
 //! [`LpCounters`] set; [`LpStats`] is a snapshot of one, so a caller (the
@@ -18,10 +17,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A set of LP-engine counters. An `Engine` owns one instance and passes
-/// it to the `_counted` entry points
-/// ([`crate::separate::separate_counted`],
-/// [`crate::simplex::solve_lp_counted`] plus an explicit
-/// [`LpCounters::record_lp`]).
+/// it to [`crate::separate::separate`] and
+/// [`crate::minerror::min_error_classifier`].
 ///
 /// `bignum_promotions` is *not* tracked here: the hybrid rational's
 /// promotion counter lives in `numeric` and is inherently process-wide
@@ -31,7 +28,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct LpCounters {
     lps_solved: AtomicU64,
-    simplex_pivots: AtomicU64,
     sparse_pivots: AtomicU64,
     warm_start_hits: AtomicU64,
     warm_start_misses: AtomicU64,
@@ -45,12 +41,6 @@ pub struct LpCounters {
 impl LpCounters {
     pub fn new() -> LpCounters {
         LpCounters::default()
-    }
-
-    /// Note one LP solve and the tableau pivots it took.
-    pub fn record_lp(&self, pivots: u64) {
-        self.lps_solved.fetch_add(1, Ordering::Relaxed);
-        self.simplex_pivots.fetch_add(pivots, Ordering::Relaxed);
     }
 
     /// Note one LP decided by the sparse revised simplex. `warm_depth`
@@ -88,7 +78,7 @@ impl LpCounters {
     pub fn snapshot(&self) -> LpStats {
         LpStats {
             lps_solved: self.lps_solved.load(Ordering::Relaxed),
-            simplex_pivots: self.simplex_pivots.load(Ordering::Relaxed),
+            simplex_pivots: 0,
             sparse_pivots: self.sparse_pivots.load(Ordering::Relaxed),
             warm_start_hits: self.warm_start_hits.load(Ordering::Relaxed),
             warm_start_misses: self.warm_start_misses.load(Ordering::Relaxed),
@@ -103,7 +93,6 @@ impl LpCounters {
     pub fn reset(&self) {
         for c in [
             &self.lps_solved,
-            &self.simplex_pivots,
             &self.sparse_pivots,
             &self.warm_start_hits,
             &self.warm_start_misses,
@@ -119,14 +108,15 @@ impl LpCounters {
 /// A point-in-time aggregate of the LP engine counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct LpStats {
-    /// Simplex solves run to completion (perceptron hits excluded — a
-    /// fast-path hit never builds a tableau). Counts both dense-tableau
-    /// and sparse revised-simplex solves.
+    /// Simplex solves run (perceptron hits excluded — a fast-path hit
+    /// never builds an LP).
     pub lps_solved: u64,
-    /// Dense-tableau pivots across all dense solves (phase 1 + phase 2).
+    /// Always 0: every pivot is counted in [`LpStats::sparse_pivots`].
+    /// Kept because the benchmark under `perfbench/`, a separate
+    /// workspace, reads it and sums it with `sparse_pivots`.
     pub simplex_pivots: u64,
-    /// Revised-simplex pivots across all sparse solves — the
-    /// sparse-vs-dense split of the engine's total pivot work.
+    /// Revised-simplex pivots across all LP solves: the engine's total
+    /// pivot work.
     pub sparse_pivots: u64,
     /// Sparse solves that started from a reused (warm) basis.
     pub warm_start_hits: u64,
@@ -182,7 +172,6 @@ impl LpStats {
             "lp engine stats:\n\
              \x20 LPs solved:          {}\n\
              \x20 simplex pivots:      {}\n\
-             \x20 sparse pivots:       {}\n\
              \x20 warm-start hits:     {}\n\
              \x20 warm-start misses:   {}\n\
              \x20 basis reuse depth:   {}\n\
@@ -191,7 +180,6 @@ impl LpStats {
              \x20 bignum promotions:   {}\n\
              \x20 fast-path rate:      {fast_rate:.1}%",
             self.lps_solved,
-            self.simplex_pivots,
             self.sparse_pivots,
             self.warm_start_hits,
             self.warm_start_misses,
@@ -206,12 +194,16 @@ impl LpStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::separate::separate_counted;
+    use interrupt::Interrupt;
 
     #[test]
     fn separations_bump_the_counters() {
         let counters = LpCounters::new();
-        let separate = |vs: &[Vec<i32>], ls: &[i32]| separate_counted(&counters, vs, ls);
+        let separate = |vs: &[Vec<i32>], ls: &[i32]| {
+            crate::separate(&counters, vs, ls, None, &Interrupt::none())
+                .unwrap()
+                .result
+        };
         let before = counters.snapshot();
         // Perceptron-friendly instance: decided on the fast path.
         let vs = vec![vec![1, 1], vec![-1, -1]];
@@ -240,8 +232,7 @@ mod tests {
         let r = st.report();
         for needle in [
             "LPs solved",
-            "simplex pivots",
-            "sparse pivots",
+            "simplex pivots:      5",
             "warm-start hits",
             "warm-start misses",
             "basis reuse depth",

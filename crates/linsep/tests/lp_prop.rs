@@ -1,22 +1,25 @@
-//! Agreement property tests: the hybrid-`Rat` simplex (`solve_lp`) must
-//! produce *identical* outcomes to the seed all-`BigRational` solver
-//! (`solve_lp_big`) on randomized LPs.
+//! Agreement property tests: the sparse revised simplex
+//! (`solve_lp_sparse_with_pricing`) must produce *identical* outcomes to
+//! the seed all-`BigRational` dense solver (`solve_lp_big`) on randomized
+//! LPs with `b ≥ 0`, and the warm-started separation path must reach the
+//! same verdicts as cold solves and the oracle.
 //!
-//! This is stronger than "both are optimal": both engines use Bland's
-//! rule with the same tie-breaking, and positive row rescaling changes
-//! neither reduced costs nor ratio tests, so the pivot sequences — and
-//! hence the exact optimal vertex, not just the value — must coincide.
+//! This is stronger than "both are optimal": under Bland pricing both
+//! engines start from the all-slack basis and use the same entering rule
+//! and ratio tie-break, so the pivot sequences — and hence the pivot
+//! count and the exact optimal vertex, not just the value — must
+//! coincide.
 
 use interrupt::Interrupt;
 use linsep::{
-    separate_warm_counted_int, solve_lp, solve_lp_big, solve_lp_sparse_with_pricing, LpBackend,
-    LpCounters, LpOutcome, LpOutcomeBig, Pricing, SepBasis, SparseOutcome,
+    margin_lp, separate, solve_lp_big, solve_lp_big_counted, solve_lp_sparse_with_pricing,
+    LpCounters, LpOutcomeBig, Pricing, SepBasis, SparseOutcome,
 };
 use numeric::Rat;
 use proptest::prelude::*;
 
 /// Strategy: one small-rational coefficient, biased toward integers and
-/// including negatives (negative `b` entries exercise phase 1).
+/// including negatives.
 fn coeff() -> impl Strategy<Value = (i64, i64)> {
     (
         prop_oneof![-6i64..7, -6i64..7, -6i64..7, -60i64..61],
@@ -25,15 +28,15 @@ fn coeff() -> impl Strategy<Value = (i64, i64)> {
 }
 
 /// Strategy: a random LP `max cᵀx s.t. Ax ≤ b, x ≥ 0` with up to 3
-/// variables and 5 rows, mixing feasible, infeasible, and unbounded
-/// shapes.
+/// variables and 5 rows, mixing bounded and unbounded shapes. `b` is
+/// kept ≥ 0 (the sparse solver's precondition; the origin is feasible).
 #[allow(clippy::type_complexity)]
 fn lp_instance() -> impl Strategy<Value = (Vec<Vec<(i64, i64)>>, Vec<(i64, i64)>, Vec<(i64, i64)>)>
 {
     (1usize..=3, 0usize..=5).prop_flat_map(|(n, m)| {
         (
             proptest::collection::vec(proptest::collection::vec(coeff(), n), m),
-            proptest::collection::vec(coeff(), m),
+            proptest::collection::vec(coeff().prop_map(|(p, q)| (p.abs(), q)), m),
             proptest::collection::vec(coeff(), n),
         )
     })
@@ -41,6 +44,10 @@ fn lp_instance() -> impl Strategy<Value = (Vec<Vec<(i64, i64)>>, Vec<(i64, i64)>
 
 fn rat(p: (i64, i64)) -> Rat {
     Rat::new(p.0, p.1)
+}
+
+fn to_big(v: &[Rat]) -> Vec<numeric::BigRational> {
+    v.iter().map(Rat::to_big).collect()
 }
 
 proptest! {
@@ -54,20 +61,21 @@ proptest! {
             .collect();
         let b_rat: Vec<Rat> = b.iter().map(|&p| rat(p)).collect();
         let c_rat: Vec<Rat> = c.iter().map(|&p| rat(p)).collect();
-        let a_big: Vec<Vec<_>> = a_rat
-            .iter()
-            .map(|row| row.iter().map(|v| v.to_big()).collect())
-            .collect();
-        let b_big: Vec<_> = b_rat.iter().map(|v| v.to_big()).collect();
-        let c_big: Vec<_> = c_rat.iter().map(|v| v.to_big()).collect();
+        let a_big: Vec<Vec<_>> = a_rat.iter().map(|row| to_big(row)).collect();
 
-        let fast = solve_lp(&a_rat, &b_rat, &c_rat);
-        let slow = solve_lp_big(&a_big, &b_big, &c_big);
-        match (fast, slow) {
-            (LpOutcome::Infeasible, LpOutcomeBig::Infeasible) => {}
-            (LpOutcome::Unbounded, LpOutcomeBig::Unbounded) => {}
+        let (fast, report) = solve_lp_sparse_with_pricing(
+            &a_rat,
+            &b_rat,
+            &c_rat,
+            None,
+            Pricing::Bland,
+            &Interrupt::none(),
+        );
+        let (slow, slow_pivots) = solve_lp_big_counted(&a_big, &to_big(&b_rat), &to_big(&c_rat));
+        match (fast.expect("no interrupt handle was installed"), slow) {
+            (SparseOutcome::Unbounded, LpOutcomeBig::Unbounded) => {}
             (
-                LpOutcome::Optimal { x, value },
+                SparseOutcome::Optimal { x, value, .. },
                 LpOutcomeBig::Optimal { x: xb, value: vb },
             ) => {
                 prop_assert_eq!(value.to_big(), vb);
@@ -78,9 +86,10 @@ proptest! {
                 }
             }
             (fast, slow) => {
-                prop_assert!(false, "verdicts diverge: hybrid={fast:?} big={slow:?}");
+                prop_assert!(false, "verdicts diverge: sparse={fast:?} big={slow:?}");
             }
         }
+        prop_assert_eq!(report.pivots, slow_pivots, "identical pivot sequence");
     }
 }
 
@@ -100,42 +109,15 @@ fn sep_instance() -> impl Strategy<Value = (Vec<Vec<i32>>, Vec<i32>)> {
     })
 }
 
-/// Mirror of the margin-LP assembly in `separate.rs` — same variable
-/// order (`u_1..u_n`, `u_0`, `t'`) and row order (examples, boxes,
-/// margin box) — so the sparse solver is pinned against the oracle on
-/// exactly the LPs the separation path emits.
-fn margin_lp(vectors: &[Vec<i32>], labels: &[i32]) -> (Vec<Vec<Rat>>, Vec<Rat>, Vec<Rat>) {
-    let n = vectors[0].len();
-    let q = |v: i64| Rat::new(v, 1);
-    let nvars = n + 2;
-    let mut a: Vec<Vec<Rat>> = Vec::new();
-    let mut b: Vec<Rat> = Vec::new();
-    for (v, &y) in vectors.iter().zip(labels.iter()) {
-        let s = y as i64;
-        let mut row = vec![Rat::zero(); nvars];
-        let mut sum_b = 0i64;
-        for (j, &bij) in v.iter().enumerate() {
-            row[j] = q(-s * bij as i64);
-            sum_b += bij as i64;
-        }
-        row[n] = q(s);
-        row[n + 1] = q(1);
-        a.push(row);
-        b.push(q(n as i64 + 2 - s * (1 - sum_b)));
+/// The dense oracle's verdict on the margin LP: the optimum exceeds
+/// `n + 2` iff the rows separate.
+fn oracle_separates(vectors: &[Vec<i32>], labels: &[i32]) -> bool {
+    let (a, b, c) = margin_lp(vectors, labels);
+    let a: Vec<Vec<_>> = a.iter().map(|row| to_big(row)).collect();
+    match solve_lp_big(&a, &to_big(&b), &to_big(&c)) {
+        LpOutcomeBig::Optimal { value, .. } => value > numeric::int(vectors[0].len() as i64 + 2),
+        other => panic!("margin LP must be optimal, oracle says {other:?}"),
     }
-    for j in 0..=n {
-        let mut row = vec![Rat::zero(); nvars];
-        row[j] = q(1);
-        a.push(row);
-        b.push(q(2));
-    }
-    let mut row = vec![Rat::zero(); nvars];
-    row[n + 1] = q(1);
-    a.push(row);
-    b.push(q(n as i64 + 3));
-    let mut c = vec![Rat::zero(); nvars];
-    c[n + 1] = q(1);
-    (a, b, c)
 }
 
 proptest! {
@@ -150,13 +132,8 @@ proptest! {
     #[test]
     fn sparse_and_big_simplex_agree_on_margin_lps((vectors, labels) in sep_instance()) {
         let (a, b, c) = margin_lp(&vectors, &labels);
-        let a_big: Vec<Vec<_>> = a
-            .iter()
-            .map(|row| row.iter().map(|v| v.to_big()).collect())
-            .collect();
-        let b_big: Vec<_> = b.iter().map(|v| v.to_big()).collect();
-        let c_big: Vec<_> = c.iter().map(|v| v.to_big()).collect();
-        let oracle = match solve_lp_big(&a_big, &b_big, &c_big) {
+        let a_big: Vec<Vec<_>> = a.iter().map(|row| to_big(row)).collect();
+        let oracle = match solve_lp_big(&a_big, &to_big(&b), &to_big(&c)) {
             LpOutcomeBig::Optimal { x, value } => (x, value),
             other => {
                 prop_assert!(false, "oracle says {:?}", other);
@@ -165,16 +142,15 @@ proptest! {
         };
 
         for pricing in [Pricing::Partial, Pricing::Bland] {
-            let (res, report) = solve_lp_sparse_with_pricing(&a, &b, &c, None, pricing, None)
-                .expect("margin LPs have b ≥ 1; the sparse solver must accept them");
+            let (res, report) =
+                solve_lp_sparse_with_pricing(&a, &b, &c, None, pricing, &Interrupt::none());
             prop_assert!(!report.warm_used, "no warm offer was made");
             match res.expect("no interrupt handle was installed") {
                 SparseOutcome::Optimal { x, value, .. } => {
                     prop_assert_eq!(value.to_big(), oracle.1.clone());
                     if pricing == Pricing::Bland {
-                        // Bland mode replays the dense pivot sequence,
-                        // which the existing property pins to the big
-                        // solver — so the vertex itself must match.
+                        // Bland mode replays the dense oracle's pivot
+                        // sequence, so the vertex itself must match.
                         prop_assert_eq!(x.len(), oracle.0.len());
                         for (xi, xbi) in x.iter().zip(oracle.0.iter()) {
                             prop_assert_eq!(xi.to_big(), xbi.clone());
@@ -191,8 +167,10 @@ proptest! {
     /// `S → S ∪ {j}` basis reuse never changes a feasibility verdict:
     /// growing a column subset one column at a time, each step solved
     /// warm from the previous step's basis, must classify exactly like
-    /// independent cold dense solves — and like the sibling-warmed
-    /// variant that reuses a same-size neighbor's basis.
+    /// independent cold solves — and like the sibling-warmed variant that
+    /// reuses a same-size neighbor's basis. Every verdict the LP tier
+    /// reached (warm or cold) must match the dense oracle's verdict on
+    /// the same margin LP.
     #[test]
     fn warm_chains_preserve_separability_verdicts((vectors, labels) in sep_instance()) {
         let intr = Interrupt::none();
@@ -206,49 +184,56 @@ proptest! {
         let mut parent: Option<SepBasis> = None;
         let mut warm_verdicts = Vec::with_capacity(ncols);
         for k in 1..=ncols {
-            let out = separate_warm_counted_int(
+            let out = separate(
                 &warm_counters,
                 &project(k),
                 &labels,
                 parent.as_ref(),
-                LpBackend::SparseWarm,
                 &intr,
             )
             .expect("no deadline");
+            if out.basis.is_some() {
+                prop_assert_eq!(
+                    out.result.is_some(),
+                    oracle_separates(&project(k), &labels),
+                    "prefix of {} columns: warm LP and dense oracle disagree",
+                    k
+                );
+            }
             warm_verdicts.push(out.result.is_some());
             parent = out.basis;
         }
 
-        // Cold dense reference, one independent solve per prefix.
+        // Cold reference, one independent solve per prefix.
         let cold_counters = LpCounters::new();
         for (k, &warm_verdict) in (1..=ncols).zip(warm_verdicts.iter()) {
-            let cold = separate_warm_counted_int(
-                &cold_counters,
-                &project(k),
-                &labels,
-                None,
-                LpBackend::DenseCold,
-                &intr,
-            )
-            .expect("no deadline");
+            let cold = separate(&cold_counters, &project(k), &labels, None, &intr)
+                .expect("no deadline");
             prop_assert_eq!(
                 warm_verdict,
                 cold.result.is_some(),
-                "prefix of {} columns: warm chain and cold dense disagree",
+                "prefix of {} columns: warm chain and cold solve disagree",
                 k
             );
+            if cold.basis.is_some() {
+                prop_assert_eq!(
+                    cold.result.is_some(),
+                    oracle_separates(&project(k), &labels),
+                    "prefix of {} columns: cold LP and dense oracle disagree",
+                    k
+                );
+            }
         }
 
         // Sibling chain at full arity: the basis of (prefix + [last])
         // offered to itself re-solved — a same-shape reuse — and the
         // verdict must be stable under it.
         if let Some(basis) = parent {
-            let sibling = separate_warm_counted_int(
+            let sibling = separate(
                 &LpCounters::new(),
                 &project(ncols),
                 &labels,
                 Some(&basis),
-                LpBackend::SparseWarm,
                 &intr,
             )
             .expect("no deadline");

@@ -4,16 +4,24 @@
 //! regime the generalization harness feeds it (noisy planted labels
 //! collapse many entities onto few feature types).
 
-use linsep::{
-    min_error_classifier_counted, separate_counted, LinearClassifier, LpCounters, MinErrorResult,
-};
+use interrupt::Interrupt;
+use linsep::{LinearClassifier, LpCounters, MinErrorResult};
 
 fn min_error_classifier(vectors: &[Vec<i32>], labels: &[i32]) -> MinErrorResult {
-    min_error_classifier_counted(&LpCounters::new(), vectors, labels)
+    linsep::min_error_classifier(&LpCounters::new(), vectors, labels, &Interrupt::none()).unwrap()
 }
 
 fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
-    separate_counted(&LpCounters::new(), vectors, labels)
+    linsep::separate(
+        &LpCounters::new(),
+        vectors,
+        labels,
+        None,
+        &Interrupt::none(),
+    )
+    .unwrap()
+    .result
+    .map(|(c, _)| c)
 }
 
 /// Every classifier is constant on a type, so a type holding both

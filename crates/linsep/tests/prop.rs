@@ -1,21 +1,34 @@
 //! Property tests for the linear-separation stack: LP certificates,
 //! separation correctness against brute force, and min-error optimality.
 
-use linsep::{
-    min_error_classifier_counted, separate_counted, separate_with_margin_counted, solve_lp,
-    LinearClassifier, LpCounters, LpOutcome, MinErrorResult,
-};
+use interrupt::Interrupt;
+use linsep::{solve_lp_sparse, LinearClassifier, LpCounters, MinErrorResult, SparseOutcome};
 
 fn min_error_classifier(vectors: &[Vec<i32>], labels: &[i32]) -> MinErrorResult {
-    min_error_classifier_counted(&LpCounters::new(), vectors, labels)
+    linsep::min_error_classifier(&LpCounters::new(), vectors, labels, &Interrupt::none()).unwrap()
 }
 
 fn separate(vectors: &[Vec<i32>], labels: &[i32]) -> Option<LinearClassifier> {
-    separate_counted(&LpCounters::new(), vectors, labels)
+    separate_margin(vectors, labels).map(|(c, _)| c)
 }
 
-fn separate_with_margin(vectors: &[Vec<i32>], labels: &[i32]) -> Option<(LinearClassifier, Rat)> {
-    separate_with_margin_counted(&LpCounters::new(), vectors, labels)
+fn separate_margin(vectors: &[Vec<i32>], labels: &[i32]) -> Option<(LinearClassifier, Rat)> {
+    linsep::separate(
+        &LpCounters::new(),
+        vectors,
+        labels,
+        None,
+        &Interrupt::none(),
+    )
+    .unwrap()
+    .result
+}
+
+/// The production LP solver, cold and uninterrupted.
+fn solve_cold(a: &[Vec<Rat>], b: &[Rat], c: &[Rat]) -> SparseOutcome {
+    solve_lp_sparse(a, b, c, None, &Interrupt::none())
+        .0
+        .unwrap()
 }
 use numeric::{qint, Rat};
 use proptest::prelude::*;
@@ -85,7 +98,7 @@ proptest! {
 
     #[test]
     fn margin_sign_matches_separability((vectors, labels) in examples(3, 8)) {
-        match separate_with_margin(&vectors, &labels) {
+        match separate_margin(&vectors, &labels) {
             Some((c, margin)) => {
                 prop_assert!(margin.is_positive() || vectors.is_empty());
                 prop_assert!(c.separates(
@@ -142,8 +155,8 @@ proptest! {
         a.push(vec![qint(0), qint(1)]);
         b.push(qint(10));
         let c = vec![qint(1), qint(1)];
-        match solve_lp(&a, &b, &c) {
-            LpOutcome::Optimal { x, value } => {
+        match solve_cold(&a, &b, &c) {
+            SparseOutcome::Optimal { x, value, .. } => {
                 // Feasibility of the returned point.
                 for (row, rhs) in a.iter().zip(b.iter()) {
                     let lhs = &(&row[0] * &x[0]) + &(&row[1] * &x[1]);
@@ -152,14 +165,7 @@ proptest! {
                 prop_assert!(x[0] >= Rat::zero() && x[1] >= Rat::zero());
                 prop_assert_eq!(&x[0] + &x[1], value);
             }
-            LpOutcome::Infeasible => {
-                // x = y = 0 is feasible unless some rhs < 0 with
-                // nonnegative row... check that genuinely no b < 0 row is
-                // violated by the origin.
-                let origin_ok = b.iter().all(|rhs| *rhs >= Rat::zero());
-                prop_assert!(!origin_ok, "origin was feasible but LP said infeasible");
-            }
-            LpOutcome::Unbounded => {
+            SparseOutcome::Unbounded => {
                 prop_assert!(false, "boxed LP cannot be unbounded");
             }
         }
@@ -171,8 +177,8 @@ proptest! {
         let a = vec![vec![qint(scale)]];
         let b = vec![qint(scale)];
         let c = vec![qint(1)];
-        match solve_lp(&a, &b, &c) {
-            LpOutcome::Optimal { x, value } => {
+        match solve_cold(&a, &b, &c) {
+            SparseOutcome::Optimal { x, value, .. } => {
                 prop_assert_eq!(x[0].clone(), qint(1));
                 prop_assert_eq!(value, qint(1));
             }

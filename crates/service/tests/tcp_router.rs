@@ -80,11 +80,7 @@ impl RouterUnderTest {
         let line = self.wait_stderr(&format!("shard {shard} generation {generation}"), |l| {
             l.contains(&tag) && l.contains(&gen_tag)
         });
-        line.split("(pid ")
-            .nth(1)
-            .and_then(|rest| rest.split(',').next())
-            .and_then(|p| p.trim().parse().ok())
-            .unwrap_or_else(|| panic!("unparseable shard-up line: {line}"))
+        up_line_pid(&line).unwrap_or_else(|| panic!("unparseable shard-up line: {line}"))
     }
 
     fn connect(&self) -> (BufReader<TcpStream>, TcpStream) {
@@ -97,10 +93,59 @@ impl RouterUnderTest {
 }
 
 impl Drop for RouterUnderTest {
+    /// Shut the router down the way an operator would, so it stops its
+    /// workers itself: send `{"op":"shutdown"}`, wait a bounded time,
+    /// and only then SIGKILL it. Any worker still alive after that (the
+    /// router was killed, or a test shot it mid-run) is killed by pid.
     fn drop(&mut self) {
+        if matches!(self.child.try_wait(), Ok(None)) {
+            if let Ok(mut s) = TcpStream::connect(&self.addr) {
+                let _ = s.write_all(b"{\"op\":\"shutdown\"}\n");
+                let _ = s.flush();
+            }
+            let deadline = Instant::now() + Duration::from_secs(15);
+            while matches!(self.child.try_wait(), Ok(None)) && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
         let _ = self.child.kill();
         let _ = self.child.wait();
+        // Each push leaves the line log valid, so a poisoned lock's data
+        // is still usable; `Drop` must not panic on it.
+        let pids: Vec<u32> = self
+            .stderr_lines
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+            .iter()
+            .filter(|l| l.contains(" up (pid "))
+            .filter_map(|l| up_line_pid(l))
+            .collect();
+        for pid in pids {
+            if is_live_worker(pid) {
+                // SAFETY: kill(2) has no memory-safety preconditions, and
+                // the pid was just checked to be a running worker.
+                unsafe { libc_kill(pid as i32) };
+            }
+        }
     }
+}
+
+/// The worker pid in a supervisor line `shard {i} up (pid {p}, …)`.
+fn up_line_pid(line: &str) -> Option<u32> {
+    line.split("(pid ")
+        .nth(1)?
+        .split(',')
+        .next()?
+        .trim()
+        .parse()
+        .ok()
+}
+
+/// Is `pid` still a running `cqsep-serve`? Checked through `/proc` so a
+/// recycled pid is never shot; hosts without `/proc` skip the sweep.
+fn is_live_worker(pid: u32) -> bool {
+    std::fs::read(format!("/proc/{pid}/cmdline"))
+        .is_ok_and(|cmd| String::from_utf8_lossy(&cmd).contains("cqsep-serve"))
 }
 
 fn request_line(id: u64, tenant: &str) -> String {

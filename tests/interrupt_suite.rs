@@ -317,7 +317,6 @@ fn sweep_all_entry_points(ctx: &engine::Ctx, train: &TrainingDb) {
         "cqm_qbe_in",
         engine::cqm_qbe_in(ctx, &train.db, &[a], &[b], &cfg)
     );
-    expect_interrupted!("separate_in", engine::separate_in(ctx, &columns, &labels));
 
     // crates/engine: Ctx primitives
     expect_interrupted!(
@@ -330,8 +329,8 @@ fn sweep_all_entry_points(ctx: &engine::Ctx, train: &TrainingDb) {
     );
     expect_interrupted!("Ctx::separate", ctx.separate(&columns, &labels));
     expect_interrupted!(
-        "Ctx::separate_with_margin",
-        ctx.separate_with_margin(&columns, &labels)
+        "Ctx::separate_warm",
+        ctx.separate_warm(&columns, &labels, None)
     );
     expect_interrupted!("Ctx::min_error", ctx.min_error(&columns, &labels));
     expect_interrupted!("Ctx::preorder", ctx.preorder(&train.db, &entities, 1));
