@@ -38,6 +38,9 @@ fn warm_preorder_sweep_is_at_least_2x_faster() {
         cold_stats.game.games_solved, cold_stats.game.cache_misses,
         "every cold miss is exactly one analysis: {cold_stats:?}"
     );
+    // All n² games share the sweep's one skeleton, so its position
+    // tables are built once, by whichever game runs first.
+    assert_eq!(cold_stats.game.tables_built, 1, "{cold_stats:?}");
     // …and every further sweep is a skeleton build plus pure lookups:
     // the same `queries` game queries, all hits, zero new analyses.
     let (_, warm_stats) =
@@ -45,6 +48,8 @@ fn warm_preorder_sweep_is_at_least_2x_faster() {
     assert_eq!(warm_stats.game.games_solved, 0, "{warm_stats:?}");
     assert_eq!(warm_stats.game.cache_misses, 0, "{warm_stats:?}");
     assert_eq!(warm_stats.game.fixpoint_sweeps, 0, "{warm_stats:?}");
+    // No miss, so the warm sweep's skeleton never builds its tables.
+    assert_eq!(warm_stats.game.tables_built, 0, "{warm_stats:?}");
     assert_eq!(warm_stats.game.cache_hits, queries, "{warm_stats:?}");
 
     // And the fast path must compute the same preorder.

@@ -32,14 +32,14 @@ pub fn ghw_classify_in(
         Ok(chain) => chain,
         Err(e) => return Ok(Err(e)),
     };
-    // The games' left side is always the training database: build its
+    // Every game runs from the training database to `eval`: build their
     // union skeleton once for all m × |η(D')| games. The games are
     // pairwise independent, so the whole m × |η(D')| grid fans out on
     // the parallel driver, memoizing through the engine's cache
     // (Algorithm 2 replays exactly these games after relabeling).
     // Workers swallow Stop with filler verdicts; the sticky post-fan-in
     // check discards the batch.
-    let skeleton = covergame::UnionSkeleton::build(&train.db, k);
+    let skeleton = covergame::UnionSkeleton::build(&train.db, eval, k);
     let evals = eval.entities();
     let m = chain.class_count();
     let cells: Vec<(Val, usize)> = evals
@@ -50,7 +50,7 @@ pub fn ghw_classify_in(
     // (D, e_i) →_k (D', f).
     let verdicts = ctx.engine().par_map(&cells, |&(f, c)| {
         let e = chain.elems[chain.representative(c)];
-        ctx.cover_implies_with_skeleton(&train.db, &[e], eval, &[f], &skeleton)
+        ctx.cover_implies_with_skeleton(&[e], &[f], &skeleton)
             .unwrap_or(false)
     });
     ctx.check()?;

@@ -24,15 +24,16 @@ pub fn ghw_inseparability_witness_in(
     k: usize,
 ) -> Result<Option<(Val, Val)>, Interrupted> {
     ctx.check()?;
-    // All games share one database, hence one union skeleton; each pair's
+    // All games run from the training database to itself, hence share
+    // one union skeleton and its position tables; each pair's
     // two game solves are independent of every other pair's, so the
     // candidate sweep runs on the parallel driver. Verdicts memoize in
     // the engine's cache, where a later full-preorder sweep reuses them.
     // Workers swallow Stop with a filler verdict; the sticky post-fan-in
     // check discards the batch.
-    let skeleton = UnionSkeleton::build(&train.db, k);
+    let skeleton = UnionSkeleton::build(&train.db, &train.db, k);
     let implies = |a: Val, b: Val| {
-        ctx.cover_implies_with_skeleton(&train.db, &[a], &train.db, &[b], &skeleton)
+        ctx.cover_implies_with_skeleton(&[a], &[b], &skeleton)
             .unwrap_or(false)
     };
     let pairs = train.opposing_pairs();

@@ -66,6 +66,8 @@ pub struct GameCache {
     games: AtomicU64,
     positions: AtomicU64,
     sweeps: AtomicU64,
+    /// Skeleton position-table builds stored by this cache's analyses.
+    tables: AtomicU64,
     /// Entries imported from a persisted table (see `import_entry`).
     restored: AtomicU64,
     /// Verdicts served by delta subsumption instead of a fresh analysis
@@ -91,13 +93,14 @@ impl GameCache {
             games: AtomicU64::new(0),
             positions: AtomicU64::new(0),
             sweeps: AtomicU64::new(0),
+            tables: AtomicU64::new(0),
             restored: AtomicU64::new(0),
             sub_hits: AtomicU64::new(0),
         }
     }
 
-    /// Run one analysis, note its effort against this cache's counters,
-    /// and return the verdict.
+    /// Note one finished analysis against this cache's counters and
+    /// return its verdict.
     fn solve_counted(&self, game: &CoverGame) -> bool {
         self.games.fetch_add(1, Ordering::Relaxed);
         self.positions
@@ -107,10 +110,38 @@ impl GameCache {
         game.duplicator_wins()
     }
 
+    /// Analyze one game on `skeleton`, counted.
+    fn solve(
+        &self,
+        a: &[Val],
+        b: &[Val],
+        skeleton: &UnionSkeleton,
+        intr: &Interrupt,
+    ) -> Result<bool, Stop> {
+        let game = CoverGame::analyze(a, b, skeleton, intr);
+        // A build counts even when its game was stopped afterwards.
+        self.tables
+            .fetch_add(skeleton.claim_table_build() as u64, Ordering::Relaxed);
+        game.map(|g| self.solve_counted(&g))
+    }
+
+    /// Analyze one game on a skeleton of its own, counted.
+    fn solve_fresh(
+        &self,
+        d: &Database,
+        a: &[Val],
+        d2: &Database,
+        b: &[Val],
+        k: usize,
+        intr: &Interrupt,
+    ) -> Result<bool, Stop> {
+        self.solve(a, b, &UnionSkeleton::build(d, d2, k), intr)
+    }
+
     /// Memoized `(D, ā) →_k (D', b̄)`: the uninterruptible,
     /// lineage-free form of [`GameCache::implies_sub_int`]. Builds a fresh
     /// [`UnionSkeleton`] on a miss; batch callers replaying many games
-    /// over one left-hand database should use
+    /// over one pair of databases should use
     /// [`GameCache::implies_with_skeleton`].
     pub fn implies(&self, d: &Database, a: &[Val], d2: &Database, b: &[Val], k: usize) -> bool {
         self.implies_int(d, a, d2, b, k, &Interrupt::none())
@@ -136,26 +167,24 @@ impl GameCache {
         intr: &Interrupt,
     ) -> Result<bool, Stop> {
         self.lookup_or_sub_int(d, a, d2, b, k, lineage, || {
-            CoverGame::analyze_int(d, a, d2, b, k, intr).map(|g| self.solve_counted(&g))
+            self.solve_fresh(d, a, d2, b, k, intr)
         })
     }
 
-    /// [`GameCache::implies_sub_int`] reusing a prebuilt skeleton of
-    /// `(d, skeleton.k)` for the miss path.
-    #[allow(clippy::too_many_arguments)]
+    /// [`GameCache::implies_sub_int`] for the game from
+    /// `(skeleton.d, ā)` to `(skeleton.d2, b̄)`, reusing the skeleton
+    /// (and its position tables) on the miss path.
     pub fn implies_with_skeleton_sub_int(
         &self,
-        d: &Database,
         a: &[Val],
-        d2: &Database,
         b: &[Val],
         skeleton: &UnionSkeleton,
         lineage: Option<&Lineage>,
         intr: &Interrupt,
     ) -> Result<bool, Stop> {
+        let (d, d2) = (skeleton.d, skeleton.d2);
         self.lookup_or_sub_int(d, a, d2, b, skeleton.k, lineage, || {
-            CoverGame::analyze_with_skeleton_int(d, a, d2, b, skeleton, intr)
-                .map(|g| self.solve_counted(&g))
+            self.solve(a, b, skeleton, intr)
         })
     }
 
@@ -172,26 +201,19 @@ impl GameCache {
         k: usize,
         intr: &Interrupt,
     ) -> Result<bool, Stop> {
-        self.lookup_or_int(d, a, d2, b, k, || {
-            CoverGame::analyze_int(d, a, d2, b, k, intr).map(|g| self.solve_counted(&g))
-        })
+        self.implies_sub_int(d, a, d2, b, k, None, intr)
     }
 
     /// Interruptible [`GameCache::implies_with_skeleton`]; same
     /// no-insert-on-stop guarantee as [`GameCache::implies_int`].
     pub fn implies_with_skeleton_int(
         &self,
-        d: &Database,
         a: &[Val],
-        d2: &Database,
         b: &[Val],
         skeleton: &UnionSkeleton,
         intr: &Interrupt,
     ) -> Result<bool, Stop> {
-        self.lookup_or_int(d, a, d2, b, skeleton.k, || {
-            CoverGame::analyze_with_skeleton_int(d, a, d2, b, skeleton, intr)
-                .map(|g| self.solve_counted(&g))
-        })
+        self.implies_with_skeleton_sub_int(a, b, skeleton, None, intr)
     }
 
     /// [`GameCache::implies_int`] minus the memo table: counted as a
@@ -207,37 +229,28 @@ impl GameCache {
         intr: &Interrupt,
     ) -> Result<bool, Stop> {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        CoverGame::analyze_int(d, a, d2, b, k, intr).map(|g| self.solve_counted(&g))
+        self.solve_fresh(d, a, d2, b, k, intr)
     }
 
     /// [`GameCache::implies_uncached_int`] reusing a prebuilt skeleton.
     pub fn implies_with_skeleton_uncached_int(
         &self,
-        d: &Database,
         a: &[Val],
-        d2: &Database,
         b: &[Val],
         skeleton: &UnionSkeleton,
         intr: &Interrupt,
     ) -> Result<bool, Stop> {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        CoverGame::analyze_with_skeleton_int(d, a, d2, b, skeleton, intr)
-            .map(|g| self.solve_counted(&g))
+        self.solve(a, b, skeleton, intr)
     }
 
-    /// Memoized `(D, ā) →_k (D', b̄)` reusing a prebuilt skeleton of
-    /// `(d, skeleton.k)` for the miss path. The skeleton does not enter
-    /// the key: it is a pure function of `(d, k)`, which the fingerprint
-    /// and `k` already determine.
-    pub fn implies_with_skeleton(
-        &self,
-        d: &Database,
-        a: &[Val],
-        d2: &Database,
-        b: &[Val],
-        skeleton: &UnionSkeleton,
-    ) -> bool {
-        self.implies_with_skeleton_int(d, a, d2, b, skeleton, &Interrupt::none())
+    /// Memoized `(D, ā) →_k (D', b̄)` for the game from
+    /// `(skeleton.d, ā)` to `(skeleton.d2, b̄)`, reusing the skeleton on
+    /// the miss path. The skeleton does not enter the key: it is a pure
+    /// function of `(d, d2, k)`, which the fingerprints and `k` already
+    /// determine.
+    pub fn implies_with_skeleton(&self, a: &[Val], b: &[Val], skeleton: &UnionSkeleton) -> bool {
+        self.implies_with_skeleton_int(a, b, skeleton, &Interrupt::none())
             .expect("an unshared handle cannot trip")
     }
 
@@ -342,18 +355,6 @@ impl GameCache {
         Ok(ans)
     }
 
-    fn lookup_or_int(
-        &self,
-        d: &Database,
-        a: &[Val],
-        d2: &Database,
-        b: &[Val],
-        k: usize,
-        solve: impl FnOnce() -> Result<bool, Stop>,
-    ) -> Result<bool, Stop> {
-        self.lookup_or_sub_int(d, a, d2, b, k, None, solve)
-    }
-
     fn shard_of(key: &Key) -> usize {
         let mut h = key.0 as u64 ^ (key.0 >> 64) as u64 ^ (key.1 as u64).rotate_left(32);
         for v in key.2.iter().chain(key.3.iter()) {
@@ -417,6 +418,7 @@ impl GameCache {
             games_solved: self.games.load(Ordering::Relaxed),
             positions_explored: self.positions.load(Ordering::Relaxed),
             fixpoint_sweeps: self.sweeps.load(Ordering::Relaxed),
+            tables_built: self.tables.load(Ordering::Relaxed),
             cache_hits: self.hits(),
             cache_misses: self.misses(),
         }
@@ -430,6 +432,7 @@ impl GameCache {
             &self.games,
             &self.positions,
             &self.sweeps,
+            &self.tables,
             &self.restored,
             &self.sub_hits,
         ] {
@@ -543,8 +546,8 @@ mod tests {
         let p = graph(&[("s", "t")]);
         let (s, t) = (v(&p, "s"), v(&p, "t"));
         let cache = GameCache::new();
-        let skeleton = UnionSkeleton::build(&p, 1);
-        let first = cache.implies_with_skeleton(&p, &[t], &p, &[s], &skeleton);
+        let skeleton = UnionSkeleton::build(&p, &p, 1);
+        let first = cache.implies_with_skeleton(&[t], &[s], &skeleton);
         assert_eq!(first, cover_implies(&p, &[t], &p, &[s], 1));
         assert_eq!(cache.implies(&p, &[t], &p, &[s], 1), first);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));

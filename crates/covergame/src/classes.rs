@@ -34,8 +34,9 @@ impl CoverPreorder {
     ///
     /// Cost: one cover-game analysis per ordered pair — `O(|elems|²)`
     /// polynomial-time game solves, exactly as in Theorem 5.3's test.
-    /// The solves fan out over all cores (one shared [`UnionSkeleton`]),
-    /// so re-sweeping an unchanged database is nearly free.
+    /// The solves fan out over all cores and share one [`UnionSkeleton`]
+    /// (so one position table per union), and re-sweeping an unchanged
+    /// database is nearly free.
     ///
     /// [`UnionSkeleton`]: crate::skeleton::UnionSkeleton
     pub fn compute_with(d: &Database, elems: &[Val], k: usize, cache: &GameCache) -> CoverPreorder {
@@ -58,15 +59,16 @@ impl CoverPreorder {
     ) -> Result<CoverPreorder, Stop> {
         intr.check()?;
         let n = elems.len();
-        // One skeleton for all n² games (the unions depend only on D).
-        let skeleton = crate::skeleton::UnionSkeleton::build(d, k);
+        // One skeleton for all n² games (the unions and their position
+        // tables depend only on D).
+        let skeleton = crate::skeleton::UnionSkeleton::build(d, d, k);
         let cells: Vec<(usize, usize)> = (0..n)
             .flat_map(|i| (0..n).map(move |j| (i, j)))
             .filter(|&(i, j)| i != j)
             .collect();
         let verdicts = relational::hom::par::par_map(&cells, |&(i, j)| {
             cache
-                .implies_with_skeleton_int(d, &[elems[i]], d, &[elems[j]], &skeleton, intr)
+                .implies_with_skeleton_int(&[elems[i]], &[elems[j]], &skeleton, intr)
                 .unwrap_or(false)
         });
         // The sticky re-check that makes the filler verdicts safe.
@@ -86,18 +88,18 @@ impl CoverPreorder {
     /// benchmarks.
     pub fn compute_seq(d: &Database, elems: &[Val], k: usize) -> CoverPreorder {
         let n = elems.len();
-        let skeleton = crate::skeleton::UnionSkeleton::build(d, k);
+        let skeleton = crate::skeleton::UnionSkeleton::build(d, d, k);
         let mut leq = vec![vec![false; n]; n];
         for i in 0..n {
             for j in 0..n {
                 leq[i][j] = i == j
-                    || crate::game::CoverGame::analyze_with_skeleton(
-                        d,
+                    || crate::game::CoverGame::analyze(
                         &[elems[i]],
-                        d,
                         &[elems[j]],
                         &skeleton,
+                        &Interrupt::none(),
                     )
+                    .expect("an unshared handle cannot trip")
                     .duplicator_wins();
             }
         }

@@ -26,7 +26,9 @@
 //! case), so extraction takes a node budget and fails loudly.
 
 use crate::game::CoverGame;
+use crate::skeleton::UnionSkeleton;
 use cq::{Atom, Cq, TreeDecomposition, Var};
+use interrupt::Interrupt;
 use relational::{Database, Val};
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
@@ -68,7 +70,20 @@ pub fn extract_distinguishing_query(
     k: usize,
     max_nodes: usize,
 ) -> Result<(Cq, TreeDecomposition), ExtractError> {
-    let game = CoverGame::analyze(d, &[e], d2, &[e2], k);
+    let skeleton = UnionSkeleton::build(d, d2, k);
+    extract_with_skeleton(&skeleton, e, e2, max_nodes)
+}
+
+/// [`extract_distinguishing_query`] on a prebuilt skeleton, so queries
+/// against several points of one target share its position tables.
+fn extract_with_skeleton(
+    skeleton: &UnionSkeleton,
+    e: Val,
+    e2: Val,
+    max_nodes: usize,
+) -> Result<(Cq, TreeDecomposition), ExtractError> {
+    let game = CoverGame::analyze(&[e], &[e2], skeleton, &Interrupt::none())
+        .expect("an unshared handle cannot trip");
     extract_from_game(&game, max_nodes)
 }
 
@@ -79,7 +94,7 @@ pub fn extract_from_game(
 ) -> Result<(Cq, TreeDecomposition), ExtractError> {
     assert_eq!(game.a.len(), 1, "extraction handles unary queries");
     let e = game.a[0];
-    let d = game.d;
+    let d = game.d();
 
     let mut builder = Builder {
         game,
@@ -125,8 +140,8 @@ pub fn extract_from_game(
     Ok((q, td))
 }
 
-struct Builder<'g, 'a> {
-    game: &'g CoverGame<'a>,
+struct Builder<'g, 's> {
+    game: &'g CoverGame<'s>,
     e: Val,
     atoms: Vec<Atom>,
     bags: Vec<BTreeSet<Var>>,
@@ -151,11 +166,12 @@ impl Builder<'_, '_> {
                 nodes: self.max_nodes,
             });
         }
-        let u = &self.game.unions[union_idx as usize];
+        let game = self.game;
+        let elems = game.elems(union_idx as usize);
 
         // Assign variables to the union's elements.
         let mut var_of: BTreeMap<Val, Var> = BTreeMap::new();
-        for &el in &u.elems {
+        for &el in elems {
             let v = if el == self.e {
                 Var(0)
             } else if let Some(&g) = glue.get(&el) {
@@ -169,8 +185,8 @@ impl Builder<'_, '_> {
         }
 
         // Node atoms: all facts of D inside U ∪ {e}.
-        for &fi in &u.facts_inside {
-            let f = self.game.d.fact(fi);
+        for fi in game.facts_inside(union_idx as usize) {
+            let f = game.d().fact(fi);
             let args: Vec<Var> = f
                 .args
                 .iter()
@@ -180,8 +196,7 @@ impl Builder<'_, '_> {
         }
 
         // Bag: the existential variables of this node.
-        let bag: BTreeSet<Var> = u
-            .elems
+        let bag: BTreeSet<Var> = elems
             .iter()
             .filter(|&&el| el != self.e)
             .map(|el| var_of[el])
@@ -192,25 +207,23 @@ impl Builder<'_, '_> {
         // Children: one per distinct (witness, agreeing-response
         // restriction). Responses must agree with `constraint`.
         let mut spawned: HashSet<(u32, Vec<(Val, Val)>)> = HashSet::new();
-        let positions = &self.game.positions[union_idx as usize];
-        for pos in positions {
-            let agrees = u
-                .elems
+        for (map, death) in game.positions(union_idx as usize) {
+            let agrees = elems
                 .iter()
                 .enumerate()
-                .all(|(i, el)| constraint.get(el).is_none_or(|&c| pos.map[i] == c));
+                .all(|(i, el)| constraint.get(el).is_none_or(|&c| map[i] == c));
             if !agrees {
                 continue;
             }
-            let (_, witness) = pos.death.expect("Spoiler wins, so every position is dead");
-            let w = &self.game.unions[witness as usize];
+            let (_, witness) = death.expect("Spoiler wins, so every position is dead");
+            let w = game.elems(witness as usize);
             // Overlap between U and the witness union.
             let mut child_glue: BTreeMap<Val, Var> = BTreeMap::new();
             let mut child_constraint: BTreeMap<Val, Val> = BTreeMap::new();
-            for (i, &el) in u.elems.iter().enumerate() {
-                if w.elems.binary_search(&el).is_ok() {
+            for (i, &el) in elems.iter().enumerate() {
+                if w.binary_search(&el).is_ok() {
                     child_glue.insert(el, var_of[&el]);
-                    child_constraint.insert(el, pos.map[i]);
+                    child_constraint.insert(el, map[i]);
                 }
             }
             let key: (u32, Vec<(Val, Val)>) = (
@@ -239,8 +252,9 @@ pub fn lemma54_feature(
     max_nodes: usize,
 ) -> Result<Cq, ExtractError> {
     let mut acc = Cq::entity_only(d.schema().clone());
+    let skeleton = UnionSkeleton::build(d, d, k);
     for &e2 in others {
-        match extract_distinguishing_query(d, e, d, e2, k, max_nodes) {
+        match extract_with_skeleton(&skeleton, e, e2, max_nodes) {
             Ok((q, _)) => acc = acc.conjoin(&q),
             Err(ExtractError::DuplicatorWins) => {}
             Err(err) => return Err(err),

@@ -7,147 +7,86 @@
 //! unfolds into a distinguishing `GHW(k)` query.
 
 use crate::skeleton::UnionSkeleton;
+use crate::table::PositionTable;
 use interrupt::{Interrupt, Stop};
 use relational::{Database, Val};
 use std::collections::HashMap;
 
-/// One candidate pebble region: the element set of a union of ≤ k facts.
-#[derive(Clone, Debug)]
-pub struct Union {
-    /// Sorted element set.
-    pub elems: Vec<Val>,
-    /// Indices (into `D.facts()`) of all facts fully inside
-    /// `elems ∪ ā` that involve at least one element of `elems`.
-    pub facts_inside: Vec<usize>,
-    /// Indices of ≤ k facts whose union of elements is exactly `elems`
-    /// (the cover that generated this region; used for width bookkeeping).
-    pub cover: Vec<usize>,
-}
+/// A position's death record: `None` while alive. `Some((seq, w))`: the
+/// `seq`-th kill overall, because union `w` admits no surviving agreeing
+/// response. Every agreeing response on `w` died with a strictly smaller
+/// `seq` — the well-foundedness that strategy extraction recurses on.
+pub type Death = Option<(u32, u32)>;
 
-/// A Duplicator response at a union: the images of `elems`, parallel to
-/// `Union::elems`, plus death bookkeeping.
-#[derive(Clone, Debug)]
-pub struct Position {
-    pub map: Vec<Val>,
-    /// `None` while alive. `Some((seq, w))`: the `seq`-th kill overall,
-    /// because union `w` admits no surviving agreeing response. Every
-    /// agreeing response on `w` died with a strictly smaller `seq` — the
-    /// well-foundedness that strategy extraction recurses on.
-    pub death: Option<(u32, u32)>,
-}
-
-/// The fully analyzed game for one `(D, ā) → (D', b̄)` instance.
-pub struct CoverGame<'a> {
-    pub d: &'a Database,
-    pub d2: &'a Database,
-    pub k: usize,
+/// The analyzed game for one `(D, ā) → (D', b̄)` instance. Union `u`'s
+/// positions are the rows of the skeleton's table for `u` that respect
+/// `ā → b̄`; the game borrows them and owns only what depends on
+/// `(ā, b̄)`: which rows it keeps, and their deaths.
+pub struct CoverGame<'s> {
+    skeleton: &'s UnionSkeleton<'s>,
     pub a: Vec<Val>,
     pub b: Vec<Val>,
     /// `ā → b̄` as a consistent map; `None` if `ā → b̄` is not a function
     /// or violates some fact inside `ā` (then Spoiler wins outright).
     base: Option<HashMap<Val, Val>>,
-    pub unions: Vec<Union>,
-    pub positions: Vec<Vec<Position>>,
+    /// The skeleton's tables; empty while `base` is `None`.
+    tables: &'s [PositionTable],
+    /// Per union: the boundary facts `ā` closes, i.e. those inside
+    /// `elems ∪ ā`.
+    joined: Vec<Vec<usize>>,
+    /// Per union: the table rows kept, or `None` for all of them.
+    kept: Vec<Option<Vec<u32>>>,
+    /// Per union and position: the [`Death`] record.
+    deaths: Vec<Vec<Death>>,
     /// A union with no surviving positions, if any (Spoiler's opening).
     pub spoiler_opening: Option<u32>,
     sweeps: u32,
 }
 
-impl<'a> CoverGame<'a> {
-    /// Analyze the game. Exhaustive for fixed `k` and arity: the number of
-    /// regions is `O(|D|^k)` and responses per region are bounded by
-    /// `|dom(D')|^{k·arity}` before the partial-homomorphism pruning.
-    pub fn analyze(
-        d: &'a Database,
-        a: &[Val],
-        d2: &'a Database,
-        b: &[Val],
-        k: usize,
-    ) -> CoverGame<'a> {
-        let skeleton = UnionSkeleton::build(d, k);
-        CoverGame::analyze_with_skeleton(d, a, d2, b, &skeleton)
-    }
-
-    /// Interruptible [`CoverGame::analyze`]: the position exploration and
-    /// every fixpoint sweep observe `intr` at bounded intervals. On
+impl<'s> CoverGame<'s> {
+    /// Analyze the game from `(skeleton.d, ā)` to `(skeleton.d2, b̄)` at
+    /// width `skeleton.k`. Exhaustive for fixed `k`: the number of regions
+    /// is `O(|D|^k)`, and a region holds at most `|D'|^k` positions,
+    /// since a position is fixed by the facts of `D'` that its ≤ k
+    /// covering facts map to.
+    ///
+    /// The table enumeration, when this game is the first to need it,
+    /// and every fixpoint sweep observe `intr` at bounded intervals. On
     /// [`Stop`] the half-built game is discarded.
-    pub fn analyze_int(
-        d: &'a Database,
+    pub fn analyze(
         a: &[Val],
-        d2: &'a Database,
         b: &[Val],
-        k: usize,
+        skeleton: &'s UnionSkeleton<'s>,
         intr: &Interrupt,
-    ) -> Result<CoverGame<'a>, Stop> {
-        intr.check()?;
-        let skeleton = UnionSkeleton::build(d, k);
-        CoverGame::analyze_inner(d, a, d2, b, &skeleton, Some(intr))
-    }
-
-    /// Analyze reusing a prebuilt [`UnionSkeleton`] of `(d, k)`. The
-    /// paper's algorithms solve `O(|η(D)|²)` games over one database —
-    /// sharing the skeleton removes the dominant per-game setup cost.
-    pub fn analyze_with_skeleton(
-        d: &'a Database,
-        a: &[Val],
-        d2: &'a Database,
-        b: &[Val],
-        skeleton: &UnionSkeleton,
-    ) -> CoverGame<'a> {
-        CoverGame::analyze_inner(d, a, d2, b, skeleton, None)
-            .expect("uninterruptible analysis cannot stop")
-    }
-
-    /// Interruptible [`CoverGame::analyze_with_skeleton`].
-    pub fn analyze_with_skeleton_int(
-        d: &'a Database,
-        a: &[Val],
-        d2: &'a Database,
-        b: &[Val],
-        skeleton: &UnionSkeleton,
-        intr: &Interrupt,
-    ) -> Result<CoverGame<'a>, Stop> {
-        CoverGame::analyze_inner(d, a, d2, b, skeleton, Some(intr))
-    }
-
-    fn analyze_inner(
-        d: &'a Database,
-        a: &[Val],
-        d2: &'a Database,
-        b: &[Val],
-        skeleton: &UnionSkeleton,
-        intr: Option<&Interrupt>,
-    ) -> Result<CoverGame<'a>, Stop> {
+    ) -> Result<CoverGame<'s>, Stop> {
         assert_eq!(a.len(), b.len(), "distinguished tuples must align");
-        assert_eq!(d.schema(), d2.schema(), "cover game requires one schema");
-
-        if let Some(i) = intr {
-            i.check()?;
-        }
-
+        assert_eq!(
+            skeleton.d.schema(),
+            skeleton.d2.schema(),
+            "cover game requires one schema"
+        );
+        intr.check()?;
         let mut game = CoverGame {
-            d,
-            d2,
-            k: skeleton.k,
+            skeleton,
             a: a.to_vec(),
             b: b.to_vec(),
             base: None,
-            unions: Vec::new(),
-            positions: Vec::new(),
+            tables: &[],
+            joined: Vec::new(),
+            kept: Vec::new(),
+            deaths: Vec::new(),
             spoiler_opening: None,
             sweeps: 0,
         };
-
         game.base = game.check_base();
         if game.base.is_none() {
             // Spoiler wins before any position exists.
             return Ok(game);
         }
-        game.instantiate_unions(skeleton);
-        let run = game
-            .build_positions(intr)
-            .and_then(|()| game.fixpoint(&skeleton.neighbors, intr));
-        run.map(|()| game)
+        game.tables = skeleton.tables(intr)?;
+        game.select_positions();
+        game.fixpoint(intr)?;
+        Ok(game)
     }
 
     /// Does Duplicator win, i.e. does `(D, ā) →_k (D', b̄)` hold?
@@ -155,20 +94,68 @@ impl<'a> CoverGame<'a> {
         self.base.is_some() && self.spoiler_opening.is_none()
     }
 
+    /// The left-hand database `D`.
+    pub fn d(&self) -> &'s Database {
+        self.skeleton.d
+    }
+
+    /// The target `D'`.
+    pub fn d2(&self) -> &'s Database {
+        self.skeleton.d2
+    }
+
     /// Number of fixpoint sweeps performed (diagnostics / benches).
     pub fn sweeps(&self) -> u32 {
         self.sweeps
     }
 
-    /// Total positions enumerated across all unions (the figure a
+    /// Total positions across all unions (the figure a
     /// [`crate::GameCache`] adds to its `positions_explored` counter).
     pub fn position_count(&self) -> u64 {
-        self.positions.iter().map(|p| p.len() as u64).sum()
+        self.deaths.iter().map(|p| p.len() as u64).sum()
     }
 
     /// The base map `ā → b̄` (None when inconsistent).
     pub fn base_map(&self) -> Option<&HashMap<Val, Val>> {
         self.base.as_ref()
+    }
+
+    /// Number of unions in play: the skeleton's, or none when the base
+    /// map is inconsistent.
+    pub fn union_count(&self) -> usize {
+        self.deaths.len()
+    }
+
+    /// Sorted element set of union `u`.
+    pub fn elems(&self, u: usize) -> &'s [Val] {
+        &self.skeleton.unions[u].elems
+    }
+
+    /// Indices (into `D.facts()`) of all facts fully inside
+    /// `elems ∪ ā` that involve at least one element of union `u`,
+    /// ascending.
+    pub fn facts_inside(&self, u: usize) -> Vec<usize> {
+        let mut facts = self.skeleton.unions[u].inner_facts.clone();
+        facts.extend_from_slice(&self.joined[u]);
+        facts.sort_unstable();
+        facts
+    }
+
+    /// Union `u`'s positions in enumeration order: each response (the
+    /// images of [`CoverGame::elems`]) with its death record.
+    pub fn positions(&self, u: usize) -> impl Iterator<Item = (&'s [Val], Death)> + '_ {
+        self.deaths[u]
+            .iter()
+            .enumerate()
+            .map(move |(p, &death)| (self.response(u, p), death))
+    }
+
+    fn response(&self, u: usize, p: usize) -> &'s [Val] {
+        let table = &self.tables[u];
+        match &self.kept[u] {
+            None => table.row(p),
+            Some(rows) => table.row(rows[p] as usize),
+        }
     }
 
     /// `ā → b̄` must be a function, and every fact of `D` inside `ā` must
@@ -182,10 +169,10 @@ impl<'a> CoverGame<'a> {
                 }
             }
         }
-        for f in self.d.facts() {
+        for f in self.d().facts() {
             if f.args.iter().all(|v| m.contains_key(v)) {
                 let args: Vec<Val> = f.args.iter().map(|v| m[v]).collect();
-                if !self.d2.has_fact(f.rel, &args) {
+                if !self.d2().has_fact(f.rel, &args) {
                     return None;
                 }
             }
@@ -193,173 +180,97 @@ impl<'a> CoverGame<'a> {
         Some(m)
     }
 
-    /// Instantiate the per-game unions from the shared skeleton: the
-    /// element sets and inner facts are copied; a boundary fact joins iff
-    /// its outside arguments are all covered by the distinguished tuple.
-    fn instantiate_unions(&mut self, skeleton: &UnionSkeleton) {
-        let base = self.base.as_ref().unwrap();
-        self.unions = skeleton
-            .unions
-            .iter()
-            .map(|su| {
-                let mut facts_inside = su.inner_facts.clone();
-                for &fi in &su.boundary_facts {
-                    let f = self.d.fact(fi);
-                    let ok = f
+    /// Keep, per union, the table rows that respect `ā → b̄`: rows that
+    /// send each element of `ā` to its image, and each boundary fact
+    /// `ā` closes to a fact of `D'`. A union `ā` does not touch keeps
+    /// its whole table.
+    fn select_positions(&mut self) {
+        let skeleton = self.skeleton;
+        let (d, d2) = (skeleton.d, skeleton.d2);
+        // `ā` is short and consistent, so a scan beats hashing here.
+        let (a, b) = (&self.a, &self.b);
+        let image = |v: Val| a.iter().position(|&x| x == v).map(|i| b[i]);
+        for (su, table) in skeleton.unions.iter().zip(self.tables) {
+            let slot = |v: Val| su.elems.binary_search(&v).ok();
+            let fixed: Vec<(usize, Val)> = su
+                .elems
+                .iter()
+                .enumerate()
+                .filter_map(|(i, &e)| image(e).map(|img| (i, img)))
+                .collect();
+            let joined: Vec<usize> = su
+                .boundary_facts
+                .iter()
+                .copied()
+                .filter(|&fi| {
+                    d.fact(fi)
                         .args
                         .iter()
-                        .all(|v| su.elems.binary_search(v).is_ok() || base.contains_key(v));
-                    if ok {
-                        facts_inside.push(fi);
-                    }
-                }
-                facts_inside.sort_unstable();
-                Union {
-                    elems: su.elems.clone(),
-                    facts_inside,
-                    cover: su.cover.clone(),
-                }
-            })
-            .collect();
-    }
-
-    /// Enumerate all valid Duplicator responses at every union. With an
-    /// interrupt handle, the DFS stops between node expansions; the
-    /// partially filled position table stays on `self` for accounting.
-    fn build_positions(&mut self, intr: Option<&Interrupt>) -> Result<(), Stop> {
-        let base = self.base.clone().unwrap();
-        for u in &self.unions {
-            let mut maps: Vec<Vec<Val>> = Vec::new();
-            let mut cur: Vec<Option<Val>> = vec![None; u.elems.len()];
-            let run = self.enumerate_maps(u, &base, 0, &mut cur, &mut maps, intr);
-            self.positions.push(
-                maps.into_iter()
-                    .map(|map| Position { map, death: None })
-                    .collect(),
-            );
-            run?;
-        }
-        Ok(())
-    }
-
-    /// DFS over assignments of `u.elems`, pruning with facts whose
-    /// arguments are fully decided. Observes `intr` once per node
-    /// expansion (the same cadence as the hom backtracker).
-    fn enumerate_maps(
-        &self,
-        u: &Union,
-        base: &HashMap<Val, Val>,
-        i: usize,
-        cur: &mut Vec<Option<Val>>,
-        out: &mut Vec<Vec<Val>>,
-        intr: Option<&Interrupt>,
-    ) -> Result<(), Stop> {
-        if let Some(h) = intr {
-            h.check()?;
-        }
-        if i == u.elems.len() {
-            out.push(cur.iter().map(|x| x.unwrap()).collect());
-            return Ok(());
-        }
-        let e = u.elems[i];
-        let choices: Vec<Val> = match base.get(&e) {
-            Some(&fixed) => vec![fixed],
-            None => self.d2.dom().collect(),
-        };
-        for c in choices {
-            cur[i] = Some(c);
-            if self.consistent_so_far(u, base, cur, i) {
-                self.enumerate_maps(u, base, i + 1, cur, out, intr)?;
-            }
-        }
-        cur[i] = None;
-        Ok(())
-    }
-
-    /// Check all inside-facts whose arguments are decided once position `i`
-    /// is assigned (an argument is decided if it is `ā` or `≤ i` in elems).
-    fn consistent_so_far(
-        &self,
-        u: &Union,
-        base: &HashMap<Val, Val>,
-        cur: &[Option<Val>],
-        i: usize,
-    ) -> bool {
-        let value = |v: Val| -> Option<Val> {
-            match u.elems.binary_search(&v) {
-                Ok(pos) => cur[pos],
-                Err(_) => base.get(&v).copied(),
-            }
-        };
-        'facts: for &fi in &u.facts_inside {
-            let f = self.d.fact(fi);
-            // Only re-check facts that involve the just-assigned element;
-            // earlier facts were checked at earlier depths.
-            if !f.args.contains(&u.elems[i]) {
+                        .all(|&v| slot(v).is_some() || a.contains(&v))
+                })
+                .collect();
+            if fixed.is_empty() && joined.is_empty() {
+                self.deaths.push(vec![None; table.len()]);
+                self.kept.push(None);
+                self.joined.push(joined);
                 continue;
             }
-            let mut args = Vec::with_capacity(f.args.len());
-            for &v in &f.args {
-                match value(v) {
-                    Some(x) => args.push(x),
-                    None => continue 'facts,
-                }
-            }
-            if !self.d2.has_fact(f.rel, &args) {
-                return false;
-            }
+            let closed: Vec<ClosedFact> = joined
+                .iter()
+                .map(|&fi| ClosedFact::new(d, d2, fi, slot, image))
+                .collect();
+            let rows: Vec<u32> = (0..table.len())
+                .filter(|&r| {
+                    let row = table.row(r);
+                    fixed.iter().all(|&(i, img)| row[i] == img)
+                        && closed.iter().all(|c| c.holds(row))
+                })
+                .map(|r| r as u32)
+                .collect();
+            self.deaths.push(vec![None; rows.len()]);
+            self.kept.push(Some(rows));
+            self.joined.push(joined);
         }
-        true
     }
 
     /// The greatest fixpoint: repeatedly kill positions that some
     /// neighboring union refutes; if a union runs dry, every remaining
     /// position (and the empty starting position) dies with that union as
     /// witness.
-    fn fixpoint(
-        &mut self,
-        neighbors: &[crate::skeleton::NeighborRow],
-        intr: Option<&Interrupt>,
-    ) -> Result<(), Stop> {
-        let n = self.unions.len();
+    fn fixpoint(&mut self, intr: &Interrupt) -> Result<(), Stop> {
+        let n = self.union_count();
         if n == 0 {
             return Ok(());
         }
-        let mut alive_count: Vec<usize> = self.positions.iter().map(|p| p.len()).collect();
+        let skeleton = self.skeleton;
+        let neighbors = &skeleton.neighbors;
+        let mut alive_count: Vec<usize> = self.deaths.iter().map(|p| p.len()).collect();
 
         let mut seq = 0u32;
-        let mut sweeps = 0u32;
         loop {
-            sweeps += 1;
-            self.sweeps = sweeps;
+            self.sweeps += 1;
             let mut changed = false;
             for ui in 0..n {
                 // One check per union per sweep: each row below scans
                 // `neighbors × positions`, so this bounds the interval
                 // between checks without taxing the innermost loop.
-                if let Some(h) = intr {
-                    h.check()?;
-                }
-                for hi in 0..self.positions[ui].len() {
-                    if self.positions[ui][hi].death.is_some() {
+                intr.check()?;
+                for hi in 0..self.deaths[ui].len() {
+                    if self.deaths[ui][hi].is_some() {
                         continue;
                     }
-                    let mut killer: Option<u32> = None;
-                    for (vi, pairs) in &neighbors[ui] {
-                        let vi_us = *vi as usize;
-                        let ok = self.positions[vi_us].iter().any(|p2| {
-                            p2.death.is_none()
-                                && pairs.iter().all(|&(i, j)| {
-                                    self.positions[ui][hi].map[i as usize] == p2.map[j as usize]
-                                })
-                        });
-                        if !ok {
-                            killer = Some(*vi);
-                            break;
-                        }
-                    }
-                    if let Some(w) = killer {
-                        self.positions[ui][hi].death = Some((seq, w));
+                    let h = self.response(ui, hi);
+                    let killer = neighbors[ui].iter().find(|(vi, pairs)| {
+                        let vi = *vi as usize;
+                        !(0..self.deaths[vi].len()).any(|p2| {
+                            self.deaths[vi][p2].is_none() && {
+                                let h2 = self.response(vi, p2);
+                                pairs.iter().all(|&(i, j)| h[i as usize] == h2[j as usize])
+                            }
+                        })
+                    });
+                    if let Some(&(w, _)) = killer {
+                        self.deaths[ui][hi] = Some((seq, w));
                         seq += 1;
                         alive_count[ui] -= 1;
                         changed = true;
@@ -372,12 +283,10 @@ impl<'a> CoverGame<'a> {
                 // witness; extraction then has a total, well-founded
                 // strategy (the dry union's own positions all died with
                 // smaller sequence numbers).
-                for ui in 0..n {
-                    for p in &mut self.positions[ui] {
-                        if p.death.is_none() {
-                            p.death = Some((seq, zero as u32));
-                            seq += 1;
-                        }
+                for death in self.deaths.iter_mut().flatten() {
+                    if death.is_none() {
+                        *death = Some((seq, zero as u32));
+                        seq += 1;
                     }
                 }
                 self.spoiler_opening = Some(zero as u32);
@@ -390,10 +299,71 @@ impl<'a> CoverGame<'a> {
     }
 }
 
+/// A boundary fact of a union that `ā` closes, resolved against one
+/// game's base map: the values its union slots may take together.
+struct ClosedFact {
+    /// The union slot of each argument inside the union, in argument
+    /// order (a slot repeats if the fact repeats the element).
+    slots: Vec<usize>,
+    /// Rows of `slots.len()` values: the projections onto `slots` of
+    /// the facts of `D'` that match the fact's images of `ā`.
+    allowed: Vec<Val>,
+}
+
+impl ClosedFact {
+    fn new(
+        d: &Database,
+        d2: &Database,
+        fi: usize,
+        slot: impl Fn(Val) -> Option<usize>,
+        image: impl Fn(Val) -> Option<Val>,
+    ) -> ClosedFact {
+        let f = d.fact(fi);
+        // Per argument: the union slot holding it, or its image.
+        let pattern: Vec<Result<usize, Val>> = f
+            .args
+            .iter()
+            .map(|&v| slot(v).ok_or_else(|| image(v).expect("ā closes the fact")))
+            .collect();
+        let (pos, img) = pattern
+            .iter()
+            .enumerate()
+            .find_map(|(p, x)| x.err().map(|img| (p as u32, img)))
+            .expect("a boundary fact has an argument outside the union");
+        let mut allowed = Vec::new();
+        for &g in d2.facts_with(f.rel, pos, img) {
+            let args = &d2.fact(g).args;
+            if args
+                .iter()
+                .zip(&pattern)
+                .all(|(x, p)| p.err().is_none_or(|img| img == *x))
+            {
+                allowed.extend(
+                    args.iter()
+                        .zip(&pattern)
+                        .filter(|(_, p)| p.is_ok())
+                        .map(|(&x, _)| x),
+                );
+            }
+        }
+        ClosedFact {
+            slots: pattern.iter().filter_map(|p| p.ok()).collect(),
+            allowed,
+        }
+    }
+
+    /// Does the response `row` send the fact to a fact of `D'`?
+    fn holds(&self, row: &[Val]) -> bool {
+        self.allowed
+            .chunks(self.slots.len())
+            .any(|vals| vals.iter().zip(&self.slots).all(|(&x, &i)| row[i] == x))
+    }
+}
+
 /// `(D, ā) →_k (D', b̄)`: does every `GHW(k)` query satisfied at `ā`
 /// transfer to `b̄` (Proposition 5.2)?
 pub fn cover_implies(d: &Database, a: &[Val], d2: &Database, b: &[Val], k: usize) -> bool {
-    CoverGame::analyze(d, a, d2, b, k).duplicator_wins()
+    cover_implies_int(d, a, d2, b, k, &Interrupt::none()).expect("an unshared handle cannot trip")
 }
 
 /// Interruptible [`cover_implies`].
@@ -405,7 +375,8 @@ pub fn cover_implies_int(
     k: usize,
     intr: &Interrupt,
 ) -> Result<bool, Stop> {
-    Ok(CoverGame::analyze_int(d, a, d2, b, k, intr)?.duplicator_wins())
+    let skeleton = UnionSkeleton::build(d, d2, k);
+    Ok(CoverGame::analyze(a, b, &skeleton, intr)?.duplicator_wins())
 }
 
 /// Mutual `→_k`: the entities are `GHW(k)`-indistinguishable.

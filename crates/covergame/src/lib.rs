@@ -25,15 +25,30 @@
 //! Duplicator must answer with an `h'` agreeing with `h` on `U ∩ U'`.
 //! Jump moves decompose into legal pebble moves and vice versa, so the
 //! winners coincide — but positions are now polynomially enumerable for
-//! fixed `k` and arity, which is what Proposition 5.1 requires.
+//! fixed `k`, which is what Proposition 5.1 requires: `O(|D|^k)` unions,
+//! each with at most `|D'|^k` responses (a response is fixed by the
+//! facts of `D'` its ≤ k covering facts map to).
+//!
+//! # Where the work goes
+//!
+//! * [`skeleton`] — the unions of `D`, their overlaps, and (built once,
+//!   on the first game that needs them) each union's position table:
+//!   its responses in `D'` before `ā → b̄` is applied, enumerated by an
+//!   indexed join of its facts against `D'`. All of it is shared by
+//!   every game from `D` to `D'` at width `k`;
+//! * [`game`] — per `(ā, b̄)`: keep the table rows that respect the base
+//!   map, then run the fixpoint on them.
 
 pub mod cache;
 pub mod classes;
 pub mod extract;
 pub mod game;
+#[cfg(test)]
+mod oracle;
 pub mod pebble;
 pub mod skeleton;
 pub mod stats;
+mod table;
 
 pub use cache::GameCache;
 pub use classes::CoverPreorder;

@@ -18,6 +18,10 @@ pub struct GameStats {
     pub positions_explored: u64,
     /// Greatest-fixpoint sweeps over the position table.
     pub fixpoint_sweeps: u64,
+    /// Union-skeleton position tables built: each skeleton's stored build
+    /// counts once (concurrent first games on one skeleton wait for one
+    /// build), including a build whose game was then stopped.
+    pub tables_built: u64,
     /// Memo-cache hits (verdicts served without an analysis).
     pub cache_hits: u64,
     /// Memo-cache misses (verdicts computed and then memoized).
@@ -34,6 +38,7 @@ impl GameStats {
                 .positions_explored
                 .saturating_sub(earlier.positions_explored),
             fixpoint_sweeps: self.fixpoint_sweeps.saturating_sub(earlier.fixpoint_sweeps),
+            tables_built: self.tables_built.saturating_sub(earlier.tables_built),
             cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
         }
@@ -52,12 +57,14 @@ impl GameStats {
              \x20 games solved:        {}\n\
              \x20 positions explored:  {}\n\
              \x20 fixpoint sweeps:     {}\n\
+             \x20 tables built:        {}\n\
              \x20 cache hits:          {}\n\
              \x20 cache misses:        {}\n\
              \x20 cache hit rate:      {hit_rate:.1}%",
             self.games_solved,
             self.positions_explored,
             self.fixpoint_sweeps,
+            self.tables_built,
             self.cache_hits,
             self.cache_misses,
         )
@@ -101,6 +108,7 @@ mod tests {
             games_solved: 1,
             positions_explored: 2,
             fixpoint_sweeps: 3,
+            tables_built: 4,
             cache_hits: 5,
             cache_misses: 5,
         };
@@ -109,6 +117,7 @@ mod tests {
             "games solved",
             "positions",
             "sweeps",
+            "tables built:        4",
             "hits",
             "misses",
             "50.0%",

@@ -57,7 +57,7 @@ fn single_entity() {
 #[test]
 fn k_zero_skeleton_has_no_unions() {
     let d = graph(&[("a", "b"), ("b", "c")], &["a"]);
-    let sk = UnionSkeleton::build(&d, 0);
+    let sk = UnionSkeleton::build(&d, &d, 0);
     assert_eq!(sk.k, 0);
     assert!(sk.unions.is_empty());
     assert!(sk.neighbors.is_empty());

@@ -1,8 +1,10 @@
 //! The skeleton-sharing fast path must be observationally identical to
 //! the self-contained analysis — property-tested across random instances,
-//! points, and widths.
+//! points, and widths. A shared skeleton's position tables are built by
+//! whichever game runs first and reused by every later one.
 
 use covergame::{CoverGame, UnionSkeleton};
+use interrupt::Interrupt;
 use proptest::prelude::*;
 use relational::{Database, Schema, Val};
 
@@ -35,21 +37,23 @@ proptest! {
         let d = graph(n, &edges);
         let a = Val((i % n) as u32);
         let b = Val((j % n) as u32);
-        let direct = CoverGame::analyze(&d, &[a], &d, &[b], k);
-        let skeleton = UnionSkeleton::build(&d, k);
-        let shared = CoverGame::analyze_with_skeleton(&d, &[a], &d, &[b], &skeleton);
+        let none = Interrupt::none();
+        let own = UnionSkeleton::build(&d, &d, k);
+        let direct = CoverGame::analyze(&[a], &[b], &own, &none).unwrap();
+        let skeleton = UnionSkeleton::build(&d, &d, k);
+        // Another game builds the shared tables first.
+        CoverGame::analyze(&[b], &[a], &skeleton, &none).unwrap();
+        let shared = CoverGame::analyze(&[a], &[b], &skeleton, &none).unwrap();
         prop_assert_eq!(direct.duplicator_wins(), shared.duplicator_wins());
         // Same region structure.
-        prop_assert_eq!(direct.unions.len(), shared.unions.len());
-        for (du, su) in direct.unions.iter().zip(shared.unions.iter()) {
-            prop_assert_eq!(&du.elems, &su.elems);
-            prop_assert_eq!(&du.facts_inside, &su.facts_inside);
-        }
-        // Same per-union survivor counts (the fixpoint itself agrees).
-        for (dp, sp) in direct.positions.iter().zip(shared.positions.iter()) {
-            let da = dp.iter().filter(|p| p.death.is_none()).count();
-            let sa = sp.iter().filter(|p| p.death.is_none()).count();
-            prop_assert_eq!(da, sa);
+        prop_assert_eq!(direct.union_count(), shared.union_count());
+        for u in 0..direct.union_count() {
+            prop_assert_eq!(direct.elems(u), shared.elems(u));
+            prop_assert_eq!(direct.facts_inside(u), shared.facts_inside(u));
+            // Same positions, in order, with the same deaths.
+            let dp: Vec<_> = direct.positions(u).collect();
+            let sp: Vec<_> = shared.positions(u).collect();
+            prop_assert_eq!(dp, sp);
         }
     }
 
@@ -60,17 +64,18 @@ proptest! {
         k in 1usize..3,
     ) {
         let d = graph(n, &edges);
-        let skeleton = UnionSkeleton::build(&d, k);
+        let skeleton = UnionSkeleton::build(&d, &d, k);
+        let none = Interrupt::none();
         // Run every ordered pair through the shared skeleton and compare
         // with fresh analyses; interleave to catch state leakage.
         for i in 0..n.min(3) {
             for j in 0..n.min(3) {
                 let a = Val(i as u32);
                 let b = Val(j as u32);
-                let shared =
-                    CoverGame::analyze_with_skeleton(&d, &[a], &d, &[b], &skeleton)
-                        .duplicator_wins();
-                let fresh = CoverGame::analyze(&d, &[a], &d, &[b], k).duplicator_wins();
+                let shared = CoverGame::analyze(&[a], &[b], &skeleton, &none)
+                    .unwrap()
+                    .duplicator_wins();
+                let fresh = covergame::cover_implies(&d, &[a], &d, &[b], k);
                 prop_assert_eq!(shared, fresh, "pair ({},{})", i, j);
             }
         }

@@ -185,13 +185,12 @@ impl<'e> Ctx<'e> {
         ans.map_err(|stop| self.wrap(stop))
     }
 
-    /// [`Ctx::cover_implies`] reusing a prebuilt [`UnionSkeleton`] of
-    /// `(d, skeleton.k)` for the miss path.
+    /// [`Ctx::cover_implies`] for the game from `(skeleton.d, ā)` to
+    /// `(skeleton.d2, b̄)`, reusing the prebuilt [`UnionSkeleton`] and
+    /// its position tables on the miss path.
     pub fn cover_implies_with_skeleton(
         &self,
-        d: &Database,
         a: &[Val],
-        d2: &Database,
         b: &[Val],
         skeleton: &UnionSkeleton,
     ) -> Result<bool, Interrupted> {
@@ -199,16 +198,14 @@ impl<'e> Ctx<'e> {
         let cache = self.engine.game_cache();
         let ans = if self.engine.caching_enabled() {
             cache.implies_with_skeleton_sub_int(
-                d,
                 a,
-                d2,
                 b,
                 skeleton,
                 Some(self.engine.lineage()),
                 &self.interrupt,
             )
         } else {
-            cache.implies_with_skeleton_uncached_int(d, a, d2, b, skeleton, &self.interrupt)
+            cache.implies_with_skeleton_uncached_int(a, b, skeleton, &self.interrupt)
         };
         ans.map_err(|stop| self.wrap(stop))
     }
@@ -299,13 +296,13 @@ impl<'e> Ctx<'e> {
     ) -> Result<CoverPreorder, Interrupted> {
         self.check()?;
         let n = elems.len();
-        let skeleton = UnionSkeleton::build(d, k);
+        let skeleton = UnionSkeleton::build(d, d, k);
         let cells: Vec<(usize, usize)> = (0..n)
             .flat_map(|i| (0..n).map(move |j| (i, j)))
             .filter(|&(i, j)| i != j)
             .collect();
         let verdicts = self.engine.par_map(&cells, |&(i, j)| {
-            self.cover_implies_with_skeleton(d, &[elems[i]], d, &[elems[j]], &skeleton)
+            self.cover_implies_with_skeleton(&[elems[i]], &[elems[j]], &skeleton)
                 .unwrap_or(false)
         });
         // The sticky re-check that makes the filler verdicts safe.

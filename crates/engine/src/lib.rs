@@ -666,7 +666,7 @@ mod tests {
     #[test]
     fn budget_one_engine_runs_drivers_on_the_calling_thread() {
         // Regression for the parallel-slowdown bug: an engine pinned to
-        // one thread must not pay scoped-spawn overhead — every driver
+        // one thread must not pay fan-out overhead — every driver
         // closure runs on the caller.
         let e = Engine::new().with_threads(1);
         assert_eq!(e.effective_parallelism(), 1);

@@ -4,9 +4,17 @@
 //! level: `cq_separable_in` asks Θ(|P|·|N|) independent hom questions,
 //! chain construction fills an n×n preorder matrix, classification maps
 //! each evaluation entity against each class representative. The drivers
-//! here fan those out over `std::thread::scope` workers pulling indices
-//! from a shared atomic cursor — no work queue, no external runtime, and
-//! no allocation beyond one result slot per item.
+//! here fan those out over workers pulling indices from a shared atomic
+//! cursor — no work queue, no external runtime, and no allocation beyond
+//! one result slot per item.
+//!
+//! The calling thread is always one of the workers. The others are
+//! helpers from a process-wide pool of at most `cores − 1` threads,
+//! spawned on first demand and then parked between batches, so a batch
+//! pays a wake-up rather than a thread spawn. A helper joins a batch
+//! only while the batch is still running, and the caller waits only for
+//! helpers that joined: a helper that wakes late costs nothing, and the
+//! batch's first items run in parallel as soon as a helper is free.
 //!
 //! All drivers degrade to the plain sequential loop when the host has a
 //! single core (or the item count is 1), so single-threaded behavior and
@@ -16,15 +24,16 @@
 //! `&Database` freely since databases are immutable during search (the
 //! lazily-computed fingerprint is behind a `OnceLock`).
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
 /// Below this many items per worker, a [`WorkHint::Trivial`] task is not
-/// worth a thread spawn: `std::thread::scope` setup plus cache traffic on
-/// the shared cursor costs on the order of hundreds of microseconds,
-/// which dwarfs that many trivial closure calls. Solver-sized items
-/// (an LP, a hom search) amortize a spawn individually and are exempt.
+/// worth a helper: waking one plus cache traffic on the shared cursor
+/// costs on the order of tens of microseconds, which dwarfs that many
+/// trivial closure calls. Solver-sized items (an LP, a hom search)
+/// amortize a helper individually and are exempt.
 const TRIVIAL_SPAWN_FLOOR: usize = 512;
 
 /// `std::thread::available_parallelism`, probed once per process. The
@@ -39,14 +48,14 @@ pub fn hardware_parallelism() -> usize {
     })
 }
 
-/// Caller's estimate of per-item cost, used to decide whether spawning
-/// workers can pay for itself (see [`TRIVIAL_SPAWN_FLOOR`]).
+/// Caller's estimate of per-item cost, used to decide whether helpers
+/// can pay for themselves (see [`TRIVIAL_SPAWN_FLOOR`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum WorkHint {
     /// Sub-microsecond items (arithmetic, a hash probe): parallelize
     /// only with hundreds of items per worker.
     Trivial,
-    /// Items that individually amortize a spawn (an LP solve, a hom
+    /// Items that individually amortize a helper (an LP solve, a hom
     /// search, a subset block): parallelize whenever cores allow.
     Solver,
 }
@@ -63,6 +72,174 @@ fn worker_count(hw: usize, n_items: usize, budget: Option<usize>, hint: WorkHint
     match hint {
         WorkHint::Solver => w,
         WorkHint::Trivial => w.min(n_items / TRIVIAL_SPAWN_FLOOR).max(1),
+    }
+}
+
+/// A batch's work closure, borrowed from the caller's stack with its
+/// lifetime erased so that pool helpers can call it.
+#[derive(Clone, Copy)]
+struct Work(*const (dyn Fn() + Sync));
+
+// SAFETY: the closure is `Sync`, so calling it from another thread is
+// sound; `run_with_helpers` keeps it alive while any helper holds it.
+unsafe impl Send for Work {}
+
+/// One running batch, as the pool's helpers see it.
+struct Batch {
+    id: u64,
+    work: Work,
+    /// Helpers that may still join.
+    open: usize,
+    /// Helpers inside `work` right now.
+    running: usize,
+    /// Did `work` panic on a helper?
+    panicked: bool,
+}
+
+#[derive(Default)]
+struct PoolState {
+    batches: Vec<Batch>,
+    next_id: u64,
+    /// Helper threads spawned so far (they never exit).
+    threads: usize,
+    /// Helpers parked waiting for a batch.
+    idle: usize,
+}
+
+/// The helper pool shared by every driver call in the process.
+struct Pool {
+    state: Mutex<PoolState>,
+    /// Signalled when a batch is posted.
+    posted: Condvar,
+    /// Signalled when a helper leaves a batch.
+    left: Condvar,
+}
+
+impl Pool {
+    fn get() -> &'static Pool {
+        static POOL: OnceLock<Pool> = OnceLock::new();
+        POOL.get_or_init(|| Pool {
+            state: Mutex::new(PoolState::default()),
+            posted: Condvar::new(),
+            left: Condvar::new(),
+        })
+    }
+
+    /// The pool lock. No closure runs under it, so it is never poisoned
+    /// in a way that leaves the state inconsistent.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A helper thread's life: join any batch with an open slot, run its
+    /// closure to exhaustion, report back, repeat; park while none is open.
+    fn help(&'static self) {
+        let mut st = self.lock();
+        loop {
+            let Some(batch) = st.batches.iter_mut().find(|b| b.open > 0) else {
+                st.idle += 1;
+                st = self.posted.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st.idle -= 1;
+                continue;
+            };
+            batch.open -= 1;
+            batch.running += 1;
+            let (id, work) = (batch.id, batch.work);
+            drop(st);
+            // SAFETY: `running` counts this helper, so the batch's caller
+            // is still inside `run_with_helpers` and the closure is alive.
+            let ok = catch_unwind(AssertUnwindSafe(|| unsafe { (*work.0)() })).is_ok();
+            st = self.lock();
+            let batch = st
+                .batches
+                .iter_mut()
+                .find(|b| b.id == id)
+                .expect("a batch outlives its helpers");
+            batch.running -= 1;
+            batch.panicked |= !ok;
+            if batch.running == 0 {
+                self.left.notify_all();
+            }
+        }
+    }
+}
+
+/// Run `work` on the calling thread while up to `helpers` pool threads
+/// run it too, and return once every copy has returned. `work` must
+/// pull its items from shared state and return when none is left; a
+/// helper that joins after that finds nothing and leaves at once.
+/// A panic in any copy reaches the caller.
+fn run_with_helpers(helpers: usize, work: &(dyn Fn() + Sync)) {
+    /// Closes the batch and waits for the helpers inside it, also when
+    /// the caller's own share unwinds.
+    struct Leave(&'static Pool, u64);
+    impl Leave {
+        /// Close the batch to new helpers, wait for the ones inside and
+        /// drop it. True iff one of them panicked. Idempotent.
+        fn close(&self) -> bool {
+            let Leave(pool, id) = *self;
+            let at = |st: &PoolState| st.batches.iter().position(|b| b.id == id);
+            let mut st = pool.lock();
+            let Some(i) = at(&st) else {
+                return false;
+            };
+            st.batches[i].open = 0;
+            loop {
+                let i = at(&st).expect("a batch stays posted until its caller closes it");
+                if st.batches[i].running == 0 {
+                    return st.batches.swap_remove(i).panicked;
+                }
+                st = pool.left.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+    }
+    impl Drop for Leave {
+        fn drop(&mut self) {
+            self.close();
+        }
+    }
+
+    let pool = Pool::get();
+    // SAFETY: only the lifetime changes. `leave` is created while the
+    // batch is posted and, on return or unwind, waits until no helper
+    // holds the pointer, so it never outlives this frame's borrow.
+    let shared = Work(unsafe {
+        std::mem::transmute::<*const (dyn Fn() + Sync + '_), *const (dyn Fn() + Sync)>(work)
+    });
+    let (leave, spawn) = {
+        let mut st = pool.lock();
+        let id = st.next_id;
+        st.next_id += 1;
+        st.batches.push(Batch {
+            id,
+            work: shared,
+            open: helpers,
+            running: 0,
+            panicked: false,
+        });
+        let room = hardware_parallelism().saturating_sub(1 + st.threads);
+        let spawn = helpers.saturating_sub(st.idle).min(room);
+        st.threads += spawn;
+        (Leave(pool, id), spawn)
+    };
+    for _ in 0..helpers {
+        pool.posted.notify_one();
+    }
+    for _ in 0..spawn {
+        // Helpers live for the process and are never joined: they park
+        // between batches, and a panic inside a batch is caught and
+        // handed to that batch's caller.
+        let spawned = thread::Builder::new()
+            .name("par-helper".into())
+            .spawn(|| Pool::get().help());
+        if spawned.is_err() {
+            // The caller makes progress alone; fewer helpers join.
+            pool.lock().threads -= 1;
+        }
+    }
+    work();
+    if leave.close() {
+        panic!("parallel worker panicked");
     }
 }
 
@@ -110,22 +287,18 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let refuted = AtomicBool::new(false);
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                if refuted.load(Ordering::Relaxed) {
-                    break;
-                }
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= pairs.len() {
-                    break;
-                }
-                let (a, b) = pairs[i];
-                if !pred(a, b) {
-                    refuted.store(true, Ordering::Relaxed);
-                    break;
-                }
-            });
+    run_with_helpers(workers - 1, &|| loop {
+        if refuted.load(Ordering::Relaxed) {
+            break;
+        }
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= pairs.len() {
+            break;
+        }
+        let (a, b) = pairs[i];
+        if !pred(a, b) {
+            refuted.store(true, Ordering::Relaxed);
+            break;
         }
     });
     !refuted.load(Ordering::Relaxed)
@@ -166,29 +339,22 @@ where
         return items.iter().map(f).collect();
     }
     let cursor = AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, U)>> = thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(&items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
+    let done: Mutex<Vec<(usize, U)>> = Mutex::new(Vec::with_capacity(items.len()));
+    run_with_helpers(workers - 1, &|| {
+        let mut out = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= items.len() {
+                break;
+            }
+            out.push((i, f(&items[i])));
+        }
+        done.lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend(out);
     });
     let mut slots: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
-    for (i, u) in per_worker.into_iter().flatten() {
+    for (i, u) in done.into_inner().unwrap_or_else(PoisonError::into_inner) {
         slots[i] = Some(u);
     }
     slots
@@ -237,20 +403,16 @@ where
     }
     let cursor = AtomicUsize::new(0);
     let best = AtomicUsize::new(usize::MAX);
-    thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                // Indices are claimed in ascending order, so anything at
-                // or past the current best cannot improve it.
-                if i >= items.len() || i >= best.load(Ordering::Relaxed) {
-                    break;
-                }
-                if pred(&items[i]) {
-                    best.fetch_min(i, Ordering::Relaxed);
-                    break;
-                }
-            });
+    run_with_helpers(workers - 1, &|| loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        // Indices are claimed in ascending order, so anything at or past
+        // the current best cannot improve it.
+        if i >= items.len() || i >= best.load(Ordering::Relaxed) {
+            break;
+        }
+        if pred(&items[i]) {
+            best.fetch_min(i, Ordering::Relaxed);
+            break;
         }
     });
     let b = best.load(Ordering::Relaxed);
@@ -370,6 +532,69 @@ mod tests {
             pairs.len(),
             "par_all_pairs spawned"
         );
+    }
+
+    #[test]
+    fn helpers_join_while_the_first_item_runs() {
+        // Two items that each wait for the other to start: they finish
+        // only if a helper takes item 1 while the caller is still inside
+        // item 0, i.e. the batch fans out from its first item.
+        if hardware_parallelism() < 2 {
+            return;
+        }
+        let started = AtomicUsize::new(0);
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        let met = par_map(&[0, 1], |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            while started.load(Ordering::SeqCst) < 2 {
+                if std::time::Instant::now() > deadline {
+                    return false;
+                }
+                thread::yield_now();
+            }
+            true
+        });
+        assert_eq!(met, vec![true, true], "the two items never overlapped");
+    }
+
+    #[test]
+    fn helper_threads_are_reused_across_batches() {
+        let items: Vec<usize> = (0..64).collect();
+        let mut ids = std::collections::HashSet::new();
+        for _ in 0..50 {
+            ids.extend(par_map(&items, |_| thread::current().id()));
+        }
+        // The caller plus at most `cores − 1` pool helpers, however many
+        // batches ran.
+        assert!(ids.len() <= hardware_parallelism(), "{} threads", ids.len());
+    }
+
+    #[test]
+    fn a_panicking_item_reaches_the_caller_and_the_pool_survives() {
+        let items: Vec<usize> = (0..200).collect();
+        for bad in [0, 199] {
+            let outcome = std::panic::catch_unwind(|| {
+                par_map(&items, |&x| {
+                    assert_ne!(x, bad, "item {bad} fails");
+                    x
+                })
+            });
+            assert!(outcome.is_err(), "the panic of item {bad} was lost");
+        }
+        assert_eq!(par_map(&items, |&x| x + 1)[199], 200);
+    }
+
+    #[test]
+    fn nested_batches_finish() {
+        let outer: Vec<usize> = (0..8).collect();
+        let inner: Vec<usize> = (0..100).collect();
+        let sums = par_map(&outer, |&o| {
+            par_map(&inner, |&i| i * o).iter().sum::<usize>()
+        });
+        assert_eq!(sums, outer.iter().map(|&o| 4950 * o).collect::<Vec<_>>());
+        assert!(par_all_pairs(&[(1, 2), (3, 4)], |a, b| {
+            par_find_first(&inner, |&i| i == a + b).is_some()
+        }));
     }
 
     #[test]
