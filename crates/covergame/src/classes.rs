@@ -9,8 +9,7 @@
 //! implicit chain statistic `Π = (q_{e_1}, …, q_{e_m})` that the paper's
 //! algorithms use *without materializing it*.
 
-use crate::cache::GameCache;
-use interrupt::{Interrupt, Stop};
+use interrupt::Interrupt;
 use relational::{Database, Val};
 
 /// The computed preorder `⪯` over a list of elements of one database.
@@ -29,63 +28,14 @@ pub struct CoverPreorder {
 }
 
 impl CoverPreorder {
-    /// Compute the preorder over `elems` (typically `η(D)`), memoizing
-    /// through `cache`.
-    ///
-    /// Cost: one cover-game analysis per ordered pair — `O(|elems|²)`
-    /// polynomial-time game solves, exactly as in Theorem 5.3's test.
-    /// The solves fan out over all cores and share one [`UnionSkeleton`]
-    /// (so one position table per union), and re-sweeping an unchanged
-    /// database is nearly free.
+    /// The sequential, uncached sweep: one cover-game analysis per
+    /// ordered pair — `O(|elems|²)` polynomial-time game solves, exactly
+    /// as in Theorem 5.3's test — over one shared [`UnionSkeleton`]. The
+    /// engine's `Ctx::preorder` is the memoized, parallel, interruptible
+    /// form; this one is its reference oracle for the agreement tests
+    /// and the engine benchmarks.
     ///
     /// [`UnionSkeleton`]: crate::skeleton::UnionSkeleton
-    pub fn compute_with(d: &Database, elems: &[Val], k: usize, cache: &GameCache) -> CoverPreorder {
-        Self::compute_int(d, elems, k, cache, &Interrupt::none())
-            .expect("an unshared handle cannot trip")
-    }
-
-    /// Interruptible [`CoverPreorder::compute_with`]: every pairwise game
-    /// observes `intr`. Workers that trip mid-batch report a filler
-    /// verdict; stickiness means the post-fan-in re-check below sees the
-    /// trip, discards the whole (possibly bogus) matrix, and propagates
-    /// [`Stop`]. Completed games keep their cache entries, so a re-run on
-    /// the same cache resumes where the sweep left off.
-    pub fn compute_int(
-        d: &Database,
-        elems: &[Val],
-        k: usize,
-        cache: &GameCache,
-        intr: &Interrupt,
-    ) -> Result<CoverPreorder, Stop> {
-        intr.check()?;
-        let n = elems.len();
-        // One skeleton for all n² games (the unions and their position
-        // tables depend only on D).
-        let skeleton = crate::skeleton::UnionSkeleton::build(d, d, k);
-        let cells: Vec<(usize, usize)> = (0..n)
-            .flat_map(|i| (0..n).map(move |j| (i, j)))
-            .filter(|&(i, j)| i != j)
-            .collect();
-        let verdicts = relational::hom::par::par_map(&cells, |&(i, j)| {
-            cache
-                .implies_with_skeleton_int(&[elems[i]], &[elems[j]], &skeleton, intr)
-                .unwrap_or(false)
-        });
-        // The sticky re-check that makes the filler verdicts safe.
-        intr.check()?;
-        let mut leq = vec![vec![false; n]; n];
-        for (i, row) in leq.iter_mut().enumerate() {
-            row[i] = true;
-        }
-        for (&(i, j), v) in cells.iter().zip(verdicts) {
-            leq[i][j] = v;
-        }
-        Ok(Self::from_matrix(elems.to_vec(), leq, k))
-    }
-
-    /// The original sequential, uncached sweep. Kept as the reference
-    /// implementation for the agreement property tests and the engine
-    /// benchmarks.
     pub fn compute_seq(d: &Database, elems: &[Val], k: usize) -> CoverPreorder {
         let n = elems.len();
         let skeleton = crate::skeleton::UnionSkeleton::build(d, d, k);
@@ -192,48 +142,12 @@ impl CoverPreorder {
             .map(|j| if self.class_leq(j, c) { 1 } else { -1 })
             .collect()
     }
-
-    /// Evaluate the implicit statistic on a *new* element of an evaluation
-    /// database: component `j` is `+1` iff `(D, e_j) →_k (D', f)` (the key
-    /// step of Algorithm 1, lines 3–9), memoizing through `cache`.
-    pub fn chain_vector_for_with(
-        &self,
-        d: &Database,
-        d2: &Database,
-        f: Val,
-        cache: &GameCache,
-    ) -> Vec<i32> {
-        self.chain_vector_for_int(d, d2, f, cache, &Interrupt::none())
-            .expect("an unshared handle cannot trip")
-    }
-
-    /// Interruptible [`CoverPreorder::chain_vector_for_with`]: each of
-    /// the `class_count` games observes `intr`; the partial vector is
-    /// discarded on [`Stop`].
-    pub fn chain_vector_for_int(
-        &self,
-        d: &Database,
-        d2: &Database,
-        f: Val,
-        cache: &GameCache,
-        intr: &Interrupt,
-    ) -> Result<Vec<i32>, Stop> {
-        (0..self.class_count())
-            .map(|j| {
-                let rep = self.elems[self.representative(j)];
-                Ok(if cache.implies_int(d, &[rep], d2, &[f], self.k, intr)? {
-                    1
-                } else {
-                    -1
-                })
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::GameCache;
     use relational::{DbBuilder, Schema};
 
     fn graph(edges: &[(&str, &str)], entities: &[&str]) -> Database {
@@ -252,7 +166,7 @@ mod tests {
     #[test]
     fn path_gives_distinct_singleton_classes() {
         let d = graph(&[("1", "2"), ("2", "3")], &["1", "2", "3"]);
-        let pre = CoverPreorder::compute_with(&d, &d.entities(), 1, &GameCache::new());
+        let pre = CoverPreorder::compute_seq(&d, &d.entities(), 1);
         assert_eq!(pre.class_count(), 3);
         assert!(pre.classes.iter().all(|c| c.len() == 1));
     }
@@ -261,7 +175,7 @@ mod tests {
     fn cycle_elements_collapse_to_one_class() {
         let d = graph(&[("a", "b"), ("b", "c"), ("c", "a")], &["a", "b", "c"]);
         for k in 1..=2 {
-            let pre = CoverPreorder::compute_with(&d, &d.entities(), k, &GameCache::new());
+            let pre = CoverPreorder::compute_seq(&d, &d.entities(), k);
             assert_eq!(pre.class_count(), 1, "k={k}");
             assert_eq!(pre.classes[0].len(), 3);
         }
@@ -282,7 +196,7 @@ mod tests {
             ],
             &["a", "b", "c", "z"],
         );
-        let pre = CoverPreorder::compute_with(&d, &d.entities(), 1, &GameCache::new());
+        let pre = CoverPreorder::compute_seq(&d, &d.entities(), 1);
         for c in 0..pre.class_count() {
             for e in 0..pre.class_count() {
                 if pre.class_leq(c, e) && c != e {
@@ -296,7 +210,7 @@ mod tests {
     fn chain_vectors_are_monotone() {
         // e ⪯ e' implies chain_vector(e) ≤ chain_vector(e') pointwise.
         let d = graph(&[("1", "2"), ("2", "3"), ("3", "4")], &["1", "2", "3", "4"]);
-        let pre = CoverPreorder::compute_with(&d, &d.entities(), 1, &GameCache::new());
+        let pre = CoverPreorder::compute_seq(&d, &d.entities(), 1);
         for c in 0..pre.class_count() {
             let vc = pre.chain_vector(c);
             assert_eq!(vc[c], 1, "class selects its own feature");
@@ -316,9 +230,18 @@ mod tests {
         // Evaluating the implicit statistic on the training database
         // itself must reproduce chain_vector.
         let d = graph(&[("1", "2"), ("2", "3")], &["1", "2", "3"]);
-        let pre = CoverPreorder::compute_with(&d, &d.entities(), 1, &GameCache::new());
+        let pre = CoverPreorder::compute_seq(&d, &d.entities(), 1);
+        let cache = GameCache::new();
         for (i, &e) in pre.elems.iter().enumerate() {
-            let via_eval = pre.chain_vector_for_with(&d, &d, e, &GameCache::new());
+            let via_eval: Vec<i32> = (0..pre.class_count())
+                .map(|j| {
+                    let rep = pre.elems[pre.representative(j)];
+                    match cache.implies(&d, &[rep], &d, &[e], 1, None, &Interrupt::none()) {
+                        Ok(true) => 1,
+                        _ => -1,
+                    }
+                })
+                .collect();
             let via_class = pre.chain_vector(pre.class_of[i]);
             assert_eq!(via_eval, via_class);
         }
@@ -327,7 +250,7 @@ mod tests {
     #[test]
     fn isolated_entities_share_a_class() {
         let d = graph(&[("a", "b")], &["x", "y", "a"]);
-        let pre = CoverPreorder::compute_with(&d, &d.entities(), 1, &GameCache::new());
+        let pre = CoverPreorder::compute_seq(&d, &d.entities(), 1);
         let xi = pre
             .elems
             .iter()

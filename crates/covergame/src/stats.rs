@@ -3,7 +3,8 @@
 //!
 //! Each memo cache ([`crate::cache::GameCache`]) counts the games it
 //! solved, the positions they enumerated and the sweeps their
-//! greatest-fixpoint computations took, next to its hit/miss counts.
+//! greatest-fixpoint computations took, next to its memo's hit/miss
+//! counts.
 //! [`GameStats`] is a snapshot of one cache's counters, so a caller (the
 //! CLI `--stats` flag, the bench harness) can difference two snapshots
 //! around a region of interest.
@@ -95,7 +96,9 @@ mod tests {
         let a = c3.val_by_name("a").unwrap();
         let x = p.val_by_name("x").unwrap();
         // Spoiler wins this one, which takes at least one sweep.
-        assert!(!cache.implies(&c3, &[a], &p, &[x], 1));
+        assert!(!cache
+            .implies(&c3, &[a], &p, &[x], 1, None, &interrupt::Interrupt::none())
+            .unwrap());
         let delta = cache.stats().since(&before);
         assert!(delta.games_solved >= 1, "delta={delta:?}");
         assert!(delta.positions_explored >= 1, "delta={delta:?}");

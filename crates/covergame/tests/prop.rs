@@ -3,7 +3,9 @@
 //! the pebble game.
 
 use covergame::extract::{extract_distinguishing_query, lemma54_feature};
-use covergame::{cover_implies, pebble_equivalent, CoverPreorder, ExtractError, GameCache};
+use covergame::{
+    cover_implies, pebble_equivalent, CoverPreorder, ExtractError, GameCache, UnionSkeleton,
+};
 use cq::{evaluate_unary, selects};
 use interrupt::Interrupt;
 use proptest::prelude::*;
@@ -33,27 +35,38 @@ fn small_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// All `CoverPreorder` sweeps agree: the interruptible sweep under an
-    /// unbounded handle, the sweep through a cold isolated cache,
-    /// a warm re-sweep of the same cache, and the sequential uncached
-    /// reference — and all of them match pairwise brute-force
-    /// `cover_implies`. The resulting `leq` matrix is a preorder
-    /// (reflexive and transitive).
+    /// The memoized game agrees with the reference sweep: the `leq`
+    /// matrix read through a cold isolated cache and again warm equals
+    /// the sequential uncached `CoverPreorder::compute_seq`, and all of
+    /// them match pairwise brute-force `cover_implies`. The resulting
+    /// `leq` matrix is a preorder (reflexive and transitive). The
+    /// engine's parallel, interruptible sweep is checked against the same
+    /// reference in `crates/engine/tests/preorder_agreement.rs`.
     #[test]
     fn engine_agreement((n, e) in small_graph(), k in 1usize..3) {
         let d = graph(n, &e, true);
         let ents = d.entities();
         let seq = CoverPreorder::compute_seq(&d, &ents, k);
-        let unbounded = CoverPreorder::compute_int(&d, &ents, k, &GameCache::new(), &Interrupt::none())
-            .unwrap();
+        let skeleton = UnionSkeleton::build(&d, &d, k);
         let isolated = GameCache::new();
-        let cold = CoverPreorder::compute_with(&d, &ents, k, &isolated);
-        let warm = CoverPreorder::compute_with(&d, &ents, k, &isolated);
-        prop_assert_eq!(&unbounded.leq, &seq.leq, "interruptible sweep disagrees");
-        prop_assert_eq!(&cold.leq, &seq.leq, "cold isolated cache disagrees");
-        prop_assert_eq!(&warm.leq, &seq.leq, "warm re-sweep disagrees");
-        prop_assert_eq!(&unbounded.class_of, &seq.class_of);
-        prop_assert_eq!(&unbounded.classes, &seq.classes);
+        let sweep = || -> Vec<Vec<bool>> {
+            ents.iter()
+                .map(|&a| {
+                    ents.iter()
+                        .map(|&b| {
+                            a == b
+                                || isolated
+                                    .implies_with_skeleton(&[a], &[b], &skeleton, None, &Interrupt::none())
+                                    .unwrap()
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let cold = sweep();
+        let warm = sweep();
+        prop_assert_eq!(&cold, &seq.leq, "cold isolated cache disagrees");
+        prop_assert_eq!(&warm, &seq.leq, "warm re-sweep disagrees");
         for (i, &a) in ents.iter().enumerate() {
             for (j, &b) in ents.iter().enumerate() {
                 let brute = cover_implies(&d, &[a], &d, &[b], k);
@@ -172,7 +185,7 @@ proptest! {
     fn preorder_structure((n, e) in small_graph(), k in 1usize..3) {
         let d = graph(n, &e, true);
         let ents = d.entities();
-        let pre = CoverPreorder::compute_with(&d, &ents, k, &GameCache::new());
+        let pre = CoverPreorder::compute_seq(&d, &ents, k);
         for (i, _) in ents.iter().enumerate() {
             for (j, _) in ents.iter().enumerate() {
                 let same = pre.class_of[i] == pre.class_of[j];

@@ -142,8 +142,9 @@ impl<'e> Ctx<'e> {
     // ------------------------------------------------------------------
 
     /// Does a homomorphism `from → to` extending `fixed` exist?
-    /// Memoized through the engine's table (unless caching is off), with
-    /// delta subsumption against the engine's lineage registry.
+    /// Memoized through the engine's table (unless its memo is
+    /// bypassed), with delta subsumption against the engine's lineage
+    /// registry.
     pub fn hom_exists(
         &self,
         from: &Database,
@@ -151,19 +152,11 @@ impl<'e> Ctx<'e> {
         fixed: &[(Val, Val)],
     ) -> Result<bool, Interrupted> {
         self.check()?;
-        let cache = self.engine.hom_cache();
-        let ans = if self.engine.caching_enabled() {
-            cache.exists_sub_int(
-                from,
-                to,
-                fixed,
-                Some(self.engine.lineage()),
-                &self.interrupt,
-            )
-        } else {
-            cache.exists_uncached_int(from, to, fixed, &self.interrupt)
-        };
-        ans.map_err(|stop| self.wrap(stop))
+        let lineage = Some(self.engine.lineage());
+        self.engine
+            .hom_cache()
+            .exists(from, to, fixed, lineage, &self.interrupt)
+            .map_err(|stop| self.wrap(stop))
     }
 
     /// `(D, ā) →_k (D', b̄)`, memoized through the engine's table.
@@ -176,13 +169,11 @@ impl<'e> Ctx<'e> {
         k: usize,
     ) -> Result<bool, Interrupted> {
         self.check()?;
-        let cache = self.engine.game_cache();
-        let ans = if self.engine.caching_enabled() {
-            cache.implies_sub_int(d, a, d2, b, k, Some(self.engine.lineage()), &self.interrupt)
-        } else {
-            cache.implies_uncached_int(d, a, d2, b, k, &self.interrupt)
-        };
-        ans.map_err(|stop| self.wrap(stop))
+        let lineage = Some(self.engine.lineage());
+        self.engine
+            .game_cache()
+            .implies(d, a, d2, b, k, lineage, &self.interrupt)
+            .map_err(|stop| self.wrap(stop))
     }
 
     /// [`Ctx::cover_implies`] for the game from `(skeleton.d, ā)` to
@@ -195,26 +186,18 @@ impl<'e> Ctx<'e> {
         skeleton: &UnionSkeleton,
     ) -> Result<bool, Interrupted> {
         self.check()?;
-        let cache = self.engine.game_cache();
-        let ans = if self.engine.caching_enabled() {
-            cache.implies_with_skeleton_sub_int(
-                a,
-                b,
-                skeleton,
-                Some(self.engine.lineage()),
-                &self.interrupt,
-            )
-        } else {
-            cache.implies_with_skeleton_uncached_int(a, b, skeleton, &self.interrupt)
-        };
-        ans.map_err(|stop| self.wrap(stop))
+        let lineage = Some(self.engine.lineage());
+        self.engine
+            .game_cache()
+            .implies_with_skeleton(a, b, skeleton, lineage, &self.interrupt)
+            .map_err(|stop| self.wrap(stop))
     }
 
     /// Interruptible [`Engine::apply_delta`]: mutate `db` by `delta`,
     /// recording the fingerprint edge in the engine's lineage registry.
     /// Delta application itself is cheap and atomic, so only the entry
     /// check observes the handle; the nested `Result` keeps interruption
-    /// composing with [`DeltaError`] like every other `foo_in`.
+    /// composing with [`relational::DeltaError`] like every other `foo_in`.
     pub fn apply_delta(
         &self,
         db: &mut Database,
@@ -251,7 +234,7 @@ impl<'e> Ctx<'e> {
     /// ≤ℓ sweep warm-starting `S ∪ {j}` or a same-size sibling — see
     /// [`linsep::SepBasis`]) and returning the verdict, with its optimal
     /// margin, together with this instance's final basis. An offer skips
-    /// the perceptron tier, so the LP decides (see [`linsep::separate`]).
+    /// the perceptron tier, so the LP decides (see [`linsep::separate()`]).
     pub fn separate_warm(
         &self,
         vectors: &[Vec<i32>],

@@ -57,8 +57,6 @@ pub struct Engine {
     lineage: Arc<Lineage>,
     /// Worker-thread cap for the parallel drivers (`None` = all cores).
     threads: Option<usize>,
-    /// When false, queries bypass the memo tables entirely.
-    use_cache: bool,
 }
 
 impl Engine {
@@ -71,7 +69,6 @@ impl Engine {
             lp: Arc::new(LpCounters::new()),
             lineage: Arc::new(Lineage::new()),
             threads: None,
-            use_cache: true,
         }
     }
 
@@ -92,10 +89,13 @@ impl Engine {
         self
     }
 
-    /// Disable memoization: queries still run (and count) through the
-    /// engine's caches, but the tables are neither consulted nor updated.
+    /// Disable memoization: the engine gets fresh caches of the same
+    /// capacity whose memos are bypassed (see
+    /// [`relational::Memo::without_memo`]) — queries still run and count
+    /// through them, but the tables are neither consulted nor updated.
     pub fn without_cache(mut self) -> Engine {
-        self.use_cache = false;
+        self.hom = Arc::new(HomCache::with_capacity(self.hom.capacity()).without_memo());
+        self.game = Arc::new(GameCache::with_capacity(self.game.capacity()).without_memo());
         self
     }
 
@@ -141,9 +141,10 @@ impl Engine {
         self.threads.map_or(hw, |t| t.clamp(1, hw))
     }
 
-    /// Is memoization enabled?
+    /// Is memoization enabled? (A property of the engine's tables, set
+    /// by [`Engine::without_cache`].)
     pub fn caching_enabled(&self) -> bool {
-        self.use_cache
+        self.hom.memoizes()
     }
 
     /// The hom-existence memo table.
@@ -212,7 +213,7 @@ impl Engine {
         B: Copy + Sync,
         F: Fn(A, B) -> bool + Sync,
     {
-        relational::hom::par::par_all_pairs_capped(pairs, self.threads, pred)
+        relational::hom::par::par_all_pairs(pairs, self.threads, pred)
     }
 
     /// Map `f` over `items` in parallel, preserving order; workers capped
@@ -223,7 +224,7 @@ impl Engine {
         U: Send,
         F: Fn(&T) -> U + Sync,
     {
-        relational::hom::par::par_map_capped(items, self.threads, f)
+        relational::hom::par::par_map(items, self.threads, f)
     }
 
     /// Index of the first (lowest-index) item satisfying `pred`; workers
@@ -233,38 +234,7 @@ impl Engine {
         T: Sync,
         F: Fn(&T) -> bool + Sync,
     {
-        relational::hom::par::par_find_first_capped(items, self.threads, pred)
-    }
-
-    /// [`Engine::par_map`] with a per-item cost hint: trivial items run
-    /// sequentially unless the batch is large enough to amortize thread
-    /// spawns (see [`relational::hom::par::WorkHint`]).
-    pub fn par_map_hinted<T, U, F>(
-        &self,
-        items: &[T],
-        hint: relational::hom::par::WorkHint,
-        f: F,
-    ) -> Vec<U>
-    where
-        T: Sync,
-        U: Send,
-        F: Fn(&T) -> U + Sync,
-    {
-        relational::hom::par::par_map_hinted(items, self.threads, hint, f)
-    }
-
-    /// [`Engine::par_find_first`] with a per-item cost hint.
-    pub fn par_find_first_hinted<T, F>(
-        &self,
-        items: &[T],
-        hint: relational::hom::par::WorkHint,
-        pred: F,
-    ) -> Option<usize>
-    where
-        T: Sync,
-        F: Fn(&T) -> bool + Sync,
-    {
-        relational::hom::par::par_find_first_hinted(items, self.threads, hint, pred)
+        relational::hom::par::par_find_first(items, self.threads, pred)
     }
 
     // ------------------------------------------------------------------
@@ -705,11 +675,23 @@ mod tests {
         let e = Engine::new();
         let ctx = e.ctx();
         let pre = ctx.preorder(&d, &d.entities(), 1).unwrap();
-        for &f in &pre.elems {
-            assert_eq!(
-                ctx.chain_vector_for(&pre, &d, &d, f).unwrap(),
-                pre.chain_vector_for_with(&d, &d, f, e.game_cache())
-            );
+        let none = Interrupt::none();
+        let cache = GameCache::new();
+        for (i, &f) in pre.elems.iter().enumerate() {
+            let direct: Vec<i32> = (0..pre.class_count())
+                .map(|j| {
+                    let rep = pre.elems[pre.representative(j)];
+                    match cache.implies(&d, &[rep], &d, &[f], 1, None, &none) {
+                        Ok(true) => 1,
+                        _ => -1,
+                    }
+                })
+                .collect();
+            let via_ctx = ctx.chain_vector_for(&pre, &d, &d, f).unwrap();
+            assert_eq!(via_ctx, direct);
+            // On the training database itself it reproduces the class's
+            // own chain vector.
+            assert_eq!(via_ctx, pre.chain_vector(pre.class_of[i]));
         }
     }
 

@@ -203,3 +203,104 @@ fn save_overwrites_atomically_and_is_reloadable() {
     assert_eq!(summary.hom_entries, 3);
     assert_eq!(summary.game_entries, 2);
 }
+
+/// A v1 table (the pre-checksum format) is a cold start, not an error.
+#[test]
+fn v1_file_loads_as_a_cold_start() {
+    let tmp = TempDir::new("v1");
+    fs::create_dir_all(&tmp.0).unwrap();
+    // One well-formed v1 hom entry: magic, count, from/to fingerprints,
+    // no fixed pairs, verdict — and no checksum.
+    let mut v1 = b"CQSEPCH1".to_vec();
+    v1.extend_from_slice(&1u64.to_le_bytes());
+    v1.extend_from_slice(&1u128.to_le_bytes());
+    v1.extend_from_slice(&2u128.to_le_bytes());
+    v1.extend_from_slice(&0u32.to_le_bytes());
+    v1.push(1);
+    fs::write(tmp.0.join(HOM_FILE), &v1).unwrap();
+    let e = Engine::new();
+    assert_eq!(e.load(&tmp.0).unwrap(), Default::default());
+    assert!(e.hom_cache().is_empty());
+}
+
+/// The parent of the closing edit in the bit-flip workload: the path
+/// `a → b → c`, which the 3-cycle does not map into (no hom, and
+/// Spoiler wins the 1-cover game).
+fn open_path() -> Database {
+    graph(&[("a", "b"), ("b", "c")])
+}
+
+fn closing_edge() -> Delta {
+    Delta::new().add_fact("E", &["c", "a"])
+}
+
+/// [`run_workload`] plus two negative verdicts on [`open_path`] and the
+/// insert-only edit that closes it into a 3-cycle. The closed path is
+/// never queried here, so a replay can only answer it by a fresh solve
+/// or by subsumption through the saved lineage edge.
+fn seed_flip_workload(e: &Engine) {
+    run_workload(e);
+    let c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")]);
+    let mut p = open_path();
+    assert!(!e.ctx().hom_exists(&c3, &p, &[]).unwrap());
+    assert!(!e.ctx().cover_implies(&c3, &[], &p, &[], 1).unwrap());
+    e.apply_delta(&mut p, &closing_edge()).unwrap();
+}
+
+/// Every verdict of [`seed_flip_workload`], then the closed path's —
+/// which an insert-only edge must not answer from the negative parent
+/// verdicts.
+fn replay_flip_workload(e: &Engine) -> Vec<bool> {
+    let mut verdicts = run_workload(e);
+    let c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")]);
+    let mut p = open_path();
+    verdicts.push(e.ctx().hom_exists(&c3, &p, &[]).unwrap());
+    verdicts.push(e.ctx().cover_implies(&c3, &[], &p, &[], 1).unwrap());
+    e.apply_delta(&mut p, &closing_edge()).unwrap();
+    verdicts.push(e.ctx().hom_exists(&c3, &p, &[]).unwrap());
+    verdicts.push(e.ctx().cover_implies(&c3, &[], &p, &[], 1).unwrap());
+    verdicts
+}
+
+/// A saved table with any single bit flipped loads as a cold start for
+/// that file (or, for a flip the decoder cannot see, as the same
+/// entries): a restored engine never answers differently from one that
+/// loaded the intact files. Exhaustive over every bit of every file.
+#[test]
+fn bit_flips_never_change_a_verdict() {
+    let tmp = TempDir::new("bitflip");
+    let first = Engine::new();
+    seed_flip_workload(&first);
+    first.save(&tmp.0).unwrap();
+
+    let intact = Engine::new();
+    let restored = intact.load(&tmp.0).unwrap();
+    assert_eq!(restored.lineage_edges, 1);
+    let expected = replay_flip_workload(&intact);
+    assert_eq!(
+        expected,
+        replay_flip_workload(&Engine::new()),
+        "cold replay"
+    );
+    assert_eq!(&expected[4..], &[false, false, true, true]);
+
+    for name in [HOM_FILE, GAME_FILE, LINEAGE_FILE] {
+        let path = tmp.0.join(name);
+        let original = fs::read(&path).unwrap();
+        for byte in 0..original.len() {
+            for bit in 0..8 {
+                let mut flipped = original.clone();
+                flipped[byte] ^= 1 << bit;
+                fs::write(&path, &flipped).unwrap();
+                let e = Engine::new();
+                e.load(&tmp.0).unwrap();
+                assert_eq!(
+                    replay_flip_workload(&e),
+                    expected,
+                    "{name}: flipping bit {bit} of byte {byte} changed a verdict"
+                );
+            }
+        }
+        fs::write(&path, &original).unwrap();
+    }
+}

@@ -881,7 +881,7 @@ impl Lineage {
     /// Insert-only chains compose to `Subset` (ancestor ⊆ `fp`),
     /// delete-only chains to `Superset`; a direction change breaks the
     /// containment, so mixed chains are not followed. Bounded by
-    /// [`MAX_ANCESTORS`]/[`MAX_WALK`] so a probe stays O(1)-ish.
+    /// `MAX_ANCESTORS`/`MAX_WALK` so a probe stays O(1)-ish.
     pub fn ancestors(&self, fp: u128) -> Vec<(u128, Containment)> {
         if self.no_edges() {
             return Vec::new();

@@ -430,7 +430,7 @@ pub fn find_homomorphism(
 }
 
 /// Are `(D, a)` and `(D', b)` homomorphically equivalent as pointed
-/// databases? This is CQ-indistinguishability of `a` and `b` ([22]; used by
+/// databases? This is CQ-indistinguishability of `a` and `b` (\[22\]; used by
 /// the CQ-Sep baseline and §6.2).
 pub fn hom_equivalent(d: &Database, a: Val, d2: &Database, b: Val) -> bool {
     homomorphism_exists(d, d2, &[(a, b)]) && homomorphism_exists(d2, d, &[(b, a)])

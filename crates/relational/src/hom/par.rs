@@ -29,13 +29,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
-/// Below this many items per worker, a [`WorkHint::Trivial`] task is not
-/// worth a helper: waking one plus cache traffic on the shared cursor
-/// costs on the order of tens of microseconds, which dwarfs that many
-/// trivial closure calls. Solver-sized items (an LP, a hom search)
-/// amortize a helper individually and are exempt.
-const TRIVIAL_SPAWN_FLOOR: usize = 512;
-
 /// `std::thread::available_parallelism`, probed once per process. The
 /// drivers consult this on every call, and the syscall behind it is not
 /// free on all platforms.
@@ -48,31 +41,14 @@ pub fn hardware_parallelism() -> usize {
     })
 }
 
-/// Caller's estimate of per-item cost, used to decide whether helpers
-/// can pay for themselves (see [`TRIVIAL_SPAWN_FLOOR`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WorkHint {
-    /// Sub-microsecond items (arithmetic, a hash probe): parallelize
-    /// only with hundreds of items per worker.
-    Trivial,
-    /// Items that individually amortize a helper (an LP solve, a hom
-    /// search, a subset block): parallelize whenever cores allow.
-    Solver,
-}
-
 /// Worker count for `n_items` independent tasks under an optional thread
-/// budget (an engine's configured cap) and a per-item cost hint: the
-/// available parallelism, capped by the budget and the number of items,
-/// then throttled so trivial items keep at least
-/// [`TRIVIAL_SPAWN_FLOOR`] of them per worker. `Some(0)` is treated as
-/// 1 — the drivers always make progress. Pure in `hw` for testability.
-fn worker_count(hw: usize, n_items: usize, budget: Option<usize>, hint: WorkHint) -> usize {
+/// budget (an engine's configured cap): the available parallelism,
+/// capped by the budget and the number of items. `Some(0)` is treated
+/// as 1 — the drivers always make progress. Pure in `hw` for
+/// testability.
+fn worker_count(hw: usize, n_items: usize, budget: Option<usize>) -> usize {
     let cap = budget.unwrap_or(hw).max(1);
-    let w = hw.min(cap).min(n_items).max(1);
-    match hint {
-        WorkHint::Solver => w,
-        WorkHint::Trivial => w.min(n_items / TRIVIAL_SPAWN_FLOOR).max(1),
-    }
+    hw.min(cap).min(n_items).max(1)
 }
 
 /// A batch's work closure, borrowed from the caller's stack with its
@@ -246,42 +222,15 @@ fn run_with_helpers(helpers: usize, work: &(dyn Fn() + Sync)) {
 /// Does `pred` hold for **all** pairs? Early-exits on the first
 /// counterexample: every worker checks a shared flag between items and
 /// stops as soon as any worker refutes, so a cheap "no" is not delayed
-/// by expensive unrelated searches.
-pub fn par_all_pairs<A, B, F>(pairs: &[(A, B)], pred: F) -> bool
+/// by expensive unrelated searches. `budget` caps the workers (`None` =
+/// all available cores).
+pub fn par_all_pairs<A, B, F>(pairs: &[(A, B)], budget: Option<usize>, pred: F) -> bool
 where
     A: Copy + Sync,
     B: Copy + Sync,
     F: Fn(A, B) -> bool + Sync,
 {
-    par_all_pairs_capped(pairs, None, pred)
-}
-
-/// [`par_all_pairs`] under an optional thread budget (`None` = all
-/// available cores).
-pub fn par_all_pairs_capped<A, B, F>(pairs: &[(A, B)], budget: Option<usize>, pred: F) -> bool
-where
-    A: Copy + Sync,
-    B: Copy + Sync,
-    F: Fn(A, B) -> bool + Sync,
-{
-    par_all_pairs_hinted(pairs, budget, WorkHint::Solver, pred)
-}
-
-/// [`par_all_pairs_capped`] with a per-item cost hint: trivial items run
-/// sequentially unless there are enough of them per worker to amortize
-/// the spawns.
-pub fn par_all_pairs_hinted<A, B, F>(
-    pairs: &[(A, B)],
-    budget: Option<usize>,
-    hint: WorkHint,
-    pred: F,
-) -> bool
-where
-    A: Copy + Sync,
-    B: Copy + Sync,
-    F: Fn(A, B) -> bool + Sync,
-{
-    let workers = worker_count(hardware_parallelism(), pairs.len(), budget, hint);
+    let workers = worker_count(hardware_parallelism(), pairs.len(), budget);
     if workers <= 1 {
         return pairs.iter().all(|&(a, b)| pred(a, b));
     }
@@ -304,37 +253,15 @@ where
     !refuted.load(Ordering::Relaxed)
 }
 
-/// Map `f` over `items` in parallel, preserving order.
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
+/// Map `f` over `items` in parallel, preserving order. `budget` caps
+/// the workers (`None` = all available cores).
+pub fn par_map<T, U, F>(items: &[T], budget: Option<usize>, f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    par_map_capped(items, None, f)
-}
-
-/// [`par_map`] under an optional thread budget (`None` = all available
-/// cores).
-pub fn par_map_capped<T, U, F>(items: &[T], budget: Option<usize>, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    par_map_hinted(items, budget, WorkHint::Solver, f)
-}
-
-/// [`par_map_capped`] with a per-item cost hint: trivial items run
-/// sequentially unless there are enough of them per worker to amortize
-/// the spawns.
-pub fn par_map_hinted<T, U, F>(items: &[T], budget: Option<usize>, hint: WorkHint, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    let workers = worker_count(hardware_parallelism(), items.len(), budget, hint);
+    let workers = worker_count(hardware_parallelism(), items.len(), budget);
     if workers <= 1 {
         return items.iter().map(f).collect();
     }
@@ -365,39 +292,14 @@ where
 
 /// Index of the first item satisfying `pred` (the *lowest* matching
 /// index, matching `Iterator::position`), or `None`. Workers past an
-/// already-found match abandon their probes early.
-pub fn par_find_first<T, F>(items: &[T], pred: F) -> Option<usize>
+/// already-found match abandon their probes early. `budget` caps the
+/// workers (`None` = all available cores).
+pub fn par_find_first<T, F>(items: &[T], budget: Option<usize>, pred: F) -> Option<usize>
 where
     T: Sync,
     F: Fn(&T) -> bool + Sync,
 {
-    par_find_first_capped(items, None, pred)
-}
-
-/// [`par_find_first`] under an optional thread budget (`None` = all
-/// available cores). Still returns the *lowest* matching index.
-pub fn par_find_first_capped<T, F>(items: &[T], budget: Option<usize>, pred: F) -> Option<usize>
-where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync,
-{
-    par_find_first_hinted(items, budget, WorkHint::Solver, pred)
-}
-
-/// [`par_find_first_capped`] with a per-item cost hint: trivial items run
-/// sequentially unless there are enough of them per worker to amortize
-/// the spawns. Still returns the *lowest* matching index.
-pub fn par_find_first_hinted<T, F>(
-    items: &[T],
-    budget: Option<usize>,
-    hint: WorkHint,
-    pred: F,
-) -> Option<usize>
-where
-    T: Sync,
-    F: Fn(&T) -> bool + Sync,
-{
-    let workers = worker_count(hardware_parallelism(), items.len(), budget, hint);
+    let workers = worker_count(hardware_parallelism(), items.len(), budget);
     if workers <= 1 {
         return items.iter().position(pred);
     }
@@ -427,14 +329,14 @@ mod tests {
     #[test]
     fn all_pairs_empty_is_vacuously_true() {
         let pairs: Vec<(usize, usize)> = Vec::new();
-        assert!(par_all_pairs(&pairs, |_, _| false));
+        assert!(par_all_pairs(&pairs, None, |_, _| false));
     }
 
     #[test]
     fn all_pairs_finds_the_counterexample() {
         let pairs: Vec<(usize, usize)> = (0..100).map(|i| (i, i + 1)).collect();
-        assert!(par_all_pairs(&pairs, |a, b| a < b));
-        assert!(!par_all_pairs(&pairs, |a, _| a != 57));
+        assert!(par_all_pairs(&pairs, None, |a, b| a < b));
+        assert!(!par_all_pairs(&pairs, None, |a, _| a != 57));
     }
 
     #[test]
@@ -443,7 +345,7 @@ mod tests {
         // visited (exact count depends on scheduling; bound it loosely).
         let pairs: Vec<(usize, usize)> = (0..10_000).map(|i| (i, i)).collect();
         let visited = AtomicUsize::new(0);
-        assert!(!par_all_pairs(&pairs, |a, _| {
+        assert!(!par_all_pairs(&pairs, None, |a, _| {
             visited.fetch_add(1, Ordering::Relaxed);
             a != 0
         }));
@@ -456,41 +358,30 @@ mod tests {
     #[test]
     fn map_preserves_order() {
         let items: Vec<usize> = (0..1000).collect();
-        let out = par_map(&items, |&x| x * x);
+        let out = par_map(&items, None, |&x| x * x);
         assert_eq!(out, items.iter().map(|&x| x * x).collect::<Vec<_>>());
-        assert!(par_map(&Vec::<usize>::new(), |&x: &usize| x).is_empty());
+        assert!(par_map(&Vec::<usize>::new(), None, |&x: &usize| x).is_empty());
     }
 
     #[test]
     fn find_first_returns_lowest_index() {
         let items: Vec<usize> = (0..500).collect();
-        assert_eq!(par_find_first(&items, |&x| x >= 123), Some(123));
-        assert_eq!(par_find_first(&items, |&x| x > 10_000), None);
-        assert_eq!(par_find_first(&Vec::<usize>::new(), |_| true), None);
+        assert_eq!(par_find_first(&items, None, |&x| x >= 123), Some(123));
+        assert_eq!(par_find_first(&items, None, |&x| x > 10_000), None);
+        assert_eq!(par_find_first(&Vec::<usize>::new(), None, |_| true), None);
     }
 
     #[test]
     fn worker_count_respects_budget_items_and_hint() {
         // Budget and item count cap the hardware figure.
-        assert_eq!(worker_count(8, 100, None, WorkHint::Solver), 8);
-        assert_eq!(worker_count(8, 100, Some(3), WorkHint::Solver), 3);
-        assert_eq!(worker_count(8, 2, None, WorkHint::Solver), 2);
-        assert_eq!(worker_count(8, 0, None, WorkHint::Solver), 1);
+        assert_eq!(worker_count(8, 100, None), 8);
+        assert_eq!(worker_count(8, 100, Some(3)), 3);
+        assert_eq!(worker_count(8, 2, None), 2);
+        assert_eq!(worker_count(8, 0, None), 1);
         // Budget 0 and 1 both mean "sequential, but make progress".
-        assert_eq!(worker_count(8, 100, Some(0), WorkHint::Solver), 1);
-        assert_eq!(worker_count(8, 100, Some(1), WorkHint::Solver), 1);
-        assert_eq!(worker_count(1, 100, None, WorkHint::Solver), 1);
-        // Trivial items need TRIVIAL_SPAWN_FLOOR of themselves per
-        // worker before a spawn pays; solver items do not.
-        assert_eq!(worker_count(8, 100, None, WorkHint::Trivial), 1);
-        assert_eq!(
-            worker_count(8, TRIVIAL_SPAWN_FLOOR * 2, None, WorkHint::Trivial),
-            2
-        );
-        assert_eq!(
-            worker_count(8, TRIVIAL_SPAWN_FLOOR * 100, None, WorkHint::Trivial),
-            8
-        );
+        assert_eq!(worker_count(8, 100, Some(0)), 1);
+        assert_eq!(worker_count(8, 100, Some(1)), 1);
+        assert_eq!(worker_count(1, 100, None), 1);
     }
 
     #[test]
@@ -502,11 +393,11 @@ mod tests {
         let caller = thread::current().id();
         let items: Vec<usize> = (0..256).collect();
 
-        let seen = par_map_capped(&items, Some(1), |_| thread::current().id());
+        let seen = par_map(&items, Some(1), |_| thread::current().id());
         assert!(seen.iter().all(|&id| id == caller), "par_map spawned");
 
         let on_caller = AtomicUsize::new(0);
-        let found = par_find_first_capped(&items, Some(1), |&x| {
+        let found = par_find_first(&items, Some(1), |&x| {
             if thread::current().id() == caller {
                 on_caller.fetch_add(1, Ordering::Relaxed);
             }
@@ -521,7 +412,7 @@ mod tests {
 
         let pairs: Vec<(usize, usize)> = items.iter().map(|&i| (i, i)).collect();
         let on_caller = AtomicUsize::new(0);
-        assert!(par_all_pairs_capped(&pairs, Some(1), |_, _| {
+        assert!(par_all_pairs(&pairs, Some(1), |_, _| {
             if thread::current().id() == caller {
                 on_caller.fetch_add(1, Ordering::Relaxed);
             }
@@ -544,7 +435,7 @@ mod tests {
         }
         let started = AtomicUsize::new(0);
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        let met = par_map(&[0, 1], |_| {
+        let met = par_map(&[0, 1], None, |_| {
             started.fetch_add(1, Ordering::SeqCst);
             while started.load(Ordering::SeqCst) < 2 {
                 if std::time::Instant::now() > deadline {
@@ -562,7 +453,7 @@ mod tests {
         let items: Vec<usize> = (0..64).collect();
         let mut ids = std::collections::HashSet::new();
         for _ in 0..50 {
-            ids.extend(par_map(&items, |_| thread::current().id()));
+            ids.extend(par_map(&items, None, |_| thread::current().id()));
         }
         // The caller plus at most `cores − 1` pool helpers, however many
         // batches ran.
@@ -574,40 +465,26 @@ mod tests {
         let items: Vec<usize> = (0..200).collect();
         for bad in [0, 199] {
             let outcome = std::panic::catch_unwind(|| {
-                par_map(&items, |&x| {
+                par_map(&items, None, |&x| {
                     assert_ne!(x, bad, "item {bad} fails");
                     x
                 })
             });
             assert!(outcome.is_err(), "the panic of item {bad} was lost");
         }
-        assert_eq!(par_map(&items, |&x| x + 1)[199], 200);
+        assert_eq!(par_map(&items, None, |&x| x + 1)[199], 200);
     }
 
     #[test]
     fn nested_batches_finish() {
         let outer: Vec<usize> = (0..8).collect();
         let inner: Vec<usize> = (0..100).collect();
-        let sums = par_map(&outer, |&o| {
-            par_map(&inner, |&i| i * o).iter().sum::<usize>()
+        let sums = par_map(&outer, None, |&o| {
+            par_map(&inner, None, |&i| i * o).iter().sum::<usize>()
         });
         assert_eq!(sums, outer.iter().map(|&o| 4950 * o).collect::<Vec<_>>());
-        assert!(par_all_pairs(&[(1, 2), (3, 4)], |a, b| {
-            par_find_first(&inner, |&i| i == a + b).is_some()
+        assert!(par_all_pairs(&[(1, 2), (3, 4)], None, |a, b| {
+            par_find_first(&inner, None, |&i| i == a + b).is_some()
         }));
-    }
-
-    #[test]
-    fn trivial_hint_stays_sequential_on_small_batches() {
-        let caller = thread::current().id();
-        let items: Vec<usize> = (0..TRIVIAL_SPAWN_FLOOR - 1).collect();
-        // Regardless of core count, fewer than a floor's worth of
-        // trivial items must not spawn.
-        let seen = par_map_hinted(&items, None, WorkHint::Trivial, |_| thread::current().id());
-        assert!(seen.iter().all(|&id| id == caller));
-        assert_eq!(
-            par_find_first_hinted(&items, None, WorkHint::Trivial, |&x| x == 17),
-            Some(17)
-        );
     }
 }

@@ -4,7 +4,7 @@
 //! expanded, forward-check wipe-outs, and backtracks during each solve and
 //! reports them as [`crate::hom::SearchCounts`]; the memo cache
 //! ([`crate::hom::cache::HomCache`]) adds them to its own atomics
-//! alongside its hit/miss counts. [`HomStats`] is a snapshot of one
+//! alongside its memo's hit/miss counts. [`HomStats`] is a snapshot of one
 //! cache's counters, so a caller (the CLI `--stats` flag, the bench
 //! harness) can difference two snapshots around a region of interest.
 
@@ -94,7 +94,9 @@ mod tests {
         let cache = HomCache::new();
         let before = cache.stats();
         // An unsatisfiable instance must backtrack at least once.
-        assert!(!cache.exists(&c3, &p3, &[]));
+        assert!(!cache
+            .exists(&c3, &p3, &[], None, &interrupt::Interrupt::none())
+            .unwrap());
         let delta = cache.stats().since(&before);
         assert!(delta.solves >= 1, "delta={delta:?}");
         assert!(delta.nodes_expanded >= 1, "delta={delta:?}");

@@ -29,6 +29,7 @@ pub mod hom;
 pub mod ids;
 pub mod iso;
 pub mod labeling;
+pub mod memo;
 pub mod product;
 pub mod schema;
 pub mod spec;
@@ -36,7 +37,7 @@ pub mod spec;
 pub use builder::DbBuilder;
 pub use database::{fingerprint_computations, Database, Fact};
 pub use delta::{Containment, Delta, DeltaError, DeltaKind, DeltaOp, DeltaReceipt, Lineage};
-pub use hom::cache::HomCache;
+pub use hom::cache::{HomCache, HomKey};
 pub use hom::stats::HomStats;
 pub use hom::{
     find_homomorphism, hom_equivalent, homomorphism_exists, homomorphism_exists_counted_int,
@@ -44,5 +45,6 @@ pub use hom::{
 };
 pub use ids::{RelId, Val};
 pub use labeling::{Label, Labeling, TrainingDb};
+pub use memo::{Memo, MemoKey};
 pub use product::{pointed_power, ProductError};
 pub use schema::Schema;

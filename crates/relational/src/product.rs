@@ -1,7 +1,7 @@
 //! Direct products of pointed databases (§6.1 machinery).
 //!
 //! The QBE solvers rest on the *product homomorphism* characterization of
-//! ten Cate–Dalmau [32] / Barceló–Romero [6]: a CQ explanation for
+//! ten Cate–Dalmau \[32\] / Barceló–Romero \[6\]: a CQ explanation for
 //! `(D, S⁺, S⁻)` exists iff the canonical CQ of the direct product
 //! `P = ∏_{a ∈ S⁺} (D, a)` excludes every negative example, i.e.
 //! `(P, ā) ↛ (D, b)` for each `b ∈ S⁻` (and `(P, ā) →_k (D, b)` fails, for

@@ -146,10 +146,12 @@ proptest! {
         prop_assert_eq!(expected, brute_force_exists(&d1, &d2, &fixed));
 
         // A private cache answers identically on first computation and
-        // again from the memo table; the uncached path agrees too.
+        // again from the memo table; a bypassing cache agrees too.
         let cache = HomCache::new();
-        prop_assert_eq!(expected, cache.exists(&d1, &d2, &fixed));
-        prop_assert_eq!(expected, cache.exists(&d1, &d2, &fixed));
+        let none = interrupt::Interrupt::none();
+        let exists = |fixed: &[(Val, Val)]| cache.exists(&d1, &d2, fixed, None, &none).unwrap();
+        prop_assert_eq!(expected, exists(&fixed));
+        prop_assert_eq!(expected, exists(&fixed));
         let contradictory = {
             let mut srcs: Vec<Val> = fixed.iter().map(|p| p.0).collect();
             srcs.sort_unstable();
@@ -161,20 +163,20 @@ proptest! {
             // have been memoized by now.
             prop_assert!(cache.hits() >= 1);
         }
-        let none = interrupt::Interrupt::none();
-        prop_assert_eq!(Ok(expected), cache.exists_uncached_int(&d1, &d2, &fixed, &none));
+        let bypass = HomCache::new().without_memo();
+        prop_assert_eq!(Ok(expected), bypass.exists(&d1, &d2, &fixed, None, &none));
 
         // The parallel drivers see the same answers as sequential loops.
         let pairs: Vec<(Val, Val)> = (0..n1.min(3) as u32)
             .flat_map(|a| (0..n2.min(3) as u32).map(move |b| (Val(a), Val(b))))
             .collect();
         prop_assert_eq!(
-            par_all_pairs(&pairs, |a, b| cache.exists(&d1, &d2, &[(a, b)])),
+            par_all_pairs(&pairs, None, |a, b| exists(&[(a, b)])),
             pairs.iter().all(|&(a, b)| homomorphism_exists(&d1, &d2, &[(a, b)]))
         );
         let seq: Vec<bool> =
             pairs.iter().map(|&(a, b)| homomorphism_exists(&d1, &d2, &[(a, b)])).collect();
-        prop_assert_eq!(par_map(&pairs, |&(a, b)| cache.exists(&d1, &d2, &[(a, b)])), seq);
+        prop_assert_eq!(par_map(&pairs, None, |&(a, b)| exists(&[(a, b)])), seq);
     }
 
     #[test]
