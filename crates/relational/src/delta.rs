@@ -744,14 +744,18 @@ pub enum Containment {
 }
 
 /// Cap on registered edges: lineage is metadata about *recent* edit
-/// history, not an unbounded provenance store. Past the cap new edges
-/// are silently not recorded (subsumption degrades to exact-key
-/// caching, which is always sound).
+/// history, not an unbounded provenance store. Edges age in two
+/// generations of `MAX_EDGES / 2` under the verdict memo's rule: when
+/// the current generation is full it becomes the previous one and the
+/// old previous one is dropped. A dropped edge costs only its
+/// child-fingerprint memo and the subsumption it carried (a fresh
+/// search, which is always sound).
 const MAX_EDGES: usize = 1 << 16;
 /// Caps on the ancestor walk, bounding subsumption probe cost per miss.
 const MAX_ANCESTORS: usize = 8;
 const MAX_WALK: usize = 64;
 
+/// One generation of edges.
 #[derive(Default)]
 struct LineageTable {
     /// `(parent_fp, delta_fp) -> (child_fp, kind)` — the apply memo.
@@ -761,13 +765,44 @@ struct LineageTable {
     parents: HashMap<u128, Vec<(u128, Containment)>>,
 }
 
+/// The current and previous generation. An edge lives in at most one
+/// generation's `children`; a re-recorded edge moves to the current one.
+#[derive(Default)]
+struct LineageGenerations {
+    cur: LineageTable,
+    prev: LineageTable,
+}
+
+impl LineageGenerations {
+    fn edges(&self) -> usize {
+        self.cur.children.len() + self.prev.children.len()
+    }
+
+    fn child(&self, key: &(u128, u128)) -> Option<u128> {
+        self.cur
+            .children
+            .get(key)
+            .or_else(|| self.prev.children.get(key))
+            .map(|&(child, _)| child)
+    }
+
+    /// `fp`'s parent entries from both generations (an entry may repeat).
+    fn parents(&self, fp: u128) -> impl Iterator<Item = (u128, Containment)> + '_ {
+        [&self.cur, &self.prev]
+            .into_iter()
+            .filter_map(move |t| t.parents.get(&fp))
+            .flatten()
+            .copied()
+    }
+}
+
 /// The process- or engine-scoped registry of fingerprint lineage: which
 /// database contents are edits of which, and in which direction. Owned
 /// by `engine::Engine`; consulted by the caches' subsumption reads.
 pub struct Lineage {
-    inner: Mutex<LineageTable>,
-    /// Mirror of `children.len()` so the no-edge fast path (every cache
-    /// miss probes it) never takes the lock.
+    inner: Mutex<LineageGenerations>,
+    /// Mirror of the live edge count so the no-edge fast path (every
+    /// cache miss probes it) never takes the lock.
     edge_count: AtomicU64,
     registry_hits: AtomicU64,
     /// Edges imported from a persisted lineage table.
@@ -777,7 +812,7 @@ pub struct Lineage {
 impl Lineage {
     pub fn new() -> Lineage {
         Lineage {
-            inner: Mutex::new(LineageTable::default()),
+            inner: Mutex::new(LineageGenerations::default()),
             edge_count: AtomicU64::new(0),
             registry_hits: AtomicU64::new(0),
             restored: AtomicU64::new(0),
@@ -815,8 +850,7 @@ impl Lineage {
     /// The memoized child fingerprint for applying `delta_fp` to
     /// `parent_fp`, if this exact edit was seen before.
     pub fn child_of(&self, parent_fp: u128, delta_fp: u128) -> Option<u128> {
-        let t = self.inner.lock().unwrap();
-        let child = t.children.get(&(parent_fp, delta_fp)).map(|&(c, _)| c);
+        let child = self.inner.lock().unwrap().child(&(parent_fp, delta_fp));
         if child.is_some() {
             self.registry_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -840,16 +874,18 @@ impl Lineage {
     }
 
     fn insert(&self, parent_fp: u128, delta_fp: u128, child_fp: u128, kind: DeltaKind) {
-        let mut t = self.inner.lock().unwrap();
-        if t.children.len() >= MAX_EDGES {
-            return;
+        let mut g = self.inner.lock().unwrap();
+        let key = (parent_fp, delta_fp);
+        if !g.cur.children.contains_key(&key) {
+            if g.cur.children.len() >= MAX_EDGES / 2 {
+                g.prev = std::mem::take(&mut g.cur);
+            }
+            // A previous-generation parent entry for this edge may stay:
+            // the current generation gets the same entry below.
+            g.prev.children.remove(&key);
         }
-        if t.children
-            .insert((parent_fp, delta_fp), (child_fp, kind))
-            .is_none()
-        {
-            self.edge_count.fetch_add(1, Ordering::Relaxed);
-        }
+        g.cur.children.insert(key, (child_fp, kind));
+        self.edge_count.store(g.edges() as u64, Ordering::Relaxed);
         let containment = match kind {
             DeltaKind::InsertOnly => Containment::Subset,
             DeltaKind::DeleteOnly => Containment::Superset,
@@ -861,17 +897,19 @@ impl Lineage {
         if child_fp == parent_fp {
             return;
         }
-        let ups = t.parents.entry(child_fp).or_default();
+        let ups = g.cur.parents.entry(child_fp).or_default();
         if !ups.iter().any(|&(p, c)| p == parent_fp && c == containment) {
             ups.push((parent_fp, containment));
         }
     }
 
-    /// Dump every edge for persistence.
+    /// Dump every edge for persistence, previous generation first, so
+    /// importing the dump in order keeps the newest edges newest.
     pub fn export_edges(&self) -> Vec<(u128, u128, u128, DeltaKind)> {
-        let t = self.inner.lock().unwrap();
-        t.children
-            .iter()
+        let g = self.inner.lock().unwrap();
+        [&g.prev, &g.cur]
+            .into_iter()
+            .flat_map(|t| &t.children)
             .map(|(&(p, d), &(c, k))| (p, d, c, k))
             .collect()
     }
@@ -886,12 +924,14 @@ impl Lineage {
         if self.no_edges() {
             return Vec::new();
         }
-        let t = self.inner.lock().unwrap();
+        let g = self.inner.lock().unwrap();
         let mut out = Vec::new();
-        let mut queue: Vec<(u128, Containment)> = match t.parents.get(&fp) {
-            Some(ups) => ups.clone(),
-            None => return Vec::new(),
-        };
+        let mut queue: Vec<(u128, Containment)> = Vec::new();
+        for up in g.parents(fp) {
+            if !queue.contains(&up) {
+                queue.push(up);
+            }
+        }
         let mut seen: Vec<(u128, Containment)> = queue.clone();
         let mut walked = 0;
         while let Some((anc, cont)) = queue.pop() {
@@ -900,14 +940,12 @@ impl Lineage {
             if out.len() >= MAX_ANCESTORS || walked >= MAX_WALK {
                 break;
             }
-            if let Some(ups) = t.parents.get(&anc) {
-                for &(p, c) in ups {
-                    // Only uniform-direction chains keep a sound
-                    // containment through composition.
-                    if c == cont && !seen.contains(&(p, c)) {
-                        seen.push((p, c));
-                        queue.push((p, c));
-                    }
+            for (p, c) in g.parents(anc) {
+                // Only uniform-direction chains keep a sound
+                // containment through composition.
+                if c == cont && !seen.contains(&(p, c)) {
+                    seen.push((p, c));
+                    queue.push((p, c));
                 }
             }
         }
@@ -1039,6 +1077,34 @@ mod tests {
         let fp3 = d.fingerprint();
         let anc3 = lineage.ancestors(fp3);
         assert_eq!(anc3, vec![(fp2, Containment::Superset)]);
+    }
+
+    #[test]
+    fn lineage_keeps_the_newest_edges_past_the_cap() {
+        // An insert-only chain 0 -> 1 -> … -> n, longer than the cap.
+        const DELTA: u128 = 1 << 100;
+        let n = (MAX_EDGES + 10) as u128;
+        let lineage = Lineage::new();
+        for i in 0..n {
+            lineage.insert(i, DELTA + i, i + 1, DeltaKind::InsertOnly);
+        }
+        let newest_edge_answers = |l: &Lineage| {
+            assert_eq!(l.child_of(n - 1, DELTA + n - 1), Some(n));
+            assert!(l.ancestors(n).contains(&(n - 1, Containment::Subset)));
+            assert!(l.edge_count() <= MAX_EDGES as u64);
+            assert_eq!(l.edge_count(), l.export_edges().len() as u64);
+        };
+        newest_edge_answers(&lineage);
+        // The oldest edges aged out.
+        assert_eq!(lineage.child_of(0, DELTA), None);
+        // Save/load: the engine persists `export_edges` and imports the
+        // edges back in file order.
+        let reloaded = Lineage::new();
+        for (p, d, c, k) in lineage.export_edges() {
+            reloaded.import_edge(p, d, c, k);
+        }
+        newest_edge_answers(&reloaded);
+        assert_eq!(reloaded.edge_count(), lineage.edge_count());
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //! (each snapshots its tenants and exits) and stops the router.
 
 use crate::json::Json;
-use crate::server::{read_request_line, RawLine, MAX_REQUEST_BYTES};
+use crate::server::{accept_conn, read_request_line, LineOut, RawLine, MAX_REQUEST_BYTES};
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -266,16 +267,14 @@ fn supervise(shard: Arc<Shard>, spec: WorkerSpec, shutting_down: Arc<AtomicBool>
 /// The client-facing half of one connection: serialized writes plus an
 /// outstanding-response gauge, so EOF can wait for in-flight work.
 struct ClientOut {
-    stream: Mutex<TcpStream>,
+    stream: Mutex<LineOut<TcpStream>>,
     outstanding: Mutex<u64>,
     drained: Condvar,
 }
 
 impl ClientOut {
-    fn send_line(&self, line: &str) {
-        let mut s = self.stream.lock().unwrap();
-        let _ = writeln!(s, "{line}");
-        let _ = s.flush();
+    fn send_line(&self, line: impl Display) {
+        let _ = self.stream.lock().unwrap().send(line);
     }
 
     fn add(&self) {
@@ -306,7 +305,7 @@ impl ClientOut {
 
 #[derive(Default)]
 struct WriterSlot {
-    conn: Option<TcpStream>,
+    conn: Option<LineOut<TcpStream>>,
     generation: u64,
 }
 
@@ -337,11 +336,8 @@ fn forward(up: &Arc<Upstream>, id: u64, line: String) {
             }
             return;
         }
-        match writeln!(slot.conn.as_mut().unwrap(), "{line}") {
-            Ok(()) => {
-                let _ = slot.conn.as_mut().unwrap().flush();
-                return;
-            }
+        match slot.conn.as_mut().unwrap().send(&line) {
+            Ok(()) => return,
             Err(_) => {
                 // Stale connection: drop it and reconnect-with-resend.
                 slot.conn = None;
@@ -350,10 +346,28 @@ fn forward(up: &Arc<Upstream>, id: u64, line: String) {
     }
 }
 
+/// Open an upstream connection to a shard worker, with `TCP_NODELAY`
+/// set (see [`LineOut`]).
+fn connect_upstream(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    Ok(stream)
+}
+
+/// Send every pending line, in id order, as one buffer.
+fn resend_pending<W: Write>(
+    out: &mut LineOut<W>,
+    pending: &HashMap<u64, String>,
+) -> std::io::Result<()> {
+    let mut lines: Vec<(&u64, &String)> = pending.iter().collect();
+    lines.sort_unstable_by_key(|(id, _)| **id);
+    out.send_all(lines.into_iter().map(|(_, line)| line))
+}
+
 /// With the writer slot held: connect to the shard's current worker,
 /// resend every pending line, and start a reader for the responses.
 fn connect_locked(up: &Arc<Upstream>, slot: &mut WriterSlot) -> Result<(), String> {
-    'attempt: for _ in 0..60 {
+    for _ in 0..60 {
         if up.shutting_down.load(Ordering::SeqCst) {
             return Err("router shutting down".to_string());
         }
@@ -366,7 +380,7 @@ fn connect_locked(up: &Arc<Upstream>, slot: &mut WriterSlot) -> Result<(), Strin
         else {
             continue;
         };
-        let mut stream = match TcpStream::connect(addr) {
+        let stream = match connect_upstream(addr) {
             Ok(s) => s,
             Err(_) => {
                 // Likely a stale address from a just-dead worker; the
@@ -375,27 +389,16 @@ fn connect_locked(up: &Arc<Upstream>, slot: &mut WriterSlot) -> Result<(), Strin
                 continue;
             }
         };
-        let mut lines: Vec<(u64, String)> = up
-            .pending
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(k, v)| (*k, v.clone()))
-            .collect();
-        lines.sort_by_key(|(id, _)| *id);
-        for (_, line) in &lines {
-            if writeln!(stream, "{line}").is_err() {
-                continue 'attempt;
-            }
-        }
-        if stream.flush().is_err() {
+        let mut out = LineOut::new(stream);
+        let pending = up.pending.lock().unwrap().clone();
+        if resend_pending(&mut out, &pending).is_err() {
             continue;
         }
-        let Ok(read_half) = stream.try_clone() else {
+        let Ok(read_half) = out.get_ref().try_clone() else {
             continue;
         };
         slot.generation += 1;
-        slot.conn = Some(stream);
+        slot.conn = Some(out);
         let up = Arc::clone(up);
         let generation = slot.generation;
         std::thread::spawn(move || reader_loop(&up, read_half, generation));
@@ -468,15 +471,8 @@ fn fail_pending(up: &Arc<Upstream>, why: &str) {
         .map(|(id, _)| id)
         .collect();
     for id in ids {
-        let resp = Json::Obj(vec![
-            ("id".to_string(), Json::Num(id as f64)),
-            ("status".to_string(), Json::Str("error".to_string())),
-            (
-                "error".to_string(),
-                Json::Str(format!("shard {}: {why}", up.shard.index)),
-            ),
-        ]);
-        up.client.send_line(&resp.to_string());
+        let msg = format!("shard {}: {why}", up.shard.index);
+        up.client.send_line(error_line(id, &msg));
         up.client.settle();
     }
 }
@@ -498,9 +494,8 @@ impl Router {
         for shard in &self.shards {
             let addr = shard.state.lock().unwrap().addr;
             if let Some(addr) = addr {
-                if let Ok(mut s) = TcpStream::connect(addr) {
-                    let _ = writeln!(s, "{{\"op\":\"shutdown\"}}");
-                    let _ = s.flush();
+                if let Ok(mut s) = connect_upstream(addr) {
+                    let _ = s.write_all(b"{\"op\":\"shutdown\"}\n");
                 }
             }
         }
@@ -547,13 +542,12 @@ impl Router {
     }
 }
 
-fn error_line(id: u64, msg: &str) -> String {
+fn error_line(id: u64, msg: &str) -> Json {
     Json::Obj(vec![
         ("id".to_string(), Json::Num(id as f64)),
         ("status".to_string(), Json::Str("error".to_string())),
         ("error".to_string(), Json::Str(msg.to_string())),
     ])
-    .to_string()
 }
 
 /// Ensure the request carries `id`, rewriting or inserting as needed.
@@ -573,7 +567,7 @@ fn with_id(mut value: Json, id: u64) -> Json {
 fn handle_client(router: &Arc<Router>, conn_id: u64, stream: TcpStream) {
     let out = match stream.try_clone() {
         Ok(w) => Arc::new(ClientOut {
-            stream: Mutex::new(w),
+            stream: Mutex::new(LineOut::new(w)),
             outstanding: Mutex::new(0),
             drained: Condvar::new(),
         }),
@@ -592,14 +586,14 @@ fn handle_client(router: &Arc<Router>, conn_id: u64, stream: TcpStream) {
             Ok(RawLine::Eof) | Err(_) => break,
             Ok(RawLine::Line(l)) => l,
             Ok(RawLine::Oversized { bytes }) => {
-                out.send_line(&error_line(
+                out.send_line(error_line(
                     auto_id(),
                     &format!("request line exceeds {MAX_REQUEST_BYTES} bytes ({bytes} discarded)"),
                 ));
                 continue;
             }
             Ok(RawLine::NotUtf8) => {
-                out.send_line(&error_line(auto_id(), "request line is not valid UTF-8"));
+                out.send_line(error_line(auto_id(), "request line is not valid UTF-8"));
                 continue;
             }
         };
@@ -609,15 +603,12 @@ fn handle_client(router: &Arc<Router>, conn_id: u64, stream: TcpStream) {
         let value = match Json::parse(&line) {
             Ok(v) => v,
             Err(e) => {
-                out.send_line(&error_line(auto_id(), &format!("bad request: {e}")));
+                out.send_line(error_line(auto_id(), &format!("bad request: {e}")));
                 continue;
             }
         };
         if !matches!(value, Json::Obj(_)) {
-            out.send_line(&error_line(
-                auto_id(),
-                "bad request: expected a JSON object",
-            ));
+            out.send_line(error_line(auto_id(), "bad request: expected a JSON object"));
             continue;
         }
         match value.get("op").and_then(Json::as_str) {
@@ -638,7 +629,7 @@ fn handle_client(router: &Arc<Router>, conn_id: u64, stream: TcpStream) {
                         Json::Str(router.stats_doc().to_string()),
                     ),
                 ]);
-                out.send_line(&resp.to_string());
+                out.send_line(resp);
                 continue;
             }
             _ => {}
@@ -669,11 +660,16 @@ fn handle_client(router: &Arc<Router>, conn_id: u64, stream: TcpStream) {
     for upstream in upstreams.into_iter().flatten() {
         upstream.closed.store(true, Ordering::SeqCst);
         if let Some(conn) = upstream.writer.lock().unwrap().conn.take() {
-            let _ = conn.shutdown(Shutdown::Both);
+            let _ = conn.get_ref().shutdown(Shutdown::Both);
         }
     }
     router.live.lock().unwrap().remove(&conn_id);
-    let _ = out.stream.lock().unwrap().shutdown(Shutdown::Both);
+    let _ = out
+        .stream
+        .lock()
+        .unwrap()
+        .get_ref()
+        .shutdown(Shutdown::Both);
 }
 
 /// Run the router on a pre-bound listener until a client sends
@@ -718,20 +714,7 @@ pub fn run_router(listener: TcpListener, opts: &RouterOpts) -> std::io::Result<(
 
     let mut clients = Vec::new();
     let mut next_conn: u64 = 0;
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(accepted) => accepted,
-            Err(e) => {
-                if shutting_down.load(Ordering::SeqCst) {
-                    break;
-                }
-                return Err(e);
-            }
-        };
-        if shutting_down.load(Ordering::SeqCst) {
-            drop(stream);
-            break;
-        }
+    while let Some((stream, _)) = accept_conn(&listener, &shutting_down)? {
         next_conn += 1;
         let conn_id = next_conn;
         if let Ok(clone) = stream.try_clone() {
@@ -754,6 +737,48 @@ pub fn run_router(listener: TcpListener, opts: &RouterOpts) -> std::io::Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::tests::CountingWriter;
+
+    #[test]
+    fn line_writer_sends_one_write_per_line_and_per_resend() {
+        let mut out = LineOut::new(CountingWriter::default());
+        out.send(error_line(7, "shard 0: gone")).unwrap();
+        let mut pending = HashMap::new();
+        for id in [12u64, 10, 11] {
+            pending.insert(id, format!("{{\"id\":{id},\"task\":\"check\"}}"));
+        }
+        resend_pending(&mut out, &pending).unwrap();
+        let writes: Vec<&str> = out
+            .get_ref()
+            .writes
+            .iter()
+            .map(|w| std::str::from_utf8(w).unwrap())
+            .collect();
+        assert_eq!(writes.len(), 2, "{writes:?}");
+        assert_eq!(writes[0], format!("{}\n", error_line(7, "shard 0: gone")));
+        assert_eq!(
+            writes[1],
+            "{\"id\":10,\"task\":\"check\"}\n\
+             {\"id\":11,\"task\":\"check\"}\n\
+             {\"id\":12,\"task\":\"check\"}\n"
+        );
+    }
+
+    #[test]
+    fn accepted_and_upstream_sockets_set_nodelay() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let upstream = connect_upstream(addr).unwrap();
+        assert!(upstream.nodelay().unwrap());
+        let running = AtomicBool::new(false);
+        let (accepted, _) = accept_conn(&listener, &running).unwrap().unwrap();
+        assert!(accepted.nodelay().unwrap());
+        // Once shutting down, the next accept (the wake-up) is refused.
+        let _wake = TcpStream::connect(addr).unwrap();
+        assert!(accept_conn(&listener, &AtomicBool::new(true))
+            .unwrap()
+            .is_none());
+    }
 
     #[test]
     fn rendezvous_placement_is_stable_and_spread() {

@@ -68,8 +68,9 @@ use crate::task::{ClassSpec, Outcome, Residents, Task};
 use crate::tenant::{validate_tenant_id, TenantRegistry};
 use cqsep::generalize::FitMethod;
 use engine::Engine;
+use std::fmt::Display;
 use std::io::{BufRead, Read, Write};
-use std::net::{Shutdown, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
@@ -199,6 +200,67 @@ pub(crate) fn read_request_line<R: BufRead>(reader: &mut R) -> std::io::Result<R
         Ok(s) => Ok(RawLine::Line(s)),
         Err(_) => Ok(RawLine::NotUtf8),
     }
+}
+
+/// The write half of one NDJSON connection. Each line is rendered into
+/// one reused buffer, terminated with `\n`, and sent with a single
+/// `write_all`. A line split over several small writes (the `Display`
+/// of a [`Json`] writes token by token) meets Nagle's algorithm on a
+/// TCP socket: the tail waits for the peer's delayed ACK, about 40 ms
+/// per hop on a request/response protocol.
+pub(crate) struct LineOut<W> {
+    writer: W,
+    buf: String,
+}
+
+impl<W: Write> LineOut<W> {
+    pub(crate) fn new(writer: W) -> LineOut<W> {
+        LineOut {
+            writer,
+            buf: String::new(),
+        }
+    }
+
+    /// Send one line.
+    pub(crate) fn send(&mut self, line: impl Display) -> std::io::Result<()> {
+        self.send_all(std::iter::once(line))
+    }
+
+    /// Send several lines, in order, as one buffer.
+    pub(crate) fn send_all<T: Display>(
+        &mut self,
+        lines: impl IntoIterator<Item = T>,
+    ) -> std::io::Result<()> {
+        use std::fmt::Write as _;
+        self.buf.clear();
+        for line in lines {
+            // Formatting into a `String` cannot fail.
+            let _ = writeln!(self.buf, "{line}");
+        }
+        self.writer.write_all(self.buf.as_bytes())
+    }
+
+    pub(crate) fn get_ref(&self) -> &W {
+        &self.writer
+    }
+}
+
+/// The next connection of an accept loop, with `TCP_NODELAY` set (see
+/// [`LineOut`]). `Ok(None)` once `shutting_down` is set: the accept that
+/// returns then is the shutdown's wake-up connection (or a raced
+/// client), which is refused.
+pub(crate) fn accept_conn(
+    listener: &TcpListener,
+    shutting_down: &AtomicBool,
+) -> std::io::Result<Option<(TcpStream, SocketAddr)>> {
+    let accepted = listener.accept();
+    if shutting_down.load(Ordering::SeqCst) {
+        return Ok(None);
+    }
+    let (stream, peer) = accepted?;
+    // A socket that refuses the option still serves, only slower.
+    let _ = stream.set_nodelay(true);
+    Ok(Some((stream, peer)))
 }
 
 /// Serve one connection on a fresh single-connection pool: read
@@ -393,21 +455,7 @@ pub fn serve_tcp(
     let totals = Arc::new(Mutex::new(TcpSummary::default()));
     let mut conn_threads = Vec::new();
 
-    loop {
-        let (stream, peer) = match listener.accept() {
-            Ok(accepted) => accepted,
-            Err(e) => {
-                if shutdown.load(Ordering::SeqCst) {
-                    break;
-                }
-                return Err(e);
-            }
-        };
-        if shutdown.load(Ordering::SeqCst) {
-            // The wake-up (or a raced client): refuse and stop.
-            drop(stream);
-            break;
-        }
+    while let Some((stream, peer)) = accept_conn(&listener, &shutdown)? {
         let conn_id = stats.connections_total.fetch_add(1, Ordering::SeqCst);
         stats.connections_live.fetch_add(1, Ordering::SeqCst);
         if let Ok(clone) = stream.try_clone() {
@@ -480,10 +528,13 @@ pub fn serve_tcp(
     Ok(summary)
 }
 
+/// Write each response as one line (one `write_all`, see [`LineOut`]),
+/// in completion order. The flush only matters for a buffered `W`.
 fn write_responses<W: Write>(
-    mut writer: W,
+    writer: W,
     rx: mpsc::Receiver<Response>,
 ) -> std::io::Result<ServeSummary> {
+    let mut out = LineOut::new(writer);
     let mut summary = ServeSummary::default();
     for resp in rx {
         match &resp.outcome {
@@ -491,25 +542,25 @@ fn write_responses<W: Write>(
             Outcome::Interrupted(_) => summary.interrupted += 1,
             Outcome::Failed(_) => summary.failed += 1,
         }
-        writeln!(writer, "{}", render_response(&resp))?;
-        writer.flush()?;
+        out.send(render_response(resp))?;
+        out.writer.flush()?;
     }
     Ok(summary)
 }
 
-fn render_response(resp: &Response) -> Json {
+fn render_response(resp: Response) -> Json {
     let mut fields = vec![("id".to_string(), Json::Num(resp.id as f64))];
     let elapsed = (
         "elapsed_s".to_string(),
         Json::Num((resp.elapsed.as_secs_f64() * 1e6).round() / 1e6),
     );
-    match &resp.outcome {
+    match resp.outcome {
         Outcome::Success(out) => {
             fields.push(("status".to_string(), Json::Str("ok".to_string())));
             fields.push(elapsed);
-            fields.push(("output".to_string(), Json::Str(out.output.clone())));
-            if let Some(model) = &out.model {
-                fields.push(("model".to_string(), Json::Str(model.clone())));
+            fields.push(("output".to_string(), Json::Str(out.output)));
+            if let Some(model) = out.model {
+                fields.push(("model".to_string(), Json::Str(model)));
             }
         }
         Outcome::Interrupted(i) => {
@@ -520,7 +571,7 @@ fn render_response(resp: &Response) -> Json {
         }
         Outcome::Failed(msg) => {
             fields.push(("status".to_string(), Json::Str("error".to_string())));
-            fields.push(("error".to_string(), Json::Str(msg.clone())));
+            fields.push(("error".to_string(), Json::Str(msg)));
         }
     }
     Json::Obj(fields)
@@ -779,8 +830,77 @@ fn parse_request(line: &str, auto_id: u64, opts: &ServeOpts) -> Result<Line, (u6
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A `Write` that records the bytes of every `write` call.
+    #[derive(Default)]
+    pub(crate) struct CountingWriter {
+        pub(crate) writes: Vec<Vec<u8>>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_response_line_is_one_write() {
+        let labels: String = (0..600).map(|i| format!("e{i} +\n")).collect();
+        let batch_output = format!(
+            "{labels}# compiled: 3 features -> 2 cores, 5 trie nodes\n# batch: 600 entities\n"
+        );
+        assert!(batch_output.len() > 4096);
+        let outcomes = vec![
+            Outcome::Success(crate::task::TaskOutput {
+                output: "CQ-separable: true\n".to_string(),
+                model: None,
+            }),
+            Outcome::Success(crate::task::TaskOutput {
+                output: batch_output.clone(),
+                model: None,
+            }),
+            Outcome::Interrupted(engine::Interrupted {
+                reason: engine::Reason::Deadline,
+                partial_stats: Box::default(),
+            }),
+            Outcome::Failed("bad request: expected a JSON object".to_string()),
+        ];
+        let (tx, rx) = mpsc::channel();
+        for (i, outcome) in outcomes.into_iter().enumerate() {
+            tx.send(Response {
+                id: i as u64 + 1,
+                outcome,
+                elapsed: Duration::from_millis(3),
+            })
+            .unwrap();
+        }
+        drop(tx);
+        let mut out = CountingWriter::default();
+        let summary = write_responses(&mut out, rx).unwrap();
+        assert_eq!((summary.ok, summary.interrupted, summary.failed), (2, 1, 1));
+        assert_eq!(out.writes.len(), 4, "one write per response line");
+        let statuses = ["ok", "ok", "interrupted", "error"];
+        for (i, write) in out.writes.iter().enumerate() {
+            let text = std::str::from_utf8(write).unwrap();
+            assert!(text.ends_with('\n'), "line {i} is unterminated");
+            assert_eq!(text.matches('\n').count(), 1, "line {i} is not one line");
+            let resp = Json::parse(text.trim_end()).unwrap();
+            assert_eq!(resp.get("id").and_then(Json::as_u64), Some(i as u64 + 1));
+            assert_eq!(resp.get("status").and_then(Json::as_str), Some(statuses[i]));
+        }
+        let batch = Json::parse(std::str::from_utf8(&out.writes[1]).unwrap().trim_end()).unwrap();
+        assert_eq!(
+            batch.get("output").and_then(Json::as_str),
+            Some(batch_output.as_str())
+        );
+    }
 
     const TRAIN: &str = "rel E/2\nfact E(a,b)\nfact E(b,c)\nentity a +\nentity b +\nentity c -\n";
     const EVAL: &str = "rel E/2\nfact E(u,v)\nentity u\nentity v\n";

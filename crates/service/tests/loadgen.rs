@@ -32,6 +32,29 @@ fn read_json_line(reader: &mut BufReader<TcpStream>) -> Json {
     Json::parse(line.trim()).unwrap_or_else(|e| panic!("bad response {line:?}: {e}"))
 }
 
+/// `nproc` as the shell reports it (`null` where the command is missing).
+fn nproc() -> Json {
+    Command::new("nproc")
+        .output()
+        .ok()
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .and_then(|text| text.trim().parse::<u64>().ok())
+        .map_or(Json::Null, |n| Json::Num(n as f64))
+}
+
+/// The first `model name` in `/proc/cpuinfo`, else `"unknown"`.
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .find(|line| line.starts_with("model name"))
+                .and_then(|line| line.split_once(':'))
+                .map(|(_, model)| model.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn percentile(sorted: &[Duration], p: f64) -> Duration {
     assert!(!sorted.is_empty());
     let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
@@ -207,6 +230,8 @@ fn loadgen_p50_p99_through_two_shard_router() {
             ("total_requests".to_string(), Json::Num(total as f64)),
             ("shards".to_string(), Json::Num(2.0)),
             ("available_parallelism".to_string(), Json::Num(cores as f64)),
+            ("nproc".to_string(), nproc()),
+            ("cpu_model".to_string(), Json::Str(cpu_model())),
             ("wall_s".to_string(), num(wall.as_secs_f64())),
             ("throughput_req_per_s".to_string(), num(throughput)),
             ("p50_ms".to_string(), num(ms(p50))),
