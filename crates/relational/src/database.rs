@@ -1,11 +1,13 @@
-//! Databases: finite sets of facts over a schema, with the indexes the
+//! Databases: finite sets of facts over a schema, with the index the
 //! homomorphism solver and cover-game solver rely on.
 
 use crate::ids::{RelId, Val};
 use crate::schema::Schema;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Process-global count of full fingerprint computations (every
 /// fact is rehashed). Observable via [`fingerprint_computations`] so
@@ -42,26 +44,225 @@ impl Fact {
 /// A finite database over a [`Schema`].
 ///
 /// Elements are dense [`Val`]s with optional human-readable names; facts
-/// are deduplicated (a database is a *set* of facts). Three indexes are
-/// maintained incrementally:
-///
-/// * facts grouped by relation,
-/// * facts by `(relation, position, value)` — the forward-checking index
-///   of the homomorphism solver,
-/// * facts by value — the cover enumeration index of the k-cover game.
+/// are deduplicated (a database is a *set* of facts). Facts grouped by
+/// relation are kept eagerly; the positional index of the homomorphism
+/// solver and the by-value index of the k-cover game are one
+/// [`Index`], built on first query and dropped by any mutation.
 #[derive(Clone)]
 pub struct Database {
     schema: Schema,
     val_names: Vec<String>,
     name_to_val: HashMap<String, Val>,
     facts: Vec<Fact>,
-    fact_set: HashSet<Fact>,
+    /// Fact ids per relation, in insertion order (removal preserves the
+    /// relative order: `entities()` order is output).
     by_rel: Vec<Vec<usize>>,
-    by_rel_pos_val: HashMap<(RelId, u32, Val), Vec<usize>>,
-    by_val: Vec<Vec<usize>>,
+    dedup: FactTable,
     /// Cached content fingerprint (see [`Database::fingerprint`]);
     /// invalidated by any mutation.
-    fingerprint: std::sync::OnceLock<u128>,
+    fingerprint: OnceLock<u128>,
+    /// Lazily built fact index; invalidated with the fingerprint.
+    index: OnceLock<Index>,
+}
+
+/// The dedup table: each fact's content hash maps to its fact id, and a
+/// hit is confirmed against `facts[id]`, so no second copy of the
+/// arguments is kept. Hashes are keyed per table (std `RandomState`),
+/// which keeps client-chosen element names from steering collisions.
+#[derive(Clone, Default)]
+struct FactTable {
+    first: HashMap<u64, usize>,
+    /// Further facts whose hash equals a key of `first` (almost always
+    /// empty). Invariant: every hash here is also a key of `first`.
+    more: Vec<(u64, usize)>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: when set, every fact hashes to this value.
+    static FORCED_HASH: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
+}
+
+impl FactTable {
+    fn hash(&self, rel: RelId, args: &[Val]) -> u64 {
+        #[cfg(test)]
+        if let Some(h) = FORCED_HASH.with(|c| c.get()) {
+            return h;
+        }
+        self.first.hasher().hash_one((rel, args))
+    }
+
+    /// The id of fact `rel(args)` with hash `h`, if present.
+    fn find(&self, facts: &[Fact], h: u64, rel: RelId, args: &[Val]) -> Option<usize> {
+        let is = |id: usize| facts[id].rel == rel && facts[id].args == args;
+        let &id = self.first.get(&h)?;
+        if is(id) {
+            return Some(id);
+        }
+        self.more
+            .iter()
+            .find(|&&(mh, mid)| mh == h && is(mid))
+            .map(|&(_, mid)| mid)
+    }
+
+    fn insert(&mut self, h: u64, id: usize) {
+        if let Some(&taken) = self.first.get(&h) {
+            debug_assert_ne!(taken, id);
+            self.more.push((h, id));
+        } else {
+            self.first.insert(h, id);
+        }
+    }
+
+    fn remove(&mut self, h: u64, id: usize) {
+        if self.first.get(&h) == Some(&id) {
+            // Promote a colliding fact, if any, to keep the invariant.
+            match self.more.iter().position(|&(mh, _)| mh == h) {
+                Some(p) => self.first.insert(h, self.more.swap_remove(p).1),
+                None => self.first.remove(&h),
+            };
+        } else if let Some(p) = self.more.iter().position(|&e| e == (h, id)) {
+            self.more.swap_remove(p);
+        }
+    }
+
+    /// The fact with hash `h` moved from id `old` to id `new`.
+    fn renumber(&mut self, h: u64, old: usize, new: usize) {
+        match self.first.get_mut(&h) {
+            Some(id) if *id == old => *id = new,
+            _ => {
+                if let Some(e) = self.more.iter_mut().find(|e| **e == (h, old)) {
+                    e.1 = new;
+                }
+            }
+        }
+    }
+}
+
+/// The fact index, built in one pass on first query.
+///
+/// Occurrences are value-major: `off[v]..off[v + 1]` spans the cells
+/// holding value `v`, sorted by `(column, fact id)`, where a column is
+/// `col_base[rel] + pos`. Only relations with facts get columns, so the
+/// index is `O(cells + dom)` whatever arities the schema declares.
+/// `val_off`/`val_fact` list, per value, the facts containing it once
+/// each. Every list is in ascending fact-id order: on a freshly loaded
+/// database that is insertion order, so searches visit facts as they did
+/// under eagerly maintained indexes, and after removals the order still
+/// depends only on the fact ids, not on the edit history.
+#[derive(Clone)]
+struct Index {
+    /// First column of each relation; `u32::MAX` for relations with no
+    /// facts.
+    col_base: Vec<u32>,
+    off: Vec<usize>,
+    col: Vec<u32>,
+    fact: Vec<usize>,
+    val_off: Vec<usize>,
+    val_fact: Vec<usize>,
+}
+
+impl Index {
+    fn build(db: &Database) -> Index {
+        let dom = db.val_names.len();
+        let mut off = vec![0usize; dom + 1];
+        for f in &db.facts {
+            for &a in &f.args {
+                off[a.index() + 1] += 1;
+            }
+        }
+        for v in 0..dom {
+            off[v + 1] += off[v];
+        }
+        let cells = off[dom];
+        let (mut col, mut fact) = (vec![0u32; cells], vec![0usize; cells]);
+        let mut next = off[..dom].to_vec();
+        let mut col_base = vec![u32::MAX; db.by_rel.len()];
+        let mut base = 0u32;
+        let mut ids = Vec::new();
+        // Column-major over ascending fact ids: each value's cells land
+        // in (column, fact id) order without a sort.
+        for (r, rel_facts) in db.by_rel.iter().enumerate() {
+            if rel_facts.is_empty() {
+                continue;
+            }
+            ids.clear();
+            ids.extend_from_slice(rel_facts);
+            ids.sort_unstable();
+            col_base[r] = base;
+            for pos in 0..db.schema.arity(RelId(r as u32)) {
+                for &i in &ids {
+                    let v = db.facts[i].args[pos].index();
+                    col[next[v]] = base;
+                    fact[next[v]] = i;
+                    next[v] += 1;
+                }
+                base = base.checked_add(1).expect("fewer than 2^32 columns");
+            }
+        }
+        // Facts per value, each fact once: `last[v]` is the last fact
+        // counted for `v`.
+        let mut val_off = vec![0usize; dom + 1];
+        let mut last = vec![usize::MAX; dom];
+        for (i, f) in db.facts.iter().enumerate() {
+            for &a in &f.args {
+                if std::mem::replace(&mut last[a.index()], i) != i {
+                    val_off[a.index() + 1] += 1;
+                }
+            }
+        }
+        for v in 0..dom {
+            val_off[v + 1] += val_off[v];
+        }
+        let mut val_fact = vec![0usize; val_off[dom]];
+        next.copy_from_slice(&val_off[..dom]);
+        last.fill(usize::MAX);
+        for (i, f) in db.facts.iter().enumerate() {
+            for &a in &f.args {
+                if std::mem::replace(&mut last[a.index()], i) != i {
+                    val_fact[next[a.index()]] = i;
+                    next[a.index()] += 1;
+                }
+            }
+        }
+        Index {
+            col_base,
+            off,
+            col,
+            fact,
+            val_off,
+            val_fact,
+        }
+    }
+
+    fn facts_with(&self, rel: RelId, pos: u32, arity: usize, v: Val) -> &[usize] {
+        let base = self.col_base[rel.index()];
+        if base == u32::MAX || pos as usize >= arity || v.index() + 1 >= self.off.len() {
+            return &[];
+        }
+        let c = base + pos;
+        let (lo, hi) = (self.off[v.index()], self.off[v.index() + 1]);
+        let cols = &self.col[lo..hi];
+        let start = cols.partition_point(|&x| x < c);
+        let end = start + cols[start..].partition_point(|&x| x == c);
+        &self.fact[lo + start..lo + end]
+    }
+
+    fn facts_of_val(&self, v: Val) -> &[usize] {
+        &self.val_fact[self.val_off[v.index()]..self.val_off[v.index() + 1]]
+    }
+
+    /// Heap words held, for the memory bound tests.
+    #[cfg(test)]
+    fn words(&self) -> usize {
+        let w = |bytes: usize| bytes.div_ceil(std::mem::size_of::<usize>());
+        w(self.col_base.len() * 4)
+            + self.off.len()
+            + w(self.col.len() * 4)
+            + self.fact.len()
+            + self.val_off.len()
+            + self.val_fact.len()
+    }
 }
 
 impl Database {
@@ -72,16 +273,21 @@ impl Database {
             val_names: Vec::new(),
             name_to_val: HashMap::new(),
             facts: Vec::new(),
-            fact_set: HashSet::new(),
             by_rel: vec![Vec::new(); rel_count],
-            by_rel_pos_val: HashMap::new(),
-            by_val: Vec::new(),
-            fingerprint: std::sync::OnceLock::new(),
+            dedup: FactTable::default(),
+            fingerprint: OnceLock::new(),
+            index: OnceLock::new(),
         }
     }
 
     pub fn schema(&self) -> &Schema {
         &self.schema
+    }
+
+    /// Make room for `n` more facts.
+    pub(crate) fn reserve_facts(&mut self, n: usize) {
+        self.facts.reserve(n);
+        self.dedup.first.reserve(n);
     }
 
     /// Intern a named element, creating it on first use.
@@ -92,8 +298,7 @@ impl Database {
         let v = Val(self.val_names.len() as u32);
         self.val_names.push(name.to_string());
         self.name_to_val.insert(name.to_string(), v);
-        self.by_val.push(Vec::new());
-        self.invalidate_fingerprint();
+        self.invalidate();
         v
     }
 
@@ -124,7 +329,7 @@ impl Database {
     /// `dom(D)` in the paper's sense: elements that occur in some fact.
     pub fn active_dom(&self) -> Vec<Val> {
         self.dom()
-            .filter(|v| !self.by_val[v.index()].is_empty())
+            .filter(|&v| !self.facts_of_val(v).is_empty())
             .collect()
     }
 
@@ -143,100 +348,47 @@ impl Database {
         for &a in &args {
             assert!(a.index() < self.val_names.len(), "unknown value {a:?}");
         }
-        let fact = Fact::new(rel, args);
-        if self.fact_set.contains(&fact) {
+        let h = self.dedup.hash(rel, &args);
+        if self.dedup.find(&self.facts, h, rel, &args).is_some() {
             return false;
         }
         let idx = self.facts.len();
+        self.dedup.insert(h, idx);
         self.by_rel[rel.index()].push(idx);
-        for (pos, &a) in fact.args.iter().enumerate() {
-            self.by_rel_pos_val
-                .entry((rel, pos as u32, a))
-                .or_default()
-                .push(idx);
-            // `by_val` deduplicates within a fact (an element may repeat).
-            if fact.args[..pos].iter().all(|&b| b != a) {
-                self.by_val[a.index()].push(idx);
-            }
-        }
-        self.fact_set.insert(fact.clone());
-        self.facts.push(fact);
-        self.invalidate_fingerprint();
+        self.facts.push(Fact::new(rel, args));
+        self.invalidate();
         true
     }
 
-    /// Remove a fact; returns `false` if it was not present. Maintains
-    /// all three indexes (the removal slot is backfilled with the last
-    /// fact, `swap_remove`-style, with its index entries rewritten).
+    /// Remove a fact; returns `false` if it was not present. The removal
+    /// slot is backfilled with the last fact, `swap_remove`-style.
     pub fn remove_fact(&mut self, rel: RelId, args: &[Val]) -> bool {
-        let fact = Fact::new(rel, args.to_vec());
-        if !self.fact_set.remove(&fact) {
+        let h = self.dedup.hash(rel, args);
+        let Some(idx) = self.dedup.find(&self.facts, h, rel, args) else {
             return false;
-        }
-        let idx = self
-            .by_rel_pos_val
-            .get(&(rel, 0, args[0]))
-            .and_then(|idxs| idxs.iter().copied().find(|&i| self.facts[i].args == args))
-            .expect("fact_set and positional index out of sync");
-        self.unindex(idx);
+        };
+        self.dedup.remove(h, idx);
+        let list = &mut self.by_rel[rel.index()];
+        let p = list
+            .iter()
+            .position(|&i| i == idx)
+            .expect("fact listed under its relation");
+        list.remove(p);
         let last = self.facts.len() - 1;
         if idx != last {
-            // The last fact moves into `idx`: rewrite its entries first,
-            // then swap_remove leaves every index consistent.
-            self.reindex(last, idx);
+            // The last fact moves into `idx`.
+            let moved = &self.facts[last];
+            self.dedup
+                .renumber(self.dedup.hash(moved.rel, &moved.args), last, idx);
+            let slot = self.by_rel[moved.rel.index()]
+                .iter_mut()
+                .find(|i| **i == last)
+                .expect("fact listed under its relation");
+            *slot = idx;
         }
         self.facts.swap_remove(idx);
-        self.invalidate_fingerprint();
+        self.invalidate();
         true
-    }
-
-    fn remove_from(list: &mut Vec<usize>, idx: usize) {
-        // Order-preserving removal: `entities()` order flows from the
-        // relative order inside `by_rel`, so no swap_remove here.
-        if let Some(p) = list.iter().position(|&i| i == idx) {
-            list.remove(p);
-        }
-    }
-
-    fn replace_in(list: &mut [usize], old: usize, new: usize) {
-        for i in list {
-            if *i == old {
-                *i = new;
-            }
-        }
-    }
-
-    /// Drop fact index `idx` from every index list it occupies.
-    fn unindex(&mut self, idx: usize) {
-        let fact = self.facts[idx].clone();
-        Self::remove_from(&mut self.by_rel[fact.rel.index()], idx);
-        for (pos, &a) in fact.args.iter().enumerate() {
-            if let Some(list) = self.by_rel_pos_val.get_mut(&(fact.rel, pos as u32, a)) {
-                Self::remove_from(list, idx);
-                if list.is_empty() {
-                    self.by_rel_pos_val.remove(&(fact.rel, pos as u32, a));
-                }
-            }
-            // Mirror the within-fact dedup of `add_fact`.
-            if fact.args[..pos].iter().all(|&b| b != a) {
-                Self::remove_from(&mut self.by_val[a.index()], idx);
-            }
-        }
-    }
-
-    /// Rewrite every index entry for the fact at `old` to point at `new`
-    /// (the fact itself is about to be moved by `swap_remove`).
-    fn reindex(&mut self, old: usize, new: usize) {
-        let fact = self.facts[old].clone();
-        Self::replace_in(&mut self.by_rel[fact.rel.index()], old, new);
-        for (pos, &a) in fact.args.iter().enumerate() {
-            if let Some(list) = self.by_rel_pos_val.get_mut(&(fact.rel, pos as u32, a)) {
-                Self::replace_in(list, old, new);
-            }
-            if fact.args[..pos].iter().all(|&b| b != a) {
-                Self::replace_in(&mut self.by_val[a.index()], old, new);
-            }
-        }
     }
 
     /// Add a fact identified by relation and element names, interning
@@ -263,11 +415,8 @@ impl Database {
     }
 
     pub fn has_fact(&self, rel: RelId, args: &[Val]) -> bool {
-        // Cheap membership without allocating: probe the positional index.
-        match self.by_rel_pos_val.get(&(rel, 0, args[0])) {
-            None => false,
-            Some(idxs) => idxs.iter().any(|&i| self.facts[i].args == args),
-        }
+        let h = self.dedup.hash(rel, args);
+        self.dedup.find(&self.facts, h, rel, args).is_some()
     }
 
     /// Indices of facts of relation `rel`.
@@ -275,14 +424,25 @@ impl Database {
         &self.by_rel[rel.index()]
     }
 
-    /// Indices of facts with value `v` at position `pos` of relation `rel`.
+    /// Indices of facts with value `v` at position `pos` of relation
+    /// `rel`, in ascending order.
     pub fn facts_with(&self, rel: RelId, pos: u32, v: Val) -> &[usize] {
-        self.by_rel_pos_val.get(&(rel, pos, v)).map_or(&[], |x| x)
+        self.index().facts_with(rel, pos, self.schema.arity(rel), v)
     }
 
-    /// Indices of facts containing `v` anywhere.
+    /// Indices of facts containing `v` anywhere, in ascending order.
     pub fn facts_of_val(&self, v: Val) -> &[usize] {
-        &self.by_val[v.index()]
+        self.index().facts_of_val(v)
+    }
+
+    fn index(&self) -> &Index {
+        self.index.get_or_init(|| Index::build(self))
+    }
+
+    /// Heap words held by the fact index, building it if needed.
+    #[cfg(test)]
+    pub(crate) fn index_words(&self) -> usize {
+        self.index().words()
     }
 
     /// Relations that actually have at least one fact.
@@ -336,12 +496,13 @@ impl Database {
         *self.fingerprint.get_or_init(|| self.compute_fingerprint())
     }
 
-    /// Drop the cached content fingerprint. Every mutator funnels
-    /// through here — one invalidation point means the delta/lineage
-    /// machinery in [`crate::delta`] cannot be bypassed by a future
-    /// mutation path.
-    fn invalidate_fingerprint(&mut self) {
-        self.fingerprint = std::sync::OnceLock::new();
+    /// Drop the cached content fingerprint and fact index. Every mutator
+    /// funnels through here — one invalidation point means neither the
+    /// delta/lineage machinery in [`crate::delta`] nor an index query can
+    /// see stale derived state through a future mutation path.
+    fn invalidate(&mut self) {
+        self.fingerprint = OnceLock::new();
+        self.index = OnceLock::new();
     }
 
     /// Seed the fingerprint cache with a value the lineage registry
@@ -360,7 +521,7 @@ impl Database {
             fp,
             "lineage-primed fingerprint does not match database content"
         );
-        self.fingerprint = std::sync::OnceLock::from(fp);
+        self.fingerprint = OnceLock::from(fp);
     }
 
     fn compute_fingerprint(&self) -> u128 {
@@ -530,7 +691,7 @@ mod tests {
         assert_eq!(d.facts_of_val(a).len(), 1);
         assert_eq!(d.facts_of_val(c).len(), 1);
         for &i in d.facts_of_val(b) {
-            assert!(d.fact(i).args.contains(&b), "stale by_val entry");
+            assert!(d.fact(i).args.contains(&b), "stale facts_of_val entry");
         }
 
         // Removal then re-addition restores the original fingerprint.
@@ -565,6 +726,64 @@ mod tests {
         assert!(d.remove_fact(e, &[a, a]));
         assert_eq!(d.facts_of_val(a).len(), 1);
         assert_eq!(d.facts_with(e, 0, a).len(), 1);
+    }
+
+    #[test]
+    fn dedup_survives_hash_collisions() {
+        FORCED_HASH.with(|h| h.set(Some(7)));
+        let mut d = Database::new(graph_schema());
+        assert!(d.add_named_fact("E", &["a", "b"]));
+        assert!(d.add_named_fact("E", &["b", "a"]));
+        assert!(d.add_named_fact("E", &["a", "a"]));
+        assert!(!d.add_named_fact("E", &["b", "a"]), "a colliding duplicate");
+        let e = d.schema().rel_by_name("E").unwrap();
+        let a = d.val_by_name("a").unwrap();
+        let b = d.val_by_name("b").unwrap();
+        assert!(d.add_entity(a));
+        assert_eq!(d.dedup.more.len(), 3, "every fact shares one hash");
+        assert!(d.has_fact(e, &[b, a]));
+        assert!(!d.has_fact(e, &[b, b]));
+        assert!(!d.has_fact(e, &[a]));
+
+        // Drop the table's first entry: a colliding fact takes its place,
+        // and the last fact (η(a)) moves into the freed id.
+        assert!(d.remove_fact(e, &[a, b]));
+        assert!(!d.has_fact(e, &[a, b]));
+        assert!(d.has_fact(e, &[b, a]) && d.has_fact(e, &[a, a]) && d.is_entity(a));
+        assert!(!d.remove_fact(e, &[a, b]));
+        assert!(d.add_named_fact("E", &["a", "b"]));
+        for args in [[b, a], [a, a], [a, b]] {
+            assert!(d.remove_fact(e, &args));
+        }
+        assert!(d.is_entity(a) && d.fact_count() == 1);
+        assert!(d.dedup.more.is_empty());
+        FORCED_HASH.with(|h| h.set(None));
+    }
+
+    #[test]
+    fn index_memory_is_linear_in_cells_and_dom() {
+        // One 50 000-ary fact of distinct elements, plus a declared but
+        // unused relation of the same arity.
+        let n = 50_000;
+        let names: Vec<String> = (0..n).map(|i| format!("x{i}")).collect();
+        let text = format!(
+            "rel W/{n}\nrel V/{n}\nfact W({})\nentity x0\n",
+            names.join(",")
+        );
+        let d = crate::spec::load_database(&text).unwrap();
+        let w = d.schema().rel_by_name("W").unwrap();
+        let v = d.schema().rel_by_name("V").unwrap();
+        let last = d.val_by_name("x49999").unwrap();
+        assert_eq!(d.facts_with(w, n as u32 - 1, last), &[0]);
+        assert!(d.facts_with(w, 0, last).is_empty());
+        assert!(d.facts_with(v, 7, last).is_empty());
+        assert_eq!(d.facts_of_val(last), &[0]);
+        let (cells, dom) = (d.size_cells(), d.dom_size());
+        let words = d.index_words();
+        assert!(
+            words <= 3 * (cells + dom),
+            "{words} words for {cells} cells, {dom} elements"
+        );
     }
 
     #[test]

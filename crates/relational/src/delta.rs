@@ -899,6 +899,11 @@ impl Lineage {
         }
         let ups = g.cur.parents.entry(child_fp).or_default();
         if !ups.iter().any(|&(p, c)| p == parent_fp && c == containment) {
+            // Most children have one parent: a first push would otherwise
+            // allocate room for four.
+            if ups.is_empty() {
+                ups.reserve_exact(1);
+            }
             ups.push((parent_fp, containment));
         }
     }

@@ -19,23 +19,182 @@ use crate::database::Database;
 use crate::labeling::{Label, Labeling, TrainingDb};
 use crate::schema::{Schema, ENTITY_REL_NAME};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
-/// Why an entity schema cannot declare `name/arity` (`taken`: the name
-/// is already declared), if it cannot.
-fn check_relation(name: &str, arity: usize, taken: bool) -> Result<(), String> {
+/// Declare `name/arity` in an entity schema. A declaration the schema
+/// cannot hold — arity 0, the reserved entity symbol `eta`, or a name
+/// declared twice — is an error, never a panic: specs arrive from
+/// untrusted clients.
+fn declare(schema: &mut Schema, name: &str, arity: usize) -> Result<(), String> {
     if arity == 0 {
-        Err(format!("relation {name:?} needs a positive arity"))
-    } else if name == ENTITY_REL_NAME {
-        Err(format!(
-            "relation name {name:?} is reserved for the entity symbol"
-        ))
-    } else if taken {
-        Err(format!("relation {name:?} declared twice"))
-    } else {
-        Ok(())
+        return Err(format!("relation {name:?} needs a positive arity"));
     }
+    if name == ENTITY_REL_NAME {
+        return Err(format!(
+            "relation name {name:?} is reserved for the entity symbol"
+        ));
+    }
+    if schema.rel_by_name(name).is_some() {
+        return Err(format!("relation {name:?} declared twice"));
+    }
+    schema.add_relation(name, arity);
+    Ok(())
+}
+
+/// Prefix an error message with its line number, when it has one.
+fn at(line: Option<usize>) -> impl Fn(String) -> SpecError {
+    move |msg| match line {
+        Some(n) => SpecError(format!("line {n}: {msg}")),
+        None => SpecError(msg),
+    }
+}
+
+/// One line of the text format, borrowed from the input.
+enum Item<'a> {
+    Rel(&'a str, usize),
+    /// A relation name and the text between the parentheses.
+    Fact(&'a str, &'a str),
+    Entity(&'a str, Option<bool>),
+}
+
+/// The arguments of a fact: comma-separated, trimmed, blanks skipped.
+fn fact_args(inner: &str) -> impl Iterator<Item = &str> + Clone {
+    inner.split(',').map(str::trim).filter(|a| !a.is_empty())
+}
+
+/// The one tokenizer of the text format: each item with its 1-based
+/// line number, skipping blank and `#` lines.
+fn items(text: &str) -> impl Iterator<Item = Result<(usize, Item<'_>), SpecError>> {
+    text.lines().enumerate().filter_map(|(i, raw)| {
+        let line = raw.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return None;
+        }
+        Some(item(line).map(|it| (i + 1, it)).map_err(at(Some(i + 1))))
+    })
+}
+
+fn item(line: &str) -> Result<Item<'_>, String> {
+    let (kind, rest) = line
+        .split_once(char::is_whitespace)
+        .ok_or("expected `rel`, `fact`, or `entity`")?;
+    let rest = rest.trim();
+    match kind {
+        "rel" => {
+            let (name, arity) = rest.split_once('/').ok_or("expected name/arity")?;
+            let arity = arity.parse().map_err(|_| "bad arity")?;
+            Ok(Item::Rel(name, arity))
+        }
+        "fact" => {
+            let open = rest.find('(').ok_or("expected `(`")?;
+            let inner = rest[open + 1..].strip_suffix(')').ok_or("expected `)`")?;
+            if fact_args(inner).next().is_none() {
+                return Err("facts need at least one argument".into());
+            }
+            Ok(Item::Fact(rest[..open].trim(), inner))
+        }
+        "entity" => {
+            let mut parts = rest.split_whitespace();
+            let name = parts.next().ok_or("entity needs a name")?;
+            let label = match parts.next() {
+                None => None,
+                Some("+") => Some(true),
+                Some("-") => Some(false),
+                Some(other) => return Err(format!("bad label {other:?} (use + or -)")),
+            };
+            Ok(Item::Entity(name, label))
+        }
+        other => Err(format!("unknown directive {other:?}")),
+    }
+}
+
+/// The one build path from named facts to a [`Database`], shared by
+/// [`DatabaseSpec::to_database`] and [`load_database`]. Facts are added in
+/// order, then entities, so elements are interned in the same order — and
+/// the fingerprint is the same — whichever path built the database.
+fn build<'a, A>(
+    schema: Schema,
+    facts: impl ExactSizeIterator<Item = (Option<usize>, &'a str, A)>,
+    entities: impl ExactSizeIterator<Item = &'a str>,
+) -> Result<Database, SpecError>
+where
+    A: Iterator<Item = &'a str> + Clone,
+{
+    let mut db = Database::new(schema);
+    db.reserve_facts(facts.len() + entities.len());
+    for (line, rel, args) in facts {
+        let rel_id = db
+            .schema()
+            .rel_by_name(rel)
+            .ok_or_else(|| at(line)(format!("unknown relation {rel:?}")))?;
+        let n = args.clone().count();
+        if n != db.schema().arity(rel_id) {
+            return Err(at(line)(format!(
+                "arity mismatch for {rel:?}: got {n} args"
+            )));
+        }
+        let vals = args.map(|a| db.value(a)).collect();
+        db.add_fact(rel_id, vals);
+    }
+    for name in entities {
+        let v = db.value(name);
+        db.add_entity(v);
+    }
+    Ok(db)
+}
+
+/// An entity with its line number (if from text) and optional label.
+type EntityLine<'a> = (Option<usize>, &'a str, Option<bool>);
+
+/// Attach labels to a built database; every entity must carry one.
+fn labeled<'a>(
+    db: Database,
+    entities: impl Iterator<Item = EntityLine<'a>>,
+) -> Result<TrainingDb, SpecError> {
+    let mut labeling = Labeling::new();
+    for (line, name, label) in entities {
+        let l = label.ok_or_else(|| at(line)(format!("entity {name:?} has no label")))?;
+        let v = db.val_by_name(name).expect("entities are interned");
+        labeling.set(v, if l { Label::Positive } else { Label::Negative });
+    }
+    Ok(TrainingDb::new(db, labeling))
+}
+
+/// Scan text-format input once and build its database: every `rel` is
+/// declared first (a `rel` may follow the facts that use it), then facts
+/// and entities go through [`build`] in file order. Also returns the
+/// entity lines, for labeling.
+fn load(text: &str) -> Result<(Database, Vec<EntityLine<'_>>), SpecError> {
+    let mut schema = Schema::entity_schema();
+    let (mut facts, mut entities) = (Vec::new(), Vec::new());
+    for item in items(text) {
+        match item? {
+            (line, Item::Rel(name, arity)) => {
+                declare(&mut schema, name, arity).map_err(at(Some(line)))?
+            }
+            (line, Item::Fact(rel, args)) => facts.push((Some(line), rel, args)),
+            (line, Item::Entity(name, label)) => entities.push((Some(line), name, label)),
+        }
+    }
+    let facts = facts
+        .into_iter()
+        .map(|(line, rel, args)| (line, rel, fact_args(args)));
+    let db = build(schema, facts, entities.iter().map(|e| e.1))?;
+    Ok((db, entities))
+}
+
+/// Load text-format database text straight into a [`Database`] (labels,
+/// if any, are ignored): `DatabaseSpec::parse(text)?.to_database()`
+/// without the owned intermediate.
+pub fn load_database(text: &str) -> Result<Database, SpecError> {
+    load(text).map(|(db, _)| db)
+}
+
+/// Load text-format training-database text; every entity must carry a
+/// label. Equivalent to `DatabaseSpec::parse(text)?.to_training()`.
+pub fn load_training(text: &str) -> Result<TrainingDb, SpecError> {
+    let (db, entities) = load(text)?;
+    labeled(db, entities.into_iter())
 }
 
 /// Portable form of a (training) database.
@@ -62,54 +221,34 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 impl DatabaseSpec {
-    /// Build the entity schema declared by this spec. A declaration the
-    /// schema cannot hold — arity 0, the reserved entity symbol `eta`, or
-    /// a name declared twice — is an error, never a panic: specs arrive
-    /// from untrusted clients.
+    /// Build the entity schema declared by this spec (see [`declare`]).
     pub fn schema(&self) -> Result<Schema, SpecError> {
         let mut s = Schema::entity_schema();
         for (name, arity) in &self.relations {
-            check_relation(name, *arity, s.rel_by_name(name).is_some()).map_err(SpecError)?;
-            s.add_relation(name, *arity);
+            declare(&mut s, name, *arity).map_err(SpecError)?;
         }
         Ok(s)
     }
 
     /// Instantiate as a plain database (labels, if any, are ignored).
     pub fn to_database(&self) -> Result<Database, SpecError> {
-        let schema = self.schema()?;
-        let mut db = Database::new(schema);
-        for (rel, args) in &self.facts {
-            let rel_id = db
-                .schema()
-                .rel_by_name(rel)
-                .ok_or_else(|| SpecError(format!("unknown relation {rel:?}")))?;
-            if db.schema().arity(rel_id) != args.len() {
-                return Err(SpecError(format!(
-                    "arity mismatch for {rel:?}: got {} args",
-                    args.len()
-                )));
-            }
-            let vals: Vec<_> = args.iter().map(|a| db.value(a)).collect();
-            db.add_fact(rel_id, vals);
-        }
-        for (name, _) in &self.entities {
-            let v = db.value(name);
-            db.add_entity(v);
-        }
-        Ok(db)
+        build(
+            self.schema()?,
+            self.facts
+                .iter()
+                .map(|(rel, args)| (None, rel.as_str(), args.iter().map(String::as_str))),
+            self.entities.iter().map(|(name, _)| name.as_str()),
+        )
     }
 
     /// Instantiate as a training database; every entity must carry a label.
     pub fn to_training(&self) -> Result<TrainingDb, SpecError> {
         let db = self.to_database()?;
-        let mut labeling = Labeling::new();
-        for (name, label) in &self.entities {
-            let l = label.ok_or_else(|| SpecError(format!("entity {name:?} has no label")))?;
-            let v = db.val_by_name(name).unwrap();
-            labeling.set(v, if l { Label::Positive } else { Label::Negative });
-        }
-        Ok(TrainingDb::new(db, labeling))
+        let entities = self
+            .entities
+            .iter()
+            .map(|(name, l)| (None, name.as_str(), *l));
+        labeled(db, entities)
     }
 
     /// Extract a spec back out of a database (inverse of `to_database`).
@@ -154,57 +293,18 @@ impl DatabaseSpec {
     /// Parse the line-oriented text format.
     pub fn parse(text: &str) -> Result<DatabaseSpec, SpecError> {
         let mut spec = DatabaseSpec::default();
-        let mut declared = HashSet::new();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            let err = |msg: &str| SpecError(format!("line {}: {msg}", lineno + 1));
-            let (kind, rest) = line
-                .split_once(char::is_whitespace)
-                .ok_or_else(|| err("expected `rel`, `fact`, or `entity`"))?;
-            let rest = rest.trim();
-            match kind {
-                "rel" => {
-                    let (name, arity) = rest
-                        .split_once('/')
-                        .ok_or_else(|| err("expected name/arity"))?;
-                    let arity: usize = arity.parse().map_err(|_| err("bad arity"))?;
-                    let taken = !declared.insert(name);
-                    check_relation(name, arity, taken).map_err(|e| err(&e))?;
+        let mut schema = Schema::entity_schema();
+        for item in items(text) {
+            match item? {
+                (line, Item::Rel(name, arity)) => {
+                    declare(&mut schema, name, arity).map_err(at(Some(line)))?;
                     spec.relations.push((name.to_string(), arity));
                 }
-                "fact" => {
-                    let open = rest.find('(').ok_or_else(|| err("expected `('`"))?;
-                    if !rest.ends_with(')') {
-                        return Err(err("expected `)`"));
-                    }
-                    let name = rest[..open].trim().to_string();
-                    let args: Vec<String> = rest[open + 1..rest.len() - 1]
-                        .split(',')
-                        .map(|a| a.trim().to_string())
-                        .filter(|a| !a.is_empty())
-                        .collect();
-                    if args.is_empty() {
-                        return Err(err("facts need at least one argument"));
-                    }
-                    spec.facts.push((name, args));
-                }
-                "entity" => {
-                    let mut parts = rest.split_whitespace();
-                    let name = parts.next().ok_or_else(|| err("entity needs a name"))?;
-                    let label = match parts.next() {
-                        None => None,
-                        Some("+") => Some(true),
-                        Some("-") => Some(false),
-                        Some(other) => {
-                            return Err(err(&format!("bad label {other:?} (use + or -)")))
-                        }
-                    };
-                    spec.entities.push((name.to_string(), label));
-                }
-                other => return Err(err(&format!("unknown directive {other:?}"))),
+                (_, Item::Fact(rel, args)) => spec.facts.push((
+                    rel.to_string(),
+                    fact_args(args).map(str::to_string).collect(),
+                )),
+                (_, Item::Entity(name, label)) => spec.entities.push((name.to_string(), label)),
             }
         }
         Ok(spec)
@@ -289,6 +389,15 @@ entity b
         assert!(e.0.contains("line 2"), "{e}");
         assert!(DatabaseSpec::parse("fact f()").is_err());
         assert!(DatabaseSpec::parse("bogus x").is_err());
+        let e = DatabaseSpec::parse("rel f/1\nfact f a)").unwrap_err();
+        assert_eq!(e.0, "line 2: expected `(`");
+        // Text input also locates the errors found while building.
+        let e = load_database("rel E/2\n\nfact E(a,b)\nfact F(a)").unwrap_err();
+        assert_eq!(e.0, "line 4: unknown relation \"F\"");
+        let e = load_training("fact E(a)\n# E follows\nrel E/2").unwrap_err();
+        assert_eq!(e.0, "line 1: arity mismatch for \"E\": got 1 args");
+        let e = load_training("rel E/1\nfact E(a)\nentity a").unwrap_err();
+        assert_eq!(e.0, "line 3: entity \"a\" has no label");
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Property tests for the relational substrate: the homomorphism solver
 //! against brute force, isomorphism relation laws, product projections,
-//! and the text format.
+//! the fact index against naive scans, and the text format.
 
 use proptest::prelude::*;
 use relational::hom::brute_force_exists;
 use relational::hom::par::{par_all_pairs, par_map};
 use relational::iso::{isomorphic, same_orbit};
 use relational::spec::DatabaseSpec;
-use relational::{homomorphism_exists, pointed_power, Database, HomCache, Schema, Val};
+use relational::{homomorphism_exists, pointed_power, Database, HomCache, RelId, Schema, Val};
+use std::collections::BTreeSet;
 
 /// Build a graph database from an edge list over `n` nodes, with the
 /// first `ents` nodes marked as entities.
@@ -29,6 +30,124 @@ fn graph(n: usize, edges: &[(usize, usize)], ents: usize) -> Database {
 /// Strategy: a small digraph (n nodes, up to 2n edges).
 fn small_graph() -> impl Strategy<Value = (usize, Vec<(usize, usize)>)> {
     (2usize..5).prop_flat_map(|n| (Just(n), proptest::collection::vec((0..n, 0..n), 0..(2 * n))))
+}
+
+/// One mutation of the index oracle test: `(kind, relation, a, b, c)`
+/// over five element names and the relations `eta/1`, `E/2`, `T/3`.
+type Op = (u8, u32, usize, usize, usize);
+
+fn ops() -> impl Strategy<Value = Vec<Op>> {
+    proptest::collection::vec((0u8..5, 0u32..3, 0usize..5, 0usize..5, 0usize..5), 0..24)
+}
+
+/// The database under test next to a naive model: its fact set and its
+/// entities in insertion order.
+#[derive(Clone)]
+struct Oracle {
+    db: Database,
+    facts: BTreeSet<(RelId, Vec<Val>)>,
+    entities: Vec<Val>,
+}
+
+impl Oracle {
+    fn new() -> Oracle {
+        let mut s = Schema::entity_schema();
+        s.add_relation("E", 2);
+        s.add_relation("T", 3);
+        Oracle {
+            db: Database::new(s),
+            facts: BTreeSet::new(),
+            entities: Vec::new(),
+        }
+    }
+
+    fn step(&mut self, (kind, r, a, b, c): Op) -> Result<(), String> {
+        let rel = RelId(r);
+        let names = [a, b, c].map(|i| format!("n{i}"));
+        let arity = self.db.schema().arity(rel);
+        match kind {
+            0 => {
+                self.db.value(&names[0]);
+            }
+            1 | 2 => {
+                let args: Vec<Val> = names[..arity].iter().map(|n| self.db.value(n)).collect();
+                let fresh = self.facts.insert((rel, args.clone()));
+                prop_assert_eq!(self.db.add_fact(rel, args.clone()), fresh);
+                if fresh && rel == self.db.schema().entity_rel_required() {
+                    self.entities.push(args[0]);
+                }
+            }
+            _ => {
+                // Kind 3 removes a present fact when there is one, kind 4
+                // a tuple of known names (usually absent, maybe short).
+                let (rel, args) = match self.facts.iter().nth(a + b) {
+                    Some(f) if kind == 3 => f.clone(),
+                    _ => (
+                        rel,
+                        names[..arity]
+                            .iter()
+                            .filter_map(|n| self.db.val_by_name(n))
+                            .collect(),
+                    ),
+                };
+                let present = self.facts.remove(&(rel, args.clone()));
+                prop_assert_eq!(self.db.remove_fact(rel, &args), present);
+                if present && rel == self.db.schema().entity_rel_required() {
+                    self.entities.retain(|&e| e != args[0]);
+                }
+            }
+        }
+        self.check()
+    }
+
+    /// Every index query equals a naive scan over `facts()`.
+    fn check(&self) -> Result<(), String> {
+        let d = &self.db;
+        let got: BTreeSet<(RelId, Vec<Val>)> =
+            d.facts().iter().map(|f| (f.rel, f.args.clone())).collect();
+        prop_assert_eq!(&got, &self.facts);
+        prop_assert_eq!(d.fact_count(), self.facts.len());
+        prop_assert_eq!(d.entities(), self.entities.clone());
+        let ids = |keep: &dyn Fn(&relational::Fact) -> bool| -> Vec<usize> {
+            (0..d.fact_count()).filter(|&i| keep(d.fact(i))).collect()
+        };
+        for rel in d.schema().rel_ids() {
+            let mut of_rel = d.facts_of_rel(rel).to_vec();
+            of_rel.sort_unstable();
+            prop_assert_eq!(of_rel, ids(&|f| f.rel == rel));
+            for pos in 0..d.schema().arity(rel) as u32 {
+                for v in d.dom() {
+                    prop_assert_eq!(
+                        d.facts_with(rel, pos, v).to_vec(),
+                        ids(&|f| f.rel == rel && f.args[pos as usize] == v)
+                    );
+                }
+            }
+        }
+        for v in d.dom() {
+            prop_assert_eq!(d.facts_of_val(v).to_vec(), ids(&|f| f.args.contains(&v)));
+        }
+        let active: Vec<Val> = d
+            .dom()
+            .filter(|v| d.facts().iter().any(|f| f.args.contains(v)))
+            .collect();
+        prop_assert_eq!(d.active_dom(), active);
+        // Membership of every candidate tuple over the first three names.
+        let vals: Vec<Val> = d.dom().take(3).collect();
+        for rel in d.schema().rel_ids() {
+            let arity = d.schema().arity(rel);
+            for code in 0..vals.len().pow(arity as u32) {
+                let args: Vec<Val> = (0..arity)
+                    .map(|i| vals[code / vals.len().pow(i as u32) % vals.len()])
+                    .collect();
+                prop_assert_eq!(
+                    d.has_fact(rel, &args),
+                    self.facts.contains(&(rel, args.clone()))
+                );
+            }
+        }
+        Ok(())
+    }
 }
 
 proptest! {
@@ -190,5 +309,23 @@ proptest! {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fact_index_matches_naive_scans(first in ops(), second in ops()) {
+        let mut o = Oracle::new();
+        for op in first {
+            o.step(op)?;
+        }
+        // The delta path: clone after a query (the index is built), then
+        // mutate the clone; the original must not see it.
+        let before = o.clone();
+        let mut c = o.clone();
+        for op in second {
+            c.step(op)?;
+        }
+        before.check()?;
+        prop_assert_eq!(o.db.facts(), before.db.facts());
+        o.check()?;
     }
 }

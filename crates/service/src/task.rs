@@ -13,7 +13,7 @@ use cq::EnumConfig;
 use cqsep::generalize::{self, FitMethod};
 use cqsep::{apx, cls_ghw, gen_ghw, sep_cq, sep_cqm, sep_ghw};
 use engine::{Ctx, Interrupted};
-use relational::spec::DatabaseSpec;
+use relational::spec;
 use relational::{Database, Delta, Label, TrainingDb};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -287,18 +287,12 @@ impl Outcome {
 
 /// Parse training-database text (spec format, labeled entities).
 pub fn load_training(text: &str) -> Result<TrainingDb, String> {
-    DatabaseSpec::parse(text)
-        .map_err(|e| e.to_string())?
-        .to_training()
-        .map_err(|e| e.to_string())
+    spec::load_training(text).map_err(|e| e.to_string())
 }
 
 /// Parse evaluation-database text (spec format, labels optional).
 pub fn load_database(text: &str) -> Result<Database, String> {
-    DatabaseSpec::parse(text)
-        .map_err(|e| e.to_string())?
-        .to_database()
-        .map_err(|e| e.to_string())
+    spec::load_database(text).map_err(|e| e.to_string())
 }
 
 /// Execute a task under a [`Ctx`]. The outer `Err` is interruption
