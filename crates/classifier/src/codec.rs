@@ -73,17 +73,19 @@ pub(crate) fn decode(bytes: Vec<u8>) -> Option<Model> {
     let mut r = ByteReader::with_magic(&bytes, &MODEL_MAGIC)?;
     let schema = decode_schema(&mut r)?;
     let n_features = r.u32()? as usize;
-    let mut features = Vec::with_capacity(n_features);
+    // Every capacity below is bounded by the bytes left (`u32` counts
+    // and length prefixes are 4 bytes each), never by a count alone.
+    let mut features = Vec::with_capacity(r.capacity(n_features as u64, 4));
     for _ in 0..n_features {
         features.push(decode_feature(&mut r, &schema)?);
     }
-    let original_dim = r.u64()? as usize;
-    let mut class_of = Vec::with_capacity(original_dim);
+    let original_dim = r.u64()?;
+    let mut class_of = Vec::with_capacity(r.capacity(original_dim, 4));
     for _ in 0..original_dim {
         class_of.push(r.u32()? as usize);
     }
     let threshold: Rat = r.str()?.parse().ok()?;
-    let mut weights = Vec::with_capacity(n_features);
+    let mut weights = Vec::with_capacity(r.capacity(n_features as u64, 4));
     for _ in 0..n_features {
         weights.push(r.str()?.parse::<Rat>().ok()?);
     }
@@ -124,8 +126,8 @@ fn decode_schema(r: &mut ByteReader<'_>) -> Option<Schema> {
 }
 
 fn decode_feature(r: &mut ByteReader<'_>, schema: &Schema) -> Option<Cq> {
-    let n_atoms = r.u32()? as usize;
-    let mut atoms = Vec::with_capacity(n_atoms);
+    let n_atoms = r.u32()?;
+    let mut atoms = Vec::with_capacity(r.capacity(n_atoms.into(), 4));
     let mut positions = 0u64;
     for _ in 0..n_atoms {
         let rel = RelId(r.u32()?);
@@ -133,7 +135,7 @@ fn decode_feature(r: &mut ByteReader<'_>, schema: &Schema) -> Option<Cq> {
             return None;
         }
         let arity = schema.arity(rel);
-        let mut args = Vec::with_capacity(arity);
+        let mut args = Vec::with_capacity(r.capacity(arity as u64, 4));
         for _ in 0..arity {
             args.push(Var(r.u32()?));
         }

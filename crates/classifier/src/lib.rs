@@ -14,7 +14,7 @@
 //!    entity walks the forest once with a frontier of partial
 //!    homomorphisms: shared prefixes are mapped once and extended per
 //!    branch, and a prefix that fails to map prunes its whole subtree
-//!    (see [`trie`]'s module docs for the invariants).
+//!    (see [`cq::trie`]'s module docs for the invariants).
 //!
 //! A [`Model`] persists via [`Model::save`]/[`Model::load`] in the
 //! workspace's shared `serde::bytes` wire style — magic-tagged,
@@ -22,70 +22,21 @@
 //! file falls back to a clean cold compile.
 
 mod codec;
-mod trie;
 
+use cq::trie::{self, Trie};
 use cq::Cq;
 use cqsep::Statistic;
 use engine::{Ctx, Interrupted};
 use linsep::LinearClassifier;
 use numeric::Rat;
 use relational::{Database, Label, Labeling, Schema, Val};
-use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
-use trie::Trie;
 
-/// Counters from compiled batch prediction. All additive; the per-task
-/// totals are the sum over entities.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ClassifierStats {
-    /// Entities evaluated.
-    pub entities: u64,
-    /// Trie nodes entered.
-    pub nodes_visited: u64,
-    /// Subtrees pruned because their prefix frontier came up empty.
-    pub prefix_prunes: u64,
-    /// Times a node's frontier was reused by an additional sibling
-    /// branch (children beyond the first served from shared work).
-    pub reuse_hits: u64,
-    /// Partial assignments materialized after projection and dedup.
-    pub frontier_assignments: u64,
-    /// Per-feature exact homomorphism checks taken because a frontier
-    /// overflowed the cap.
-    pub hom_fallbacks: u64,
-}
-
-impl ClassifierStats {
-    /// Accumulate another batch's counters.
-    pub fn merge(&mut self, other: &ClassifierStats) {
-        self.entities += other.entities;
-        self.nodes_visited += other.nodes_visited;
-        self.prefix_prunes += other.prefix_prunes;
-        self.reuse_hits += other.reuse_hits;
-        self.frontier_assignments += other.frontier_assignments;
-        self.hom_fallbacks += other.hom_fallbacks;
-    }
-
-    /// One-line human-readable summary.
-    pub fn report(&self) -> String {
-        format!(
-            "entities {} · nodes visited {} · prefix prunes {} · reuse hits {} \
-             · frontier assignments {} · hom fallbacks {}",
-            self.entities,
-            self.nodes_visited,
-            self.prefix_prunes,
-            self.reuse_hits,
-            self.frontier_assignments,
-            self.hom_fallbacks
-        )
-    }
-}
-
-/// Frontier width at which the evaluator stops carrying partial
-/// assignments down a branch and answers its features by exact
-/// homomorphism checks instead. Purely a performance valve —
-/// predictions do not depend on it.
-pub const DEFAULT_FRONTIER_CAP: usize = 4096;
+/// Counters from compiled batch prediction: the trie kernel's
+/// counters under the name the serving layer reports them by.
+pub use cq::trie::TrieStats as ClassifierStats;
+pub use cq::trie::DEFAULT_FRONTIER_CAP;
 
 /// A compiled, persistable classifier: deduplicated feature cores, the
 /// weight-folded linear classifier over them, and the shared-prefix
@@ -193,7 +144,10 @@ impl Model {
         if features.iter().any(|q| !q.is_unary()) {
             return None;
         }
-        let trie = Trie::build(&features)?;
+        let trie = Trie::build(&features);
+        if !trie.paths_distinct() {
+            return None;
+        }
         let canon = features
             .iter()
             .map(|q| {
@@ -313,18 +267,14 @@ impl Model {
     /// fallback stopped by the context's handle reports a filler verdict;
     /// callers re-check the handle after each block and discard it.
     fn eval_one(&self, ctx: &Ctx, d: &Database, e: Val) -> (Vec<i32>, ClassifierStats) {
-        let mut truths = vec![false; self.features.len()];
-        let mut stats = ClassifierStats {
-            entities: 1,
-            ..ClassifierStats::default()
-        };
+        let mut stats = ClassifierStats::default();
         let fallback = |j: u32| {
             let (db, x) = &self.canon[j as usize];
             ctx.hom_exists(db, d, &[(*x, e)]).unwrap_or(false)
         };
-        self.trie
-            .eval_entity(d, e, self.frontier_cap, &fallback, &mut truths, &mut stats);
-        let row = truths.iter().map(|&t| if t { 1 } else { -1 }).collect();
+        let row = self
+            .trie
+            .eval_entity(d, e, self.frontier_cap, &fallback, &mut stats);
         (row, stats)
     }
 
@@ -459,6 +409,13 @@ mod tests {
         let naive = stat.apply_in(&engine.ctx(), &d, &entities).unwrap();
         let compiled = model.apply_in(&engine.ctx(), &d, &entities).unwrap();
         assert_eq!(naive, compiled);
+    }
+
+    #[test]
+    fn repeated_feature_paths_do_not_assemble() {
+        let features = vec![q("q(x) :- eta(x), E(x,y)"), q("q(x) :- eta(x), E(x,z)")];
+        let cls = LinearClassifier::new(qint(0), vec![qint(1); 2]);
+        assert!(Model::from_parts(schema(), features, vec![0, 1], cls, 1).is_none());
     }
 
     #[test]

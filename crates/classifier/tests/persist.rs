@@ -5,7 +5,9 @@ use classifier::Model;
 use cq::parse::parse_cq;
 use linsep::LinearClassifier;
 use numeric::qint;
+use proptest::prelude::*;
 use relational::{DbBuilder, Schema};
+use serde::bytes::ByteWriter;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -121,6 +123,89 @@ fn corrupt_bytes_fall_back_to_cold_compile() {
     let (got, warm) = load_or_compile(&path);
     assert!(warm);
     assert_eq!(got, m);
+}
+
+/// Load `bytes` as a model file. A file that loads must round-trip:
+/// saving the loaded model and loading that again gives the same model.
+fn load_bytes(dir: &Path, bytes: &[u8]) -> Option<Model> {
+    let path = dir.join("model.bin");
+    fs::write(&path, bytes).unwrap();
+    let loaded = Model::load(&path)?;
+    loaded.save(&path).unwrap();
+    assert_eq!(Model::load(&path).as_ref(), Some(&loaded));
+    Some(loaded)
+}
+
+/// A model file's header up to its feature count: magic, one relation
+/// `R` of the given arity, and no entity relation.
+fn header(arity: u64) -> ByteWriter {
+    let mut w = ByteWriter::with_magic(b"CQSEPMD1");
+    w.u32(1);
+    w.str("R");
+    w.u64(arity);
+    w.verdict(false);
+    w
+}
+
+/// Count fields taken straight from the file must never size an
+/// allocation: each of these fails cleanly instead of aborting on
+/// "capacity overflow" or trying to reserve hundreds of GiB.
+#[test]
+fn huge_count_headers_fail_cleanly() {
+    let dir = TempDir::new("huge");
+    // The 25-byte file: no relations, no features, `original_dim` at its
+    // maximum and nothing after it.
+    let mut w = ByteWriter::with_magic(b"CQSEPMD1");
+    w.u32(0);
+    w.verdict(false);
+    w.u32(0);
+    w.u64(u64::MAX);
+    let bytes = w.finish();
+    assert_eq!(bytes.len(), 25);
+    assert!(load_bytes(&dir, &bytes).is_none());
+
+    let mut w = header(2);
+    w.u32(u32::MAX); // n_features
+    assert!(load_bytes(&dir, &w.finish()).is_none());
+
+    let mut w = header(2);
+    w.u32(1);
+    w.u32(u32::MAX); // n_atoms
+    w.u32(0);
+    assert!(load_bytes(&dir, &w.finish()).is_none());
+
+    // One atom over a relation whose arity is half the u64 range.
+    let mut w = header(u64::MAX / 2);
+    w.u32(1);
+    w.u32(1);
+    w.u32(0);
+    w.u32(0);
+    assert!(load_bytes(&dir, &w.finish()).is_none());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Truncate a good file anywhere and flip a few bits: loading never
+    /// panics, and a file that still loads is a well-formed model.
+    #[test]
+    fn truncated_and_bit_flipped_files_never_panic(
+        cut in 0usize..4096,
+        flips in proptest::collection::vec((0usize..4096, 0u32..8), 0..4),
+    ) {
+        let dir = TempDir::new("fuzz");
+        let path = dir.join("model.bin");
+        compiled().save(&path).unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        bytes.truncate(cut % (bytes.len() + 1));
+        for (at, bit) in flips {
+            if !bytes.is_empty() {
+                let i = at % bytes.len();
+                bytes[i] ^= 1 << bit;
+            }
+        }
+        load_bytes(&dir, &bytes);
+    }
 }
 
 #[test]

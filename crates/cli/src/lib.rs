@@ -61,11 +61,10 @@
 //!   partial engine stats instead of an answer.
 
 use engine::{Ctx, Engine, Interrupted};
-use relational::spec::DatabaseSpec;
+use relational::spec::{self, DatabaseSpec, Loaded};
 use relational::Delta;
 use service::{
-    load_database, load_training, render_labels, run_task_in, run_task_res_in, Residents, Task,
-    TaskOutput,
+    load_database, render_labels, run_task_in, run_task_res_in, Residents, Task, TaskOutput,
 };
 use std::fmt::Write as _;
 use std::path::Path;
@@ -347,36 +346,29 @@ pub fn run_in(ctx: &Ctx, args: &[String]) -> Result<Result<String, String>, Inte
                 Ok(d) => d,
                 Err(e) => return Ok(Err(e.to_string())),
             };
-            let spec = match DatabaseSpec::parse(&db_text) {
-                Ok(s) => s,
-                Err(e) => return Ok(Err(e.to_string())),
-            };
             // A labeled spec goes through the training path so label ops
             // (add-entity with +/-, flip-label) are legal; either way the
             // edit runs through the engine's lineage registry, so with
             // `--cache-dir` the fingerprint edge survives to later runs.
-            let labeled = spec.entities.iter().any(|(_, l)| l.is_some());
-            let (receipt, descendant) = if labeled {
-                let mut train = match load_training(&db_text) {
-                    Ok(t) => t,
-                    Err(e) => return Ok(Err(e)),
-                };
-                match ctx.apply_training_delta(&mut train, &delta)? {
-                    Ok(r) => {
-                        let spec = DatabaseSpec::from_database(&train.db, Some(&train.labeling));
-                        (r, spec.to_text())
+            let loaded = match spec::load_any(&db_text) {
+                Ok(l) => l,
+                Err(e) => return Ok(Err(e.to_string())),
+            };
+            let (receipt, descendant) = match loaded {
+                Loaded::Training(mut train) => {
+                    match ctx.apply_training_delta(&mut train, &delta)? {
+                        Ok(r) => {
+                            let spec =
+                                DatabaseSpec::from_database(&train.db, Some(&train.labeling));
+                            (r, spec.to_text())
+                        }
+                        Err(e) => return Ok(Err(e.to_string())),
                     }
-                    Err(e) => return Ok(Err(e.to_string())),
                 }
-            } else {
-                let mut db = match load_database(&db_text) {
-                    Ok(d) => d,
-                    Err(e) => return Ok(Err(e)),
-                };
-                match ctx.apply_delta(&mut db, &delta)? {
+                Loaded::Plain(mut db) => match ctx.apply_delta(&mut db, &delta)? {
                     Ok(r) => (r, DatabaseSpec::from_database(&db, None).to_text()),
                     Err(e) => return Ok(Err(e.to_string())),
-                }
+                },
             };
             Ok(Ok(match out_path {
                 Some(p) => match std::fs::write(&p, &descendant) {
@@ -838,6 +830,20 @@ entity v
             std::fs::write(&bad, "flip-label u\n").unwrap();
             let err = run(&s(&["append", eval, bad.to_str().unwrap()])).unwrap_err();
             assert!(err.contains("labeled"), "{err}");
+            // A partly labeled database is a training database with a
+            // missing label, named with its line.
+            let partial = dir.join("partial.db");
+            std::fs::write(&partial, "rel E/2\nfact E(a,b)\nentity a +\nentity b\n").unwrap();
+            let err = run(&s(&[
+                "append",
+                partial.to_str().unwrap(),
+                plain.to_str().unwrap(),
+            ]))
+            .unwrap_err();
+            assert_eq!(
+                err, "database spec error: line 4: entity \"b\" has no label",
+                "{err}"
+            );
             // Usage errors.
             assert!(run(&s(&["append", train])).is_err());
             assert!(run(&s(&["append", train, "/no/such.delta"])).is_err());

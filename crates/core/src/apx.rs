@@ -6,7 +6,7 @@
 //!   `GHW(k)`-separable and provably disagreement-minimal, so
 //!   `GHW(k)`-ApxSep and `GHW(k)`-ApxCls are polynomial (Corollary 7.5).
 //! * **`CQ[m]`** (Propositions 7.2/7.3): the feature matrix is fixed by
-//!   enumeration; approximate linear separability (NP-complete, [17]) is
+//!   enumeration; approximate linear separability (NP-complete, \[17\]) is
 //!   solved exactly by the branch-and-bound in `linsep::minerror`.
 //! * **Hardness transfer** (Proposition 7.1): [`pad_for_error`] maps an
 //!   exact separability instance to an ε-error instance by adding a block

@@ -87,7 +87,7 @@ pub fn fo_generate_single_feature(train: &TrainingDb) -> Option<folog::FoFormula
     folog::fo_single_feature(train)
 }
 
-/// FO-QBE (§8, Arenas–Díaz [4]): an FO explanation for `(D, S⁺, S⁻)`
+/// FO-QBE (§8, Arenas–Díaz \[4\]): an FO explanation for `(D, S⁺, S⁻)`
 /// exists iff no automorphism orbit of `D` contains both a positive and a
 /// negative example — FO defines every orbit, so orbit-disjointness is
 /// both necessary and sufficient. GI-complete, decided here through the

@@ -20,9 +20,9 @@
 //! | [`sep_ghw`] | §5.1 | `GHW(k)`-Sep in polynomial time (Thm 5.3) |
 //! | [`gen_ghw`] | §5.2 | explicit (worst-case exponential) `GHW(k)` feature generation (Prop 5.6) |
 //! | [`cls_ghw`] | §5.3 | `GHW(k)`-Cls **without materializing the statistic** (Thm 5.8, Algorithm 1) |
-//! | [`sep_dim`] | §6 | bounded-dimension `L`-Sep[ℓ] / `L`-Sep[*] via QBE |
+//! | [`sep_dim`] | §6 | bounded-dimension `L`-Sep\[ℓ\] / `L`-Sep\[*\] via QBE |
 //! | [`sep_dim_naive`] | Lemma 6.3 | the literal guess-and-check test (cross-validation oracle) |
-//! | [`reduction`] | Lemma 6.5 | the executable QBE → Sep[ℓ] reduction |
+//! | [`reduction`] | Lemma 6.5 | the executable QBE → Sep\[ℓ\] reduction |
 //! | [`apx`] | §7 | approximate separability: Algorithm 2, min-error `CQ[m]`, the ε-padding reduction (Prop 7.1) |
 //! | [`generalize`] | §7, motivation | train/test evaluation of the regularized languages (held-out accuracy) |
 //! | [`fo`] | §8 | FO / FO_k / ∃FO⁺ separability, dimension collapse, unbounded dimension |

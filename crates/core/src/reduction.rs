@@ -1,5 +1,5 @@
 //! The executable reduction of Lemma 6.5: `L`-QBE (over instances with
-//! `S⁻ = dom(D) ∖ S⁺`) reduces in polynomial time to `L`-Sep[ℓ].
+//! `S⁻ = dom(D) ∖ S⁺`) reduces in polynomial time to `L`-Sep\[ℓ\].
 //!
 //! Given `(D, S⁺, S⁻)` and `ℓ ≥ 1`, the construction extends the schema
 //! with the entity symbol `η` and `ℓ − 1` fresh unary symbols

@@ -10,9 +10,11 @@
 //! (`CQ[m,p]`) restores plain PTIME (Proposition 4.3).
 
 use crate::statistic::{SeparatorModel, Statistic};
-use cq::{enumerate_feature_queries, EnumConfig};
+use cq::trie::{Trie, TrieStats, DEFAULT_FRONTIER_CAP};
+use cq::{enumerate_feature_queries, Cq, EnumConfig};
 use engine::{Ctx, Interrupted};
-use relational::{Database, Labeling, TrainingDb};
+use relational::{homomorphism_exists, Database, Label, Labeling, TrainingDb, Val};
+use std::sync::OnceLock;
 
 /// The full `CQ[m]` statistic over the relations populated in `D`
 /// (Prop 4.1's `Π`), with the η guard on every feature.
@@ -60,18 +62,19 @@ pub fn cqm_generate_in(
     }))
 }
 
+/// A reduced statistic plus its feature matrix: the deduplicated
+/// [`Statistic`], one indicator row per entity, and the entity labels.
+pub type ReducedStatistic = (Statistic, Vec<Vec<i32>>, Vec<i32>);
+
 /// The full (syntactically enumerated) `CQ[m]` statistic reduced to one
 /// feature per distinct indicator column on `train`, with the reduced
 /// feature matrix and the ±1 labels. Shared by the exact and approximate
 /// solvers: column identity is all that matters for (approximate) linear
 /// separability over a fixed training database.
-/// A reduced statistic plus its feature matrix: the deduplicated
-/// [`Statistic`], one indicator row per entity, and the entity labels.
-pub type ReducedStatistic = (Statistic, Vec<Vec<i32>>, Vec<i32>);
-
 ///
-/// Interruptible: the feature-matrix sweep runs through
-/// [`Statistic::apply_in`], observing the handle between feature blocks.
+/// Interruptible: the feature matrix comes from the shared-prefix trie
+/// (see `bank_rows_in`), which observes the handle between entity
+/// blocks.
 pub fn column_reduced_statistic_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -80,7 +83,7 @@ pub fn column_reduced_statistic_in(
     ctx.check()?;
     let statistic = full_statistic(&train.db, &config.clone().syntactic());
     let entities = train.entities();
-    let rows = statistic.apply_in(ctx, &train.db, &entities)?;
+    let rows = bank_rows_in(ctx, &statistic.features, &train.db, &entities)?;
     let nfeat = statistic.dimension();
     let mut seen = std::collections::HashSet::new();
     let mut kept_features = Vec::new();
@@ -112,17 +115,65 @@ pub fn cqm_separable_in(
 }
 
 /// `CQ[m]`-Cls: classify an evaluation database with a model generated
-/// from the training database (both constructive per §4).
+/// from the training database (both constructive per §4). The model's
+/// features are evaluated on `eval` through the shared-prefix trie.
 pub fn cqm_classify_in(
     ctx: &Ctx,
     train: &TrainingDb,
     eval: &Database,
     config: &EnumConfig,
 ) -> Result<Option<Labeling>, Interrupted> {
-    match cqm_generate_in(ctx, train, config)? {
-        None => Ok(None),
-        Some(model) => model.classify_in(ctx, eval).map(Some),
+    let Some(model) = cqm_generate_in(ctx, train, config)? else {
+        return Ok(None);
+    };
+    let entities = eval.entities();
+    let rows = bank_rows_in(ctx, &model.statistic.features, eval, &entities)?;
+    Ok(Some(
+        entities
+            .into_iter()
+            .zip(rows)
+            .map(|(e, row)| (e, Label::from_sign(model.classifier.classify(&row))))
+            .collect(),
+    ))
+}
+
+/// The ±1 feature matrix of an enumerated bank on `entities` of `d`,
+/// one row per entity: [`Statistic::apply_in`]'s result, computed by one
+/// walk of the shared-prefix trie per entity instead of one hom search
+/// per (feature, entity). Entity blocks run on the engine's worker pool
+/// with an interrupt check between blocks. A frontier that overflows the
+/// cap falls back to the same uncounted hom search `cq::indicator` runs,
+/// so the engine's hom counters read as they would for `apply_in`.
+///
+/// Only short banks belong here: long features (explicit `GHW(k)`
+/// models) keep the per-feature search of [`Statistic::apply_in`].
+fn bank_rows_in(
+    ctx: &Ctx,
+    bank: &[Cq],
+    d: &Database,
+    entities: &[Val],
+) -> Result<Vec<Vec<i32>>, Interrupted> {
+    ctx.check()?;
+    const BLOCK: usize = 64;
+    let trie = Trie::build(bank);
+    // Canonical databases for the fallback, built on first use only.
+    let canon: Vec<OnceLock<(Database, Val)>> = bank.iter().map(|_| OnceLock::new()).collect();
+    let mut rows = Vec::with_capacity(entities.len());
+    for chunk in entities.chunks(BLOCK) {
+        rows.extend(ctx.engine().par_map(chunk, |&e| {
+            let fallback = |f: u32| {
+                let (db, x) = canon[f as usize].get_or_init(|| {
+                    let (db, frees) = bank[f as usize].canonical_db();
+                    (db, frees[0])
+                });
+                homomorphism_exists(db, d, &[(*x, e)])
+            };
+            let mut stats = TrieStats::default();
+            trie.eval_entity(d, e, DEFAULT_FRONTIER_CAP, &fallback, &mut stats)
+        }));
+        ctx.check()?;
     }
+    Ok(rows)
 }
 
 #[cfg(test)]
@@ -243,6 +294,18 @@ mod tests {
         let v = eval.val_by_name("v").unwrap();
         assert_eq!(lab.get(u), Label::Positive);
         assert_eq!(lab.get(v), Label::Negative);
+    }
+
+    #[test]
+    fn expired_deadline_interrupts_the_fit_and_the_bank_sweep() {
+        let engine = Engine::new();
+        let ctx = engine.ctx_with_deadline(std::time::Duration::ZERO);
+        let t = path_train();
+        assert!(column_reduced_statistic_in(&ctx, &t, &EnumConfig::cqm(2)).is_err());
+        let bank = full_statistic(&t.db, &EnumConfig::cqm(2).syntactic()).features;
+        assert!(bank_rows_in(&ctx, &bank, &t.db, &t.entities()).is_err());
+        let rows = bank_rows_in(&engine.ctx(), &bank, &t.db, &t.entities()).unwrap();
+        assert_eq!(rows.len(), t.entities().len());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Bounded-dimension separability: `L`-Sep[ℓ] and `L`-Sep[*] (§6).
+//! Bounded-dimension separability: `L`-Sep\[ℓ\] and `L`-Sep\[*\] (§6).
 //!
 //! Example 6.2 shows the pairwise-indistinguishability criterion breaks
 //! once the dimension is capped; the `(L, ℓ)`-separability test
@@ -17,8 +17,8 @@
 //!   construction for `CQ`/`GHW(k)` and by enumeration for `CQ[m]`.
 //!
 //! The search over ≤ ℓ explainable columns plus the exact LP is the
-//! (necessarily) exponential part: `CQ`-Sep[ℓ] is coNEXPTIME-complete and
-//! `GHW(k)`-Sep[ℓ] EXPTIME-complete (Theorem 6.6), `CQ[m]`-Sep[ℓ]
+//! (necessarily) exponential part: `CQ`-Sep\[ℓ\] is coNEXPTIME-complete and
+//! `GHW(k)`-Sep\[ℓ\] EXPTIME-complete (Theorem 6.6), `CQ[m]`-Sep\[ℓ\]
 //! NP-complete (Theorem 6.10). That part is engineered, not just
 //! endured: candidate columns are deduplicated (exact duplicates *and*
 //! complements — negating a weight realizes the complement) by
@@ -91,9 +91,9 @@ impl Default for DimBudget {
     }
 }
 
-/// Decide `L`-Sep[ℓ]: is `train` separable by a statistic of at most
+/// Decide `L`-Sep\[ℓ\]: is `train` separable by a statistic of at most
 /// `ell` features from the class? (With `ell` from the input this is the
-/// `L`-Sep[*] variant — same code, per the paper's definitions.)
+/// `L`-Sep\[*\] variant — same code, per the paper's definitions.)
 pub fn sep_dim_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -259,7 +259,7 @@ pub fn ghw_sep_dim_in(
     sep_dim_in(ctx, train, &DimClass::Ghw(k), ell, budget)
 }
 
-/// `CQ[m]`-Sep[ℓ] / `CQ[m]`-Sep[*] (§6.3): enumerate the `CQ[m]` feature
+/// `CQ[m]`-Sep\[ℓ\] / `CQ[m]`-Sep\[*\] (§6.3): enumerate the `CQ[m]` feature
 /// queries, deduplicate their indicator columns, and search for ≤ ℓ
 /// columns that linearly separate. NP-complete (Theorem 6.10); exact.
 ///
@@ -297,7 +297,7 @@ pub fn cqm_sep_dim_in(
 }
 
 /// Generate an explicit ℓ-feature separating model (statistic +
-/// classifier) for `L`-Sep[ℓ], or `None` when the instance is not
+/// classifier) for `L`-Sep\[ℓ\], or `None` when the instance is not
 /// ℓ-separable. The features are QBE explanations of the witness
 /// coordinates: product-canonical CQs for `CQ`, cover-game extractions
 /// for `GHW(k)` — both worst-case exponential in size (Theorem 6.7), so
@@ -354,10 +354,10 @@ pub fn sep_dim_generate_in(
     })))
 }
 
-/// `L`-Cls[ℓ]: classify an evaluation database with an explicit
+/// `L`-Cls\[ℓ\]: classify an evaluation database with an explicit
 /// ℓ-feature model generated from the training database (the
 /// classification counterpart the paper notes for the constructive
-/// cases, e.g. `CQ[m]`-Cls[*] in Prop 6.8).
+/// cases, e.g. `CQ[m]`-Cls\[*\] in Prop 6.8).
 pub fn sep_dim_classify_in(
     ctx: &Ctx,
     train: &TrainingDb,
@@ -708,10 +708,10 @@ fn subset_separates_warm(
 ///
 /// The sweep runs size classes in ascending order and, within a size,
 /// blocks of lexicographic combinations fanned out over
-/// [`par_find_first`] — so the result is deterministic (the
+/// [`Engine::par_find_first`](engine::Engine::par_find_first) — so the result is deterministic (the
 /// lexicographically first witness of minimum size) regardless of worker
 /// count, and a hit early in the enumeration exits without touching the
-/// rest. Every solved subset banks its optimal basis in a [`BasisStore`]
+/// rest. Every solved subset banks its optimal basis in a `BasisStore`
 /// to warm its siblings and extensions. [`search_columns_seq_in`] is the
 /// single-threaded cold reference. Warm-offered subsets skip the
 /// perceptron, so they meet the positive-weight gap of
@@ -727,7 +727,7 @@ fn subset_separates_warm(
 /// two counts.
 ///
 /// Interruptible: the sweep observes the handle once per
-/// [`SEARCH_BLOCK`]-combination block (between parallel fan-outs), so
+/// `SEARCH_BLOCK`-combination block (between parallel fan-outs), so
 /// cancellation lands within one block's worth of LPs.
 pub fn search_columns_in(
     ctx: &Ctx,

@@ -15,7 +15,7 @@ use crate::sep_dim::{DimBudget, DimClass, DimError};
 use engine::{Ctx, Interrupted};
 use relational::{TrainingDb, Val};
 
-/// Decide `L`-Sep[ℓ] by the literal Lemma 6.3 search. Exponential in
+/// Decide `L`-Sep\[ℓ\] by the literal Lemma 6.3 search. Exponential in
 /// `ℓ · |η(D)|`; use only on tiny instances (the test suite does).
 ///
 /// Interruptible: the handle is observed once per guessed assignment κ (each LP

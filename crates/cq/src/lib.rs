@@ -16,6 +16,8 @@
 //!
 //! [`contain`] provides containment/equivalence and [`core`] provides core
 //! (minimization) computation — both through the homomorphism solver.
+//! [`trie`] evaluates a whole bank of short features per entity in one
+//! walk over their shared prefixes.
 
 pub mod contain;
 pub mod core;
@@ -25,6 +27,7 @@ pub mod enumerate;
 pub mod eval;
 pub mod parse;
 pub mod query;
+pub mod trie;
 
 pub use contain::{contained_in, equivalent};
 pub use decomp::{ghw, ghw_at_most, TreeDecomposition};

@@ -1,12 +1,15 @@
-//! The shared-prefix atom trie and its frontier evaluator.
+//! The shared-prefix atom trie and its frontier evaluator: the kernel
+//! that evaluates a bank of short unary features on many entities.
 //!
-//! Every compiled feature is laid out as a *canonical atom path*: a
+//! Every feature is laid out as a *canonical atom path*: a
 //! connectivity-aware ordering of its atoms starting from the free
 //! variable, with variables renamed by first appearance along that
 //! order (free variable = 0). Isomorphic prefixes of different features
 //! thereby become *literally identical* atom sequences, and inserting
 //! all paths into a trie shares them: one node per distinct prefix
-//! atom, features marked on the node completing their path.
+//! atom, features marked on the node completing their path. A bank may
+//! repeat a canonical path (syntactic enumeration does), so a node
+//! carries a list of features.
 //!
 //! Evaluation of one entity `e` walks the trie once, maintaining a
 //! **frontier** of partial homomorphisms (variable assignments with
@@ -27,11 +30,69 @@
 //! * if the width still exceeds the cap, the evaluator falls back to
 //!   one exact homomorphism check per feature in the subtree
 //!   (correctness never depends on the cap).
+//!
+//! The trie pays off on short, prefix-sharing banks such as the
+//! enumerated `CQ[m]` statistic. Long features with a shared prefix
+//! (explicit `GHW(k)` features run to hundreds of atoms) carry wide
+//! frontiers deep into the path; a per-feature hom search serves them
+//! better.
 
-use crate::ClassifierStats;
-use cq::{Atom, Cq, Var};
+use crate::query::{Atom, Cq, Var};
 use relational::{Database, Val};
-use std::collections::{BTreeSet, HashSet};
+use serde::{Deserialize, Serialize};
+use std::collections::{BTreeSet, HashMap, HashSet};
+
+/// Frontier width at which the evaluator stops carrying partial
+/// assignments down a branch and answers its features by exact
+/// homomorphism checks instead. Purely a performance valve — verdicts
+/// do not depend on it.
+pub const DEFAULT_FRONTIER_CAP: usize = 4096;
+
+/// Counters from trie evaluation. All additive; batch totals are the
+/// sum over entities.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct TrieStats {
+    /// Entities evaluated.
+    pub entities: u64,
+    /// Trie nodes entered.
+    pub nodes_visited: u64,
+    /// Subtrees pruned because their prefix frontier came up empty.
+    pub prefix_prunes: u64,
+    /// Times a node's frontier was reused by an additional sibling
+    /// branch (children beyond the first served from shared work).
+    pub reuse_hits: u64,
+    /// Partial assignments materialized after projection and dedup.
+    pub frontier_assignments: u64,
+    /// Per-feature exact homomorphism checks taken because a frontier
+    /// overflowed the cap.
+    pub hom_fallbacks: u64,
+}
+
+impl TrieStats {
+    /// Accumulate another batch's counters.
+    pub fn merge(&mut self, other: &TrieStats) {
+        self.entities += other.entities;
+        self.nodes_visited += other.nodes_visited;
+        self.prefix_prunes += other.prefix_prunes;
+        self.reuse_hits += other.reuse_hits;
+        self.frontier_assignments += other.frontier_assignments;
+        self.hom_fallbacks += other.hom_fallbacks;
+    }
+
+    /// One-line human-readable summary.
+    pub fn report(&self) -> String {
+        format!(
+            "entities {} · nodes visited {} · prefix prunes {} · reuse hits {} \
+             · frontier assignments {} · hom fallbacks {}",
+            self.entities,
+            self.nodes_visited,
+            self.prefix_prunes,
+            self.reuse_hits,
+            self.frontier_assignments,
+            self.hom_fallbacks
+        )
+    }
+}
 
 /// One atom of a compiled path, plus the shape of the assignment after
 /// matching it.
@@ -42,8 +103,8 @@ struct Node {
     /// frontier's assignments have length `bound_after - new vars`.
     bound_after: u32,
     children: Vec<usize>,
-    /// Feature whose path ends at this node, if any.
-    feature: Option<u32>,
+    /// Features whose path ends at this node.
+    features: Vec<u32>,
     /// Variables (bound at or before this node) still used somewhere
     /// in the subtree below — the projection target for the frontier.
     live: Vec<u32>,
@@ -51,11 +112,13 @@ struct Node {
 
 /// The compiled forest: all feature paths, prefix-shared.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) struct Trie {
+pub struct Trie {
     nodes: Vec<Node>,
     roots: Vec<usize>,
     /// Features whose body is empty (true on every entity).
     empty_features: Vec<u32>,
+    /// Size of the bank the trie was built from.
+    n_features: usize,
 }
 
 /// The canonical atom path of a unary feature: connectivity-aware
@@ -63,11 +126,14 @@ pub(crate) struct Trie {
 /// appearance (free variable becomes `Var(0)`). Deterministic in the
 /// *set* of atoms, so re-deriving it from a stored (sorted) `Cq`
 /// reproduces the exact same path.
-pub(crate) fn canonical_path(q: &Cq) -> Vec<Atom> {
-    assert!(q.is_unary(), "compiled features must be unary");
+///
+/// # Panics
+/// Panics when `q` is not unary.
+pub fn canonical_path(q: &Cq) -> Vec<Atom> {
+    assert!(q.is_unary(), "trie features must be unary");
     let free = q.free_var();
     let mut remaining: Vec<&Atom> = q.atoms().iter().collect();
-    let mut rename: std::collections::HashMap<Var, u32> = std::collections::HashMap::new();
+    let mut rename: HashMap<Var, u32> = HashMap::new();
     rename.insert(free, 0);
     let mut next = 1u32;
     let mut path = Vec::with_capacity(remaining.len());
@@ -109,7 +175,7 @@ pub(crate) fn canonical_path(q: &Cq) -> Vec<Atom> {
 }
 
 /// Comparison key for the canonical-path atom choice.
-fn atom_key(atom: &Atom, rename: &std::collections::HashMap<Var, u32>) -> (u32, Vec<(u8, u32)>) {
+fn atom_key(atom: &Atom, rename: &HashMap<Var, u32>) -> (u32, Vec<(u8, u32)>) {
     let mut firsts: Vec<Var> = Vec::new();
     let args = atom
         .args
@@ -129,15 +195,17 @@ fn atom_key(atom: &Atom, rename: &std::collections::HashMap<Var, u32>) -> (u32, 
 }
 
 impl Trie {
-    /// Build the forest over the (already deduplicated) features.
-    /// Returns `None` if two features share a full path — impossible
-    /// for core-deduplicated banks, but reachable from a corrupted
-    /// model file, which must fail cleanly.
-    pub(crate) fn build(features: &[Cq]) -> Option<Trie> {
+    /// Build the forest over a bank of unary features. Features with
+    /// the same canonical path share its final node.
+    ///
+    /// # Panics
+    /// Panics when a feature is not unary.
+    pub fn build(features: &[Cq]) -> Trie {
         let mut trie = Trie {
             nodes: Vec::new(),
             roots: Vec::new(),
             empty_features: Vec::new(),
+            n_features: features.len(),
         };
         for (id, q) in features.iter().enumerate() {
             let path = canonical_path(q);
@@ -165,7 +233,7 @@ impl Trie {
                         atom,
                         bound_after: bound + new_vars,
                         children: Vec::new(),
-                        feature: None,
+                        features: Vec::new(),
                         live: Vec::new(),
                     });
                     match at {
@@ -178,13 +246,17 @@ impl Trie {
                 at = Some(k);
             }
             let end = at.expect("non-empty path has a final node");
-            if trie.nodes[end].feature.is_some() {
-                return None; // duplicate path: not a deduplicated bank
-            }
-            trie.nodes[end].feature = Some(id as u32);
+            trie.nodes[end].features.push(id as u32);
         }
         trie.compute_live_sets();
-        Some(trie)
+        trie
+    }
+
+    /// Does every feature have a canonical path of its own? Always true
+    /// for a core-deduplicated bank; false for a syntactic bank that
+    /// repeats a feature up to variable renaming.
+    pub fn paths_distinct(&self) -> bool {
+        self.empty_features.len() <= 1 && self.nodes.iter().all(|n| n.features.len() <= 1)
     }
 
     /// Fill every node's `live` set: variables bound at or before the
@@ -209,102 +281,118 @@ impl Trie {
         }
     }
 
-    pub(crate) fn node_count(&self) -> usize {
+    /// Nodes in the forest (≤ total atoms of the bank; the gap is the
+    /// sharing).
+    pub fn node_count(&self) -> usize {
         self.nodes.len()
     }
 
-    /// Evaluate one entity: set `truths[f] = true` for every feature
-    /// whose query selects `e` in `d`. `fallback` must answer the exact
-    /// per-feature homomorphism question; it is consulted only when the
-    /// frontier overflows `cap`.
-    pub(crate) fn eval_entity<F: Fn(u32) -> bool>(
+    /// Evaluate one entity: the ±1 row of the bank at `e`, one entry per
+    /// feature in build order. `fallback(f)` must answer the exact
+    /// homomorphism question for feature `f` at `e`; it is consulted
+    /// only when a frontier overflows `cap`.
+    pub fn eval_entity<F: Fn(u32) -> bool>(
         &self,
         d: &Database,
         e: Val,
         cap: usize,
         fallback: &F,
-        truths: &mut [bool],
-        stats: &mut ClassifierStats,
-    ) {
+        stats: &mut TrieStats,
+    ) -> Vec<i32> {
+        let mut row = vec![-1; self.n_features];
+        stats.entities += 1;
         for &f in &self.empty_features {
-            truths[f as usize] = true;
+            row[f as usize] = 1;
         }
         let root_frontier = vec![vec![e]];
         if self.roots.len() > 1 {
             stats.reuse_hits += self.roots.len() as u64 - 1;
         }
+        let mut walk = Walk {
+            trie: self,
+            d,
+            cap,
+            fallback,
+            row: &mut row,
+            stats,
+        };
         for &r in &self.roots {
-            self.descend(d, r, &root_frontier, cap, fallback, truths, stats);
+            walk.descend(r, &root_frontier);
+        }
+        row
+    }
+
+    fn collect_features(&self, idx: usize, out: &mut Vec<u32>) {
+        out.extend_from_slice(&self.nodes[idx].features);
+        for &c in &self.nodes[idx].children {
+            self.collect_features(c, out);
+        }
+    }
+}
+
+/// One entity's walk down the trie: the fixed inputs plus the row and
+/// counters it fills in.
+struct Walk<'a, F> {
+    trie: &'a Trie,
+    d: &'a Database,
+    cap: usize,
+    fallback: &'a F,
+    row: &'a mut [i32],
+    stats: &'a mut TrieStats,
+}
+
+impl<F: Fn(u32) -> bool> Walk<'_, F> {
+    fn mark(&mut self, features: &[u32]) {
+        for &f in features {
+            self.row[f as usize] = 1;
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn descend<F: Fn(u32) -> bool>(
-        &self,
-        d: &Database,
-        idx: usize,
-        frontier: &[Vec<Val>],
-        cap: usize,
-        fallback: &F,
-        truths: &mut [bool],
-        stats: &mut ClassifierStats,
-    ) {
-        stats.nodes_visited += 1;
-        let node = &self.nodes[idx];
+    fn descend(&mut self, idx: usize, frontier: &[Vec<Val>]) {
+        self.stats.nodes_visited += 1;
+        let trie = self.trie;
+        let node = &trie.nodes[idx];
         if node.children.is_empty() {
             // Leaf: only non-emptiness matters, stop at the first
             // extension instead of materializing the frontier.
-            if any_extension(d, &node.atom, frontier) {
-                if let Some(f) = node.feature {
-                    truths[f as usize] = true;
-                }
+            if any_extension(self.d, &node.atom, frontier) {
+                self.mark(&node.features);
             } else {
-                stats.prefix_prunes += 1;
+                self.stats.prefix_prunes += 1;
             }
             return;
         }
         let mut ext: Vec<Vec<Val>> = Vec::new();
         for base in frontier {
-            extend_one(d, &node.atom, base, node.bound_after, &mut ext);
+            extend_one(self.d, &node.atom, base, node.bound_after, &mut ext);
         }
         if ext.is_empty() {
             // The prefix fails to map: every feature below is false.
-            stats.prefix_prunes += 1;
+            self.stats.prefix_prunes += 1;
             return;
         }
-        if let Some(f) = node.feature {
-            truths[f as usize] = true;
-        }
+        self.mark(&node.features);
         project_dedup(&mut ext, &node.live);
-        stats.frontier_assignments += ext.len() as u64;
-        if ext.len() > cap {
+        self.stats.frontier_assignments += ext.len() as u64;
+        if ext.len() > self.cap {
             // Frontier too wide to carry further: answer each feature
             // below exactly instead. Correctness is cap-independent.
             let mut feats = Vec::new();
             for &c in &node.children {
-                self.collect_features(c, &mut feats);
+                trie.collect_features(c, &mut feats);
             }
             for f in feats {
-                stats.hom_fallbacks += 1;
-                if fallback(f) {
-                    truths[f as usize] = true;
+                self.stats.hom_fallbacks += 1;
+                if (self.fallback)(f) {
+                    self.row[f as usize] = 1;
                 }
             }
             return;
         }
         // The shared frontier is reused by every sibling branch.
-        stats.reuse_hits += node.children.len() as u64 - 1;
+        self.stats.reuse_hits += node.children.len() as u64 - 1;
         for &c in &node.children {
-            self.descend(d, c, &ext, cap, fallback, truths, stats);
-        }
-    }
-
-    fn collect_features(&self, idx: usize, out: &mut Vec<u32>) {
-        if let Some(f) = self.nodes[idx].feature {
-            out.push(f);
-        }
-        for &c in &self.nodes[idx].children {
-            self.collect_features(c, out);
+            self.descend(c, &ext);
         }
     }
 }

@@ -47,7 +47,7 @@ impl Fact {
 /// are deduplicated (a database is a *set* of facts). Facts grouped by
 /// relation are kept eagerly; the positional index of the homomorphism
 /// solver and the by-value index of the k-cover game are one
-/// [`Index`], built on first query and dropped by any mutation.
+/// `Index`, built on first query and dropped by any mutation.
 #[derive(Clone)]
 pub struct Database {
     schema: Schema,

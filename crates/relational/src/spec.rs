@@ -197,6 +197,28 @@ pub fn load_training(text: &str) -> Result<TrainingDb, SpecError> {
     labeled(db, entities.into_iter())
 }
 
+/// A database loaded by [`load_any`].
+#[derive(Debug)]
+pub enum Loaded {
+    /// Some entity carries a label, so every entity does.
+    Training(TrainingDb),
+    /// No entity carries a label.
+    Plain(Database),
+}
+
+/// Load text-format database text in one pass, as a training database
+/// when any entity carries a label (then every entity must, with
+/// [`load_training`]'s error otherwise) and as a plain database when
+/// none does.
+pub fn load_any(text: &str) -> Result<Loaded, SpecError> {
+    let (db, entities) = load(text)?;
+    if entities.iter().any(|(_, _, label)| label.is_some()) {
+        labeled(db, entities.into_iter()).map(Loaded::Training)
+    } else {
+        Ok(Loaded::Plain(db))
+    }
+}
+
 /// Portable form of a (training) database.
 #[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DatabaseSpec {
@@ -221,7 +243,7 @@ impl fmt::Display for SpecError {
 impl std::error::Error for SpecError {}
 
 impl DatabaseSpec {
-    /// Build the entity schema declared by this spec (see [`declare`]).
+    /// Build the entity schema declared by this spec (see `declare`).
     pub fn schema(&self) -> Result<Schema, SpecError> {
         let mut s = Schema::entity_schema();
         for (name, arity) in &self.relations {

@@ -155,6 +155,14 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// A `Vec` capacity for `count` elements about to be read, each at
+    /// least `min_size` bytes on the wire: never more than the bytes left
+    /// can hold, so a corrupt count field cannot over-allocate.
+    pub fn capacity(&self, count: u64, min_size: usize) -> usize {
+        let fits = self.rest.len() / min_size.max(1);
+        usize::try_from(count).map_or(fits, |n| n.min(fits))
+    }
+
     /// All bytes consumed? Trailing garbage means a count field and the
     /// payload disagree — treated as corruption by the decoders.
     pub fn finished(&self) -> bool {

@@ -80,13 +80,6 @@ pub const DEFAULT_CHECK_CLASSES: [ClassSpec; 4] = [
 /// feature extraction (Proposition 5.6 is worst-case exponential).
 pub const TRAIN_GHW_BUDGET: usize = 1_000_000;
 
-/// Feature-bank size beyond which [`Task::Classify`] routes evaluation
-/// through the compiled trie model instead of the per-feature sweep.
-/// Below it, compile cost (core computations) is not worth amortizing;
-/// predictions are identical either way (regression-tested across the
-/// planted families).
-pub const COMPILED_CLASSIFY_THRESHOLD: usize = 16;
-
 /// The default method list for a [`Task::Evaluate`] with no explicit
 /// methods: one strength sweep per regularized language plus the
 /// min-error path.
@@ -558,23 +551,11 @@ fn classify_in(
             Some(l) => l,
             None => return Ok(Err("training data is not CQ-separable".to_string())),
         },
-        ClassSpec::Cqm(m) => {
-            let model = match sep_cqm::cqm_generate_in(ctx, train, &EnumConfig::cqm(m))? {
-                Some(model) => model,
-                None => return Ok(Err(format!("training data is not CQ[{m}]-separable"))),
-            };
-            // Wide enumerated banks amortize through the compiled trie;
-            // small ones are cheaper to sweep directly. Either route
-            // produces identical labels (regression-tested on the
-            // planted families).
-            if model.statistic.dimension() > COMPILED_CLASSIFY_THRESHOLD {
-                classifier::Model::compile_separator(&model)
-                    .classify_in(ctx, eval)?
-                    .0
-            } else {
-                model.classify_in(ctx, eval)?
-            }
-        }
+        ClassSpec::Cqm(m) => match sep_cqm::cqm_classify_in(ctx, train, eval, &EnumConfig::cqm(m))?
+        {
+            Some(l) => l,
+            None => return Ok(Err(format!("training data is not CQ[{m}]-separable"))),
+        },
     };
     Ok(Ok(TaskOutput {
         output: render_labels(eval, |e| labels.get(e)),
