@@ -9,7 +9,7 @@
 //! its eviction, lineage subsumption, counters and persistence are
 //! `relational::memo`'s; this module adds the key ([`GameKey`]: both
 //! fingerprints, `ā`, `b̄` and `k`), the solve (one counted
-//! [`CoverGame`] analysis) and the game-effort counters behind
+//! [`CoverGame::decide`]) and the game-effort counters behind
 //! [`GameCache::stats`].
 
 use crate::game::CoverGame;
@@ -108,7 +108,7 @@ impl GameCache {
         }
     }
 
-    /// Analyze one game on `skeleton`, counted against this cache.
+    /// Decide one game on `skeleton`, counted against this cache.
     fn solve(
         &self,
         a: &[Val],
@@ -116,22 +116,22 @@ impl GameCache {
         skeleton: &UnionSkeleton,
         intr: &Interrupt,
     ) -> Result<bool, Stop> {
-        let game = CoverGame::analyze(a, b, skeleton, intr);
+        let verdict = CoverGame::decide(a, b, skeleton, intr);
         // A build counts even when its game was stopped afterwards.
         self.tables
             .fetch_add(skeleton.claim_table_build() as u64, Ordering::Relaxed);
-        let game = game?;
+        let verdict = verdict?;
         self.games.fetch_add(1, Ordering::Relaxed);
         self.positions
-            .fetch_add(game.position_count(), Ordering::Relaxed);
+            .fetch_add(verdict.positions, Ordering::Relaxed);
         self.sweeps
-            .fetch_add(game.sweeps() as u64, Ordering::Relaxed);
-        Ok(game.duplicator_wins())
+            .fetch_add(verdict.sweeps as u64, Ordering::Relaxed);
+        Ok(verdict.duplicator_wins)
     }
 
     /// Memoized `(D, ā) →_k (D', b̄)`. A miss consults `lineage` for
     /// subsumption, then builds a [`UnionSkeleton`] of its own and
-    /// analyzes the game under `intr`; a stopped analysis inserts
+    /// decides the game under `intr`; a stopped decision inserts
     /// nothing, so the table never holds a verdict from a truncated
     /// fixpoint. Batch callers replaying many games over one pair of
     /// databases share a skeleton through
@@ -169,7 +169,7 @@ impl GameCache {
             .get_or_solve(key, lineage, |_| self.solve(a, b, skeleton, intr))
     }
 
-    /// This cache's own counters as a [`GameStats`]: analysis effort from
+    /// This cache's own counters as a [`GameStats`]: game effort from
     /// its misses plus its hit/miss counts — attributable to exactly the
     /// queries routed through this cache instance.
     pub fn stats(&self) -> GameStats {

@@ -1,16 +1,32 @@
 //! Deciding `(D, ā) →_k (D', b̄)`: the greatest-fixpoint solver for the
 //! existential k-cover game (union-jump formulation; see the crate docs).
 //!
-//! The solver records, for every killed position, *when* it died and
-//! *which* union Spoiler should jump to from it (the witness). Those
-//! records are exactly a Spoiler winning strategy, which [`crate::extract`]
-//! unfolds into a distinguishing `GHW(k)` query.
+//! [`CoverGame::analyze`] records, for every killed position, *when* it
+//! died and *which* union Spoiler should jump to from it (the witness).
+//! Those records are exactly a Spoiler winning strategy, which
+//! [`crate::extract`] unfolds into a distinguishing `GHW(k)` query.
+//! [`CoverGame::decide`] answers only the verdict: it stops at Spoiler's
+//! opening move when a union is dry before any sweep, and otherwise runs
+//! the same selection and fixpoint.
 
 use crate::skeleton::UnionSkeleton;
 use crate::table::PositionTable;
 use interrupt::{Interrupt, Stop};
 use relational::{Database, Val};
 use std::collections::HashMap;
+
+/// The verdict of one game and the effort [`CoverGame::decide`] spent on
+/// it, for [`crate::GameStats`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Verdict {
+    /// Does `(D, ā) →_k (D', b̄)` hold?
+    pub duplicator_wins: bool,
+    /// Table rows kept: those of every union when the fixpoint ran,
+    /// otherwise only those of the unions selected before one ran dry.
+    pub positions: u64,
+    /// Fixpoint sweeps run; 0 for a game won at Spoiler's opening.
+    pub sweeps: u32,
+}
 
 /// A position's death record: `None` while alive. `Some((seq, w))`: the
 /// `seq`-th kill overall, because union `w` admits no surviving agreeing
@@ -59,6 +75,71 @@ impl<'s> CoverGame<'s> {
         skeleton: &'s UnionSkeleton<'s>,
         intr: &Interrupt,
     ) -> Result<CoverGame<'s>, Stop> {
+        let mut game = CoverGame::new(a, b, skeleton, intr)?;
+        if game.base.is_none() {
+            // Spoiler wins before any position exists.
+            return Ok(game);
+        }
+        game.tables = skeleton.tables(intr)?;
+        game.select_positions(Vec::new());
+        game.fixpoint(intr)?;
+        Ok(game)
+    }
+
+    /// The verdict of [`CoverGame::analyze`] without its strategy. After
+    /// the base map it looks for a union that no row survives in, at
+    /// Spoiler's opening move: a union `ā` does not touch keeps its whole
+    /// table, so only an empty table or a union that `ā` filters (see
+    /// [`UnionSkeleton::unions_touching`]) can run dry. Only when none
+    /// does are the other unions selected and the fixpoint run, exactly
+    /// as in `analyze`.
+    pub fn decide(
+        a: &[Val],
+        b: &[Val],
+        skeleton: &'s UnionSkeleton<'s>,
+        intr: &Interrupt,
+    ) -> Result<Verdict, Stop> {
+        let spoiler = |positions| Verdict {
+            duplicator_wins: false,
+            positions,
+            sweeps: 0,
+        };
+        let mut game = CoverGame::new(a, b, skeleton, intr)?;
+        if game.base.is_none() {
+            return Ok(spoiler(0));
+        }
+        game.tables = skeleton.tables(intr)?;
+        if game.tables.iter().any(|t| t.len() == 0) {
+            return Ok(spoiler(0));
+        }
+        let mut selected: Vec<Option<Selection>> = Vec::new();
+        selected.resize_with(game.tables.len(), || None);
+        let mut positions = 0;
+        for u in skeleton.unions_touching(a) {
+            let sel = game.select_union(u);
+            let rows = game.row_count(u, &sel);
+            positions += rows as u64;
+            if rows == 0 {
+                return Ok(spoiler(positions));
+            }
+            selected[u] = Some(sel);
+        }
+        game.select_positions(selected);
+        game.fixpoint(intr)?;
+        Ok(Verdict {
+            duplicator_wins: game.duplicator_wins(),
+            positions: game.position_count(),
+            sweeps: game.sweeps,
+        })
+    }
+
+    /// A game with its base map checked and nothing else built.
+    fn new(
+        a: &[Val],
+        b: &[Val],
+        skeleton: &'s UnionSkeleton<'s>,
+        intr: &Interrupt,
+    ) -> Result<CoverGame<'s>, Stop> {
         assert_eq!(a.len(), b.len(), "distinguished tuples must align");
         assert_eq!(
             skeleton.d.schema(),
@@ -79,13 +160,6 @@ impl<'s> CoverGame<'s> {
             sweeps: 0,
         };
         game.base = game.check_base();
-        if game.base.is_none() {
-            // Spoiler wins before any position exists.
-            return Ok(game);
-        }
-        game.tables = skeleton.tables(intr)?;
-        game.select_positions();
-        game.fixpoint(intr)?;
         Ok(game)
     }
 
@@ -159,7 +233,9 @@ impl<'s> CoverGame<'s> {
     }
 
     /// `ā → b̄` must be a function, and every fact of `D` inside `ā` must
-    /// map to a fact of `D'`.
+    /// map to a fact of `D'`. Such a fact is listed under its first
+    /// argument, so only the facts of `ā`'s elements are visited, each
+    /// once.
     fn check_base(&self) -> Option<HashMap<Val, Val>> {
         let mut m: HashMap<Val, Val> = HashMap::new();
         for (&x, &y) in self.a.iter().zip(self.b.iter()) {
@@ -169,10 +245,27 @@ impl<'s> CoverGame<'s> {
                 }
             }
         }
-        for f in self.d().facts() {
-            if f.args.iter().all(|v| m.contains_key(v)) {
-                let args: Vec<Val> = f.args.iter().map(|v| m[v]).collect();
-                if !self.d2().has_fact(f.rel, &args) {
+        let (d, d2) = (self.d(), self.d2());
+        // `ā` is short and consistent, so a scan beats hashing here.
+        let image = |v: Val| self.a.iter().position(|&x| x == v).map(|i| self.b[i]);
+        let mut args = Vec::new();
+        for (i, &x) in self.a.iter().enumerate() {
+            if self.a[..i].contains(&x) || x.index() >= d.dom_size() {
+                continue;
+            }
+            for &fi in d.facts_of_val(x) {
+                let f = d.fact(fi);
+                if f.args[0] != x {
+                    continue;
+                }
+                args.clear();
+                for &v in &f.args {
+                    match image(v) {
+                        Some(img) => args.push(img),
+                        None => break,
+                    }
+                }
+                if args.len() == f.args.len() && !d2.has_fact(f.rel, &args) {
                     return None;
                 }
             }
@@ -180,57 +273,71 @@ impl<'s> CoverGame<'s> {
         Some(m)
     }
 
-    /// Keep, per union, the table rows that respect `ā → b̄`: rows that
-    /// send each element of `ā` to its image, and each boundary fact
-    /// `ā` closes to a fact of `D'`. A union `ā` does not touch keeps
-    /// its whole table.
-    fn select_positions(&mut self) {
-        let skeleton = self.skeleton;
-        let (d, d2) = (skeleton.d, skeleton.d2);
+    /// Keep, per union, the table rows that respect `ā → b̄`. `selected`
+    /// holds the unions already selected (by [`CoverGame::decide`]);
+    /// every other union is selected here.
+    fn select_positions(&mut self, mut selected: Vec<Option<Selection>>) {
+        for u in 0..self.tables.len() {
+            let sel = match selected.get_mut(u).and_then(Option::take) {
+                Some(sel) => sel,
+                None => self.select_union(u),
+            };
+            self.deaths.push(vec![None; self.row_count(u, &sel)]);
+            self.kept.push(sel.kept);
+            self.joined.push(sel.joined);
+        }
+    }
+
+    /// The rows of union `u` that send each element of `ā` to its image,
+    /// and each boundary fact `ā` closes to a fact of `D'`. A union `ā`
+    /// does not touch keeps its whole table.
+    fn select_union(&self, u: usize) -> Selection {
+        let (d, d2) = (self.d(), self.d2());
+        let (su, table) = (&self.skeleton.unions[u], &self.tables[u]);
         // `ā` is short and consistent, so a scan beats hashing here.
         let (a, b) = (&self.a, &self.b);
         let image = |v: Val| a.iter().position(|&x| x == v).map(|i| b[i]);
-        for (su, table) in skeleton.unions.iter().zip(self.tables) {
-            let slot = |v: Val| su.elems.binary_search(&v).ok();
-            let fixed: Vec<(usize, Val)> = su
-                .elems
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &e)| image(e).map(|img| (i, img)))
-                .collect();
-            let joined: Vec<usize> = su
-                .boundary_facts
-                .iter()
-                .copied()
-                .filter(|&fi| {
-                    d.fact(fi)
-                        .args
-                        .iter()
-                        .all(|&v| slot(v).is_some() || a.contains(&v))
-                })
-                .collect();
-            if fixed.is_empty() && joined.is_empty() {
-                self.deaths.push(vec![None; table.len()]);
-                self.kept.push(None);
-                self.joined.push(joined);
-                continue;
-            }
-            let closed: Vec<ClosedFact> = joined
-                .iter()
-                .map(|&fi| ClosedFact::new(d, d2, fi, slot, image))
-                .collect();
-            let rows: Vec<u32> = (0..table.len())
-                .filter(|&r| {
-                    let row = table.row(r);
-                    fixed.iter().all(|&(i, img)| row[i] == img)
-                        && closed.iter().all(|c| c.holds(row))
-                })
-                .map(|r| r as u32)
-                .collect();
-            self.deaths.push(vec![None; rows.len()]);
-            self.kept.push(Some(rows));
-            self.joined.push(joined);
+        let slot = |v: Val| su.elems.binary_search(&v).ok();
+        let fixed: Vec<(usize, Val)> = su
+            .elems
+            .iter()
+            .enumerate()
+            .filter_map(|(i, &e)| image(e).map(|img| (i, img)))
+            .collect();
+        let joined: Vec<usize> = su
+            .boundary_facts
+            .iter()
+            .copied()
+            .filter(|&fi| {
+                d.fact(fi)
+                    .args
+                    .iter()
+                    .all(|&v| slot(v).is_some() || a.contains(&v))
+            })
+            .collect();
+        if fixed.is_empty() && joined.is_empty() {
+            return Selection { joined, kept: None };
         }
+        let closed: Vec<ClosedFact> = joined
+            .iter()
+            .map(|&fi| ClosedFact::new(d, d2, fi, slot, image))
+            .collect();
+        let rows: Vec<u32> = (0..table.len())
+            .filter(|&r| {
+                let row = table.row(r);
+                fixed.iter().all(|&(i, img)| row[i] == img) && closed.iter().all(|c| c.holds(row))
+            })
+            .map(|r| r as u32)
+            .collect();
+        Selection {
+            joined,
+            kept: Some(rows),
+        }
+    }
+
+    /// Number of rows `sel` keeps of union `u`'s table.
+    fn row_count(&self, u: usize, sel: &Selection) -> usize {
+        sel.kept.as_ref().map_or(self.tables[u].len(), Vec::len)
     }
 
     /// The greatest fixpoint: repeatedly kill positions that some
@@ -297,6 +404,13 @@ impl<'s> CoverGame<'s> {
             }
         }
     }
+}
+
+/// One union's share of a game: the boundary facts `ā` closes, and the
+/// table rows that respect `ā → b̄` (`None` for all of them).
+struct Selection {
+    joined: Vec<usize>,
+    kept: Option<Vec<u32>>,
 }
 
 /// A boundary fact of a union that `ā` closes, resolved against one

@@ -37,7 +37,10 @@
 //!   indexed join of its facts against `D'`. All of it is shared by
 //!   every game from `D` to `D'` at width `k`;
 //! * [`game`] — per `(ā, b̄)`: keep the table rows that respect the base
-//!   map, then run the fixpoint on them.
+//!   map, then run the fixpoint on them. [`CoverGame::decide`] (the
+//!   verdict, for [`GameCache`]) first selects only the unions `ā`
+//!   touches and stops if one is dry; [`CoverGame::analyze`] (the
+//!   strategy, for [`extract`]) always runs the whole fixpoint.
 
 pub mod cache;
 pub mod classes;

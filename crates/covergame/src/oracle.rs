@@ -445,6 +445,107 @@ mod tests {
         Ok(())
     }
 
+    /// [`CoverGame::decide`] on `(ā, b̄)` against `analyze` and the
+    /// oracle: the same verdict, no sweep when `analyze` selects a union
+    /// with no rows, and otherwise `analyze`'s sweeps and positions.
+    fn decides(skeleton: &UnionSkeleton, a: &[Val], b: &[Val]) -> Result<(), String> {
+        let verdict = CoverGame::decide(a, b, skeleton, &Interrupt::none()).unwrap();
+        let game = CoverGame::analyze(a, b, skeleton, &Interrupt::none()).unwrap();
+        let old = OracleGame::analyze(a, b, skeleton);
+        prop_assert_eq!(verdict.duplicator_wins, game.duplicator_wins());
+        prop_assert_eq!(verdict.duplicator_wins, old.duplicator_wins());
+        let dry = (0..game.union_count()).any(|u| game.positions(u).next().is_none());
+        if game.base_map().is_none() {
+            prop_assert_eq!((verdict.positions, verdict.sweeps), (0, 0));
+        } else if dry {
+            prop_assert_eq!(verdict.sweeps, 0);
+            prop_assert!(verdict.positions <= game.position_count());
+        } else {
+            prop_assert_eq!(verdict.sweeps, game.sweeps());
+            prop_assert_eq!(verdict.positions, game.position_count());
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decide_matches_analyze_and_the_oracle(
+            n in 2usize..5,
+            edges in proptest::collection::vec((0usize..5, 0usize..5), 1..7),
+            triples in proptest::collection::vec((0usize..5, 0usize..5, 0usize..5), 0..3),
+            other in proptest::collection::vec((0usize..5, 0usize..5), 0..6),
+            same_target in any::<bool>(),
+            ab in proptest::collection::vec((0usize..5, 0usize..6), 0..3),
+            k in 0usize..3,
+        ) {
+            let d = db("v", n, &edges, &triples, &[]);
+            // A distinct target may have no facts at all (every table
+            // empty) and has an isolated element.
+            let d2 = if same_target {
+                d.clone()
+            } else {
+                let mut t = db("w", 5, &other, &[], &[]);
+                t.value("isolated");
+                t
+            };
+            let a: Vec<Val> = ab.iter().map(|&(x, _)| Val((x % n) as u32)).collect();
+            let b: Vec<Val> = ab
+                .iter()
+                .map(|&(_, y)| Val((y % d2.dom_size()) as u32))
+                .collect();
+            let skeleton = UnionSkeleton::build(&d, &d2, k);
+            decides(&skeleton, &a, &b)?;
+            for x in d.dom().take(3) {
+                for y in d2.dom().take(3) {
+                    decides(&skeleton, &[x], &[y])?;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decide_matches_analyze_on_fixed_corners() {
+        let vals = |xs: &[u32]| xs.iter().map(|&x| Val(x)).collect::<Vec<_>>();
+        // `v1 → v2` is a union `ā = (v0)` does not hold, but `E(v0, v1)`
+        // is its boundary fact and `ā` closes it: `v0 ↦ w0` needs
+        // `v1 ↦ w1`, which has no out-edge. Only that union runs dry.
+        let d = db("v", 3, &[(0, 1), (1, 2)], &[], &[]);
+        let d2 = db("w", 4, &[(0, 1), (2, 3)], &[], &[]);
+        let skeleton = UnionSkeleton::build(&d, &d2, 1);
+        let verdict = CoverGame::decide(&[Val(0)], &[Val(0)], &skeleton, &Interrupt::none());
+        let verdict = verdict.unwrap();
+        assert!(!verdict.duplicator_wins);
+        assert_eq!(verdict.sweeps, 0, "dry at the opening: {verdict:?}");
+        // An inconsistent base, an empty table (no `T` facts in the
+        // target), no unions (`k = 0`) and an empty `ā`.
+        let t = db("v", 3, &[(0, 1)], &[(0, 1, 2)], &[]);
+        for k in 0..3 {
+            for d2 in [&d, &d2, &t] {
+                let skeleton = UnionSkeleton::build(&t, d2, k);
+                for (a, b) in [
+                    (vec![], vec![]),
+                    (vec![0, 0], vec![0, 1]),
+                    (vec![0, 1], vec![0, 1]),
+                    (vec![2], vec![3]),
+                ] {
+                    let b: Vec<u32> = b.iter().map(|&y| y % d2.dom_size() as u32).collect();
+                    decides(&skeleton, &vals(&a), &vals(&b))
+                        .unwrap_or_else(|m| panic!("k={k} a={a:?} b={b:?}: {m}"));
+                }
+            }
+        }
+        for k in 0..3 {
+            let skeleton = UnionSkeleton::build(&d, &d2, k);
+            for x in d.dom() {
+                for y in d2.dom() {
+                    decides(&skeleton, &[x], &[y]).unwrap();
+                }
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 

@@ -47,6 +47,9 @@ pub struct UnionSkeleton<'a> {
     pub unions: Vec<SkeletonUnion>,
     /// For each union, its [`NeighborRow`].
     pub neighbors: Vec<NeighborRow>,
+    /// For each element of `D` (by index), the unions holding it,
+    /// ascending.
+    by_elem: Vec<Vec<u32>>,
     tables: OnceLock<Vec<PositionTable>>,
     /// Held while a table build runs, so concurrent first games wait for
     /// it instead of repeating it.
@@ -97,10 +100,10 @@ impl<'a> UnionSkeleton<'a> {
 
         // Overlap adjacency.
         let n = unions.len();
-        let mut by_elem: HashMap<Val, Vec<u32>> = HashMap::new();
+        let mut by_elem: Vec<Vec<u32>> = vec![Vec::new(); d.dom_size()];
         for (ui, u) in unions.iter().enumerate() {
             for &e in &u.elems {
-                by_elem.entry(e).or_default().push(ui as u32);
+                by_elem[e.index()].push(ui as u32);
             }
         }
         let mut neighbors: Vec<NeighborRow> = Vec::with_capacity(n);
@@ -108,7 +111,7 @@ impl<'a> UnionSkeleton<'a> {
             let mut nb: Vec<u32> = u
                 .elems
                 .iter()
-                .flat_map(|e| by_elem[e].iter().copied())
+                .flat_map(|e| by_elem[e.index()].iter().copied())
                 .filter(|&v| v as usize != ui)
                 .collect();
             nb.sort_unstable();
@@ -135,10 +138,40 @@ impl<'a> UnionSkeleton<'a> {
             k,
             unions,
             neighbors,
+            by_elem,
             tables: OnceLock::new(),
             building: Mutex::new(()),
             unclaimed_build: AtomicBool::new(false),
         }
+    }
+
+    /// The unions whose elements or boundary facts mention an element of
+    /// `a`: the only unions a game from `(D, ā)` keeps fewer than all
+    /// table rows of. The unions holding an element of `a` come first,
+    /// then those that only share a fact with one; each part ascends.
+    pub fn unions_touching(&self, a: &[Val]) -> Vec<usize> {
+        let unions_of = |v: Val| self.by_elem.get(v.index()).map_or(&[][..], Vec::as_slice);
+        let mut holding: Vec<u32> = a.iter().flat_map(|&x| unions_of(x)).copied().collect();
+        holding.sort_unstable();
+        holding.dedup();
+        // A union holding a co-argument `y` of `x` but not `x` has the
+        // shared fact as a boundary fact.
+        let mut sharing: Vec<u32> = a
+            .iter()
+            .filter(|x| x.index() < self.d.dom_size())
+            .flat_map(|&x| self.d.facts_of_val(x))
+            .flat_map(|&fi| self.d.fact(fi).args.iter().copied())
+            .flat_map(unions_of)
+            .copied()
+            .filter(|u| holding.binary_search(u).is_err())
+            .collect();
+        sharing.sort_unstable();
+        sharing.dedup();
+        holding
+            .into_iter()
+            .chain(sharing)
+            .map(|u| u as usize)
+            .collect()
     }
 
     /// Each union's [`PositionTable`] against `d2`, joined on the first

@@ -2,7 +2,7 @@
 //! `relational::hom::stats` one layer up the stack.
 //!
 //! Each memo cache ([`crate::cache::GameCache`]) counts the games it
-//! solved, the positions they enumerated and the sweeps their
+//! decided, the positions they kept and the sweeps their
 //! greatest-fixpoint computations took, next to its memo's hit/miss
 //! counts.
 //! [`GameStats`] is a snapshot of one cache's counters, so a caller (the
@@ -12,12 +12,16 @@
 /// A point-in-time aggregate of the cover-game engine counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct GameStats {
-    /// Full game analyses run (cache misses included, cache hits
-    /// excluded — a hit runs no fixpoint).
+    /// Games decided (cache misses included, cache hits excluded — a
+    /// hit plays no game).
     pub games_solved: u64,
-    /// Duplicator positions enumerated across all analyses.
+    /// Duplicator positions kept across all games: every union's for a
+    /// game that ran the fixpoint, only the unions selected up to the
+    /// dry one for a game won at Spoiler's opening (see
+    /// [`crate::game::Verdict`]).
     pub positions_explored: u64,
-    /// Greatest-fixpoint sweeps over the position table.
+    /// Greatest-fixpoint sweeps over the position table; a game won at
+    /// Spoiler's opening runs none.
     pub fixpoint_sweeps: u64,
     /// Union-skeleton position tables built: each skeleton's stored build
     /// counts once (concurrent first games on one skeleton wait for one
@@ -87,17 +91,36 @@ mod tests {
             .fact("E", &["b", "c"])
             .fact("E", &["c", "a"])
             .build();
-        let p = DbBuilder::new(s)
+        let p = DbBuilder::new(s.clone())
             .fact("E", &["x", "y"])
             .fact("E", &["y", "z"])
             .build();
         let cache = GameCache::new();
+        let none = interrupt::Interrupt::none();
         let before = cache.stats();
         let a = c3.val_by_name("a").unwrap();
         let x = p.val_by_name("x").unwrap();
-        // Spoiler wins this one, which takes at least one sweep.
+        // Spoiler wins this one at the opening: the union of the
+        // triangle's edges at `a` has no response at `x`.
+        assert!(!cache.implies(&c3, &[a], &p, &[x], 1, None, &none).unwrap());
+        let delta = cache.stats().since(&before);
+        assert_eq!(delta.games_solved, 1, "delta={delta:?}");
+        assert!(delta.positions_explored >= 1, "delta={delta:?}");
+        assert_eq!(delta.fixpoint_sweeps, 0, "delta={delta:?}");
+
+        // On the path 1→2→3→4, (1) ↛_1 (2) needs the fixpoint.
+        let path = DbBuilder::new(s)
+            .fact("E", &["1", "2"])
+            .fact("E", &["2", "3"])
+            .fact("E", &["3", "4"])
+            .build();
+        let (one, two) = (
+            path.val_by_name("1").unwrap(),
+            path.val_by_name("2").unwrap(),
+        );
+        let before = cache.stats();
         assert!(!cache
-            .implies(&c3, &[a], &p, &[x], 1, None, &interrupt::Interrupt::none())
+            .implies(&path, &[one], &path, &[two], 1, None, &none)
             .unwrap());
         let delta = cache.stats().since(&before);
         assert!(delta.games_solved >= 1, "delta={delta:?}");

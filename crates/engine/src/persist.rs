@@ -34,10 +34,10 @@
 //! file, wrong magic (a v1 file included), checksum mismatch, truncated
 //! entry, trailing garbage, or invalid byte discards that file's table
 //! entirely (a *cold* start for that layer) rather than importing a
-//! prefix of unknown integrity. The checksum is what keeps a damaged
-//! file from loading as a *wrong* verdict: a flipped verdict or kind
-//! byte is still a valid byte. Each FNV-1a step is a bijection of the
-//! running hash, so any change confined to one byte is always detected.
+//! prefix of unknown integrity. The checksum (the shared framing of
+//! [`serde::bytes`]) is what keeps a damaged file from loading as a
+//! *wrong* verdict: a flipped verdict or kind byte is still a valid
+//! byte.
 //! Saving writes a temp file in the target directory and renames it into
 //! place, so a crash mid-save cannot clobber a previous good table.
 
@@ -205,13 +205,6 @@ fn val_vec(r: &mut ByteReader<'_>) -> Option<Vec<Val>> {
     Some(out)
 }
 
-/// 64-bit FNV-1a.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 /// The framing, written once: magic, count, entries, checksum.
 fn encode<E: Record>(magic: &[u8; 8], entries: &[E]) -> Vec<u8> {
     let mut w = ByteWriter::with_magic(magic);
@@ -219,19 +212,12 @@ fn encode<E: Record>(magic: &[u8; 8], entries: &[E]) -> Vec<u8> {
     for e in entries {
         e.encode(&mut w);
     }
-    let mut bytes = w.finish();
-    let sum = fnv1a(&bytes);
-    bytes.extend_from_slice(&sum.to_le_bytes());
-    bytes
+    w.finish_checksummed()
 }
 
 /// Inverse of [`encode`]; `None` on any damage (see the module docs).
 fn decode<E: Record>(bytes: &[u8], magic: &[u8; 8]) -> Option<Vec<E>> {
-    let (body, sum) = bytes.split_last_chunk::<8>()?;
-    if fnv1a(body) != u64::from_le_bytes(*sum) {
-        return None;
-    }
-    let mut r = ByteReader::with_magic(body, magic)?;
+    let mut r = ByteReader::with_checksum(bytes, magic)?;
     let count = r.u64()?;
     let mut out = Vec::new();
     for _ in 0..count {
@@ -252,6 +238,7 @@ fn read<E: Record>(dir: &Path, name: &str, magic: &[u8; 8]) -> Vec<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::bytes::fnv1a;
 
     /// `body` followed by its checksum, as [`encode`] frames it.
     fn framed(mut body: Vec<u8>) -> Vec<u8> {
@@ -287,13 +274,6 @@ mod tests {
         // Checksummed, so only the count/payload disagreement rejects it.
         buf.push(0xFF);
         assert_eq!(decode::<(HomKey, bool)>(&framed(buf), &HOM_MAGIC), None);
-    }
-
-    #[test]
-    fn fnv1a_matches_the_reference_vectors() {
-        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! separable, and if so, produce `Λ_w̄`?" (§2). Proposition 4.1 solves it
 //! through linear programming; §7 additionally needs the *approximate*
 //! version — minimize misclassifications — which is NP-complete
-//! (Höffgen–Simon–Van Horn [17]).
+//! (Höffgen–Simon–Van Horn \[17\]).
 //!
 //! Every separability question goes through one exact LP path: the
 //! sparse revised simplex over hybrid [`numeric::Rat`] rationals. The
@@ -14,7 +14,7 @@
 //!
 //! Modules:
 //!
-//! * [`separate`] — strict separation via a maximum-margin LP, with a
+//! * [`separate`](mod@separate) — strict separation via a maximum-margin LP, with a
 //!   duplicate-conflict scan and an integer perceptron fast path ahead
 //!   of it; [`separate()`] is the one separation entry point.
 //! * [`revised`] — the sparse revised simplex (exact LU + eta file,

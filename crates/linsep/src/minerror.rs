@@ -2,7 +2,7 @@
 //!
 //! §7 of the paper allows an ε fraction of misclassified examples;
 //! deciding whether a linear classifier with at most `ε·n` errors exists
-//! is NP-complete ([17]). The FPT algorithms of Propositions 7.2/7.3 work
+//! is NP-complete (\[17\]). The FPT algorithms of Propositions 7.2/7.3 work
 //! because the feature dimension is bounded by a function of the schema:
 //! with `d` features there are at most `2^d` distinct vectors ("types"),
 //! every classifier acts on types, and one can search the type-label

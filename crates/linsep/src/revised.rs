@@ -1,5 +1,5 @@
 //! Sparse revised simplex over exact rationals, with warm-started bases:
-//! the one LP solver behind [`crate::separate`].
+//! the one LP solver behind [`crate::separate`](fn@crate::separate).
 //!
 //! The separation LPs the subset sweep generates are mostly ±1 and highly
 //! structured (example rows + unit box rows), so a revised simplex that
@@ -20,7 +20,7 @@
 //!   replaced by the FTRAN-ed entering column. FTRAN/BTRAN apply the LU
 //!   triangles and then the eta columns (oldest-first forward,
 //!   newest-first transposed). The file is collapsed back into a fresh LU
-//!   every [`REFACTOR_LIMIT`] pivots.
+//!   every `REFACTOR_LIMIT` pivots.
 //! * **Pricing**: partial — a rotating cursor takes the first nonbasic
 //!   column with positive reduced cost, so one BTRAN prices the whole
 //!   round and easy entering columns are found without scanning all
@@ -43,7 +43,7 @@
 //!
 //! Scope: this solver requires `b ≥ 0` (the all-slack basis feasible, so
 //! a single phase suffices) and asserts it. The margin LPs of
-//! [`crate::separate`] always have `b ≥ 1`.
+//! [`crate::separate`](fn@crate::separate) always have `b ≥ 1`.
 
 use interrupt::{Interrupt, Stop};
 use numeric::Rat;

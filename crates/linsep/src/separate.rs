@@ -117,7 +117,7 @@ impl SepBasis {
         self.depth
     }
 
-    /// Would [`SepBasis::offer`] to a same-shape instance clone the whole
+    /// Would `SepBasis::offer` to a same-shape instance clone the whole
     /// factorization (the near-free [`Warm::Reuse`] path)? True iff the
     /// shapes match and the basis excludes the dirty variable
     /// `Weight(arity − 1)`, the only column whose data differs between
@@ -205,7 +205,7 @@ pub fn has_label_conflict(vectors: &[Vec<i32>], labels: &[i32]) -> bool {
 /// [`margin_lp`]) when the LP does.
 ///
 /// `warm` may carry the final basis of a related instance (see
-/// [`SepBasis::offer`] for which shapes qualify). The LP's verdict never
+/// `SepBasis::offer` for which shapes qualify). The LP's verdict never
 /// depends on it — a rejected or absent offer only costs pivots — but
 /// an offer skips the perceptron, so the LP decides. The final LP basis
 /// comes back whenever an LP ran.

@@ -2,7 +2,7 @@
 //! `relational::hom::stats` and `covergame::stats` one layer down the
 //! stack.
 //!
-//! [`crate::separate`] counts the LPs it solves with the sparse revised
+//! [`crate::separate`](fn@crate::separate) counts the LPs it solves with the sparse revised
 //! simplex ([`crate::revised`]) and the pivots they take, perceptron
 //! fast-path hits (separations decided without an LP) and conflict prunes (instances refuted by a duplicate-vector/opposite-label
 //! scan before any arithmetic); the hybrid rational ([`numeric::Rat`])

@@ -143,7 +143,7 @@ impl BigInt {
         }
     }
 
-    /// `2^exp`, used for the chain-classifier weights of Lemma 5.4 / [22].
+    /// `2^exp`, used for the chain-classifier weights of Lemma 5.4 / \[22\].
     pub fn pow2(exp: usize) -> BigInt {
         let mut magnitude = vec![0u32; exp / 32];
         magnitude.push(1u32 << (exp % 32));

@@ -4,7 +4,7 @@
 //! "is this training collection linearly separable?" question to linear
 //! programming (Proposition 4.1). Floating-point LP is unacceptable there:
 //! a sign error flips a *decision problem* answer. This crate provides the
-//! exact arithmetic substrate used by the [`linsep`] crate's simplex solver:
+//! exact arithmetic substrate used by the `linsep` crate's simplex solver:
 //!
 //! * [`BigInt`] — sign-magnitude arbitrary-precision integers over `u32`
 //!   limbs (little-endian), with schoolbook multiplication and Knuth

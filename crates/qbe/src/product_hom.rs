@@ -1,4 +1,4 @@
-//! CQ-QBE via the product homomorphism problem (ten Cate–Dalmau [32]).
+//! CQ-QBE via the product homomorphism problem (ten Cate–Dalmau \[32\]).
 //!
 //! The canonical CQ `q_P(x)` of the pointed product `P = ∏_{a∈S⁺}(D,a)`
 //! satisfies every positive example by the projection homomorphisms, and

@@ -10,6 +10,15 @@
 //! than importing a prefix of unknown integrity. Writers go through
 //! [`write_atomic`] (sibling temp file + rename) so a crash mid-save
 //! cannot clobber a previous good file.
+//!
+//! Files whose every byte must be right (the engine's tables, a
+//! tenant's residents) end in a `u64` FNV-1a checksum of every byte
+//! before it ([`ByteWriter::finish_checksummed`],
+//! [`ByteReader::with_checksum`]): a flipped verdict byte or a flipped
+//! letter in a name is still a valid byte, so only the checksum keeps
+//! it from loading as a different, wrong value. Each FNV-1a step is a
+//! bijection of the running hash, so any change confined to one byte is
+//! always detected.
 
 use std::fs;
 use std::io;
@@ -77,6 +86,21 @@ impl ByteWriter {
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
+
+    /// The buffer followed by a `u64` FNV-1a checksum of every byte in
+    /// it, for [`ByteReader::with_checksum`].
+    pub fn finish_checksummed(mut self) -> Vec<u8> {
+        let sum = fnv1a(&self.buf);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
+        self.buf
+    }
+}
+
+/// 64-bit FNV-1a.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// A bounds-checked little-endian cursor. Every accessor returns `None`
@@ -93,6 +117,17 @@ impl<'a> ByteReader<'a> {
     pub fn with_magic(bytes: &'a [u8], magic: &[u8; 8]) -> Option<ByteReader<'a>> {
         let rest = bytes.strip_prefix(magic.as_slice())?;
         Some(ByteReader { rest })
+    }
+
+    /// Open a buffer written by [`ByteWriter::finish_checksummed`]: its
+    /// last 8 bytes must be the checksum of the rest, which must start
+    /// with `magic`. The reader ends before the checksum.
+    pub fn with_checksum(bytes: &'a [u8], magic: &[u8; 8]) -> Option<ByteReader<'a>> {
+        let (body, sum) = bytes.split_last_chunk::<8>()?;
+        if fnv1a(body) != u64::from_le_bytes(*sum) {
+            return None;
+        }
+        ByteReader::with_magic(body, magic)
     }
 
     pub fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
@@ -254,6 +289,39 @@ mod tests {
         bad.push(3);
         let mut r = ByteReader::with_magic(&bad, &MAGIC).unwrap();
         assert_eq!(r.opt_verdict(), None);
+    }
+
+    #[test]
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn checksummed_buffers_reject_any_flip_or_truncation() {
+        let mut w = ByteWriter::with_magic(&MAGIC);
+        w.str("a");
+        w.verdict(true);
+        let buf = w.finish_checksummed();
+        let mut r = ByteReader::with_checksum(&buf, &MAGIC).unwrap();
+        assert_eq!(r.str().as_deref(), Some("a"));
+        assert_eq!(r.verdict(), Some(true));
+        assert!(r.finished(), "the checksum is not part of the body");
+        for bit in 0..buf.len() * 8 {
+            let mut bad = buf.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert!(
+                ByteReader::with_checksum(&bad, &MAGIC).is_none(),
+                "bit {bit}"
+            );
+        }
+        for len in 0..buf.len() {
+            assert!(
+                ByteReader::with_checksum(&buf[..len], &MAGIC).is_none(),
+                "{len}"
+            );
+        }
     }
 
     #[test]

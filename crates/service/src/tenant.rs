@@ -28,8 +28,9 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-/// Magic tag of a tenant's serialized resident registry.
-const RESIDENTS_MAGIC: [u8; 8] = *b"CQSEPRD1";
+/// Magic tag of a tenant's serialized resident registry. Version 2
+/// ends in a checksum; a version-1 file is a cold start.
+const RESIDENTS_MAGIC: [u8; 8] = *b"CQSEPRD2";
 /// File holding a tenant's residents inside its snapshot directory.
 const RESIDENTS_FILE: &str = "residents.db";
 /// Snapshot directory of the default (unnamed) tenant.
@@ -273,7 +274,7 @@ fn save_tenant(dir: &Path, handle: &TenantHandle) -> std::io::Result<()> {
         w.str(name);
         w.str(&DatabaseSpec::from_database(&train.db, Some(&train.labeling)).to_text());
     }
-    write_atomic(&dir.join(RESIDENTS_FILE), &w.finish())
+    write_atomic(&dir.join(RESIDENTS_FILE), &w.finish_checksummed())
 }
 
 /// Warm-start one tenant from `dir`, returning how many entries were
@@ -289,10 +290,11 @@ fn load_tenant(dir: &Path, handle: &TenantHandle) -> u64 {
 }
 
 /// Decode a residents file into `residents`; all-or-nothing like every
-/// other persisted table (`None` imports nothing).
+/// other persisted table (`None` imports nothing). The checksum keeps a
+/// damaged name or spec from loading as a different, valid database.
 fn load_residents(path: &Path, residents: &Residents) -> Option<u64> {
     let bytes = std::fs::read(path).ok()?;
-    let mut r = ByteReader::with_magic(&bytes, &RESIDENTS_MAGIC)?;
+    let mut r = ByteReader::with_checksum(&bytes, &RESIDENTS_MAGIC)?;
     let count = r.u32()?;
     // The count is untrusted input: never allocate by it up front (a
     // corrupt header would ask for gigabytes); each iteration's reads
@@ -445,9 +447,72 @@ mod tests {
     #[test]
     fn corrupt_residents_file_is_a_cold_start() {
         let dir = TempDir::new("corrupt");
-        std::fs::write(dir.join(RESIDENTS_FILE), b"CQSEPRD1garbage").unwrap();
+        std::fs::write(dir.join(RESIDENTS_FILE), b"CQSEPRD2garbage").unwrap();
         let residents = Residents::new();
         assert_eq!(load_residents(&dir.join(RESIDENTS_FILE), &residents), None);
         assert!(residents.is_empty());
+    }
+
+    /// The residents file a tenant holding `TRAIN` as `a` saves.
+    fn saved_residents(dir: &Path) -> Vec<u8> {
+        let handle = TenantHandle {
+            engine: Arc::new(Engine::new()),
+            residents: Residents::new(),
+        };
+        handle
+            .residents
+            .insert("a", crate::task::load_training(TRAIN).unwrap());
+        save_tenant(dir, &handle).unwrap();
+        std::fs::read(dir.join(RESIDENTS_FILE)).unwrap()
+    }
+
+    /// Load `bytes` as a residents file into an empty registry.
+    fn load_bytes(dir: &Path, bytes: &[u8]) -> Option<u64> {
+        let path = dir.join("probe.db");
+        std::fs::write(&path, bytes).unwrap();
+        let residents = Residents::new();
+        let loaded = load_residents(&path, &residents);
+        assert_eq!(residents.len() as u64, loaded.unwrap_or(0));
+        loaded
+    }
+
+    #[test]
+    fn every_bit_flip_and_truncation_of_residents_is_a_cold_start() {
+        let dir = TempDir::new("flips");
+        let bytes = saved_residents(&dir);
+        assert_eq!(load_bytes(&dir, &bytes), Some(1));
+        // The flip that once loaded silently: the name `a` becomes `c`.
+        let name_at = bytes
+            .windows(5)
+            .position(|w| w == [1, 0, 0, 0, b'a'])
+            .unwrap()
+            + 4;
+        let mut renamed = bytes.clone();
+        renamed[name_at] = b'c';
+        assert_eq!(load_bytes(&dir, &renamed), None);
+        for bit in 0..bytes.len() * 8 {
+            let mut bad = bytes.clone();
+            bad[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(load_bytes(&dir, &bad), None, "bit {bit}");
+        }
+        for len in 0..bytes.len() {
+            assert_eq!(load_bytes(&dir, &bytes[..len]), None, "length {len}");
+        }
+        // A version-1 file (no checksum) is a cold start too.
+        let mut v1 = b"CQSEPRD1".to_vec();
+        v1.extend_from_slice(&bytes[8..bytes.len() - 8]);
+        assert_eq!(load_bytes(&dir, &v1), None);
+    }
+
+    #[test]
+    fn a_huge_resident_count_is_a_cold_start() {
+        let dir = TempDir::new("huge");
+        for count in [2, u32::MAX / 2, u32::MAX] {
+            let mut w = ByteWriter::with_magic(&RESIDENTS_MAGIC);
+            w.u32(count);
+            w.str("a");
+            w.str(TRAIN);
+            assert_eq!(load_bytes(&dir, &w.finish_checksummed()), None, "{count}");
+        }
     }
 }

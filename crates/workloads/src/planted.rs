@@ -13,8 +13,8 @@
 //!   `q*` — or anything extensionally equivalent on the test
 //!   distribution — scores 100% held-out accuracy;
 //! * under noise, exact fitting must either fail or overfit, which is
-//!   precisely the trade-off the regularized languages (CQ[m], GHW(k),
-//!   Sep[ℓ]) and the min-error path are meant to navigate (§7 of the
+//!   precisely the trade-off the regularized languages (`CQ[m]`, `GHW(k)`,
+//!   `Sep[ℓ]`) and the min-error path are meant to navigate (§7 of the
 //!   paper; cf. the non-generalization results of arXiv:2312.03407).
 //!
 //! Everything is deterministic in the explicit seeds: same
@@ -112,7 +112,8 @@ pub struct SampleConfig {
     pub train_n: usize,
     /// Held-out test database size.
     pub test_n: usize,
-    /// Edge density (see [`Wiring`]).
+    /// Edge density: each edge's probability under uniform wiring, the
+    /// edge count over `n · (n-1)` under preferential wiring.
     pub density: f64,
     /// Fraction of *training* labels flipped (exact count
     /// `⌊noise · train_n⌋`, via [`flip_labels`]). The test labels are
