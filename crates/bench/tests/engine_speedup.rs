@@ -62,7 +62,7 @@ fn warm_cache_sweep_is_at_least_2x_faster() {
     });
 
     assert!(
-        cache.hits() >= 3 * pairs.len() as u64,
+        cache.counts().hits >= 3 * pairs.len() as u64,
         "sweeps must hit the memo table"
     );
     assert!(

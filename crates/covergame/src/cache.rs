@@ -14,11 +14,10 @@
 
 use crate::game::CoverGame;
 use crate::skeleton::UnionSkeleton;
-use crate::stats::GameStats;
+use crate::stats::{GameCounters, GameStats};
 use interrupt::{Interrupt, Stop};
 use relational::memo::{mix, Memo, MemoKey, DEFAULT_CAPACITY};
 use relational::{Database, Lineage, Val};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A game query in key form. The skeleton does not enter the key: it is
 /// a pure function of `(D, D', k)`, which the fingerprints and `k`
@@ -73,13 +72,9 @@ impl MemoKey for GameKey {
 /// [`Memo`] for the table and its hit/miss counters.
 pub struct GameCache {
     memo: Memo<GameKey>,
-    // Game-effort counters, bumped only by analyses this cache itself
-    // ran, making an isolated `Engine` a self-contained stats domain.
-    games: AtomicU64,
-    positions: AtomicU64,
-    sweeps: AtomicU64,
-    /// Skeleton position-table builds stored by this cache's analyses.
-    tables: AtomicU64,
+    // Game effort, bumped only by analyses this cache itself ran,
+    // making an isolated `Engine` a self-contained stats domain.
+    counters: GameCounters,
 }
 
 impl GameCache {
@@ -92,10 +87,7 @@ impl GameCache {
     pub fn with_capacity(capacity: usize) -> GameCache {
         GameCache {
             memo: Memo::with_capacity(capacity),
-            games: AtomicU64::new(0),
-            positions: AtomicU64::new(0),
-            sweeps: AtomicU64::new(0),
-            tables: AtomicU64::new(0),
+            counters: GameCounters::default(),
         }
     }
 
@@ -118,15 +110,17 @@ impl GameCache {
     ) -> Result<bool, Stop> {
         let verdict = CoverGame::decide(a, b, skeleton, intr);
         // A build counts even when its game was stopped afterwards.
-        self.tables
-            .fetch_add(skeleton.claim_table_build() as u64, Ordering::Relaxed);
-        let verdict = verdict?;
-        self.games.fetch_add(1, Ordering::Relaxed);
-        self.positions
-            .fetch_add(verdict.positions, Ordering::Relaxed);
-        self.sweeps
-            .fetch_add(verdict.sweeps as u64, Ordering::Relaxed);
-        Ok(verdict.duplicator_wins)
+        let mut effort = GameStats {
+            tables_built: skeleton.claim_table_build() as u64,
+            ..GameStats::default()
+        };
+        if let Ok(v) = &verdict {
+            effort.games_solved = 1;
+            effort.positions_explored = v.positions;
+            effort.fixpoint_sweeps = v.sweeps as u64;
+        }
+        self.counters.add(&effort);
+        Ok(verdict?.duplicator_wins)
     }
 
     /// Memoized `(D, ā) →_k (D', b̄)`. A miss consults `lineage` for
@@ -173,22 +167,18 @@ impl GameCache {
     /// its misses plus its hit/miss counts — attributable to exactly the
     /// queries routed through this cache instance.
     pub fn stats(&self) -> GameStats {
+        let memo = self.memo.counts();
         GameStats {
-            games_solved: self.games.load(Ordering::Relaxed),
-            positions_explored: self.positions.load(Ordering::Relaxed),
-            fixpoint_sweeps: self.sweeps.load(Ordering::Relaxed),
-            tables_built: self.tables.load(Ordering::Relaxed),
-            cache_hits: self.memo.hits(),
-            cache_misses: self.memo.misses(),
+            cache_hits: memo.hits,
+            cache_misses: memo.misses,
+            ..self.counters.snapshot()
         }
     }
 
     /// Zero every counter (the memo table itself is untouched).
     pub fn reset_stats(&self) {
         self.memo.reset_counters();
-        for c in [&self.games, &self.positions, &self.sweeps, &self.tables] {
-            c.store(0, Ordering::Relaxed);
-        }
+        self.counters.reset();
     }
 }
 
@@ -250,9 +240,9 @@ mod tests {
         let p = graph(&[("1", "2"), ("2", "3")]);
         let (a, one) = (v(&c3, "a"), v(&p, "1"));
         assert!(!implies(&cache, &c3, &[a], &p, &[one], 1));
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (0, 1));
         assert!(!implies(&cache, &c3, &[a], &p, &[one], 1));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
@@ -264,7 +254,7 @@ mod tests {
         // C3 ->_1 C2 holds but ->_2 fails: distinct entries, no clash.
         assert!(implies(&cache, &c3, &[], &c2, &[], 1));
         assert!(!implies(&cache, &c3, &[], &c2, &[], 2));
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (0, 2));
         assert_eq!(cache.len(), 2);
     }
 
@@ -276,7 +266,7 @@ mod tests {
         let (s, t) = (v(&p, "s"), v(&p, "t"));
         assert!(!implies(&cache, &p, &[s], &p, &[t], 1));
         assert!(!implies(&cache, &q, &[s], &q, &[t], 1));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (1, 1));
     }
 
     #[test]
@@ -290,7 +280,7 @@ mod tests {
             .unwrap();
         assert_eq!(first, cover_implies(&p, &[t], &p, &[s], 1));
         assert_eq!(implies(&cache, &p, &[t], &p, &[s], 1), first);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (1, 1));
     }
 
     #[test]
@@ -310,8 +300,12 @@ mod tests {
         assert!(cache
             .implies(&d, &[], &d2, &[], 1, Some(&lineage), &Interrupt::none())
             .unwrap());
-        assert_eq!(cache.misses(), 1, "no fresh analysis after the append");
-        assert_eq!(cache.subsumption_hits(), 1);
+        assert_eq!(
+            cache.counts().misses,
+            1,
+            "no fresh analysis after the append"
+        );
+        assert_eq!(cache.counts().subsumption_hits, 1);
         // Against the cold solver: subsumption was exact.
         assert!(cover_implies(&d, &[], &d2, &[], 1));
 
@@ -326,7 +320,7 @@ mod tests {
         assert!(!cache
             .implies(&d3, &[], &poor, &[], 2, Some(&lineage), &Interrupt::none())
             .unwrap());
-        assert_eq!(cache.subsumption_hits(), 2);
+        assert_eq!(cache.counts().subsumption_hits, 2);
         assert!(!cover_implies(&d3, &[], &poor, &[], 2));
     }
 
@@ -350,8 +344,8 @@ mod tests {
             .implies(&d, &[s], &d2, &[u], 1, Some(&lineage), &Interrupt::none())
             .unwrap();
         assert_eq!(after, cover_implies(&d, &[s], &d2, &[u], 1));
-        assert_eq!(cache.subsumption_hits(), 0);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.counts().subsumption_hits, 0);
+        assert_eq!(cache.counts().misses, 2);
     }
 
     #[test]

@@ -59,4 +59,4 @@ pub use extract::{extract_distinguishing_query, ExtractError};
 pub use game::{cover_equivalent, cover_implies, CoverGame};
 pub use pebble::{pebble_equivalent, PebbleGame};
 pub use skeleton::UnionSkeleton;
-pub use stats::GameStats;
+pub use stats::{GameCounters, GameStats};

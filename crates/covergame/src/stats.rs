@@ -3,75 +3,51 @@
 //!
 //! Each memo cache ([`crate::cache::GameCache`]) counts the games it
 //! decided, the positions they kept and the sweeps their
-//! greatest-fixpoint computations took, next to its memo's hit/miss
-//! counts.
+//! greatest-fixpoint computations took in its [`GameCounters`], and
+//! fills in its memo's hit/miss counts.
 //! [`GameStats`] is a snapshot of one cache's counters, so a caller (the
 //! CLI `--stats` flag, the bench harness) can difference two snapshots
 //! around a region of interest.
 
-/// A point-in-time aggregate of the cover-game engine counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GameStats {
-    /// Games decided (cache misses included, cache hits excluded — a
-    /// hit plays no game).
-    pub games_solved: u64,
-    /// Duplicator positions kept across all games: every union's for a
-    /// game that ran the fixpoint, only the unions selected up to the
-    /// dry one for a game won at Spoiler's opening (see
-    /// [`crate::game::Verdict`]).
-    pub positions_explored: u64,
-    /// Greatest-fixpoint sweeps over the position table; a game won at
-    /// Spoiler's opening runs none.
-    pub fixpoint_sweeps: u64,
-    /// Union-skeleton position tables built: each skeleton's stored build
-    /// counts once (concurrent first games on one skeleton wait for one
-    /// build), including a build whose game was then stopped.
-    pub tables_built: u64,
-    /// Memo-cache hits (verdicts served without an analysis).
-    pub cache_hits: u64,
-    /// Memo-cache misses (verdicts computed and then memoized).
-    pub cache_misses: u64,
+use interrupt::counters::{percent, section};
+
+interrupt::counter_table! {
+    /// A point-in-time aggregate of the cover-game engine counters.
+    pub struct GameStats {
+        /// Games decided (cache misses included, cache hits excluded — a
+        /// hit plays no game).
+        games_solved: count("games solved"),
+        /// Duplicator positions kept across all games: every union's for a
+        /// game that ran the fixpoint, only the unions selected up to the
+        /// dry one for a game won at Spoiler's opening (see
+        /// [`crate::game::Verdict`]).
+        positions_explored: count("positions explored"),
+        /// Greatest-fixpoint sweeps over the position table; a game won at
+        /// Spoiler's opening runs none.
+        fixpoint_sweeps: count("fixpoint sweeps"),
+        /// Union-skeleton position tables built: each skeleton's stored build
+        /// counts once (concurrent first games on one skeleton wait for one
+        /// build), including a build whose game was then stopped.
+        tables_built: count("tables built"),
+        /// Memo-cache hits (verdicts served without an analysis).
+        cache_hits: count("cache hits"),
+        /// Memo-cache misses (verdicts computed and then memoized).
+        cache_misses: count("cache misses"),
+    }
+    /// The game-effort counters of one [`GameCache`](crate::GameCache),
+    /// bumped by the analyses it ran.
+    pub struct GameCounters;
 }
 
 impl GameStats {
-    /// Counter deltas since an earlier snapshot (saturating, so a
-    /// concurrent reset cannot produce bogus huge values).
-    pub fn since(&self, earlier: &GameStats) -> GameStats {
-        GameStats {
-            games_solved: self.games_solved.saturating_sub(earlier.games_solved),
-            positions_explored: self
-                .positions_explored
-                .saturating_sub(earlier.positions_explored),
-            fixpoint_sweeps: self.fixpoint_sweeps.saturating_sub(earlier.fixpoint_sweeps),
-            tables_built: self.tables_built.saturating_sub(earlier.tables_built),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-        }
-    }
-
     /// Human-readable multi-line report (used by the CLI's `--stats`).
     pub fn report(&self) -> String {
-        let lookups = self.cache_hits + self.cache_misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64 * 100.0
-        };
-        format!(
-            "cover-game engine stats:\n\
-             \x20 games solved:        {}\n\
-             \x20 positions explored:  {}\n\
-             \x20 fixpoint sweeps:     {}\n\
-             \x20 tables built:        {}\n\
-             \x20 cache hits:          {}\n\
-             \x20 cache misses:        {}\n\
-             \x20 cache hit rate:      {hit_rate:.1}%",
-            self.games_solved,
-            self.positions_explored,
-            self.fixpoint_sweeps,
-            self.tables_built,
-            self.cache_hits,
-            self.cache_misses,
+        let hit_rate = percent(self.cache_hits, self.cache_hits + self.cache_misses);
+        section(
+            "cover-game engine stats:",
+            21,
+            &self.fields(),
+            &[("cache hit rate", hit_rate)],
         )
     }
 }

@@ -48,49 +48,37 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 /// do not depend on it.
 pub const DEFAULT_FRONTIER_CAP: usize = 4096;
 
-/// Counters from trie evaluation. All additive; batch totals are the
-/// sum over entities.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TrieStats {
-    /// Entities evaluated.
-    pub entities: u64,
-    /// Trie nodes entered.
-    pub nodes_visited: u64,
-    /// Subtrees pruned because their prefix frontier came up empty.
-    pub prefix_prunes: u64,
-    /// Times a node's frontier was reused by an additional sibling
-    /// branch (children beyond the first served from shared work).
-    pub reuse_hits: u64,
-    /// Partial assignments materialized after projection and dedup.
-    pub frontier_assignments: u64,
-    /// Per-feature exact homomorphism checks taken because a frontier
-    /// overflowed the cap.
-    pub hom_fallbacks: u64,
+relational::counter_table! {
+    /// Counters from trie evaluation. All additive; batch totals are the
+    /// sum over entities.
+    #[derive(Serialize, Deserialize)]
+    pub struct TrieStats {
+        /// Entities evaluated.
+        entities: count("entities"),
+        /// Trie nodes entered.
+        nodes_visited: count("nodes visited"),
+        /// Subtrees pruned because their prefix frontier came up empty.
+        prefix_prunes: count("prefix prunes"),
+        /// Times a node's frontier was reused by an additional sibling
+        /// branch (children beyond the first served from shared work).
+        reuse_hits: count("reuse hits"),
+        /// Partial assignments materialized after projection and dedup.
+        frontier_assignments: count("frontier assignments"),
+        /// Per-feature exact homomorphism checks taken because a frontier
+        /// overflowed the cap.
+        hom_fallbacks: count("hom fallbacks"),
+    }
 }
 
 impl TrieStats {
-    /// Accumulate another batch's counters.
-    pub fn merge(&mut self, other: &TrieStats) {
-        self.entities += other.entities;
-        self.nodes_visited += other.nodes_visited;
-        self.prefix_prunes += other.prefix_prunes;
-        self.reuse_hits += other.reuse_hits;
-        self.frontier_assignments += other.frontier_assignments;
-        self.hom_fallbacks += other.hom_fallbacks;
-    }
-
     /// One-line human-readable summary.
     pub fn report(&self) -> String {
-        format!(
-            "entities {} · nodes visited {} · prefix prunes {} · reuse hits {} \
-             · frontier assignments {} · hom fallbacks {}",
-            self.entities,
-            self.nodes_visited,
-            self.prefix_prunes,
-            self.reuse_hits,
-            self.frontier_assignments,
-            self.hom_fallbacks
-        )
+        let parts: Vec<String> = self
+            .fields()
+            .iter()
+            .map(|(l, v)| format!("{l} {v}"))
+            .collect();
+        parts.join(" · ")
     }
 }
 

@@ -32,6 +32,7 @@ pub mod persist;
 
 use covergame::{GameCache, GameStats};
 use cq::{Cq, EnumConfig};
+use interrupt::counters::section;
 use linsep::{LpCounters, LpStats};
 use qbe::QbeError;
 use relational::{
@@ -246,6 +247,7 @@ impl Engine {
     /// construction — see the crate docs) is attributable to exactly the
     /// queries routed through it.
     pub fn stats(&self) -> EngineStats {
+        let (hom, game, lineage) = (self.hom.counts(), self.game.counts(), self.lineage.stats());
         EngineStats {
             hom: self.hom.stats(),
             game: self.game.stats(),
@@ -254,12 +256,12 @@ impl Engine {
                 ..self.lp.snapshot()
             },
             sub: SubsumeStats {
-                hom_subsumption_hits: self.hom.subsumption_hits(),
-                game_subsumption_hits: self.game.subsumption_hits(),
+                hom_subsumption_hits: hom.subsumption_hits,
+                game_subsumption_hits: game.subsumption_hits,
                 lineage_edges: self.lineage.edge_count(),
-                lineage_registry_hits: self.lineage.registry_hits(),
+                lineage_registry_hits: lineage.registry_hits,
             },
-            restored_entries: self.hom.restored() + self.game.restored() + self.lineage.restored(),
+            restored_entries: hom.restored + game.restored + lineage.restored,
         }
     }
 
@@ -297,38 +299,26 @@ impl Default for Engine {
     }
 }
 
-/// A point-in-time aggregate of all of an engine's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Homomorphism layer: search effort plus memo hits/misses.
-    pub hom: HomStats,
-    /// Cover-game layer: analysis effort plus memo hits/misses.
-    pub game: GameStats,
-    /// LP layer: solves, pivots, fast-path counters. `bignum_promotions`
-    /// is the process-wide figure (promotions are not attributable to an
-    /// engine).
-    pub lp: LpStats,
-    /// Delta/lineage layer: subsumption reuse across related databases.
-    pub sub: SubsumeStats,
-    /// Cache entries imported by [`Engine::load`] since the last reset
-    /// (verdict tables plus lineage edges).
-    pub restored_entries: u64,
+interrupt::counter_table! {
+    /// A point-in-time aggregate of all of an engine's counters.
+    pub struct EngineStats {
+        /// Homomorphism layer: search effort plus memo hits/misses.
+        hom: nested(HomStats),
+        /// Cover-game layer: analysis effort plus memo hits/misses.
+        game: nested(GameStats),
+        /// LP layer: solves, pivots, fast-path counters. `bignum_promotions`
+        /// is the process-wide figure (promotions are not attributable to an
+        /// engine).
+        lp: nested(LpStats),
+        /// Delta/lineage layer: subsumption reuse across related databases.
+        sub: nested(SubsumeStats),
+        /// Cache entries imported by [`Engine::load`] since the last reset
+        /// (verdict tables plus lineage edges).
+        restored_entries: count("restored cache entries"),
+    }
 }
 
 impl EngineStats {
-    /// Counter deltas since an earlier snapshot (saturating).
-    pub fn since(&self, earlier: &EngineStats) -> EngineStats {
-        EngineStats {
-            hom: self.hom.since(&earlier.hom),
-            game: self.game.since(&earlier.game),
-            lp: self.lp.since(&earlier.lp),
-            sub: self.sub.since(&earlier.sub),
-            restored_entries: self
-                .restored_entries
-                .saturating_sub(earlier.restored_entries),
-        }
-    }
-
     /// A scalar work estimate for fair-share scheduling: the dominant
     /// effort counters of each solver layer summed into one figure.
     /// Search nodes and game positions dwarf the per-call counters, so
@@ -347,71 +337,49 @@ impl EngineStats {
     }
 
     /// The unified human-readable report (the CLI's `--stats` output):
-    /// one banner, the per-layer sections, the subsumption section, and
-    /// the restored-entry count.
+    /// one banner, the restored-entry count, the per-layer sections and
+    /// the subsumption section.
     pub fn report(&self) -> String {
-        format!(
-            "engine stats (hom + cover-game + LP):\n\
-             \x20 restored cache entries: {}\n\
-             {}\n{}\n{}\n{}",
-            self.restored_entries,
+        let banner = section(
+            "engine stats (hom + cover-game + LP):",
+            24,
+            &self.fields(),
+            &[],
+        );
+        [
+            banner,
             self.hom.report(),
             self.game.report(),
             self.lp.report(),
             self.sub.report(),
-        )
+        ]
+        .join("\n")
     }
 }
 
-/// Counters for the delta-aware reuse paths: how many cache probes were
-/// answered by a subsumption rule instead of an exact key, and how much
-/// lineage (parent/child fingerprint edges from [`Engine::apply_delta`])
-/// the engine is tracking.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SubsumeStats {
-    /// Hom-cache probes answered via a lineage-related database.
-    pub hom_subsumption_hits: u64,
-    /// Game-cache probes answered via a lineage-related database.
-    pub game_subsumption_hits: u64,
-    /// Fingerprint edges currently recorded in the lineage registry.
-    pub lineage_edges: u64,
-    /// `apply_delta` calls whose child fingerprint was answered by the
-    /// registry memo instead of a recompute.
-    pub lineage_registry_hits: u64,
+interrupt::counter_table! {
+    /// Counters for the delta-aware reuse paths: how many cache probes
+    /// were answered by a subsumption rule instead of an exact key, and
+    /// how much lineage (parent/child fingerprint edges from
+    /// [`Engine::apply_delta`]) the engine is tracking.
+    pub struct SubsumeStats {
+        /// Hom-cache probes answered via a lineage-related database.
+        hom_subsumption_hits: count("hom subsumption hits"),
+        /// Game-cache probes answered via a lineage-related database.
+        game_subsumption_hits: count("game subsumption hits"),
+        /// Fingerprint edges currently recorded in the lineage registry
+        /// (a gauge: `since` carries the current value through).
+        lineage_edges: gauge("lineage edges"),
+        /// `apply_delta` calls whose child fingerprint was answered by the
+        /// registry memo instead of a recompute.
+        lineage_registry_hits: count("lineage registry hits"),
+    }
 }
 
 impl SubsumeStats {
-    /// Counter deltas since an earlier snapshot (saturating).
-    /// `lineage_edges` is a gauge, not a counter: the current value is
-    /// carried through unchanged.
-    pub fn since(&self, earlier: &SubsumeStats) -> SubsumeStats {
-        SubsumeStats {
-            hom_subsumption_hits: self
-                .hom_subsumption_hits
-                .saturating_sub(earlier.hom_subsumption_hits),
-            game_subsumption_hits: self
-                .game_subsumption_hits
-                .saturating_sub(earlier.game_subsumption_hits),
-            lineage_edges: self.lineage_edges,
-            lineage_registry_hits: self
-                .lineage_registry_hits
-                .saturating_sub(earlier.lineage_registry_hits),
-        }
-    }
-
     /// The `subsumption:` section of [`EngineStats::report`].
     pub fn report(&self) -> String {
-        format!(
-            "subsumption:\n\
-             \x20 hom subsumption hits:   {}\n\
-             \x20 game subsumption hits:  {}\n\
-             \x20 lineage edges:          {}\n\
-             \x20 lineage registry hits:  {}",
-            self.hom_subsumption_hits,
-            self.game_subsumption_hits,
-            self.lineage_edges,
-            self.lineage_registry_hits,
-        )
+        section("subsumption:", 24, &self.fields(), &[])
     }
 }
 

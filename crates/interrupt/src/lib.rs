@@ -27,6 +27,12 @@
 //! * **Cancellation wins ties.** If a handle is both cancelled and past
 //!   its deadline, checks report [`Reason::Cancelled`] — the explicit
 //!   action is the more informative cause.
+//!
+//! The crate also holds [`counter_table!`], the one declaration form of
+//! every layer's work counters (see [`counters`]): it sits here because
+//! every solver crate already depends on this one.
+
+pub mod counters;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -14,28 +14,45 @@
 //! Counters are atomics: cheap to bump from the parallel subset-search
 //! workers and aggregated without any locking.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use interrupt::counters::{percent, section};
 
-/// A set of LP-engine counters. An `Engine` owns one instance and passes
-/// it to [`crate::separate::separate`] and
-/// [`crate::minerror::min_error_classifier`].
-///
-/// `bignum_promotions` is *not* tracked here: the hybrid rational's
-/// promotion counter lives in `numeric` and is inherently process-wide
-/// (promotions happen inside arithmetic with no engine in sight), so
-/// [`LpCounters::snapshot`] reports 0 for it and callers that want the
-/// figure fill it in from [`numeric::rat::promotion_count`].
-#[derive(Debug, Default)]
-pub struct LpCounters {
-    lps_solved: AtomicU64,
-    sparse_pivots: AtomicU64,
-    warm_start_hits: AtomicU64,
-    warm_start_misses: AtomicU64,
-    /// High-water mark, not a counter: the deepest S → S ∪ {j} basis
-    /// reuse chain observed (0 = every sparse LP cold-started).
-    basis_reuse_depth: AtomicU64,
-    perceptron_hits: AtomicU64,
-    conflict_prunes: AtomicU64,
+interrupt::counter_table! {
+    /// A point-in-time aggregate of the LP engine counters.
+    pub struct LpStats {
+        /// Simplex solves run (perceptron hits excluded — a fast-path hit
+        /// never builds an LP).
+        lps_solved: count("LPs solved"),
+        /// Always 0: every pivot is counted in [`LpStats::sparse_pivots`].
+        /// Kept because the benchmark under `perfbench/`, a separate
+        /// workspace, reads it and sums it with `sparse_pivots`.
+        simplex_pivots: count,
+        /// Revised-simplex pivots across all LP solves: the engine's total
+        /// pivot work.
+        sparse_pivots: count("simplex pivots"),
+        /// Sparse solves that started from a reused (warm) basis.
+        warm_start_hits: count("warm-start hits"),
+        /// Sparse solves that cold-started (no warm basis available, or the
+        /// offered basis was singular/infeasible for the new instance).
+        warm_start_misses: count("warm-start misses"),
+        /// High-water mark of the S → S ∪ {j} basis-reuse chain length (0 =
+        /// every sparse LP cold-started).
+        basis_reuse_depth: max("basis reuse depth"),
+        /// Separations decided by the integer perceptron without an LP.
+        perceptron_hits: count("perceptron hits"),
+        /// Instances refuted by the duplicate-row conflict scan, skipping
+        /// the LP (and, in the subset search, the projection) entirely.
+        conflict_prunes: count("conflict prunes"),
+        /// Hybrid-rational values that overflowed the inline `i64`
+        /// representation and promoted to `BigRational`. Not tracked by
+        /// [`LpCounters`]: promotions happen inside arithmetic with no
+        /// engine in sight, so the figure is process-wide and callers
+        /// that want it fill it in from [`numeric::rat::promotion_count`].
+        bignum_promotions: count("bignum promotions"),
+    }
+    /// A set of LP-engine counters. An `Engine` owns one instance and
+    /// passes it to [`crate::separate::separate`] and
+    /// [`crate::minerror::min_error_classifier`].
+    pub struct LpCounters;
 }
 
 impl LpCounters {
@@ -48,145 +65,45 @@ impl LpCounters {
     /// reuse chain is `d` links long, `None` for a cold (all-slack or
     /// rejected-warm) start.
     pub fn record_sparse_lp(&self, pivots: u64, warm_depth: Option<u64>) {
-        self.lps_solved.fetch_add(1, Ordering::Relaxed);
-        self.sparse_pivots.fetch_add(pivots, Ordering::Relaxed);
-        match warm_depth {
-            Some(d) => {
-                self.warm_start_hits.fetch_add(1, Ordering::Relaxed);
-                self.basis_reuse_depth.fetch_max(d, Ordering::Relaxed);
-            }
-            None => {
-                self.warm_start_misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.add(&LpStats {
+            lps_solved: 1,
+            sparse_pivots: pivots,
+            warm_start_hits: warm_depth.is_some() as u64,
+            warm_start_misses: warm_depth.is_none() as u64,
+            basis_reuse_depth: warm_depth.unwrap_or(0),
+            ..LpStats::default()
+        });
     }
 
     /// Note a separation decided by the integer perceptron fast path.
     pub fn record_perceptron_hit(&self) {
-        self.perceptron_hits.fetch_add(1, Ordering::Relaxed);
+        self.add(&LpStats {
+            perceptron_hits: 1,
+            ..LpStats::default()
+        });
     }
 
     /// Note an instance (or column subset) refuted by the cheap
     /// duplicate-vector/opposite-label conflict scan, skipping the LP
     /// (and, in the subset search, the projection) entirely.
     pub fn record_conflict_prune(&self) {
-        self.conflict_prunes.fetch_add(1, Ordering::Relaxed);
+        self.add(&LpStats {
+            conflict_prunes: 1,
+            ..LpStats::default()
+        });
     }
-
-    /// These counters as an [`LpStats`] (with `bignum_promotions` 0 —
-    /// see the type-level note).
-    pub fn snapshot(&self) -> LpStats {
-        LpStats {
-            lps_solved: self.lps_solved.load(Ordering::Relaxed),
-            simplex_pivots: 0,
-            sparse_pivots: self.sparse_pivots.load(Ordering::Relaxed),
-            warm_start_hits: self.warm_start_hits.load(Ordering::Relaxed),
-            warm_start_misses: self.warm_start_misses.load(Ordering::Relaxed),
-            basis_reuse_depth: self.basis_reuse_depth.load(Ordering::Relaxed),
-            perceptron_hits: self.perceptron_hits.load(Ordering::Relaxed),
-            bignum_promotions: 0,
-            conflict_prunes: self.conflict_prunes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero every counter (and the reuse-depth high-water mark).
-    pub fn reset(&self) {
-        for c in [
-            &self.lps_solved,
-            &self.sparse_pivots,
-            &self.warm_start_hits,
-            &self.warm_start_misses,
-            &self.basis_reuse_depth,
-            &self.perceptron_hits,
-            &self.conflict_prunes,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A point-in-time aggregate of the LP engine counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LpStats {
-    /// Simplex solves run (perceptron hits excluded — a fast-path hit
-    /// never builds an LP).
-    pub lps_solved: u64,
-    /// Always 0: every pivot is counted in [`LpStats::sparse_pivots`].
-    /// Kept because the benchmark under `perfbench/`, a separate
-    /// workspace, reads it and sums it with `sparse_pivots`.
-    pub simplex_pivots: u64,
-    /// Revised-simplex pivots across all LP solves: the engine's total
-    /// pivot work.
-    pub sparse_pivots: u64,
-    /// Sparse solves that started from a reused (warm) basis.
-    pub warm_start_hits: u64,
-    /// Sparse solves that cold-started (no warm basis available, or the
-    /// offered basis was singular/infeasible for the new instance).
-    pub warm_start_misses: u64,
-    /// High-water mark of the S → S ∪ {j} basis-reuse chain length (a
-    /// gauge, not a counter: `since` passes it through unchanged).
-    pub basis_reuse_depth: u64,
-    /// Separations decided by the integer perceptron without an LP.
-    pub perceptron_hits: u64,
-    /// Hybrid-rational values that overflowed the inline `i64`
-    /// representation and promoted to `BigRational`.
-    pub bignum_promotions: u64,
-    /// Instances refuted by the duplicate-row conflict scan, skipping
-    /// the LP (and, in the subset search, the projection) entirely.
-    pub conflict_prunes: u64,
 }
 
 impl LpStats {
-    /// Counter deltas since an earlier snapshot (saturating, so a
-    /// concurrent reset cannot produce bogus huge values).
-    pub fn since(&self, earlier: &LpStats) -> LpStats {
-        LpStats {
-            lps_solved: self.lps_solved.saturating_sub(earlier.lps_solved),
-            simplex_pivots: self.simplex_pivots.saturating_sub(earlier.simplex_pivots),
-            sparse_pivots: self.sparse_pivots.saturating_sub(earlier.sparse_pivots),
-            warm_start_hits: self.warm_start_hits.saturating_sub(earlier.warm_start_hits),
-            warm_start_misses: self
-                .warm_start_misses
-                .saturating_sub(earlier.warm_start_misses),
-            // A gauge, not a counter: the later high-water mark already
-            // covers the interval, so pass it through unsubtracted.
-            basis_reuse_depth: self.basis_reuse_depth,
-            perceptron_hits: self.perceptron_hits.saturating_sub(earlier.perceptron_hits),
-            bignum_promotions: self
-                .bignum_promotions
-                .saturating_sub(earlier.bignum_promotions),
-            conflict_prunes: self.conflict_prunes.saturating_sub(earlier.conflict_prunes),
-        }
-    }
-
     /// Human-readable multi-line report (used by the CLI's `--stats`).
     pub fn report(&self) -> String {
-        let decided = self.lps_solved + self.perceptron_hits + self.conflict_prunes;
         let fast = self.perceptron_hits + self.conflict_prunes;
-        let fast_rate = if decided == 0 {
-            0.0
-        } else {
-            fast as f64 / decided as f64 * 100.0
-        };
-        format!(
-            "lp engine stats:\n\
-             \x20 LPs solved:          {}\n\
-             \x20 simplex pivots:      {}\n\
-             \x20 warm-start hits:     {}\n\
-             \x20 warm-start misses:   {}\n\
-             \x20 basis reuse depth:   {}\n\
-             \x20 perceptron hits:     {}\n\
-             \x20 conflict prunes:     {}\n\
-             \x20 bignum promotions:   {}\n\
-             \x20 fast-path rate:      {fast_rate:.1}%",
-            self.lps_solved,
-            self.sparse_pivots,
-            self.warm_start_hits,
-            self.warm_start_misses,
-            self.basis_reuse_depth,
-            self.perceptron_hits,
-            self.conflict_prunes,
-            self.bignum_promotions,
+        let fast_rate = percent(fast, self.lps_solved + fast);
+        section(
+            "lp engine stats:",
+            21,
+            &self.fields(),
+            &[("fast-path rate", fast_rate)],
         )
     }
 }

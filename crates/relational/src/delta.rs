@@ -31,7 +31,6 @@
 use crate::database::{mix64, Database};
 use crate::ids::{RelId, Val};
 use crate::labeling::{Label, Labeling, TrainingDb};
-use serde::bytes::{ByteReader, ByteWriter};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -130,9 +129,6 @@ impl std::error::Error for DeltaError {}
 pub struct Delta {
     ops: Vec<DeltaOp>,
 }
-
-const DELTA_MAGIC: [u8; 8] = *b"CQSEPDL1";
-const RECEIPT_MAGIC: [u8; 8] = *b"CQSEPDR1";
 
 impl Delta {
     pub fn new() -> Delta {
@@ -338,75 +334,6 @@ impl Delta {
         }
         out
     }
-
-    /// Binary wire encoding (`serde::bytes` conventions: magic, strict
-    /// bytes, all-or-nothing decode).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_magic(&DELTA_MAGIC);
-        w.u32(self.ops.len() as u32);
-        for op in &self.ops {
-            match op {
-                DeltaOp::AddValue { name } => {
-                    w.u8(1);
-                    w.str(name);
-                }
-                DeltaOp::AddFact { rel, args } => {
-                    w.u8(2);
-                    w.str(rel);
-                    w.str_list(args);
-                }
-                DeltaOp::RemoveFact { rel, args } => {
-                    w.u8(3);
-                    w.str(rel);
-                    w.str_list(args);
-                }
-                DeltaOp::AddEntity { name, label } => {
-                    w.u8(4);
-                    w.str(name);
-                    w.opt_verdict(label.map(|l| l == Label::Positive));
-                }
-                DeltaOp::FlipLabel { name } => {
-                    w.u8(5);
-                    w.str(name);
-                }
-            }
-        }
-        w.finish()
-    }
-
-    /// Decode [`Delta::to_bytes`]; `None` on any corruption.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Delta> {
-        let mut r = ByteReader::with_magic(bytes, &DELTA_MAGIC)?;
-        let n = r.u32()?;
-        let mut ops = Vec::new();
-        for _ in 0..n {
-            let op = match r.u8()? {
-                1 => DeltaOp::AddValue { name: r.str()? },
-                2 => DeltaOp::AddFact {
-                    rel: r.str()?,
-                    args: r.str_list()?,
-                },
-                3 => DeltaOp::RemoveFact {
-                    rel: r.str()?,
-                    args: r.str_list()?,
-                },
-                4 => DeltaOp::AddEntity {
-                    name: r.str()?,
-                    label: r.opt_verdict()?.map(|pos| {
-                        if pos {
-                            Label::Positive
-                        } else {
-                            Label::Negative
-                        }
-                    }),
-                },
-                5 => DeltaOp::FlipLabel { name: r.str()? },
-                _ => return None,
-            };
-            ops.push(op);
-        }
-        r.finished().then_some(Delta { ops })
-    }
 }
 
 /// `R(a,b)` → `("R", ["a","b"])`. Shared shape with the spec format.
@@ -473,38 +400,6 @@ impl DeltaReceipt {
                 ""
             }
         )
-    }
-
-    /// Binary wire encoding in the `serde::bytes` conventions.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::with_magic(&RECEIPT_MAGIC);
-        w.u128(self.parent_fp);
-        w.u128(self.delta_fp);
-        w.u128(self.child_fp);
-        w.u8(self.kind.code());
-        w.u64(self.facts_added);
-        w.u64(self.facts_removed);
-        w.u64(self.values_added);
-        w.u64(self.labels_flipped);
-        w.verdict(self.registry_hit);
-        w.finish()
-    }
-
-    /// Decode [`DeltaReceipt::to_bytes`]; `None` on any corruption.
-    pub fn from_bytes(bytes: &[u8]) -> Option<DeltaReceipt> {
-        let mut r = ByteReader::with_magic(bytes, &RECEIPT_MAGIC)?;
-        let out = DeltaReceipt {
-            parent_fp: r.u128()?,
-            delta_fp: r.u128()?,
-            child_fp: r.u128()?,
-            kind: DeltaKind::from_code(r.u8()?)?,
-            facts_added: r.u64()?,
-            facts_removed: r.u64()?,
-            values_added: r.u64()?,
-            labels_flipped: r.u64()?,
-            registry_hit: r.verdict()?,
-        };
-        r.finished().then_some(out)
     }
 }
 
@@ -796,6 +691,19 @@ impl LineageGenerations {
     }
 }
 
+interrupt::counter_table! {
+    /// A lineage registry's event counters.
+    pub struct LineageStats {
+        /// Times [`Lineage::child_of`] answered from the memo — each one
+        /// is a child-fingerprint recompute (or a re-parse) avoided.
+        registry_hits: count,
+        /// Edges imported from a persisted table.
+        restored: count,
+    }
+    /// The shared form of [`LineageStats`] a [`Lineage`] bumps.
+    pub struct LineageCounters;
+}
+
 /// The process- or engine-scoped registry of fingerprint lineage: which
 /// database contents are edits of which, and in which direction. Owned
 /// by `engine::Engine`; consulted by the caches' subsumption reads.
@@ -804,9 +712,7 @@ pub struct Lineage {
     /// Mirror of the live edge count so the no-edge fast path (every
     /// cache miss probes it) never takes the lock.
     edge_count: AtomicU64,
-    registry_hits: AtomicU64,
-    /// Edges imported from a persisted lineage table.
-    restored: AtomicU64,
+    counters: LineageCounters,
 }
 
 impl Lineage {
@@ -814,8 +720,7 @@ impl Lineage {
         Lineage {
             inner: Mutex::new(LineageGenerations::default()),
             edge_count: AtomicU64::new(0),
-            registry_hits: AtomicU64::new(0),
-            restored: AtomicU64::new(0),
+            counters: LineageCounters::default(),
         }
     }
 
@@ -830,21 +735,14 @@ impl Lineage {
         self.edge_count.load(Ordering::Relaxed)
     }
 
-    /// Times [`Lineage::child_of`] answered from the memo — each one is
-    /// a child-fingerprint recompute (or a re-parse) avoided.
-    pub fn registry_hits(&self) -> u64 {
-        self.registry_hits.load(Ordering::Relaxed)
-    }
-
-    /// Edges imported from a persisted table.
-    pub fn restored(&self) -> u64 {
-        self.restored.load(Ordering::Relaxed)
+    /// The event counters since the last [`Lineage::reset_stats`].
+    pub fn stats(&self) -> LineageStats {
+        self.counters.snapshot()
     }
 
     /// Zero the event counters (the edge table itself is untouched).
     pub fn reset_stats(&self) {
-        self.registry_hits.store(0, Ordering::Relaxed);
-        self.restored.store(0, Ordering::Relaxed);
+        self.counters.reset();
     }
 
     /// The memoized child fingerprint for applying `delta_fp` to
@@ -852,7 +750,10 @@ impl Lineage {
     pub fn child_of(&self, parent_fp: u128, delta_fp: u128) -> Option<u128> {
         let child = self.inner.lock().unwrap().child(&(parent_fp, delta_fp));
         if child.is_some() {
-            self.registry_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(&LineageStats {
+                registry_hits: 1,
+                ..LineageStats::default()
+            });
         }
         child
     }
@@ -870,7 +771,10 @@ impl Lineage {
     /// Import one persisted edge (counts as `restored`).
     pub fn import_edge(&self, parent_fp: u128, delta_fp: u128, child_fp: u128, kind: DeltaKind) {
         self.insert(parent_fp, delta_fp, child_fp, kind);
-        self.restored.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(&LineageStats {
+            restored: 1,
+            ..LineageStats::default()
+        });
     }
 
     fn insert(&self, parent_fp: u128, delta_fp: u128, child_fp: u128, kind: DeltaKind) {
@@ -1056,7 +960,7 @@ mod tests {
         let r2 = d2.apply_via(&delta, &lineage).unwrap();
         assert!(r2.registry_hit);
         assert_eq!(r2.child_fp, r1.child_fp);
-        assert_eq!(lineage.registry_hits(), 1);
+        assert_eq!(lineage.stats().registry_hits, 1);
         assert_eq!(d2.fingerprint(), r1.child_fp);
     }
 
@@ -1123,8 +1027,6 @@ mod tests {
             .flip_label("z");
         let text = delta.to_text();
         assert_eq!(Delta::parse(&text).unwrap(), delta);
-        // And the binary wire form.
-        assert_eq!(Delta::from_bytes(&delta.to_bytes()).unwrap(), delta);
     }
 
     #[test]
@@ -1149,23 +1051,5 @@ mod tests {
         assert_eq!(d1.fingerprint(), d1_again.fingerprint());
         assert_ne!(d1.fingerprint(), d2.fingerprint());
         assert_ne!(d1.fingerprint(), Delta::new().fingerprint());
-    }
-
-    #[test]
-    fn receipt_round_trips_through_bytes() {
-        let r = DeltaReceipt {
-            parent_fp: 7,
-            delta_fp: 11,
-            child_fp: 13,
-            kind: DeltaKind::Mixed,
-            facts_added: 2,
-            facts_removed: 1,
-            values_added: 3,
-            labels_flipped: 0,
-            registry_hit: true,
-        };
-        assert_eq!(DeltaReceipt::from_bytes(&r.to_bytes()).unwrap(), r);
-        assert!(DeltaReceipt::from_bytes(b"garbage").is_none());
-        assert_eq!(DeltaKind::from_code(9), None);
     }
 }

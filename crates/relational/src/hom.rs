@@ -16,27 +16,12 @@
 use crate::database::Database;
 use crate::ids::Val;
 use interrupt::{Interrupt, Stop};
+use stats::HomStats;
 use std::collections::HashMap;
 
 pub mod cache;
 pub mod par;
 pub mod stats;
-
-/// Per-search instrumentation returned by the `_counted` entry points so
-/// callers holding their own counter sets (a per-engine cache, see
-/// [`stats::HomStats`]) can attribute work.
-///
-/// `solves` is 1 when a full backtracking search actually ran and 0 when
-/// the query short-circuited before one started (contradictory fixes,
-/// out-of-domain constraints, an empty candidate set at setup, or no
-/// variables at all).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchCounts {
-    pub solves: u64,
-    pub nodes: u64,
-    pub wipeouts: u64,
-    pub backtracks: u64,
-}
 
 /// A configured homomorphism search from one database to another.
 ///
@@ -85,12 +70,12 @@ impl<'a> HomSearch<'a> {
         self.solve(&mut |_| true)
     }
 
-    /// [`HomSearch::exists`] plus this query's [`SearchCounts`], for
-    /// per-instance accounting; interruptible: the backtracking loop
+    /// [`HomSearch::exists`] plus this query's search effort as a
+    /// [`HomStats`], for per-instance accounting; interruptible: the backtracking loop
     /// checks `intr` at every node expansion and unwinds with [`Stop`] as
     /// soon as it trips. The effort counters cover the work done up to
     /// the stop, so partial effort stays attributable.
-    pub fn exists_counted_int(&self, intr: &Interrupt) -> (Result<bool, Stop>, SearchCounts) {
+    pub fn exists_counted_int(&self, intr: &Interrupt) -> (Result<bool, Stop>, HomStats) {
         self.solve_counted_int(&mut |_| true, Some(intr))
     }
 
@@ -129,15 +114,16 @@ impl<'a> HomSearch<'a> {
 
     /// [`HomSearch::solve`] plus the per-query effort counters and an
     /// optional interrupt handle (`None` = run to completion). Early
-    /// returns (before a search state is built) report zeroed counts. An
+    /// returns (before a search state is built) report zeroed counts;
+    /// `solves` is 1 exactly when a backtracking search ran. An
     /// interrupted search reports its partial counters and `Err(Stop)`
     /// instead of a verdict.
     fn solve_counted_int(
         &self,
         on_solution: &mut dyn FnMut(HashMap<Val, Val>) -> bool,
         intr: Option<&Interrupt>,
-    ) -> (Result<bool, Stop>, SearchCounts) {
-        let counts = SearchCounts::default();
+    ) -> (Result<bool, Stop>, HomStats) {
+        let counts = HomStats::default();
         if let Some(i) = intr {
             if let Err(stop) = i.check() {
                 return (Err(stop), counts);
@@ -213,11 +199,12 @@ impl<'a> HomSearch<'a> {
             backtracks: 0,
         };
         let found = state.backtrack(on_solution, intr);
-        let counts = SearchCounts {
+        let counts = HomStats {
             solves: 1,
-            nodes: state.nodes,
-            wipeouts: state.wipeouts,
+            nodes_expanded: state.nodes,
+            forward_check_wipeouts: state.wipeouts,
             backtracks: state.backtracks,
+            ..HomStats::default()
         };
         (found, counts)
     }
@@ -229,7 +216,7 @@ struct SearchState<'a, 'b> {
     vars: Vec<Val>,
     cand: Vec<Vec<Val>>,
     assignment: &'b mut Vec<Option<Val>>,
-    /// Instrumentation (reported as [`SearchCounts`] once per solve).
+    /// Instrumentation (reported once per solve).
     nodes: u64,
     wipeouts: u64,
     backtracks: u64,
@@ -400,7 +387,7 @@ pub fn homomorphism_exists(from: &Database, to: &Database, fixed: &[(Val, Val)])
         .exists()
 }
 
-/// [`homomorphism_exists`] plus this query's [`SearchCounts`], for callers
+/// [`homomorphism_exists`] plus this query's search effort, for callers
 /// doing per-instance accounting (the memo caches use this on their miss
 /// paths). The backtracking search observes `intr` at every node
 /// expansion. The counts always report the
@@ -410,7 +397,7 @@ pub fn homomorphism_exists_counted_int(
     to: &Database,
     fixed: &[(Val, Val)],
     intr: &Interrupt,
-) -> (Result<bool, Stop>, SearchCounts) {
+) -> (Result<bool, Stop>, HomStats) {
     fixed
         .iter()
         .fold(HomSearch::new(from, to), |s, &(a, b)| s.fix(a, b))

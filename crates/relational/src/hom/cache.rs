@@ -10,14 +10,13 @@
 //! normalized fixed pairs), the solve (the counted backtracking search)
 //! and the search-effort counters behind [`HomCache::stats`].
 
-use super::stats::HomStats;
-use super::{homomorphism_exists_counted_int, SearchCounts};
+use super::homomorphism_exists_counted_int;
+use super::stats::{HomCounters, HomStats};
 use crate::database::Database;
 use crate::delta::Lineage;
 use crate::ids::Val;
 use crate::memo::{mix, Memo, MemoKey, DEFAULT_CAPACITY};
 use interrupt::{Interrupt, Stop};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A hom query in key form: `(from, to)` fingerprints and the fixed
 /// pairs, sorted and deduplicated.
@@ -73,14 +72,11 @@ impl MemoKey for HomKey {
 /// [`Memo`] for the table and its hit/miss counters.
 pub struct HomCache {
     memo: Memo<HomKey>,
-    // Search-effort counters, bumped only by searches this cache itself
-    // ran. Together with the memo's counters these make a cache a
+    // Search effort, bumped only by searches this cache itself ran.
+    // Together with the memo's counters this makes a cache a
     // self-contained stats domain, so each `Engine` attributes exactly
     // the work routed through it.
-    searches: AtomicU64,
-    nodes: AtomicU64,
-    wipeouts: AtomicU64,
-    backtracks: AtomicU64,
+    counters: HomCounters,
 }
 
 impl HomCache {
@@ -93,10 +89,7 @@ impl HomCache {
     pub fn with_capacity(capacity: usize) -> HomCache {
         HomCache {
             memo: Memo::with_capacity(capacity),
-            searches: AtomicU64::new(0),
-            nodes: AtomicU64::new(0),
-            wipeouts: AtomicU64::new(0),
-            backtracks: AtomicU64::new(0),
+            counters: HomCounters::default(),
         }
     }
 
@@ -107,13 +100,6 @@ impl HomCache {
             memo: self.memo.without_memo(),
             ..self
         }
-    }
-
-    fn note_search(&self, c: &SearchCounts) {
-        self.searches.fetch_add(c.solves, Ordering::Relaxed);
-        self.nodes.fetch_add(c.nodes, Ordering::Relaxed);
-        self.wipeouts.fetch_add(c.wipeouts, Ordering::Relaxed);
-        self.backtracks.fetch_add(c.backtracks, Ordering::Relaxed);
     }
 
     /// Memoized [`homomorphism_exists`](super::homomorphism_exists): does
@@ -139,7 +125,7 @@ impl HomCache {
         };
         self.memo.get_or_solve(key, lineage, |key| {
             let (ans, counts) = homomorphism_exists_counted_int(from, to, &key.fixed, intr);
-            self.note_search(&counts);
+            self.counters.add(&counts);
             ans
         })
     }
@@ -148,27 +134,18 @@ impl HomCache {
     /// its misses plus its hit/miss counts, attributable to exactly the
     /// queries routed through this cache instance.
     pub fn stats(&self) -> HomStats {
+        let memo = self.memo.counts();
         HomStats {
-            solves: self.searches.load(Ordering::Relaxed),
-            nodes_expanded: self.nodes.load(Ordering::Relaxed),
-            forward_check_wipeouts: self.wipeouts.load(Ordering::Relaxed),
-            backtracks: self.backtracks.load(Ordering::Relaxed),
-            cache_hits: self.memo.hits(),
-            cache_misses: self.memo.misses(),
+            cache_hits: memo.hits,
+            cache_misses: memo.misses,
+            ..self.counters.snapshot()
         }
     }
 
     /// Zero every counter (the memo table itself is untouched).
     pub fn reset_stats(&self) {
         self.memo.reset_counters();
-        for c in [
-            &self.searches,
-            &self.nodes,
-            &self.wipeouts,
-            &self.backtracks,
-        ] {
-            c.store(0, Ordering::Relaxed);
-        }
+        self.counters.reset();
     }
 }
 
@@ -218,9 +195,9 @@ mod tests {
         let p = graph(&[("a", "b"), ("b", "c")]);
         let c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")]);
         assert!(exists(&cache, &p, &c3, &[]));
-        assert_eq!((cache.hits(), cache.misses()), (0, 1));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (0, 1));
         assert!(exists(&cache, &p, &c3, &[]));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (1, 1));
         assert_eq!(cache.len(), 1);
     }
 
@@ -232,7 +209,7 @@ mod tests {
         let c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")]);
         assert!(exists(&cache, &p, &c3, &[]));
         assert!(exists(&cache, &q, &c3, &[]));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (1, 1));
     }
 
     #[test]
@@ -246,7 +223,7 @@ mod tests {
         let y = c2.val_by_name("y").unwrap();
         assert!(exists(&cache, &p, &c2, &[(a, x), (b, y)]));
         assert!(exists(&cache, &p, &c2, &[(b, y), (a, x)]));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (1, 1));
     }
 
     #[test]
@@ -258,7 +235,10 @@ mod tests {
         let x = c2.val_by_name("x").unwrap();
         let y = c2.val_by_name("y").unwrap();
         assert!(!exists(&cache, &p, &c2, &[(a, x), (a, y)]));
-        assert_eq!((cache.hits(), cache.misses(), cache.len()), (0, 0, 0));
+        assert_eq!(
+            (cache.counts().hits, cache.counts().misses, cache.len()),
+            (0, 0, 0)
+        );
     }
 
     #[test]
@@ -270,7 +250,7 @@ mod tests {
         // Extending p with a third edge re-keys it: no stale answer.
         p.add_named_fact("E", &["b", "c"]);
         assert!(exists(&cache, &p, &c3, &[]));
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (0, 2));
         assert_eq!(cache.len(), 2);
     }
 
@@ -281,7 +261,7 @@ mod tests {
         let p = graph(&[("1", "2"), ("2", "3")]);
         assert!(!exists(&cache, &c3, &p, &[]));
         assert!(!exists(&cache, &c3, &p, &[]));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!((cache.counts().hits, cache.counts().misses), (1, 1));
     }
 
     #[test]
@@ -294,7 +274,7 @@ mod tests {
         cache.clear();
         assert!(cache.is_empty());
         exists(&cache, &p, &q, &[]);
-        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.counts().misses, 2);
     }
 
     #[test]
@@ -346,21 +326,21 @@ mod tests {
         assert!(cache
             .exists(&p, &c3, &[], Some(&lineage), &Interrupt::none())
             .unwrap());
-        assert_eq!(cache.misses(), 1);
+        assert_eq!(cache.counts().misses, 1);
         // Append a fact: the positive hom into c3 survives into c3 ∪ Δ.
         c3.apply_via(&Delta::new().add_fact("E", &["x", "w"]), &lineage)
             .unwrap();
         assert!(cache
             .exists(&p, &c3, &[], Some(&lineage), &Interrupt::none())
             .unwrap());
-        assert_eq!(cache.misses(), 1, "no fresh search after the append");
-        assert_eq!(cache.subsumption_hits(), 1);
+        assert_eq!(cache.counts().misses, 1, "no fresh search after the append");
+        assert_eq!(cache.counts().subsumption_hits, 1);
         // The subsumed answer was promoted to an exact entry.
         assert!(cache
             .exists(&p, &c3, &[], Some(&lineage), &Interrupt::none())
             .unwrap());
-        assert_eq!(cache.subsumption_hits(), 1);
-        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.counts().subsumption_hits, 1);
+        assert_eq!(cache.counts().hits, 1);
     }
 
     #[test]
@@ -380,8 +360,8 @@ mod tests {
         assert!(!cache
             .exists(&c3, &p, &[], Some(&lineage), &Interrupt::none())
             .unwrap());
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.subsumption_hits(), 1);
+        assert_eq!(cache.counts().misses, 1);
+        assert_eq!(cache.counts().subsumption_hits, 1);
     }
 
     #[test]
@@ -403,8 +383,12 @@ mod tests {
         assert!(!cache
             .exists(&p, &t, &[], Some(&lineage), &Interrupt::none())
             .unwrap());
-        assert_eq!(cache.subsumption_hits(), 0);
-        assert_eq!(cache.misses(), 2, "direction mismatch forces a search");
+        assert_eq!(cache.counts().subsumption_hits, 0);
+        assert_eq!(
+            cache.counts().misses,
+            2,
+            "direction mismatch forces a search"
+        );
     }
 
     #[test]
@@ -424,8 +408,8 @@ mod tests {
         assert!(cache
             .exists(&p2, &c3, &[], Some(&lineage), &Interrupt::none())
             .unwrap());
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.subsumption_hits(), 1);
+        assert_eq!(cache.counts().misses, 1);
+        assert_eq!(cache.counts().subsumption_hits, 1);
 
         // A negative verdict from a smaller source blocks any extension:
         // cache (c3 ↛ p1), then append a fact to c3.
@@ -439,8 +423,8 @@ mod tests {
         assert!(!cache
             .exists(&c3b, &p1, &[], Some(&lineage), &Interrupt::none())
             .unwrap());
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.subsumption_hits(), 2);
+        assert_eq!(cache.counts().misses, 2);
+        assert_eq!(cache.counts().subsumption_hits, 2);
     }
 
     #[test]
@@ -452,7 +436,7 @@ mod tests {
         let p = graph(&[("a", "b")]);
         let c3 = graph(&[("x", "y"), ("y", "z"), ("z", "x")]);
         assert!(exists(&cache, &p, &c3, &[])); // miss: now memoized
-        let hits_before = cache.hits();
+        let hits_before = cache.counts().hits;
         let pairs: Vec<(Val, Val)> = p
             .dom()
             .flat_map(|a| c3.dom().map(move |b| (a, b)))
@@ -465,9 +449,9 @@ mod tests {
         // those can miss per rotation reaching its shard, and promotion
         // means a find in either generation counts as a hit.
         assert!(
-            cache.hits() >= hits_before + pairs.len() as u64 / 2,
+            cache.counts().hits >= hits_before + pairs.len() as u64 / 2,
             "hot key starved: {} hits after {} touches",
-            cache.hits() - hits_before,
+            cache.counts().hits - hits_before,
             pairs.len()
         );
     }

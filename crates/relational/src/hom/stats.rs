@@ -1,71 +1,47 @@
 //! Instrumentation counters for the homomorphism engine.
 //!
 //! The backtracking solver ([`crate::hom::HomSearch`]) counts nodes
-//! expanded, forward-check wipe-outs, and backtracks during each solve and
-//! reports them as [`crate::hom::SearchCounts`]; the memo cache
-//! ([`crate::hom::cache::HomCache`]) adds them to its own atomics
-//! alongside its memo's hit/miss counts. [`HomStats`] is a snapshot of one
-//! cache's counters, so a caller (the CLI `--stats` flag, the bench
-//! harness) can difference two snapshots around a region of interest.
+//! expanded, forward-check wipe-outs, and backtracks during each solve
+//! and reports them as a [`HomStats`]; the memo cache
+//! ([`crate::hom::cache::HomCache`]) adds them to its [`HomCounters`]
+//! and fills in its memo's hit/miss counts. A [`HomStats`] snapshot of
+//! one cache lets a caller (the CLI `--stats` flag, the bench harness)
+//! difference two snapshots around a region of interest.
 
-/// A point-in-time aggregate of the engine counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HomStats {
-    /// Backtracking searches run to completion (cache misses included,
-    /// cache hits excluded — a hit runs no search).
-    pub solves: u64,
-    /// Variable-assignment attempts across all searches.
-    pub nodes_expanded: u64,
-    /// Assignments rejected because forward checking wiped out a
-    /// candidate set.
-    pub forward_check_wipeouts: u64,
-    /// Exhausted search frames popped.
-    pub backtracks: u64,
-    /// Memo-cache hits (answers served without a search).
-    pub cache_hits: u64,
-    /// Memo-cache misses (answers computed and then memoized).
-    pub cache_misses: u64,
+use interrupt::counters::{percent, section};
+
+interrupt::counter_table! {
+    /// A point-in-time aggregate of the engine counters.
+    pub struct HomStats {
+        /// Backtracking searches run to completion (cache misses included,
+        /// cache hits excluded — a hit runs no search).
+        solves: count("searches run"),
+        /// Variable-assignment attempts across all searches.
+        nodes_expanded: count("nodes expanded"),
+        /// Assignments rejected because forward checking wiped out a
+        /// candidate set.
+        forward_check_wipeouts: count("fwd-check wipeouts"),
+        /// Exhausted search frames popped.
+        backtracks: count("backtracks"),
+        /// Memo-cache hits (answers served without a search).
+        cache_hits: count("cache hits"),
+        /// Memo-cache misses (answers computed and then memoized).
+        cache_misses: count("cache misses"),
+    }
+    /// The search-effort counters of one [`HomCache`](crate::HomCache),
+    /// bumped by the searches it ran.
+    pub struct HomCounters;
 }
 
 impl HomStats {
-    /// Counter deltas since an earlier snapshot (saturating, so a
-    /// concurrent `reset` cannot produce bogus huge values).
-    pub fn since(&self, earlier: &HomStats) -> HomStats {
-        HomStats {
-            solves: self.solves.saturating_sub(earlier.solves),
-            nodes_expanded: self.nodes_expanded.saturating_sub(earlier.nodes_expanded),
-            forward_check_wipeouts: self
-                .forward_check_wipeouts
-                .saturating_sub(earlier.forward_check_wipeouts),
-            backtracks: self.backtracks.saturating_sub(earlier.backtracks),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(earlier.cache_misses),
-        }
-    }
-
     /// Human-readable multi-line report (used by the CLI's `--stats`).
     pub fn report(&self) -> String {
-        let lookups = self.cache_hits + self.cache_misses;
-        let hit_rate = if lookups == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / lookups as f64 * 100.0
-        };
-        format!(
-            "hom engine stats:\n\
-             \x20 searches run:        {}\n\
-             \x20 nodes expanded:      {}\n\
-             \x20 fwd-check wipeouts:  {}\n\
-             \x20 backtracks:          {}\n\
-             \x20 cache hits:          {}\n\
-             \x20 cache misses:        {}\n\
-             \x20 cache hit rate:      {hit_rate:.1}%",
-            self.solves,
-            self.nodes_expanded,
-            self.forward_check_wipeouts,
-            self.backtracks,
-            self.cache_hits,
-            self.cache_misses,
+        let hit_rate = percent(self.cache_hits, self.cache_hits + self.cache_misses);
+        section(
+            "hom engine stats:",
+            21,
+            &self.fields(),
+            &[("cache hit rate", hit_rate)],
         )
     }
 }

@@ -36,15 +36,20 @@ pub mod spec;
 
 pub use builder::DbBuilder;
 pub use database::{fingerprint_computations, Database, Fact};
-pub use delta::{Containment, Delta, DeltaError, DeltaKind, DeltaOp, DeltaReceipt, Lineage};
+pub use delta::{
+    Containment, Delta, DeltaError, DeltaKind, DeltaOp, DeltaReceipt, Lineage, LineageStats,
+};
 pub use hom::cache::{HomCache, HomKey};
-pub use hom::stats::HomStats;
+pub use hom::stats::{HomCounters, HomStats};
 pub use hom::{
     find_homomorphism, hom_equivalent, homomorphism_exists, homomorphism_exists_counted_int,
-    HomSearch, SearchCounts,
+    HomSearch,
 };
 pub use ids::{RelId, Val};
+/// Re-exported for crates that declare counters without depending on
+/// `interrupt` directly (see [`interrupt::counters`]).
+pub use interrupt::counter_table;
 pub use labeling::{Label, Labeling, TrainingDb};
-pub use memo::{Memo, MemoKey};
+pub use memo::{Memo, MemoKey, MemoStats};
 pub use product::{pointed_power, ProductError};
 pub use schema::Schema;

@@ -47,7 +47,7 @@
 //! interned indices, so an element means the same thing in every
 //! database on an edit chain. A subsumption-served verdict is stored as
 //! an exact entry (the next query is a plain hit) and counts only in
-//! [`Memo::subsumption_hits`], as neither hit nor miss.
+//! [`MemoStats::subsumption_hits`], as neither hit nor miss.
 //!
 //! # Bypass
 //!
@@ -61,7 +61,6 @@ use crate::delta::{Containment, Lineage};
 use interrupt::Stop;
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Shard count; a small power of two comfortably above typical worker
@@ -109,17 +108,31 @@ impl<K: MemoKey> Generations<K> {
     }
 }
 
+interrupt::counter_table! {
+    /// A memo's own counters; the caches report them inside their
+    /// layer's stats.
+    pub struct MemoStats {
+        /// Verdicts served from the table.
+        hits: count,
+        /// Verdicts solved afresh (every query of a bypassing memo).
+        misses: count,
+        /// Verdicts served by subsumption (neither hit nor miss).
+        subsumption_hits: count,
+        /// Entries imported by [`Memo::import`].
+        restored: count,
+    }
+    /// The shared form of [`MemoStats`] a [`Memo`] bumps.
+    pub struct MemoCounters;
+}
+
 /// A sharded two-generation verdict table with lineage subsumption and
-/// its own hit/miss/subsumption/restored counters.
+/// its own [`MemoStats`] counters.
 pub struct Memo<K> {
     shards: Vec<Mutex<Generations<K>>>,
     per_shard_cap: usize,
     /// False for a bypassing memo (see [`Memo::without_memo`]).
     memoize: bool,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    sub_hits: AtomicU64,
-    restored: AtomicU64,
+    counters: MemoCounters,
 }
 
 impl<K: MemoKey> Memo<K> {
@@ -137,10 +150,7 @@ impl<K: MemoKey> Memo<K> {
                 .collect(),
             per_shard_cap: (capacity / SHARDS).max(1),
             memoize: true,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            sub_hits: AtomicU64::new(0),
-            restored: AtomicU64::new(0),
+            counters: MemoCounters::default(),
         }
     }
 
@@ -183,7 +193,10 @@ impl<K: MemoKey> Memo<K> {
                 ans
             }
         };
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(&MemoStats {
+            hits: 1,
+            ..MemoStats::default()
+        });
         Some(ans)
     }
 
@@ -234,8 +247,12 @@ impl<K: MemoKey> Memo<K> {
         lineage: Option<&Lineage>,
         solve: impl FnOnce(&K) -> Result<bool, Stop>,
     ) -> Result<bool, Stop> {
+        let miss = MemoStats {
+            misses: 1,
+            ..MemoStats::default()
+        };
         if !self.memoize {
-            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(&miss);
             return solve(&key);
         }
         if let Some(ans) = self.probe(&key) {
@@ -245,42 +262,27 @@ impl<K: MemoKey> Memo<K> {
             .filter(|l| !l.no_edges())
             .and_then(|l| self.subsumed_via(&key, l));
         if let Some(ans) = subsumed {
-            self.sub_hits.fetch_add(1, Ordering::Relaxed);
+            self.counters.add(&MemoStats {
+                subsumption_hits: 1,
+                ..MemoStats::default()
+            });
             self.store(key, ans);
             return Ok(ans);
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(&miss);
         let ans = solve(&key)?;
         self.store(key, ans);
         Ok(ans)
     }
 
-    /// Verdicts served from the table.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+    /// This memo's counters since the last [`Memo::reset_counters`].
+    pub fn counts(&self) -> MemoStats {
+        self.counters.snapshot()
     }
 
-    /// Verdicts solved afresh (every query of a bypassing memo).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Verdicts served by subsumption (neither hit nor miss).
-    pub fn subsumption_hits(&self) -> u64 {
-        self.sub_hits.load(Ordering::Relaxed)
-    }
-
-    /// Entries imported by [`Memo::import`] since the last
-    /// [`Memo::reset_counters`].
-    pub fn restored(&self) -> u64 {
-        self.restored.load(Ordering::Relaxed)
-    }
-
-    /// Zero the four counters (the table itself is untouched).
+    /// Zero the counters (the table itself is untouched).
     pub fn reset_counters(&self) {
-        for c in [&self.hits, &self.misses, &self.sub_hits, &self.restored] {
-            c.store(0, Ordering::Relaxed);
-        }
+        self.counters.reset();
     }
 
     /// Number of memoized verdicts (both generations; they are disjoint).
@@ -333,7 +335,10 @@ impl<K: MemoKey> Memo<K> {
     /// the import counts as neither a hit nor a miss, only as `restored`.
     pub fn import(&self, key: K, ans: bool) {
         self.store(key, ans);
-        self.restored.fetch_add(1, Ordering::Relaxed);
+        self.counters.add(&MemoStats {
+            restored: 1,
+            ..MemoStats::default()
+        });
     }
 }
 
@@ -365,9 +370,9 @@ mod tests {
         let out = memo.get_or_solve(Key(1, 2, 3), None, |_| intr.check().map(|()| true));
         assert!(out.is_err());
         assert!(memo.is_empty());
-        assert_eq!(memo.misses(), 1);
+        assert_eq!(memo.counts().misses, 1);
         // The next query solves afresh and is memoized.
         assert!(memo.get_or_solve(Key(1, 2, 3), None, |_| Ok(true)).unwrap());
-        assert_eq!((memo.misses(), memo.len()), (2, 1));
+        assert_eq!((memo.counts().misses, memo.len()), (2, 1));
     }
 }

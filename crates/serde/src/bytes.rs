@@ -65,24 +65,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    /// A `u32` count followed by that many [`ByteWriter::str`]s (delta
-    /// op argument lists).
-    pub fn str_list(&mut self, items: &[String]) {
-        self.u32(items.len() as u32);
-        for s in items {
-            self.str(s);
-        }
-    }
-
-    /// An optional verdict as a strict byte: `2` = absent, else the
-    /// usual `0`/`1` (delta entity labels).
-    pub fn opt_verdict(&mut self, v: Option<bool>) {
-        self.buf.push(match v {
-            None => 2,
-            Some(b) => b as u8,
-        });
-    }
-
     pub fn finish(self) -> Vec<u8> {
         self.buf
     }
@@ -169,27 +151,6 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(head.to_vec()).ok()
     }
 
-    /// A `u32`-count-prefixed list of strings; fails as a unit.
-    pub fn str_list(&mut self) -> Option<Vec<String>> {
-        let n = self.u32()? as usize;
-        let mut out = Vec::new();
-        for _ in 0..n {
-            out.push(self.str()?);
-        }
-        Some(out)
-    }
-
-    /// A strict optional-verdict byte: `0`/`1`/`2` (absent); anything
-    /// else is corruption.
-    pub fn opt_verdict(&mut self) -> Option<Option<bool>> {
-        match self.take::<1>()? {
-            [0] => Some(Some(false)),
-            [1] => Some(Some(true)),
-            [2] => Some(None),
-            _ => None,
-        }
-    }
-
     /// A `Vec` capacity for `count` elements about to be read, each at
     /// least `min_size` bytes on the wire: never more than the bytes left
     /// can hold, so a corrupt count field cannot over-allocate.
@@ -265,30 +226,6 @@ mod tests {
         let buf = w.finish();
         let mut r = ByteReader::with_magic(&buf, &MAGIC).unwrap();
         assert_eq!(r.str(), None);
-    }
-
-    #[test]
-    fn str_list_and_opt_verdict_round_trip() {
-        let mut w = ByteWriter::with_magic(&MAGIC);
-        w.str_list(&["a".to_string(), "bc".to_string()]);
-        w.str_list(&[]);
-        w.opt_verdict(None);
-        w.opt_verdict(Some(true));
-        w.opt_verdict(Some(false));
-        let buf = w.finish();
-        let mut r = ByteReader::with_magic(&buf, &MAGIC).unwrap();
-        assert_eq!(r.str_list(), Some(vec!["a".to_string(), "bc".to_string()]));
-        assert_eq!(r.str_list(), Some(Vec::new()));
-        assert_eq!(r.opt_verdict(), Some(None));
-        assert_eq!(r.opt_verdict(), Some(Some(true)));
-        assert_eq!(r.opt_verdict(), Some(Some(false)));
-        assert!(r.finished());
-
-        // Strictness: 3 is not a valid optional-verdict byte.
-        let mut bad = MAGIC.to_vec();
-        bad.push(3);
-        let mut r = ByteReader::with_magic(&bad, &MAGIC).unwrap();
-        assert_eq!(r.opt_verdict(), None);
     }
 
     #[test]

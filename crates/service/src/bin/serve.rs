@@ -1,7 +1,8 @@
 //! `cqsep-serve`: a long-lived solver service speaking newline-delimited
 //! JSON over stdin/stdout (default), a Unix domain socket
-//! (`--socket <path>`), or TCP (`--tcp <addr>` — concurrent
-//! connections, multi-tenant engine LRU, snapshot warm starts). See
+//! (`--socket <path>`), or TCP (`--tcp <addr>`, concurrent
+//! connections). All three serve one multi-tenant engine registry,
+//! warm-started from and snapshotted to `--cache-dir`. See
 //! `service::server` for the wire format.
 
 use service::{ServeOpts, TenantConfig, TenantRegistry};
@@ -17,12 +18,14 @@ const USAGE: &str = "usage: cqsep-serve [options]
   --tcp <addr>         serve TCP (e.g. 127.0.0.1:0); prints the bound
                        address as 'listening on <addr>' on stdout
   --tenants <n>        resident-tenant LRU capacity (default 8)
-  --cache-dir <dir>    tenant snapshot root: warm-start tenants from
-                       <dir>/<tenant>/, snapshot on evict and shutdown
+  --cache-dir <dir>    tenant snapshot root: warm-start tenants (the
+                       default one from <dir>/_default/) and their
+                       residents from <dir>/<tenant>/, snapshot on
+                       evict and on exit, in every mode
   --threads <n>        cap solver parallelism per task at n threads
   --no-cache           run every hom/game query unmemoized
 protocol: one JSON request per line in, one JSON response per line out;
-          requests may carry \"tenant\" for isolated engines;
+          requests may carry \"tenant\" for isolated engines (any mode);
           {\"op\":\"stats\"} reports counters, end of input drains,
           {\"op\":\"shutdown\"} cancels in-flight work";
 
@@ -126,11 +129,7 @@ fn main() {
         Mode::Socket(path) => {
             #[cfg(unix)]
             {
-                service::serve_unix(
-                    Arc::clone(tenants.default_engine()),
-                    std::path::Path::new(&path),
-                    &opts,
-                )
+                service::serve_unix(tenants, std::path::Path::new(&path), &opts)
             }
             #[cfg(not(unix))]
             {
@@ -159,13 +158,7 @@ fn main() {
         },
         Mode::Stdio => {
             let stdin = std::io::stdin().lock();
-            service::serve(
-                Arc::clone(tenants.default_engine()),
-                stdin,
-                std::io::stdout(),
-                &opts,
-            )
-            .map(|_| ())
+            service::serve(tenants, stdin, std::io::stdout(), &opts).map(|_| ())
         }
     };
     if let Err(e) = result {

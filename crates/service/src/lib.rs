@@ -48,9 +48,7 @@ pub use queue::{Closed, FairShare, JobQueue, TenantBill, DEFAULT_AGING_PERIOD};
 pub use router::{run_router, shard_for, RouterOpts};
 #[cfg(unix)]
 pub use server::serve_unix;
-pub use server::{
-    serve, serve_tcp, serve_with_residents, ServeOpts, ServeSummary, TcpSummary, MAX_REQUEST_BYTES,
-};
+pub use server::{serve, serve_tcp, ServeOpts, ServeSummary, TcpSummary, MAX_REQUEST_BYTES};
 pub use task::{
     execute_in, execute_res_in, load_database, load_training, render_labels, run_task_in,
     run_task_res_in, ClassSpec, Outcome, Residents, Task, TaskOutput, DEFAULT_CHECK_CLASSES,

@@ -18,9 +18,9 @@
 //! queued when a cancelling shutdown starts) cancelled-before-start.
 
 use crate::queue::{Closed, FairShare, JobQueue};
-use crate::task::{execute_res_in, Outcome, Residents, Task};
+use crate::task::{execute_res_in, Outcome, Task};
 use crate::tenant::{TenantHandle, TenantRegistry};
-use engine::{Engine, Interrupted};
+use engine::Interrupted;
 use interrupt::{Interrupt, Reason};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -75,29 +75,8 @@ pub struct Pool {
 
 impl Pool {
     /// Spawn `workers ≥ 1` threads over a queue admitting `queue_cap`
-    /// pending jobs, with a pool-private resident registry.
-    pub fn new(engine: Arc<Engine>, workers: usize, queue_cap: usize) -> Pool {
-        Pool::with_residents(engine, Residents::new(), workers, queue_cap)
-    }
-
-    /// [`Pool::new`] sharing a caller-owned resident registry, so
-    /// residents created by `append` jobs outlive the pool (the Unix
-    /// socket accept loop keeps one registry across connections).
-    pub fn with_residents(
-        engine: Arc<Engine>,
-        residents: Residents,
-        workers: usize,
-        queue_cap: usize,
-    ) -> Pool {
-        Pool::with_tenants(
-            Arc::new(TenantRegistry::single(engine, residents)),
-            workers,
-            queue_cap,
-        )
-    }
-
-    /// The full multi-tenant form: jobs are routed to per-tenant
-    /// engines/residents owned by `tenants`.
+    /// pending jobs, routing each job to its tenant's engine and
+    /// residents in `tenants`.
     pub fn with_tenants(tenants: Arc<TenantRegistry>, workers: usize, queue_cap: usize) -> Pool {
         assert!(workers >= 1, "need at least one worker");
         let fair = Arc::new(FairShare::new());
@@ -124,11 +103,6 @@ impl Pool {
             inflight,
             workers: Mutex::new(handles),
         }
-    }
-
-    /// The default tenant's engine (for stats reporting around a batch).
-    pub fn engine(&self) -> &Arc<Engine> {
-        self.tenants.default_engine()
     }
 
     /// The tenant registry jobs are routed through.
@@ -280,7 +254,13 @@ fn worker_loop(
 mod tests {
     use super::*;
     use crate::task::ClassSpec;
+    use crate::tenant::TenantConfig;
     use std::sync::mpsc::channel;
+
+    fn new_pool(workers: usize, queue_cap: usize) -> Pool {
+        let tenants = Arc::new(TenantRegistry::new(TenantConfig::default()));
+        Pool::with_tenants(tenants, workers, queue_cap)
+    }
 
     const TRAIN: &str = "\
 rel E/2
@@ -306,7 +286,7 @@ entity c -
 
     #[test]
     fn jobs_complete_and_correlate_by_id() {
-        let pool = Pool::new(Arc::new(Engine::new()), 2, 8);
+        let pool = new_pool(2, 8);
         let (tx, rx) = channel();
         for id in 0..4 {
             pool.submit(check_job(id), tx.clone()).unwrap();
@@ -330,7 +310,7 @@ entity c -
 
     #[test]
     fn zero_timeout_reports_interrupted_not_success() {
-        let pool = Pool::new(Arc::new(Engine::new()), 1, 4);
+        let pool = new_pool(1, 4);
         let (tx, rx) = channel();
         let mut job = check_job(9);
         job.timeout = Some(Duration::ZERO);
@@ -346,7 +326,7 @@ entity c -
 
     #[test]
     fn graceful_drain_finishes_queued_jobs() {
-        let pool = Pool::new(Arc::new(Engine::new()), 1, 16);
+        let pool = new_pool(1, 16);
         let (tx, rx) = channel();
         for id in 0..6 {
             pool.submit(check_job(id), tx.clone()).unwrap();
@@ -362,7 +342,7 @@ entity c -
     fn cancelling_shutdown_reports_queued_jobs_as_cancelled() {
         // One worker, several queued jobs: at least the backlog must be
         // reported as cancelled-before-start.
-        let pool = Pool::new(Arc::new(Engine::new()), 1, 16);
+        let pool = new_pool(1, 16);
         let (tx, rx) = channel();
         for id in 0..8 {
             pool.submit(check_job(id), tx.clone()).unwrap();
@@ -387,14 +367,14 @@ entity c -
 
     #[test]
     fn cancel_by_id_only_hits_running_jobs() {
-        let pool = Pool::new(Arc::new(Engine::new()), 1, 4);
+        let pool = new_pool(1, 4);
         assert!(!pool.cancel(12345), "unknown id is not in flight");
         pool.shutdown_drain();
     }
 
     #[test]
     fn tenant_jobs_run_on_isolated_engines() {
-        let pool = Pool::new(Arc::new(Engine::new()), 1, 8);
+        let pool = new_pool(1, 8);
         let (tx, rx) = channel();
         let mut job = check_job(1);
         job.tenant = Some("acme".to_string());
@@ -405,7 +385,7 @@ entity c -
         // The work was billed to the tenant, not the default engine.
         assert!(pool.fair_share().cost(Some("acme")) >= 1);
         assert_eq!(pool.fair_share().cost(None), 0);
-        let default_stats = pool.engine().stats();
+        let default_stats = pool.tenants().default_engine().stats();
         assert_eq!(
             default_stats.hom.solves, 0,
             "tenant work must not touch the default engine"
@@ -415,7 +395,7 @@ entity c -
 
     #[test]
     fn bad_tenant_id_fails_the_job_not_the_pool() {
-        let pool = Pool::new(Arc::new(Engine::new()), 1, 8);
+        let pool = new_pool(1, 8);
         let (tx, rx) = channel();
         let mut job = check_job(1);
         job.tenant = Some("../escape".to_string());

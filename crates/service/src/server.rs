@@ -58,16 +58,16 @@
 //! reported as `interrupted`/`cancelled` without running, in-flight
 //! solvers are tripped via their [`Ctx`](engine::Ctx) handles and
 //! unwind at their next cancellation check. Over TCP ([`serve_tcp`])
-//! a shutdown additionally stops the accept loop, drains every live
-//! connection, and snapshots all resident tenants to the cache
-//! directory before returning.
+//! a shutdown additionally stops the accept loop and drains every live
+//! connection. Every carrier ([`serve`], `serve_unix`, [`serve_tcp`])
+//! runs against one [`TenantRegistry`] and snapshots all its resident
+//! tenants to the cache directory before returning.
 
 use crate::json::Json;
 use crate::pool::{Job, Pool, Response};
-use crate::task::{ClassSpec, Outcome, Residents, Task};
+use crate::task::{ClassSpec, Outcome, Task};
 use crate::tenant::{validate_tenant_id, TenantRegistry};
 use cqsep::generalize::FitMethod;
-use engine::Engine;
 use std::fmt::Display;
 use std::io::{BufRead, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -263,11 +263,13 @@ pub(crate) fn accept_conn(
     Ok(Some((stream, peer)))
 }
 
-/// Serve one connection on a fresh single-connection pool: read
-/// requests until EOF or shutdown, write one response per job in
-/// completion order. See the module docs for the wire format.
+/// Serve one connection (stdin/stdout, a socket, an in-memory buffer)
+/// on a fresh pool over `tenants`: read requests until EOF or shutdown,
+/// write one response per job in completion order, then snapshot every
+/// resident tenant to the registry's cache directory. See the module
+/// docs for the wire format.
 pub fn serve<R, W>(
-    engine: Arc<Engine>,
+    tenants: Arc<TenantRegistry>,
     reader: R,
     writer: W,
     opts: &ServeOpts,
@@ -276,29 +278,25 @@ where
     R: BufRead,
     W: Write + Send,
 {
-    serve_with_residents(engine, Residents::new(), reader, writer, opts)
+    let pool = Pool::with_tenants(Arc::clone(&tenants), opts.workers, opts.queue_cap);
+    let summary = serve_conn(&pool, reader, writer, opts, None);
+    finish(&pool, &tenants);
+    summary
 }
 
-/// [`serve`] with a caller-owned resident registry, so databases parked
-/// by `append` requests survive this connection.
-pub fn serve_with_residents<R, W>(
-    engine: Arc<Engine>,
-    residents: Residents,
-    reader: R,
-    writer: W,
-    opts: &ServeOpts,
-) -> std::io::Result<ServeSummary>
-where
-    R: BufRead,
-    W: Write + Send,
-{
-    let pool = Pool::with_residents(engine, residents, opts.workers, opts.queue_cap);
-    let summary = serve_conn(&pool, reader, writer, opts, None);
-    // Graceful EOF still has live workers; a shutdown op already ran
-    // the cancelling close inside `serve_conn`.
+/// Wind a server down: join the pool's workers once the backlog drains
+/// (a shutdown op already ran the cancelling close inside
+/// [`serve_conn`]), then snapshot every resident tenant.
+fn finish(pool: &Pool, tenants: &TenantRegistry) {
     pool.close();
     pool.join();
-    summary
+    match tenants.snapshot_all() {
+        Ok(saved) if saved > 0 => {
+            eprintln!("cqsep-serve: snapshotted {saved} tenant(s) on shutdown")
+        }
+        Ok(_) => {}
+        Err(e) => eprintln!("cqsep-serve: shutdown snapshot failed: {e}"),
+    }
 }
 
 /// Serve one connection against a shared pool. On a shutdown op this
@@ -401,32 +399,33 @@ where
     })
 }
 
-/// Accept loop over a Unix domain socket: one connection at a time,
-/// all connections sharing the engine (memo tables persist across
-/// connections). A `{"op":"shutdown"}` on any connection stops the
-/// loop; the socket file is removed on the way out.
+/// Accept loop over a Unix domain socket: one connection at a time, all
+/// sharing one worker pool and one tenant registry (memo tables and
+/// resident databases persist across connections). A
+/// `{"op":"shutdown"}` on any connection stops the loop; the socket file
+/// is removed and every resident tenant snapshotted on the way out.
 #[cfg(unix)]
 pub fn serve_unix(
-    engine: Arc<Engine>,
+    tenants: Arc<TenantRegistry>,
     path: &std::path::Path,
     opts: &ServeOpts,
 ) -> std::io::Result<()> {
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path)?;
-    // One registry for the whole accept loop: residents appended on one
-    // connection answer rechecks on the next.
-    let residents = Residents::new();
-    for stream in listener.incoming() {
-        let stream = stream?;
-        let reader = std::io::BufReader::new(stream.try_clone()?);
-        let summary =
-            serve_with_residents(Arc::clone(&engine), residents.clone(), reader, stream, opts)?;
-        if summary.shutdown_requested {
-            break;
+    let pool = Pool::with_tenants(Arc::clone(&tenants), opts.workers, opts.queue_cap);
+    let served = (|| -> std::io::Result<()> {
+        for stream in listener.incoming() {
+            let stream = stream?;
+            let reader = std::io::BufReader::new(stream.try_clone()?);
+            if serve_conn(&pool, reader, stream, opts, None)?.shutdown_requested {
+                break;
+            }
         }
-    }
+        Ok(())
+    })();
+    finish(&pool, &tenants);
     let _ = std::fs::remove_file(path);
-    Ok(())
+    served
 }
 
 /// TCP accept loop: concurrent connections, each served on its own
@@ -514,15 +513,7 @@ pub fn serve_tcp(
     for t in conn_threads {
         let _ = t.join();
     }
-    pool.close();
-    pool.join();
-    match tenants.snapshot_all() {
-        Ok(saved) if saved > 0 => {
-            eprintln!("cqsep-serve: snapshotted {saved} tenant(s) on shutdown")
-        }
-        Ok(_) => {}
-        Err(e) => eprintln!("cqsep-serve: shutdown snapshot failed: {e}"),
-    }
+    finish(&pool, &tenants);
     let mut summary = *totals.lock().unwrap();
     summary.connections = stats.connections_total.load(Ordering::SeqCst);
     Ok(summary)
@@ -832,6 +823,7 @@ fn parse_request(line: &str, auto_id: u64, opts: &ServeOpts) -> Result<Line, (u6
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::tenant::TenantConfig;
 
     /// A `Write` that records the bytes of every `write` call.
     #[derive(Default)]
@@ -905,10 +897,23 @@ pub(crate) mod tests {
     const TRAIN: &str = "rel E/2\nfact E(a,b)\nfact E(b,c)\nentity a +\nentity b +\nentity c -\n";
     const EVAL: &str = "rel E/2\nfact E(u,v)\nentity u\nentity v\n";
 
+    /// A registry of the default configuration: no cache directory.
+    fn registry() -> Arc<TenantRegistry> {
+        Arc::new(TenantRegistry::new(TenantConfig::default()))
+    }
+
     fn run_lines(lines: &[String], opts: &ServeOpts) -> (Vec<Json>, ServeSummary) {
+        serve_lines(registry(), lines, opts)
+    }
+
+    fn serve_lines(
+        tenants: Arc<TenantRegistry>,
+        lines: &[String],
+        opts: &ServeOpts,
+    ) -> (Vec<Json>, ServeSummary) {
         let input = lines.join("\n");
         let mut output = Vec::new();
-        let summary = serve(Arc::new(Engine::new()), input.as_bytes(), &mut output, opts).unwrap();
+        let summary = serve(tenants, input.as_bytes(), &mut output, opts).unwrap();
         let responses = String::from_utf8(output)
             .unwrap()
             .lines()
@@ -1371,7 +1376,7 @@ pub(crate) mod tests {
 
         let mut output = Vec::new();
         let summary = serve(
-            Arc::new(Engine::new()),
+            registry(),
             input.as_slice(),
             &mut output,
             &ServeOpts::default(),
@@ -1382,6 +1387,48 @@ pub(crate) mod tests {
         let text = String::from_utf8(output).unwrap();
         assert!(text.contains("exceeds"), "{text}");
         assert!(text.contains("not valid UTF-8"), "{text}");
+    }
+
+    #[test]
+    fn serve_restores_residents_from_the_cache_dir_of_an_earlier_run() {
+        // Named after this test and process; removed on drop.
+        struct CacheDir(std::path::PathBuf);
+        impl Drop for CacheDir {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir = CacheDir(std::env::temp_dir().join(format!(
+            "cqsep_serve_restores_residents_{}",
+            std::process::id()
+        )));
+        let run = |line: String| {
+            let tenants = Arc::new(TenantRegistry::new(TenantConfig {
+                cache_dir: Some(dir.0.clone()),
+                ..TenantConfig::default()
+            }));
+            serve_lines(tenants, &[line], &ServeOpts::default()).0
+        };
+        let appended = run(req(&[
+            ("id", Json::Num(1.0)),
+            ("task", Json::Str("append".to_string())),
+            ("name", Json::Str("t".to_string())),
+            ("base", Json::Str(TRAIN.to_string())),
+            (
+                "delta",
+                Json::Str("add-fact E(c,d)\nadd-entity d -\n".to_string()),
+            ),
+        ]));
+        assert_eq!(status_of(&appended, 1), "ok", "{appended:?}");
+        // A second server on the same cache dir finds the resident the
+        // first one snapshotted on exit.
+        let rechecked = run(req(&[
+            ("id", Json::Num(2.0)),
+            ("task", Json::Str("recheck".to_string())),
+            ("name", Json::Str("t".to_string())),
+            ("classes", Json::Arr(vec![Json::Str("cq".to_string())])),
+        ]));
+        assert_eq!(status_of(&rechecked, 2), "ok", "{rechecked:?}");
     }
 
     #[cfg(unix)]
@@ -1404,9 +1451,8 @@ pub(crate) mod tests {
         std::fs::create_dir_all(&dir.0).unwrap();
         let path = dir.0.join("serve.sock");
         let spath = path.clone();
-        let server = std::thread::spawn(move || {
-            serve_unix(Arc::new(Engine::new()), &spath, &ServeOpts::default())
-        });
+        let server =
+            std::thread::spawn(move || serve_unix(registry(), &spath, &ServeOpts::default()));
         // Wait for the socket to appear.
         let mut stream = loop {
             match UnixStream::connect(&path) {
@@ -1439,7 +1485,7 @@ pub(crate) mod tests {
 
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
-        let tenants = Arc::new(TenantRegistry::new(crate::tenant::TenantConfig::default()));
+        let tenants = registry();
         let opts = ServeOpts::default();
         let server = std::thread::spawn(move || serve_tcp(tenants, listener, &opts));
 

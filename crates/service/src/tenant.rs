@@ -4,8 +4,7 @@
 //! or lineage edges.
 //!
 //! A [`TenantRegistry`] holds the *default* tenant (requests without a
-//! `tenant` field — also the engine the CLI and the in-process tests
-//! hand in) pinned for the registry's lifetime, plus a size-capped LRU
+//! `tenant` field) pinned for the registry's lifetime, plus a size-capped LRU
 //! of *named* tenants. Checking out a tenant past the capacity
 //! **snapshots then evicts** the coldest named tenant: its verdict
 //! tables and lineage go through [`Engine::save`] and its residents are
@@ -135,18 +134,6 @@ impl TenantRegistry {
         TenantRegistry {
             default_handle: handle,
             config,
-            inner: Mutex::new(Inner::default()),
-        }
-    }
-
-    /// Wrap an existing engine + residents as the default tenant (the
-    /// compatibility path for [`Pool::new`](crate::pool::Pool) callers
-    /// that manage their own engine). Named tenants still work, built
-    /// from the default [`TenantConfig`] without persistence.
-    pub fn single(engine: Arc<Engine>, residents: Residents) -> TenantRegistry {
-        TenantRegistry {
-            default_handle: TenantHandle { engine, residents },
-            config: TenantConfig::default(),
             inner: Mutex::new(Inner::default()),
         }
     }

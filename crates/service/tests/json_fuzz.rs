@@ -4,10 +4,9 @@
 //! exactly one *typed* response (`ok` / `error` / `interrupted`) — the
 //! server never panics, never hangs, and never drops a line silently.
 
-use engine::Engine;
 use proptest::prelude::*;
 use service::json::Json;
-use service::{serve, validate_tenant_id, ServeOpts};
+use service::{serve, validate_tenant_id, ServeOpts, TenantConfig, TenantRegistry};
 use std::sync::Arc;
 
 const TRAIN: &str = "rel E/2\nfact E(a,b)\nentity a +\nentity b -\n";
@@ -79,7 +78,7 @@ fn any_line() -> BoxedStrategy<String> {
 fn run_serve(input: &str) -> (Vec<Json>, service::ServeSummary) {
     let mut output = Vec::new();
     let summary = serve(
-        Arc::new(Engine::new()),
+        Arc::new(TenantRegistry::new(TenantConfig::default())),
         input.as_bytes(),
         &mut output,
         &ServeOpts::default(),

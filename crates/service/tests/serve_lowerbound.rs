@@ -5,11 +5,10 @@
 //! *after* a timed-out one must still succeed on the same engine — an
 //! interrupted solve may not poison the shared memo tables.
 
-use engine::Engine;
 use relational::spec::DatabaseSpec;
 use relational::TrainingDb;
 use service::json::Json;
-use service::{serve, ServeOpts};
+use service::{serve, ServeOpts, TenantConfig, TenantRegistry};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use workloads::lowerbound;
@@ -68,7 +67,7 @@ fn lowerbound_workload_with_one_second_budget() {
     let mut output = Vec::new();
     let started = Instant::now();
     let summary = serve(
-        Arc::new(Engine::new()),
+        Arc::new(TenantRegistry::new(TenantConfig::default())),
         input.as_bytes(),
         &mut output,
         &opts,
